@@ -6,15 +6,8 @@ feature-to-default signal. Everything is deterministic given the seeds in
 the configs: datasets, trained models, reports.
 """
 
-from .cart import TreeParams, grow_tree, predict_tree
-from .dataset import (
-    Dataset,
-    SmeRecord,
-    load_csv,
-    pearson_correlation,
-    split_train_test,
-    write_csv,
-)
+from .cart import TreeParams, grow_tree
+from .dataset import Dataset, load_csv, split_train_test, write_csv
 from .experiment import (
     ComparisonReport,
     ExperimentConfig,
@@ -24,8 +17,8 @@ from .experiment import (
     run_comparison,
     save_model,
 )
-from .forest import ForestModel, ForestParams, feature_importances, predict_forest, train_forest
-from .logit import LogisticModel, LogitHyperparams, predict_label, predict_proba, train_logistic
+from .forest import ForestModel, ForestParams, feature_importances, predict_forest_dataset, train_forest
+from .logit import LogisticModel, LogitHyperparams, predict_proba_dataset, to_labels, train_logistic
 from .metrics import ConfusionMatrix, MetricsReport, compute_metrics, confusion_matrix
 from .synthgen import GeneratorConfig, generate, latent_default_probability
 
@@ -42,7 +35,6 @@ __all__ = [
     "LogisticModel",
     "LogitHyperparams",
     "MetricsReport",
-    "SmeRecord",
     "TreeParams",
     "compute_metrics",
     "confusion_matrix",
@@ -53,15 +45,13 @@ __all__ = [
     "latent_default_probability",
     "load_csv",
     "load_model",
-    "pearson_correlation",
-    "predict_forest",
-    "predict_label",
-    "predict_proba",
-    "predict_tree",
+    "predict_forest_dataset",
+    "predict_proba_dataset",
     "render_report",
     "run_comparison",
     "save_model",
     "split_train_test",
+    "to_labels",
     "train_forest",
     "train_logistic",
     "write_csv",

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dataset import SmeRecord
+from .dataset import FEATURE_COLUMNS
 from .errors import ModelFormatError, ParameterError
 
 
@@ -259,16 +259,12 @@ def grow_tree(train, params: TreeParams, rng: np.random.Generator) -> TreeNode:
 
 
 def predict_vector(tree: TreeNode, x: np.ndarray) -> tuple[int, float]:
+    """Route one feature row to its leaf; label = 1 iff prob_1 >= 0.5."""
     node = tree
     while isinstance(node, Internal):
         node = node.left if x[node.feature] <= node.threshold else node.right
     p = node.counts.prob_1
     return (1 if p >= 0.5 else 0), p
-
-
-def predict_tree(tree: TreeNode, record: SmeRecord) -> tuple[int, float]:
-    """Route one record to its leaf; label = 1 iff prob_1 >= 0.5."""
-    return predict_vector(tree, record.feature_vector())
 
 
 def tree_to_json_dict(root: TreeNode) -> dict:
@@ -299,7 +295,12 @@ def tree_from_json_dict(doc: dict) -> TreeNode:
         if keys == {"count_0", "count_1"}:
             _place(parent, key, Leaf(ClassCounts(int(d["count_0"]), int(d["count_1"]))))
         elif keys == {"feature", "threshold", "left", "right"}:
-            node = Internal(feature=int(d["feature"]), threshold=float(d["threshold"]))
+            feature = d["feature"]
+            if type(feature) is not int or not 0 <= feature < len(FEATURE_COLUMNS):
+                raise ModelFormatError(f"tree feature {feature!r} is not an index in [0, {len(FEATURE_COLUMNS)})")
+            node = Internal(feature=feature, threshold=float(d["threshold"]))
+            if not math.isfinite(node.threshold):
+                raise ModelFormatError(f"tree threshold {node.threshold!r} is not finite")
             _place(parent, key, node)
             stack.append((d["right"], node, "right"))
             stack.append((d["left"], node, "left"))

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .dataset import load_csv, write_csv
-from .errors import DataError, DegenerateLabelsError, ParameterError
+from .errors import DataError, DegenerateLabelsError, ParameterError, ParseError
 from .experiment import (
     ExperimentConfig,
     load_model,
@@ -23,9 +23,8 @@ from .experiment import (
     run_comparison,
     save_model,
 )
-from .errors import ParseError
 from .forest import ForestModel, ForestParams, feature_importances, predict_forest_dataset, train_forest
-from .logit import predict_proba_dataset, train_logistic
+from .logit import predict_proba_dataset, to_labels, train_logistic
 from .serialize import parse_json_file
 from .synthgen import GeneratorConfig, generate
 
@@ -86,7 +85,7 @@ def _cmd_score(args) -> None:
         labels, probs = predict_forest_dataset(model, data)
     else:
         probs = predict_proba_dataset(model, data)
-        labels = (probs >= 0.5).astype(int)
+        labels = to_labels(probs)
     with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["Predicted_Prob", "Predicted_Label"])

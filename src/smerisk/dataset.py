@@ -1,9 +1,17 @@
-"""SME loan dataset: record schema, CSV round trip, splitting, standardization.
+"""SME loan dataset: one validated columnar table, CSV round trip,
+splitting, standardization.
 
-The canonical schema is fixed: five continuous risk features, a binary
-industry sector code, and an optional binary default label. CSV files carry
-exactly these columns, in this order, with the label column optional for
-unlabeled scoring data.
+A Dataset holds a read-only (n, 6) float64 feature matrix ``X`` in the
+canonical column order (five continuous risk features, then the binary
+industry sector code) and an optional (n,) int64 default label array
+``y``; ``y`` is None for unlabeled scoring data. Both are checked once,
+with vectorized tests, when the Dataset is built. There is no per-row
+object: models, the generator and the CSV reader and writer all work on
+the arrays, and ``records`` derives plain row tuples on demand for
+equality checks.
+
+CSV files carry exactly the canonical columns, in this order, with the
+label column optional for unlabeled scoring data.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,10 +30,7 @@ from .errors import (
     ParameterError,
     RowParseError,
     SchemaError,
-    UndefinedCorrelationError,
 )
-
-SCHEMA_VERSION = "sme-credit-1"
 
 CONTINUOUS_FEATURES = (
     "Revenue_Growth",
@@ -42,117 +47,111 @@ ALL_COLUMNS = FEATURE_COLUMNS + (LABEL_COLUMN,)
 AGRICULTURE = 0
 MANUFACTURING = 1
 
+# Physical bounds of the continuous features, inclusive. Commodity price
+# dependency is a correlation coefficient against commodity prices.
+_BOUNDS = {
+    "Cash_Flow_Variability": (0.0, math.inf, "a finite number >= 0"),
+    "Debt_Equity_Ratio": (0.0, math.inf, "a finite number >= 0"),
+    "Commodity_Price_Dependency": (-1.0, 1.0, "a finite number in [-1, 1]"),
+}
+_UNBOUNDED = (-math.inf, math.inf, "a finite number")
 
-@dataclass(frozen=True)
-class SmeRecord:
-    """One loan applicant.
 
-    Continuous features are fractions or ratios; ``commodity_price_dependency``
-    is a correlation coefficient against commodity prices, so it lives in
-    [-1, 1]. ``industry_sector`` is 0 (agriculture) or 1 (manufacturing).
-    ``default_status`` is 1 for a default, 0 otherwise, None when unlabeled.
+def _first_invalid(X: np.ndarray, y: np.ndarray | None) -> tuple[int, str] | None:
+    """(row, message) for the first row holding an invalid value, or None.
+
+    Continuous features must be finite and inside their physical bounds;
+    the sector and the label must be 0 or 1. Within the offending row the
+    leftmost bad column is named.
     """
-
-    revenue_growth: float
-    cash_flow_variability: float
-    debt_equity_ratio: float
-    profit_margin: float
-    commodity_price_dependency: float
-    industry_sector: int
-    default_status: int | None = None
-
-    def continuous_values(self) -> tuple[float, float, float, float, float]:
-        return (
-            self.revenue_growth,
-            self.cash_flow_variability,
-            self.debt_equity_ratio,
-            self.profit_margin,
-            self.commodity_price_dependency,
-        )
-
-    def feature_vector(self) -> np.ndarray:
-        """All six model features, sector encoded 0/1, as float64."""
-        return np.array(self.continuous_values() + (float(self.industry_sector),))
-
-    def validate(self, ranges: bool = True) -> None:
-        """Check field invariants; ``ranges=False`` skips the physical bounds
-        (used for standardized data, where values are z-scores)."""
-        if self.industry_sector not in (0, 1):
-            raise ParameterError(f"industry_sector must be 0 or 1, got {self.industry_sector!r}")
-        if self.default_status not in (0, 1, None):
-            raise ParameterError(f"default_status must be 0, 1 or absent, got {self.default_status!r}")
-        for name, value in zip(CONTINUOUS_FEATURES, self.continuous_values()):
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ParameterError(f"{name} must be a finite number, got {value!r}")
-        if not ranges:
-            return
-        if self.cash_flow_variability < 0:
-            raise ParameterError(f"Cash_Flow_Variability must be >= 0, got {self.cash_flow_variability}")
-        if self.debt_equity_ratio < 0:
-            raise ParameterError(f"Debt_Equity_Ratio must be >= 0, got {self.debt_equity_ratio}")
-        if not -1.0 <= self.commodity_price_dependency <= 1.0:
-            raise ParameterError(
-                f"Commodity_Price_Dependency must lie in [-1, 1], got {self.commodity_price_dependency}"
-            )
+    columns = list(zip(FEATURE_COLUMNS, X.T))
+    if y is not None:
+        columns.append((LABEL_COLUMN, y))
+    checks = []  # (name, values, mask of bad entries, rule)
+    for name, values in columns:
+        if name in (SECTOR_COLUMN, LABEL_COLUMN):
+            checks.append((name, values, (values != 0) & (values != 1), "0 or 1"))
+        else:
+            low, high, rule = _BOUNDS.get(name, _UNBOUNDED)
+            ok = (values >= low) & (values <= high) & np.isfinite(values)
+            checks.append((name, values, ~ok, rule))
+    bad_rows = np.flatnonzero(np.any([mask for _, _, mask, _ in checks], axis=0))
+    if len(bad_rows) == 0:
+        return None
+    row = int(bad_rows[0])
+    name, values, _, rule = next(check for check in checks if check[2][row])
+    return row, f"{name} must be {rule}, got {values[row].item()!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Ordered, immutable collection of records sharing the canonical schema.
+    """Ordered, immutable loan book in the canonical schema.
 
-    ``standardized`` marks data transformed by apply_standardizer; such
-    records are z-scores and are exempt from the physical range checks.
+    ``X`` is the (n, 6) float64 feature matrix in FEATURE_COLUMNS order,
+    sector encoded 0.0/1.0; ``y`` is the (n,) int64 default label array
+    (1 for a default), or None when the data is unlabeled. Both are copied
+    and made read-only. Raises ParameterError naming the column and the
+    first offending row if a value breaks the schema.
     """
 
-    records: tuple[SmeRecord, ...]
-    schema_version: str = SCHEMA_VERSION
-    standardized: bool = False
+    X: np.ndarray
+    y: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        for record in self.records:
-            record.validate(ranges=not self.standardized)
+        X = np.array(self.X, dtype=float)
+        if X.size == 0:
+            X = X.reshape(0, len(FEATURE_COLUMNS))
+        if X.ndim != 2 or X.shape[1] != len(FEATURE_COLUMNS):
+            raise ParameterError(f"feature matrix must have shape (n, {len(FEATURE_COLUMNS)}), got {X.shape}")
+        y = None
+        if self.y is not None:
+            y = np.array(self.y, dtype=float)
+            if y.shape != (len(X),):
+                raise ParameterError(f"label array must have shape ({len(X)},), got {y.shape}")
+        bad = _first_invalid(X, y)
+        if bad is not None:
+            raise ParameterError(f"row {bad[0]}: {bad[1]}")
+        if y is not None:
+            y = y.astype(np.int64)
+            y.setflags(write=False)
+        X.setflags(write=False)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y)
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[SmeRecord]:
-        return iter(self.records)
+        return len(self.X)
 
     @property
     def labeled(self) -> bool:
-        return all(r.default_status is not None for r in self.records)
+        return self.y is not None
+
+    @property
+    def records(self) -> tuple[tuple, ...]:
+        """One hashable tuple per row, in ALL_COLUMNS order (label None when
+        unlabeled). Built on each access; for equality checks and counting."""
+        labels = self.y.tolist() if self.y is not None else [None] * len(self)
+        return tuple((*row, label) for row, label in zip(self.X.tolist(), labels))
 
     @property
     def default_rate(self) -> float:
-        self._require_labeled()
         self._require_nonempty()
-        return float(np.mean([r.default_status for r in self.records]))
+        self._require_labeled()
+        return float(np.mean(self.y))
 
     def feature_matrix(self) -> np.ndarray:
-        """(n, 6) float64 matrix in canonical column order."""
-        return np.array([r.feature_vector() for r in self.records], dtype=float).reshape(len(self), 6)
-
-    def continuous_matrix(self) -> np.ndarray:
-        """(n, 5) matrix of the continuous features only."""
-        return np.array([r.continuous_values() for r in self.records], dtype=float).reshape(len(self), 5)
-
-    def sector_array(self) -> np.ndarray:
-        return np.array([r.industry_sector for r in self.records], dtype=np.int64)
+        """The read-only (n, 6) float64 matrix ``X``."""
+        return self.X
 
     def labels(self) -> np.ndarray:
         self._require_labeled()
-        return np.array([r.default_status for r in self.records], dtype=np.int64)
+        return self.y
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
-        return Dataset(
-            tuple(self.records[int(i)] for i in indices),
-            schema_version=self.schema_version,
-            standardized=self.standardized,
-        )
+        idx = np.asarray(indices, dtype=np.intp)
+        return Dataset(self.X[idx], None if self.y is None else self.y[idx])
 
     def _require_nonempty(self):
-        if not self.records:
+        if len(self) == 0:
             raise EmptyInputError("dataset holds no records")
 
     def _require_labeled(self):
@@ -167,20 +166,13 @@ def _parse_cell(text: str, column: str) -> float:
         raise ValueError(f"non-numeric value {text!r} in column {column}")
 
 
-def _parse_binary(text: str, column: str) -> int:
-    value = _parse_cell(text, column)
-    if value not in (0.0, 1.0):
-        raise ValueError(f"column {column} must be 0 or 1, got {text!r}")
-    return int(value)
-
-
 def load_csv(path: str | Path) -> Dataset:
     """Read a canonical CSV file into a Dataset.
 
     The header must match the canonical columns exactly (label column
     optional). Raises SchemaError for header drift, RowParseError with the
-    offending data-row index for bad cells, EmptyInputError for a file with
-    no data rows.
+    offending data-row index for bad or out-of-range cells, EmptyInputError
+    for a file with no data rows.
     """
     path = Path(path)
     try:
@@ -191,30 +183,27 @@ def load_csv(path: str | Path) -> Dataset:
     if not rows:
         raise EmptyInputError(f"{path} is empty")
     header = tuple(rows[0])
-    if header == ALL_COLUMNS:
-        labeled = True
-    elif header == FEATURE_COLUMNS:
-        labeled = False
-    else:
+    if header not in (ALL_COLUMNS, FEATURE_COLUMNS):
         raise SchemaError(_describe_header_mismatch(header))
     body = rows[1:]
     if not body:
         raise EmptyInputError(f"{path} has a header but no data rows")
 
-    records = []
+    table = np.empty((len(body), len(header)))
     for i, row in enumerate(body):
         if len(row) != len(header):
             raise RowParseError(i, f"expected {len(header)} cells, got {len(row)}")
         try:
-            continuous = [_parse_cell(cell, col) for cell, col in zip(row[:5], CONTINUOUS_FEATURES)]
-            sector = _parse_binary(row[5], SECTOR_COLUMN)
-            label = _parse_binary(row[6], LABEL_COLUMN) if labeled else None
-            record = SmeRecord(*continuous, industry_sector=sector, default_status=label)
-            record.validate()
-        except (ValueError, ParameterError) as exc:
+            table[i] = [_parse_cell(cell, col) for cell, col in zip(row, header)]
+        except ValueError as exc:
             raise RowParseError(i, str(exc)) from None
-        records.append(record)
-    return Dataset(tuple(records))
+    X = table[:, : len(FEATURE_COLUMNS)]
+    y = table[:, len(FEATURE_COLUMNS)] if header == ALL_COLUMNS else None
+    # checked before Dataset does, so the error is a row-indexed RowParseError
+    bad = _first_invalid(X, y)
+    if bad is not None:
+        raise RowParseError(*bad)
+    return Dataset(X, y)
 
 
 def _describe_header_mismatch(header: tuple[str, ...]) -> str:
@@ -243,12 +232,12 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in dataset:
-            row = [_render_number(v) for v in r.continuous_values()]
-            row.append(str(int(r.industry_sector)))
+        for *continuous, sector, label in dataset.records:
+            cells = [_render_number(v) for v in continuous]
+            cells.append(str(int(sector)))
             if dataset.labeled:
-                row.append(str(int(r.default_status)))
-            writer.writerow(row)
+                cells.append(str(label))
+            writer.writerow(cells)
 
 
 def split_train_test(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -287,6 +276,8 @@ class StandardizationParams:
     def __post_init__(self):
         if not (len(self.means) == len(self.sds) == len(self.constant_flags)):
             raise ParameterError("standardization parameter lengths disagree")
+        if not all(math.isfinite(v) for v in self.means + self.sds):
+            raise ParameterError("standardization means and sds must be finite")
         for sd, flag in zip(self.sds, self.constant_flags):
             if sd < 0 or (sd == 0) != flag:
                 raise ParameterError("sd must be > 0 exactly where the constant flag is unset")
@@ -321,7 +312,7 @@ class StandardizationParams:
 def fit_standardizer(train: Dataset) -> StandardizationParams:
     """Mean and population standard deviation of each continuous feature."""
     train._require_nonempty()
-    matrix = train.continuous_matrix()
+    matrix = train.X[:, : len(CONTINUOUS_FEATURES)]
     means = matrix.mean(axis=0)
     sds = matrix.std(axis=0)  # ddof=0: population sd
     flags = sds == 0.0
@@ -332,44 +323,10 @@ def fit_standardizer(train: Dataset) -> StandardizationParams:
     )
 
 
-def apply_standardizer(params: StandardizationParams, dataset: Dataset) -> Dataset:
-    """Return a copy of ``dataset`` with continuous features z-scored under
-    ``params``. Constant-flagged features become 0; sector and labels pass
-    through unchanged."""
-    transformed = params.transform_matrix(dataset.continuous_matrix()) if len(dataset) else np.empty((0, 5))
-    records = tuple(
-        SmeRecord(
-            *(float(v) for v in row),
-            industry_sector=r.industry_sector,
-            default_status=r.default_status,
-        )
-        for row, r in zip(transformed, dataset)
-    )
-    return Dataset(records, schema_version=dataset.schema_version, standardized=True)
-
-
-def pearson_correlation(a: Sequence[float], b: Sequence[float]) -> float:
-    """Pearson correlation coefficient of two equal-length series.
-
-    This is the sensitivity measure used for the commodity-dependency
-    feature: the correlation between a revenue series and a commodity price
-    series. The result is clamped to [-1, 1] against rounding.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ParameterError("series must be one-dimensional")
-    if len(a) != len(b):
-        raise ParameterError(f"series lengths differ: {len(a)} vs {len(b)}")
-    if len(a) < 2:
-        raise ParameterError("correlation needs at least 2 points")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ParameterError("series must be finite")
-    da = a - a.mean()
-    db = b - b.mean()
-    var_a = float(da @ da)
-    var_b = float(db @ db)
-    if var_a == 0.0 or var_b == 0.0:
-        raise UndefinedCorrelationError("a series with zero variance has no defined correlation")
-    r = float(da @ db) / math.sqrt(var_a * var_b)
-    return min(1.0, max(-1.0, r))
+def apply_standardizer(params: StandardizationParams, dataset: Dataset) -> np.ndarray:
+    """The (n, 6) model matrix of ``dataset``: continuous features z-scored
+    under ``params`` (constant-flagged ones become 0), sector unchanged."""
+    out = np.array(dataset.X)
+    k = len(CONTINUOUS_FEATURES)
+    out[:, :k] = params.transform_matrix(out[:, :k])
+    return out

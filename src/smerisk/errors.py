@@ -37,12 +37,9 @@ class EmptyInputError(DataError):
     """No usable records were provided."""
 
 
-class UndefinedCorrelationError(DataError):
-    """Correlation is undefined because a series has zero variance."""
-
-
 class ModelFormatError(DataError):
-    """A serialized model has an unsupported format_version or model_type."""
+    """A serialized model has an unsupported format_version or model_type,
+    or a body that does not describe a valid model."""
 
 
 class DegenerateLabelsError(SmeriskError):

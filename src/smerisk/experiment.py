@@ -32,6 +32,7 @@ from .logit import (
     logistic_from_json_document,
     logistic_to_json_document,
     predict_proba_dataset,
+    to_labels,
     train_logistic,
 )
 from .metrics import MetricsReport, score_predictions, two_decimals
@@ -166,7 +167,7 @@ def run_comparison(config: ExperimentConfig) -> ComparisonReport:
     forest = train_forest(train, config.forest_params)
 
     y_test = test.labels()
-    delphi_pred = (predict_proba_dataset(delphi, test) >= DECISION_THRESHOLD).astype(np.int64)
+    delphi_pred = to_labels(predict_proba_dataset(delphi, test), DECISION_THRESHOLD)
     forest_pred, _ = predict_forest_dataset(forest, test)
 
     importance_values, degenerate = feature_importances(forest)

@@ -23,7 +23,7 @@ from .cart import (
     tree_from_json_dict,
     tree_to_json_dict,
 )
-from .dataset import Dataset, FEATURE_COLUMNS, SmeRecord
+from .dataset import Dataset, FEATURE_COLUMNS
 from .errors import DegenerateLabelsError, ModelFormatError, ParameterError
 from .seeding import substream
 from .serialize import MODEL_FORMAT_VERSION, check_model_envelope
@@ -158,15 +158,11 @@ def train_forest(train: Dataset, params: ForestParams) -> ForestModel:
 
 
 def predict_forest_vector(model: ForestModel, x: np.ndarray) -> tuple[int, float]:
+    """Soft vote over one feature row: mean of per-tree leaf class-1
+    fractions; label = 1 iff that mean is >= 0.5."""
     probs = np.array([predict_vector(tree, x)[1] for tree in model.trees])
     p = float(np.mean(probs))
     return (1 if p >= 0.5 else 0), p
-
-
-def predict_forest(model: ForestModel, record: SmeRecord) -> tuple[int, float]:
-    """Soft vote: mean of per-tree leaf class-1 fractions; label = 1 iff
-    that mean is >= 0.5."""
-    return predict_forest_vector(model, record.feature_vector())
 
 
 def predict_forest_dataset(model: ForestModel, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -207,13 +203,16 @@ def forest_from_json_document(doc: dict) -> ForestModel:
     try:
         params = ForestParams.from_json_dict(doc["params"])
         feature_names = tuple(str(name) for name in doc["feature_names"])
+        if feature_names != FEATURE_COLUMNS:
+            raise ValueError(f"feature_names {list(feature_names)} differ from {list(FEATURE_COLUMNS)}")
         trees = tuple(tree_from_json_dict(t) for t in doc["trees"])
+        return ForestModel(
+            trees=trees,
+            params=params,
+            feature_names=feature_names,
+            per_tree_importances=np.stack(
+                [_tree_importance_accumulator(tree, len(feature_names)) for tree in trees]
+            ),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed random_forest document: {exc!r}") from None
-    per_tree = np.stack([_tree_importance_accumulator(tree, len(feature_names)) for tree in trees])
-    return ForestModel(
-        trees=trees,
-        params=params,
-        feature_names=feature_names,
-        per_tree_importances=per_tree,
-    )

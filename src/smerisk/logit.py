@@ -20,7 +20,6 @@ import numpy as np
 from .dataset import (
     Dataset,
     FEATURE_COLUMNS,
-    SmeRecord,
     StandardizationParams,
     apply_standardizer,
     fit_standardizer,
@@ -58,7 +57,7 @@ class LogitHyperparams:
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate!r}")
-        if self.l2_lambda < 0:
+        if not self.l2_lambda >= 0:  # also rejects NaN
             raise ParameterError(f"l2_lambda must be >= 0, got {self.l2_lambda!r}")
         if not isinstance(self.max_iterations, int) or self.max_iterations < 0:
             raise ParameterError(f"max_iterations must be a non-negative integer, got {self.max_iterations!r}")
@@ -146,7 +145,7 @@ def train_logistic(train: Dataset, hyper: LogitHyperparams = LogitHyperparams())
     if len(np.unique(y)) < 2:
         raise DegenerateLabelsError("training set contains a single class; the baseline needs both")
     standardization = fit_standardizer(train)
-    X = apply_standardizer(standardization, train).feature_matrix()
+    X = apply_standardizer(standardization, train)
 
     weights = np.zeros(len(FEATURE_COLUMNS))
     bias = 0.0
@@ -183,27 +182,18 @@ def train_logistic(train: Dataset, hyper: LogitHyperparams = LogitHyperparams())
     )
 
 
-def _standardized_vector(model: LogisticModel, record: SmeRecord) -> np.ndarray:
-    continuous = model.standardization.transform_matrix(np.array([record.continuous_values()]))[0]
-    return np.concatenate([continuous, [float(record.industry_sector)]])
-
-
-def predict_proba(model: LogisticModel, record: SmeRecord) -> float:
-    """sigmoid(w . standardize(x) + b) for one record."""
-    return float(sigmoid(_standardized_vector(model, record) @ model.weights + model.bias))
-
-
 def predict_proba_dataset(model: LogisticModel, dataset: Dataset) -> np.ndarray:
-    X = apply_standardizer(model.standardization, dataset).feature_matrix()
+    """sigmoid(w . standardize(x) + b) for every row of ``dataset``."""
+    X = apply_standardizer(model.standardization, dataset)
     return np.asarray(sigmoid(X @ model.weights + model.bias))
 
 
-def predict_label(model: LogisticModel, record: SmeRecord, threshold: float = 0.5) -> int:
-    """1 iff predicted probability >= threshold (ties go to the default
-    class, the conservative call in credit screening)."""
+def to_labels(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+    """1 where a probability is >= threshold, else 0 (ties go to the
+    default class, the conservative call in credit screening)."""
     if not 0.0 < threshold < 1.0:
         raise ParameterError(f"threshold must lie in (0, 1), got {threshold}")
-    return 1 if predict_proba(model, record) >= threshold else 0
+    return (np.asarray(probs) >= threshold).astype(np.int64)
 
 
 def logistic_to_json_document(model: LogisticModel) -> dict:

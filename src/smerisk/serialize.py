@@ -23,13 +23,19 @@ def write_json_file(doc, path: str | Path) -> None:
     Path(path).write_text(dumps_deterministic(doc), encoding="utf-8")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def parse_json_file(path: str | Path) -> dict:
+    """Parse a JSON object from a file. NaN and Infinity, which the json
+    module would otherwise accept, are rejected like any other bad token."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or a rejected constant
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path} must hold a JSON object, got {type(doc).__name__}")

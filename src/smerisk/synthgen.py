@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .dataset import Dataset, SmeRecord
+from .dataset import FEATURE_COLUMNS, Dataset
 from .errors import ParameterError
 from .logit import sigmoid
 from .seeding import substream
@@ -224,48 +224,27 @@ def _calibrate_intercept(config: GeneratorConfig) -> float:
     return 0.5 * (lo + hi)
 
 
-def latent_default_probability(record: SmeRecord, config: GeneratorConfig) -> float:
-    """P(default | features) under the generator's model.
+def latent_default_probability(X: np.ndarray, config: GeneratorConfig) -> np.ndarray:
+    """P(default | features) under the generator's model, one probability
+    per row of the (n, 6) feature matrix ``X``.
 
     At signal_strength = 0 the latent score collapses to the calibrated
-    intercept, whose sigmoid is the base rate by definition; it is returned
-    directly so the identity is exact.
+    intercept, whose sigmoid is the base rate by definition; the base rate
+    is returned directly so the identity is exact.
     """
-    record.validate()
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != len(FEATURE_COLUMNS):
+        raise ParameterError(f"feature matrix must have shape (n, {len(FEATURE_COLUMNS)}), got {X.shape}")
     if config.signal_strength == 0:
-        return config.base_default_rate
-    g = _risk_score(
-        config.coefficients,
-        record.revenue_growth,
-        record.cash_flow_variability,
-        record.debt_equity_ratio,
-        record.profit_margin,
-        record.commodity_price_dependency,
-        float(record.industry_sector),
-    )
-    return float(sigmoid(config.b0 + config.signal_strength * g))
+        return np.full(len(X), config.base_default_rate)
+    g = _risk_score(config.coefficients, *X.T)
+    return sigmoid(config.b0 + config.signal_strength * g)
 
 
 def generate(config: GeneratorConfig) -> Dataset:
     """Draw a labeled synthetic loan book; a pure function of the config."""
     n = config.n_samples
-    rg, cf, de, pm, cpd, sector = _draw_features(config, n, config.seed)
-    if config.signal_strength == 0:
-        p = np.full(n, config.base_default_rate)
-    else:
-        g = config.signal_strength * _risk_score(config.coefficients, rg, cf, de, pm, cpd, sector)
-        p = sigmoid(config.b0 + g)
+    X = np.column_stack(_draw_features(config, n, config.seed))
+    p = latent_default_probability(X, config)
     labels = (substream(config.seed, 6).random(n) < p).astype(np.int64)
-    records = tuple(
-        SmeRecord(
-            revenue_growth=float(rg[i]),
-            cash_flow_variability=float(cf[i]),
-            debt_equity_ratio=float(de[i]),
-            profit_margin=float(pm[i]),
-            commodity_price_dependency=float(cpd[i]),
-            industry_sector=int(sector[i]),
-            default_status=int(labels[i]),
-        )
-        for i in range(n)
-    )
-    return Dataset(records)
+    return Dataset(X, labels)

@@ -20,7 +20,6 @@ from smerisk.cart import (
     gini_impurity,
     grow_tree,
     grow_tree_arrays,
-    predict_tree,
     predict_vector,
     tree_from_json_dict,
     tree_to_json_dict,
@@ -248,7 +247,7 @@ def test_grow_deterministic():
 def test_grow_tree_from_dataset(strong_split):
     train, test = strong_split
     node = grow_tree(train, TreeParams(max_depth=4), substream(1, 0))
-    hits = sum(predict_tree(node, r)[0] == r.default_status for r in test)
+    hits = sum(predict_vector(node, x)[0] == label for x, label in zip(test.feature_matrix(), test.labels()))
     assert hits / len(test) > 0.5
 
 
@@ -346,6 +345,9 @@ def test_tree_json_shapes():
         {"feature": 0, "threshold": 0.5, "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}, "extra": 1},
         {"count_0": 1, "count_1": 0, "stray": 2},
         "not a node",
+        {"feature": 6, "threshold": 0.5, "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
+        {"feature": -1, "threshold": 0.5, "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
+        {"feature": 0, "threshold": float("nan"), "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
     ],
 )
 def test_tree_json_malformed(doc):

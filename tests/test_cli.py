@@ -1,7 +1,7 @@
 """Command-line interface tests, driven through main(argv) so exit codes
 and stdout/stderr can be asserted without spawning subprocesses."""
 
-import dataclasses
+import copy
 import json
 
 import pytest
@@ -9,8 +9,8 @@ import pytest
 from smerisk.cli import main
 from smerisk.dataset import ALL_COLUMNS, Dataset, load_csv, write_csv
 from smerisk.experiment import ExperimentConfig
-from smerisk.forest import ForestParams
-from smerisk.logit import LogitHyperparams
+from smerisk.forest import ForestParams, forest_to_json_document, train_forest
+from smerisk.logit import LogitHyperparams, logistic_to_json_document, train_logistic
 from smerisk.serialize import dumps_deterministic
 from smerisk.synthgen import GeneratorConfig, generate
 
@@ -131,6 +131,17 @@ def test_compare_corrupt_config(tmp_path, capsys):
     assert stderr.startswith("error:")
 
 
+def test_compare_config_rejects_nan(tmp_path, capsys):
+    # json.loads would accept the NaN token; the config reader must not.
+    path = tmp_path / "nan.json"
+    for l2_lambda in ("NaN", '"nan"'):
+        path.write_text('{"logit_hyper": {"learning_rate": 0.1, "l2_lambda": %s, '
+                        '"max_iterations": 10, "tolerance": 1e-8}}' % l2_lambda)
+        code, _, stderr = run_cli(capsys, "compare", "--config", str(path))
+        assert code == 2
+        assert "nan" in stderr.lower()
+
+
 def test_compare_unknown_config_key(tmp_path, capsys):
     path = tmp_path / "weird.json"
     path.write_text('{"depth": 3}\n')
@@ -198,7 +209,7 @@ def test_train_logistic_and_score_unlabeled(small_csv, tmp_path, capsys):
     )[0] == 0
 
     data = load_csv(small_csv)
-    bare = Dataset(tuple(dataclasses.replace(r, default_status=None) for r in data.records))
+    bare = Dataset(data.X)
     bare_path = tmp_path / "bare.csv"
     write_csv(bare, bare_path)
 
@@ -212,7 +223,7 @@ def test_train_logistic_and_score_unlabeled(small_csv, tmp_path, capsys):
 
 def test_train_rejects_unlabeled(small_csv, tmp_path, capsys):
     data = load_csv(small_csv)
-    bare = Dataset(tuple(dataclasses.replace(r, default_status=None) for r in data.records))
+    bare = Dataset(data.X)
     bare_path = tmp_path / "bare.csv"
     write_csv(bare, bare_path)
     code, _, stderr = run_cli(
@@ -226,7 +237,7 @@ def test_train_single_class_exit_code(tmp_path, capsys):
     from test_experiment import ten_row_dataset
 
     ten = ten_row_dataset()
-    flat = Dataset(tuple(dataclasses.replace(r, default_status=0) for r in ten.records))
+    flat = Dataset(ten.X, [0] * len(ten))
     path = tmp_path / "flat.csv"
     write_csv(flat, path)
     code, _, _ = run_cli(
@@ -251,6 +262,47 @@ def test_importance_rejects_logistic(small_csv, tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "importance", "--model", str(model_path))
     assert code == 2
     assert "random_forest" in stderr
+
+
+@pytest.fixture(scope="module")
+def model_documents():
+    data = generate(GeneratorConfig(n_samples=120, seed=4, signal_strength=2.0))
+    return {
+        "forest": forest_to_json_document(train_forest(data, ForestParams(n_trees=3, seed=1))),
+        "logistic": logistic_to_json_document(train_logistic(data)),
+    }
+
+
+def _first_split(doc):
+    return next(tree for tree in doc["trees"] if "feature" in tree)
+
+
+# name -> (model kind, in-place edit of its JSON document)
+MODEL_MUTATIONS = {
+    "feature_99": ("forest", lambda doc: _first_split(doc).update(feature=99)),
+    "feature_minus_1": ("forest", lambda doc: _first_split(doc).update(feature=-1)),
+    "fractional_feature": ("forest", lambda doc: _first_split(doc).update(feature=2.5)),
+    "nan_threshold": ("forest", lambda doc: _first_split(doc).update(threshold=float("nan"))),
+    "infinite_threshold": ("forest", lambda doc: _first_split(doc).update(threshold=float("inf"))),
+    "three_feature_names": ("forest", lambda doc: doc.update(feature_names=doc["feature_names"][:3])),
+    "n_trees_mismatch": ("forest", lambda doc: doc["trees"].pop()),
+    "nan_mean": ("logistic", lambda doc: doc["standardization"]["means"].__setitem__(0, float("nan"))),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MODEL_MUTATIONS))
+def test_score_rejects_malformed_model(mutation, model_documents, small_csv, tmp_path, capsys):
+    kind, mutate = MODEL_MUTATIONS[mutation]
+    doc = copy.deepcopy(model_documents[kind])
+    mutate(doc)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))  # json.dumps writes NaN and Infinity tokens
+    code, _, stderr = run_cli(
+        capsys, "score", "--model", str(model_path), "--data", str(small_csv), "--out", str(tmp_path / "s.csv")
+    )
+    assert code == 3
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert "Traceback" not in stderr
 
 
 def test_score_tampered_model_version(small_csv, tmp_path, capsys):

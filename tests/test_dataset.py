@@ -1,9 +1,6 @@
-"""Dataset layer tests: record validation, CSV round trips and error
-taxonomy, the train/test split contract, standardization, and the
-correlation helper."""
+"""Dataset layer tests: construction-time validation, CSV round trips and
+error taxonomy, the train/test split contract, and standardization."""
 
-import dataclasses
-import math
 from collections import Counter
 
 import numpy as np
@@ -13,12 +10,10 @@ from smerisk.dataset import (
     ALL_COLUMNS,
     FEATURE_COLUMNS,
     Dataset,
-    SmeRecord,
     StandardizationParams,
     apply_standardizer,
     fit_standardizer,
     load_csv,
-    pearson_correlation,
     split_train_test,
     write_csv,
 )
@@ -28,37 +23,43 @@ from smerisk.errors import (
     ParameterError,
     RowParseError,
     SchemaError,
-    UndefinedCorrelationError,
 )
 
-
-def make_record(**overrides):
-    base = dict(
-        revenue_growth=0.05,
-        cash_flow_variability=0.3,
-        debt_equity_ratio=1.5,
-        profit_margin=0.12,
-        commodity_price_dependency=0.8,
-        industry_sector=1,
-        default_status=0,
-    )
-    base.update(overrides)
-    return SmeRecord(**base)
+BASE_ROW = dict(
+    revenue_growth=0.05,
+    cash_flow_variability=0.3,
+    debt_equity_ratio=1.5,
+    profit_margin=0.12,
+    commodity_price_dependency=0.8,
+    industry_sector=1,
+    default_status=0,
+)
+FIELD_COLUMNS = dict(zip(BASE_ROW, ALL_COLUMNS))
 
 
-# record validation
+def make_dataset(*overrides):
+    """A Dataset with one row per dict of field overrides on BASE_ROW;
+    unlabeled if any row's default_status is None."""
+    rows = [dict(BASE_ROW, **o) for o in overrides]
+    X = [[row[field] for field in list(BASE_ROW)[:6]] for row in rows]
+    labels = [row["default_status"] for row in rows]
+    return Dataset(X, None if None in labels else labels)
+
+
+# construction and validation
 
 
 def test_record_feature_vector_order():
-    r = make_record()
-    assert r.feature_vector().tolist() == [0.05, 0.3, 1.5, 0.12, 0.8, 1.0]
-    assert r.continuous_values() == (0.05, 0.3, 1.5, 0.12, 0.8)
+    ds = make_dataset({})
+    assert ds.feature_matrix().tolist() == [[0.05, 0.3, 1.5, 0.12, 0.8, 1.0]]
+    assert ds.records == ((0.05, 0.3, 1.5, 0.12, 0.8, 1.0, 0),)
 
 
 def test_record_unlabeled_allowed():
-    r = make_record(default_status=None)
-    r.validate()
-    assert r.default_status is None
+    ds = make_dataset({"default_status": None})
+    assert not ds.labeled
+    assert ds.y is None
+    assert ds.records[0][-1] is None
 
 
 @pytest.mark.parametrize(
@@ -76,25 +77,58 @@ def test_record_unlabeled_allowed():
     ],
 )
 def test_record_validation_rejects(overrides):
+    # The bad value sits on row 2; the error names its column and row.
+    with pytest.raises(ParameterError) as err:
+        make_dataset({}, {}, overrides, {})
+    (field,) = overrides
+    assert str(err.value).startswith(f"row 2: {FIELD_COLUMNS[field]} must be")
+
+
+def test_validation_reports_first_offending_row():
+    with pytest.raises(ParameterError) as err:
+        make_dataset({}, {"industry_sector": 3}, {"cash_flow_variability": -1.0, "revenue_growth": float("nan")})
+    assert str(err.value) == "row 1: Industry_Sector must be 0 or 1, got 3.0"
+    with pytest.raises(ParameterError) as err:
+        make_dataset({}, {}, {"cash_flow_variability": -1.0, "revenue_growth": float("nan")})
+    assert str(err.value) == "row 2: Revenue_Growth must be a finite number, got nan"
+
+
+def test_dataset_shape_checked():
     with pytest.raises(ParameterError):
-        make_record(**overrides).validate()
+        Dataset(np.zeros((3, 5)))
+    with pytest.raises(ParameterError):
+        Dataset(np.zeros((3, 6)), np.zeros(2))
+
+
+def test_dataset_arrays_are_read_only_copies():
+    X = np.array([[0.05, 0.3, 1.5, 0.12, 0.8, 1.0]])
+    y = np.array([1])
+    ds = Dataset(X, y)
+    X[0, 0] = 0.15
+    y[0] = 0
+    assert ds.X[0, 0] == 0.05 and ds.y[0] == 1
+    assert ds.X.dtype == np.float64 and ds.y.dtype == np.int64
+    with pytest.raises(ValueError):
+        ds.X[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        ds.labels()[0] = 0
 
 
 def test_range_checks_relaxed_when_standardized():
-    # Standardized values land outside the raw ranges; the dataset flag
-    # keeps finiteness/sector/label checks but drops range checks.
-    r = make_record(revenue_growth=-3.2, cash_flow_variability=-1.8)
+    # Standardized values land outside the raw ranges: the Dataset checks
+    # ranges, the model matrix apply_standardizer returns does not.
     with pytest.raises(ParameterError):
-        Dataset((r,))
-    ds = Dataset((r,), standardized=True)
-    assert len(ds) == 1
+        make_dataset({"revenue_growth": -3.2, "cash_flow_variability": -1.8})
+    ds = make_dataset({"cash_flow_variability": 0.1}, {"cash_flow_variability": 0.5})
+    Z = apply_standardizer(fit_standardizer(ds), ds)
+    assert Z[0, 1] == pytest.approx(-1.0)
+    assert Z[1, 1] == pytest.approx(1.0)
 
 
 def test_dataset_accessors(strong_data):
     X = strong_data.feature_matrix()
     assert X.shape == (len(strong_data), 6)
-    assert strong_data.continuous_matrix().shape == (len(strong_data), 5)
-    assert set(np.unique(strong_data.sector_array())) <= {0, 1}
+    assert set(np.unique(X[:, 5])) <= {0.0, 1.0}
     y = strong_data.labels()
     assert set(np.unique(y)) <= {0, 1}
     assert strong_data.default_rate == pytest.approx(y.mean())
@@ -117,9 +151,7 @@ def test_csv_round_trip_exact(tmp_path, strong_data):
 
 
 def test_csv_round_trip_unlabeled(tmp_path, strong_data):
-    bare = Dataset(
-        tuple(dataclasses.replace(r, default_status=None) for r in strong_data.records)
-    )
+    bare = Dataset(strong_data.X)
     path = tmp_path / "features.csv"
     write_csv(bare, path)
     back = load_csv(path)
@@ -187,10 +219,18 @@ def test_load_csv_short_row(tmp_path):
 
 
 def test_load_csv_out_of_range_value(tmp_path):
-    path = tmp_path / "range.csv"
-    path.write_text(",".join(ALL_COLUMNS) + "\n0.1,0.3,1.0,0.1,0.8,5,0\n")
-    with pytest.raises(RowParseError):
-        load_csv(path)
+    good = "0.1,0.3,1.0,0.1,0.8,1,0"
+    cases = [
+        ([good.replace(",1,0", ",5,0")], 0),  # sector 5 on the only row
+        ([good, good, good.replace("0.8,", "1.5,")], 2),  # commodity dependency 1.5 on row 2
+    ]
+    for rows, bad_row in cases:
+        path = tmp_path / "range.csv"
+        path.write_text("\n".join([",".join(ALL_COLUMNS)] + rows) + "\n")
+        with pytest.raises(RowParseError) as err:
+            load_csv(path)
+        assert err.value.row_index == bad_row
+        assert f"row {bad_row}:" in str(err.value)
 
 
 def test_write_csv_empty_dataset(tmp_path):
@@ -234,9 +274,7 @@ def test_split_rejects_empty_side(strong_data):
 
 
 def test_split_requires_labels(strong_data):
-    bare = Dataset(
-        tuple(dataclasses.replace(r, default_status=None) for r in strong_data.records)
-    )
+    bare = Dataset(strong_data.X)
     with pytest.raises(ParameterError):
         split_train_test(bare, 0.3, 42)
 
@@ -245,11 +283,10 @@ def test_split_requires_labels(strong_data):
 
 
 def test_fit_standardizer_hand_values():
-    records = (
-        make_record(revenue_growth=-0.1, debt_equity_ratio=1.0),
-        make_record(revenue_growth=0.1, debt_equity_ratio=3.0),
+    ds = make_dataset(
+        {"revenue_growth": -0.1, "debt_equity_ratio": 1.0},
+        {"revenue_growth": 0.1, "debt_equity_ratio": 3.0},
     )
-    ds = Dataset(records)
     params = fit_standardizer(ds)
     assert params.means[0] == pytest.approx(0.0)
     assert params.sds[0] == pytest.approx(0.1)  # population sd
@@ -260,22 +297,20 @@ def test_fit_standardizer_hand_values():
 def test_apply_standardizer_zero_mean_unit_sd(strong_data):
     params = fit_standardizer(strong_data)
     out = apply_standardizer(params, strong_data)
-    Z = out.continuous_matrix()
+    assert out.shape == (len(strong_data), 6)
+    Z = out[:, :5]
     assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(Z.std(axis=0), 1.0, atol=1e-12)
-    assert out.standardized
-    # Sector and label pass through untouched.
-    assert np.array_equal(out.sector_array(), strong_data.sector_array())
-    assert np.array_equal(out.labels(), strong_data.labels())
+    # The sector column passes through untouched.
+    assert np.array_equal(out[:, 5], strong_data.X[:, 5])
 
 
 def test_constant_feature_flagged_and_zeroed():
-    records = tuple(make_record(revenue_growth=0.01 * i) for i in range(5))
-    ds = Dataset(records)
+    ds = make_dataset(*({"revenue_growth": 0.01 * i} for i in range(5)))
     params = fit_standardizer(ds)
     # Everything except revenue growth is constant in this dataset.
     assert params.constant_flags == (False, True, True, True, True)
-    Z = apply_standardizer(params, ds).continuous_matrix()
+    Z = apply_standardizer(params, ds)[:, :5]
     assert np.all(Z[:, 1:] == 0.0)
     assert not np.all(Z[:, 0] == 0.0)
 
@@ -299,6 +334,10 @@ def test_standardization_params_validation():
         )
     with pytest.raises(ParameterError):
         StandardizationParams(means=(0.0,) * 4, sds=(1.0,) * 5, constant_flags=(False,) * 5)
+    with pytest.raises(ParameterError):
+        StandardizationParams(
+            means=(0.0, float("nan"), 0.0, 0.0, 0.0), sds=(1.0,) * 5, constant_flags=(False,) * 5
+        )
 
 
 def test_transform_matrix_width_checked():
@@ -307,39 +346,3 @@ def test_transform_matrix_width_checked():
     )
     with pytest.raises(ParameterError):
         params.transform_matrix(np.zeros((3, 4)))
-
-
-# correlation
-
-
-def test_pearson_exact_values():
-    assert pearson_correlation(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 4.0])) == 1.0
-    assert pearson_correlation(np.array([0.0, 1.0, 2.0]), np.array([4.0, 2.0, 0.0])) == -1.0
-    assert pearson_correlation(np.array([1.0, 2.0, 3.0]), np.array([1.0, 3.0, 2.0])) == pytest.approx(0.5)
-
-
-def test_pearson_clamped_to_unit_interval():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        a = rng.normal(size=20)
-        b = 2.0 * a + rng.normal(size=20) * 1e-9
-        assert -1.0 <= pearson_correlation(a, b) <= 1.0
-
-
-def test_pearson_zero_variance():
-    with pytest.raises(UndefinedCorrelationError):
-        pearson_correlation(np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0]))
-
-
-@pytest.mark.parametrize(
-    "a, b",
-    [
-        (np.array([1.0]), np.array([2.0])),
-        (np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])),
-        (np.array([1.0, float("nan"), 2.0]), np.array([1.0, 2.0, 3.0])),
-        (np.zeros((2, 2)), np.zeros((2, 2))),
-    ],
-)
-def test_pearson_input_validation(a, b):
-    with pytest.raises(ParameterError):
-        pearson_correlation(a, b)

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from smerisk.dataset import Dataset, SmeRecord, split_train_test, write_csv
+from smerisk.dataset import Dataset, split_train_test, write_csv
 from smerisk.errors import (
     DataError,
     DegenerateLabelsError,
@@ -37,11 +37,9 @@ SMALL_CONFIG = ExperimentConfig(
 
 def ten_row_dataset():
     """Nine non-defaults and one default in the last row."""
-    records = [
-        SmeRecord(0.01 * i, 0.3, 1.0 + 0.1 * i, 0.12, 0.8, i % 2, 0) for i in range(9)
-    ]
-    records.append(SmeRecord(-0.1, 0.45, 2.8, 0.06, 0.95, 1, 1))
-    return Dataset(tuple(records))
+    rows = [[0.01 * i, 0.3, 1.0 + 0.1 * i, 0.12, 0.8, i % 2] for i in range(9)]
+    rows.append([-0.1, 0.45, 2.8, 0.06, 0.95, 1])
+    return Dataset(rows, [0] * 9 + [1])
 
 
 def paper_style_report():
@@ -159,7 +157,7 @@ def test_comparison_from_csv_source(tmp_path):
 
 def test_comparison_rejects_unlabeled_csv(tmp_path):
     data = generate(GeneratorConfig(n_samples=30, seed=4))
-    bare = Dataset(tuple(dataclasses.replace(r, default_status=None) for r in data.records))
+    bare = Dataset(data.X)
     path = tmp_path / "bare.csv"
     write_csv(bare, path)
     with pytest.raises(DataError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from smerisk.cart import ClassCounts, Leaf, TreeParams, grow_tree_arrays
-from smerisk.dataset import FEATURE_COLUMNS, Dataset, SmeRecord
+from smerisk.dataset import FEATURE_COLUMNS, Dataset
 from smerisk.errors import DegenerateLabelsError, ModelFormatError, ParameterError
 from smerisk.forest import (
     ForestModel,
@@ -16,7 +16,6 @@ from smerisk.forest import (
     feature_importances,
     forest_from_json_document,
     forest_to_json_document,
-    predict_forest,
     predict_forest_dataset,
     predict_forest_vector,
     train_forest,
@@ -101,14 +100,14 @@ def test_train_forest_shape(small_forest):
 
 def test_forest_beats_coin_flip(small_forest, strong_split):
     _, test = strong_split
-    hits = sum(predict_forest(small_forest, r)[0] == r.default_status for r in test)
-    assert hits / len(test) > 0.6
+    labels, _ = predict_forest_dataset(small_forest, test)
+    assert np.mean(labels == test.labels()) > 0.6
 
 
 def test_train_forest_rejects_single_class():
-    records = tuple(SmeRecord(0.01 * i, 0.3, 1.5, 0.12, 0.8, 0, 1) for i in range(12))
+    rows = [[0.01 * i, 0.3, 1.5, 0.12, 0.8, 0] for i in range(12)]
     with pytest.raises(DegenerateLabelsError):
-        train_forest(Dataset(records), ForestParams(n_trees=2))
+        train_forest(Dataset(rows, [1] * 12), ForestParams(n_trees=2))
 
 
 def test_train_forest_deterministic(strong_split):
@@ -201,11 +200,8 @@ def test_predict_dataset_matches_scalar(small_forest, strong_split):
     _, test = strong_split
     labels, probs = predict_forest_dataset(small_forest, test)
     assert labels.shape == (len(test),)
-    for i, record in enumerate(test.records[:30]):
-        assert labels[i] == predict_forest(small_forest, record)[0]
-        assert probs[i] == pytest.approx(
-            predict_forest_vector(small_forest, record.feature_vector())[1], abs=1e-15
-        )
+    for i, row in enumerate(test.feature_matrix()[:30]):
+        assert (labels[i], probs[i]) == predict_forest_vector(small_forest, row)
 
 
 def test_forest_model_validation():
@@ -287,3 +283,7 @@ def test_forest_json_rejects_bad_documents(small_forest):
         forest_from_json_document(broken)
     with pytest.raises(ModelFormatError):
         forest_from_json_document(dict(doc, trees=[{"count_0": 1}] * 15))
+    with pytest.raises(ModelFormatError):
+        forest_from_json_document(dict(doc, feature_names=list(FEATURE_COLUMNS[:3])))
+    with pytest.raises(ModelFormatError):
+        forest_from_json_document(dict(doc, trees=doc["trees"][:-1]))  # params say 15 trees

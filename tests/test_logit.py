@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from smerisk.dataset import Dataset, SmeRecord, apply_standardizer, fit_standardizer
+from smerisk.dataset import Dataset, apply_standardizer
 from smerisk.errors import DegenerateLabelsError, ModelFormatError, ParameterError
 from smerisk.logit import (
     LogisticModel,
@@ -15,10 +15,9 @@ from smerisk.logit import (
     logistic_from_json_document,
     logistic_to_json_document,
     loss_and_gradient,
-    predict_label,
-    predict_proba,
     predict_proba_dataset,
     sigmoid,
+    to_labels,
     train_logistic,
 )
 
@@ -26,22 +25,19 @@ from smerisk.logit import (
 def cluster_dataset(n_per_class=20, gap=0.08, seed=1):
     """Two jittered clusters separated along revenue growth."""
     rng = np.random.default_rng(seed)
-    records = []
+    rows = []
     for label in (0, 1):
         center = -gap if label == 0 else gap
         for _ in range(n_per_class):
-            records.append(
-                SmeRecord(
-                    revenue_growth=center + float(rng.uniform(-0.01, 0.01)),
-                    cash_flow_variability=0.3 + float(rng.uniform(-0.05, 0.05)),
-                    debt_equity_ratio=1.5 + float(rng.uniform(-0.2, 0.2)),
-                    profit_margin=0.12 + float(rng.uniform(-0.02, 0.02)),
-                    commodity_price_dependency=0.8 + float(rng.uniform(-0.1, 0.1)),
-                    industry_sector=int(rng.integers(0, 2)),
-                    default_status=label,
-                )
-            )
-    return Dataset(tuple(records))
+            rows.append([
+                center + float(rng.uniform(-0.01, 0.01)),
+                0.3 + float(rng.uniform(-0.05, 0.05)),
+                1.5 + float(rng.uniform(-0.2, 0.2)),
+                0.12 + float(rng.uniform(-0.02, 0.02)),
+                0.8 + float(rng.uniform(-0.1, 0.1)),
+                int(rng.integers(0, 2)),
+            ])
+    return Dataset(rows, [0] * n_per_class + [1] * n_per_class)
 
 
 # sigmoid
@@ -132,8 +128,7 @@ def test_gradient_matches_finite_differences():
 def test_train_learns_separable_clusters():
     data = cluster_dataset()
     model = train_logistic(data)
-    hits = sum(predict_label(model, r) == r.default_status for r in data)
-    assert hits == len(data)
+    assert np.array_equal(to_labels(predict_proba_dataset(model, data)), data.labels())
 
 
 def test_train_zero_iterations_gives_null_model():
@@ -142,9 +137,9 @@ def test_train_zero_iterations_gives_null_model():
     assert np.all(model.weights == 0.0)
     assert model.bias == 0.0
     assert model.training_meta["iterations"] == 0
-    for r in data.records[:5]:
-        assert predict_proba(model, r) == 0.5
-        assert predict_label(model, r) == 1  # ties go to the default class
+    probs = predict_proba_dataset(model, data)
+    assert np.all(probs == 0.5)
+    assert np.all(to_labels(probs) == 1)  # ties go to the default class
 
 
 def test_final_loss_non_increasing_in_iteration_budget():
@@ -175,11 +170,9 @@ def test_leverage_weight_positive_on_generated_data(default_split):
 
 
 def test_train_rejects_single_class():
-    records = tuple(
-        SmeRecord(0.01 * i, 0.3, 1.5, 0.12, 0.8, 0, 0) for i in range(10)
-    )
+    rows = [[0.01 * i, 0.3, 1.5, 0.12, 0.8, 0] for i in range(10)]
     with pytest.raises(DegenerateLabelsError):
-        train_logistic(Dataset(records))
+        train_logistic(Dataset(rows, [0] * 10))
 
 
 def test_hyperparams_validation():
@@ -187,6 +180,8 @@ def test_hyperparams_validation():
         LogitHyperparams(learning_rate=0.0)
     with pytest.raises(ParameterError):
         LogitHyperparams(l2_lambda=-0.1)
+    with pytest.raises(ParameterError):
+        LogitHyperparams(l2_lambda=float("nan"))
     with pytest.raises(ParameterError):
         LogitHyperparams(max_iterations=-1)
     with pytest.raises(ParameterError):
@@ -205,10 +200,11 @@ def test_hyperparams_json_round_trip():
 def test_predict_matches_hand_formula(strong_split):
     train, test = strong_split
     model = train_logistic(train)
-    Z = apply_standardizer(model.standardization, test).feature_matrix()
-    for row, record in zip(Z, test.records[:20]):
+    Z = apply_standardizer(model.standardization, test)
+    probs = predict_proba_dataset(model, test)
+    for row, p in zip(Z[:20], probs):
         by_hand = 1.0 / (1.0 + math.exp(-(float(row @ np.asarray(model.weights)) + model.bias)))
-        assert predict_proba(model, record) == pytest.approx(by_hand, abs=1e-12)
+        assert p == pytest.approx(by_hand, abs=1e-12)
 
 
 def test_negating_parameters_flips_probability(strong_split):
@@ -220,29 +216,30 @@ def test_negating_parameters_flips_probability(strong_split):
         standardization=model.standardization,
         training_meta=model.training_meta,
     )
-    for record in test.records[:20]:
-        p = predict_proba(model, record)
-        q = predict_proba(flipped, record)
-        assert abs(p + q - 1.0) <= 1e-12
+    p = predict_proba_dataset(model, test)
+    q = predict_proba_dataset(flipped, test)
+    assert np.all(np.abs(p + q - 1.0) <= 1e-12)
 
 
 def test_predict_proba_dataset_matches_scalar(strong_split):
+    # Each row scored alone gives the same probability as the batch.
     train, test = strong_split
     model = train_logistic(train)
     probs = predict_proba_dataset(model, test)
-    for p, record in zip(probs, test.records):
-        assert p == pytest.approx(predict_proba(model, record), abs=1e-12)
+    for i in range(20):
+        alone = predict_proba_dataset(model, test.subset([i]))
+        assert alone.shape == (1,)
+        assert probs[i] == pytest.approx(alone[0], abs=1e-12)
 
 
 def test_threshold_semantics(strong_split):
     train, test = strong_split
     model = train_logistic(train)
-    record = test.records[0]
-    p = predict_proba(model, record)
-    assert predict_label(model, record, threshold=p) == 1  # boundary is a default
+    p = float(predict_proba_dataset(model, test)[0])
+    assert to_labels([p], threshold=p)[0] == 1  # boundary is a default
     tiny = np.nextafter(p, 1.0)
     if 0.0 < tiny < 1.0:
-        assert predict_label(model, record, threshold=float(tiny)) == 0
+        assert to_labels([p], threshold=float(tiny))[0] == 0
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 2.0])
@@ -250,7 +247,7 @@ def test_threshold_bounds(strong_split, threshold):
     train, test = strong_split
     model = train_logistic(train)
     with pytest.raises(ParameterError):
-        predict_label(model, test.records[0], threshold=threshold)
+        to_labels(predict_proba_dataset(model, test), threshold=threshold)
 
 
 # serialization
@@ -265,8 +262,7 @@ def test_logistic_json_round_trip(strong_split):
     assert np.array_equal(back.weights, model.weights)
     assert back.bias == model.bias
     assert back.standardization == model.standardization
-    for record in test.records[:25]:
-        assert predict_proba(back, record) == predict_proba(model, record)
+    assert np.array_equal(predict_proba_dataset(back, test), predict_proba_dataset(model, test))
 
 
 def test_logistic_json_rejects_bad_documents(strong_split):

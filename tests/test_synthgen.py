@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from smerisk.dataset import SmeRecord, split_train_test
+from smerisk.dataset import split_train_test
 from smerisk.errors import ParameterError
 from smerisk.logit import predict_proba_dataset, train_logistic
+from smerisk.seeding import substream
 from smerisk.synthgen import (
     FeatureRanges,
     GeneratorConfig,
@@ -17,6 +18,14 @@ from smerisk.synthgen import (
     generate,
     latent_default_probability,
 )
+
+
+def latent(cfg, revenue_growth, cash_flow_variability, debt_equity_ratio, profit_margin,
+           commodity_price_dependency, industry_sector):
+    """latent_default_probability of one feature row."""
+    row = [revenue_growth, cash_flow_variability, debt_equity_ratio, profit_margin,
+           commodity_price_dependency, industry_sector]
+    return float(latent_default_probability(np.array([row]), cfg)[0])
 
 
 # config validation
@@ -94,11 +103,11 @@ def test_generated_shape_and_ranges(default_config, default_data):
         r.profit_margin,
         r.commodity_price_dependency,
     ]
-    M = default_data.continuous_matrix()
+    M = default_data.feature_matrix()
     for j, (low, high) in enumerate(bounds):
         assert M[:, j].min() >= low
         assert M[:, j].max() < high
-    assert set(np.unique(default_data.sector_array())) <= {0, 1}
+    assert set(np.unique(M[:, 5])) <= {0.0, 1.0}
 
 
 def test_generation_reproducible(default_config, default_data):
@@ -135,7 +144,7 @@ def test_latent_probabilities_beat_best_linear_model():
     cfg = GeneratorConfig(n_samples=10000, seed=7)
     train, test = split_train_test(generate(cfg), 0.3, 7)
     y = test.labels()
-    latent = np.array([latent_default_probability(r, cfg) for r in test.records])
+    latent = latent_default_probability(test.feature_matrix(), cfg)
     bayes_accuracy = float(np.mean((latent >= 0.5) == y))
     logit_accuracy = float(np.mean((predict_proba_dataset(train_logistic(train), test) >= 0.5) == y))
     assert bayes_accuracy - logit_accuracy >= 0.02
@@ -152,7 +161,8 @@ def test_higher_rate_config_shifts_rate():
 
 def test_latent_probability_matches_formula():
     cfg = GeneratorConfig()
-    record = SmeRecord(
+    p = latent(
+        cfg,
         revenue_growth=0.0,
         cash_flow_variability=0.3,
         debt_equity_ratio=1.6,
@@ -163,7 +173,7 @@ def test_latent_probability_matches_formula():
     # Every centered term vanishes; only the sector interaction remains.
     z = cfg.b0 + 1.0 * (0.6 * 0.8 * 1.0)
     expected = 1.0 / (1.0 + math.exp(-z))
-    assert latent_default_probability(record, cfg) == pytest.approx(expected, abs=1e-12)
+    assert p == pytest.approx(expected, abs=1e-12)
 
 
 def test_latent_probability_leverage_step():
@@ -175,10 +185,8 @@ def test_latent_probability_leverage_step():
         commodity_price_dependency=0.8,
         industry_sector=0,
     )
-    below = SmeRecord(debt_equity_ratio=1.99, **base)
-    above = SmeRecord(debt_equity_ratio=2.01, **base)
-    p_below = latent_default_probability(below, cfg)
-    p_above = latent_default_probability(above, cfg)
+    p_below = latent(cfg, debt_equity_ratio=1.99, **base)
+    p_above = latent(cfg, debt_equity_ratio=2.01, **base)
     # The step adds a whole unit of log-odds across the 2.0 boundary, far
     # more than the smooth term's contribution over a 0.02 move.
     assert p_above > p_below
@@ -200,12 +208,10 @@ def _covenant_jump(cfg, debt_equity_ratio):
         commodity_price_dependency=0.8,
         industry_sector=0,
     )
-    below = SmeRecord(cash_flow_variability=0.34, **base)
-    above = SmeRecord(cash_flow_variability=0.36, **base)
     smooth = cfg.coefficients.cash_flow_variability * 0.02 / 0.2
     return (
-        _log_odds(latent_default_probability(above, cfg))
-        - _log_odds(latent_default_probability(below, cfg))
+        _log_odds(latent(cfg, cash_flow_variability=0.36, **base))
+        - _log_odds(latent(cfg, cash_flow_variability=0.34, **base))
         - smooth
     )
 
@@ -232,17 +238,28 @@ def test_latent_probability_directions():
         commodity_price_dependency=0.8,
         industry_sector=0,
     )
-    p0 = latent_default_probability(SmeRecord(**base), cfg)
+    p0 = latent(cfg, **base)
     riskier = dict(base, cash_flow_variability=0.45, revenue_growth=-0.15)
     safer = dict(base, profit_margin=0.24, revenue_growth=0.15)
-    assert latent_default_probability(SmeRecord(**riskier), cfg) > p0
-    assert latent_default_probability(SmeRecord(**safer), cfg) < p0
+    assert latent(cfg, **riskier) > p0
+    assert latent(cfg, **safer) < p0
+
+
+def test_generated_labels_follow_latent_probability():
+    # generate draws its labels from latent_default_probability itself,
+    # with uniforms from the label substream.
+    cfg = GeneratorConfig(n_samples=500, seed=5)
+    data = generate(cfg)
+    p = latent_default_probability(data.feature_matrix(), cfg)
+    u = substream(cfg.seed, 6).random(cfg.n_samples)
+    assert data.labels().tolist() == (u < p).astype(int).tolist()
+    with pytest.raises(ParameterError):
+        latent_default_probability(data.feature_matrix()[:, :5], cfg)
 
 
 def test_zero_signal_probability_is_base_rate():
     cfg = GeneratorConfig(signal_strength=0.0)
-    record = SmeRecord(0.1, 0.2, 2.5, 0.2, 0.9, 1)
-    assert latent_default_probability(record, cfg) == 0.2
+    assert latent(cfg, 0.1, 0.2, 2.5, 0.2, 0.9, 1) == 0.2
     assert cfg.b0 == math.log(0.2 / 0.8)
 
 
@@ -265,6 +282,7 @@ def test_stronger_signal_spreads_probabilities():
     weak_cfg = GeneratorConfig(signal_strength=0.5)
     strong_cfg = GeneratorConfig(signal_strength=3.0)
     weak = generate(weak_cfg)
-    probs_weak = [latent_default_probability(r, weak_cfg) for r in weak.records[:500]]
-    probs_strong = [latent_default_probability(r, strong_cfg) for r in weak.records[:500]]
+    rows = weak.feature_matrix()[:500]
+    probs_weak = latent_default_probability(rows, weak_cfg)
+    probs_strong = latent_default_probability(rows, strong_cfg)
     assert np.std(probs_strong) > np.std(probs_weak)
