@@ -17,6 +17,10 @@ where T and D are integers. A single correctly rounded division per
 candidate keeps the comparison order exact for any node that fits in
 int64 arithmetic (n below about two million rows), and the final
 strict-improvement test against the parent is done in unbounded integers.
+
+``Leaf`` nodes hold the label tallies of their training rows;
+``predict_proba`` routes a whole feature matrix at once to leaf class-1
+fractions. Every walk over a tree uses an explicit stack, never recursion.
 """
 
 from __future__ import annotations
@@ -31,9 +35,17 @@ from .dataset import FEATURE_COLUMNS
 from .errors import ModelFormatError, ParameterError
 
 
+def gini_impurity(count_0: int, count_1: int) -> float:
+    """1 - p0^2 - p1^2, in [0, 0.5] for two classes."""
+    n = count_0 + count_1
+    if n == 0:
+        raise ParameterError("gini impurity is undefined for an empty node")
+    return 1.0 - (count_0 * count_0 + count_1 * count_1) / (n * n)
+
+
 @dataclass(frozen=True)
-class ClassCounts:
-    """Label tallies for the rows reaching one node."""
+class Leaf:
+    """Terminal node: label tallies of the training rows that reached it."""
 
     count_0: int
     count_1: int
@@ -41,35 +53,9 @@ class ClassCounts:
     def __post_init__(self):
         for name in ("count_0", "count_1"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+            if type(v) is not int or v < 0:
                 raise ParameterError(f"{name} must be a non-negative integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
-
-    @property
-    def total(self) -> int:
-        return self.count_0 + self.count_1
-
-    @property
-    def prob_1(self) -> float:
-        if self.total == 0:
-            raise ParameterError("empty counts have no class fraction")
-        return self.count_1 / self.total
-
-
-def gini_impurity(counts: ClassCounts) -> float:
-    """1 - p0^2 - p1^2, in [0, 0.5] for two classes."""
-    n = counts.total
-    if n == 0:
-        raise ParameterError("gini impurity is undefined for an empty node")
-    return 1.0 - (counts.count_0 ** 2 + counts.count_1 ** 2) / (n * n)
-
-
-@dataclass(frozen=True)
-class Leaf:
-    counts: ClassCounts
-
-    def __post_init__(self):
-        if self.counts.total < 1:
+        if self.count_0 + self.count_1 < 1:
             raise ParameterError("a leaf must hold at least one row")
 
 
@@ -97,16 +83,11 @@ class TreeParams:
     features_per_split: int | None = None
 
     def __post_init__(self):
-        if self.max_depth is not None and (not isinstance(self.max_depth, int) or self.max_depth < 1):
-            raise ParameterError(f"max_depth must be a positive integer or None, got {self.max_depth!r}")
-        if not isinstance(self.min_samples_split, int) or self.min_samples_split < 1:
-            raise ParameterError(f"min_samples_split must be a positive integer, got {self.min_samples_split!r}")
-        if self.features_per_split is not None and (
-            not isinstance(self.features_per_split, int) or self.features_per_split < 1
-        ):
-            raise ParameterError(
-                f"features_per_split must be a positive integer or None, got {self.features_per_split!r}"
-            )
+        for name, optional in (("max_depth", True), ("min_samples_split", False), ("features_per_split", True)):
+            v = getattr(self, name)
+            if not (optional and v is None) and (type(v) is not int or v < 1):
+                allowed = "a positive integer or None" if optional else "a positive integer"
+                raise ParameterError(f"{name} must be {allowed}, got {v!r}")
 
     def resolve_features_per_split(self, n_features: int) -> int:
         k = self.features_per_split
@@ -125,11 +106,7 @@ class TreeParams:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TreeParams":
-        return cls(
-            max_depth=None if doc["max_depth"] is None else int(doc["max_depth"]),
-            min_samples_split=int(doc["min_samples_split"]),
-            features_per_split=None if doc["features_per_split"] is None else int(doc["features_per_split"]),
-        )
+        return cls(doc["max_depth"], doc["min_samples_split"], doc["features_per_split"])
 
 
 def best_split(
@@ -237,12 +214,12 @@ def grow_tree_arrays(
         c0 = n_node - c1
         at_depth_limit = params.max_depth is not None and depth >= params.max_depth
         if c0 == 0 or c1 == 0 or n_node < params.min_samples_split or at_depth_limit:
-            _place(parent, key, Leaf(ClassCounts(c0, c1)))
+            _place(parent, key, Leaf(c0, c1))
             continue
         features = np.sort(rng.choice(d, size=k, replace=False)) if k < d else np.arange(d)
         found = best_split(X[idx], sub_y, features)
         if found is None:
-            _place(parent, key, Leaf(ClassCounts(c0, c1)))
+            _place(parent, key, Leaf(c0, c1))
             continue
         feature, threshold, _ = found
         node = Internal(feature=feature, threshold=threshold)
@@ -253,18 +230,23 @@ def grow_tree_arrays(
     return root_holder[0]
 
 
-def grow_tree(train, params: TreeParams, rng: np.random.Generator) -> TreeNode:
-    """Grow a tree on a labeled Dataset."""
-    return grow_tree_arrays(train.feature_matrix(), train.labels(), params, rng)
-
-
-def predict_vector(tree: TreeNode, x: np.ndarray) -> tuple[int, float]:
-    """Route one feature row to its leaf; label = 1 iff prob_1 >= 0.5."""
-    node = tree
-    while isinstance(node, Internal):
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    p = node.counts.prob_1
-    return (1 if p >= 0.5 else 0), p
+def predict_proba(tree: TreeNode, X: np.ndarray) -> np.ndarray:
+    """Class-1 fraction of the leaf each row of ``X`` reaches, as an (n,)
+    array. All rows go down the tree at once: each node splits the index
+    array of the rows that reached it, and empty branches are not walked."""
+    X = np.asarray(X, dtype=float)
+    out = np.empty(len(X))
+    stack = [(tree, np.arange(len(X)))]
+    while stack:
+        node, idx = stack.pop()
+        if isinstance(node, Leaf):
+            out[idx] = node.count_1 / (node.count_0 + node.count_1)
+            continue
+        goes_left = X[idx, node.feature] <= node.threshold
+        for child, rows in ((node.left, idx[goes_left]), (node.right, idx[~goes_left])):
+            if len(rows):
+                stack.append((child, rows))
+    return out
 
 
 def tree_to_json_dict(root: TreeNode) -> dict:
@@ -273,7 +255,7 @@ def tree_to_json_dict(root: TreeNode) -> dict:
     while stack:
         node, parent, key = stack.pop()
         if isinstance(node, Leaf):
-            _place(parent, key, {"count_0": node.counts.count_0, "count_1": node.counts.count_1})
+            _place(parent, key, {"count_0": node.count_0, "count_1": node.count_1})
         elif isinstance(node, Internal):
             doc = {"feature": node.feature, "threshold": node.threshold, "left": None, "right": None}
             _place(parent, key, doc)
@@ -293,14 +275,17 @@ def tree_from_json_dict(doc: dict) -> TreeNode:
             raise ModelFormatError(f"tree node must be an object, got {type(d).__name__}")
         keys = set(d)
         if keys == {"count_0", "count_1"}:
-            _place(parent, key, Leaf(ClassCounts(int(d["count_0"]), int(d["count_1"]))))
+            counts = (d["count_0"], d["count_1"])
+            if any(type(c) is not int for c in counts):
+                raise ModelFormatError(f"leaf counts {list(counts)!r} are not JSON integers")
+            _place(parent, key, Leaf(*counts))
         elif keys == {"feature", "threshold", "left", "right"}:
-            feature = d["feature"]
+            feature, threshold = d["feature"], d["threshold"]
             if type(feature) is not int or not 0 <= feature < len(FEATURE_COLUMNS):
                 raise ModelFormatError(f"tree feature {feature!r} is not an index in [0, {len(FEATURE_COLUMNS)})")
-            node = Internal(feature=feature, threshold=float(d["threshold"]))
-            if not math.isfinite(node.threshold):
-                raise ModelFormatError(f"tree threshold {node.threshold!r} is not finite")
+            if type(threshold) not in (int, float) or not math.isfinite(threshold):
+                raise ModelFormatError(f"tree threshold {threshold!r} is not a finite JSON number")
+            node = Internal(feature=feature, threshold=float(threshold))
             _place(parent, key, node)
             stack.append((d["right"], node, "right"))
             stack.append((d["left"], node, "left"))

@@ -81,15 +81,12 @@ def _cmd_train(args) -> None:
 def _cmd_score(args) -> None:
     model = load_model(args.model)
     data = load_csv(args.data)
-    if isinstance(model, ForestModel):
-        labels, probs = predict_forest_dataset(model, data)
-    else:
-        probs = predict_proba_dataset(model, data)
-        labels = to_labels(probs)
+    predict = predict_forest_dataset if isinstance(model, ForestModel) else predict_proba_dataset
+    probs = predict(model, data)
     with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["Predicted_Prob", "Predicted_Label"])
-        for p, lab in zip(probs, labels):
+        for p, lab in zip(probs, to_labels(probs)):
             writer.writerow([repr(float(p)), int(lab)])
     print(f"scored {len(data)} records to {args.out}")
 

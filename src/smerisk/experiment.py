@@ -168,7 +168,7 @@ def run_comparison(config: ExperimentConfig) -> ComparisonReport:
 
     y_test = test.labels()
     delphi_pred = to_labels(predict_proba_dataset(delphi, test), DECISION_THRESHOLD)
-    forest_pred, _ = predict_forest_dataset(forest, test)
+    forest_pred = to_labels(predict_forest_dataset(forest, test), DECISION_THRESHOLD)
 
     importance_values, degenerate = feature_importances(forest)
     return ComparisonReport(

@@ -6,6 +6,11 @@ with the tree index. A tree is therefore a pure function of
 (training data, params, tree index): trees can be trained in any order or
 concurrently and the model comes out identical, and growing a forest by
 more trees never changes the trees already trained.
+
+``predict_forest_dataset`` is the one prediction path: a soft vote (the
+mean of the trees' leaf class-1 fractions) in fixed blocks of rows, with
+labels left to ``logit.to_labels``. Importances are derived from node
+counts when a model is built, so a reloaded model has them bit for bit.
 """
 
 from __future__ import annotations
@@ -15,11 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cart import (
+    Internal,
     Leaf,
     TreeNode,
     TreeParams,
+    gini_impurity,
     grow_tree_arrays,
-    predict_vector,
+    predict_proba,
     tree_from_json_dict,
     tree_to_json_dict,
 )
@@ -37,10 +44,12 @@ class ForestParams:
     seed: int = 42
 
     def __post_init__(self):
-        if not isinstance(self.n_trees, int) or self.n_trees < 1:
+        if type(self.n_trees) is not int or self.n_trees < 1:
             raise ParameterError(f"n_trees must be a positive integer, got {self.n_trees!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if type(self.bootstrap) is not bool:
+            raise ParameterError(f"bootstrap must be true or false, got {self.bootstrap!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -52,34 +61,26 @@ class ForestParams:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ForestParams":
-        return cls(
-            n_trees=int(doc["n_trees"]),
-            tree_params=TreeParams.from_json_dict(doc["tree_params"]),
-            bootstrap=bool(doc["bootstrap"]),
-            seed=int(doc["seed"]),
-        )
+        return cls(doc["n_trees"], TreeParams.from_json_dict(doc["tree_params"]), doc["bootstrap"], doc["seed"])
 
 
 @dataclass(eq=False)
 class ForestModel:
-    """Trained ensemble. ``per_tree_importances`` holds one row per tree:
-    the total size-weighted impurity decrease credited to each feature by
-    that tree's splits."""
+    """Trained ensemble. ``per_tree_importances`` is derived from the
+    trees: one row per tree, the total size-weighted impurity decrease
+    credited to each feature by that tree's splits."""
 
     trees: tuple[TreeNode, ...]
     params: ForestParams
-    feature_names: tuple[str, ...]
-    per_tree_importances: np.ndarray
+    per_tree_importances: np.ndarray = field(init=False)
+    feature_names = FEATURE_COLUMNS
 
     def __post_init__(self):
         if len(self.trees) != self.params.n_trees:
             raise ParameterError(
                 f"model holds {len(self.trees)} trees but params say {self.params.n_trees}"
             )
-        if self.per_tree_importances.shape != (len(self.trees), len(self.feature_names)):
-            raise ParameterError("per-tree importance matrix shape does not match trees/features")
-        if (self.per_tree_importances < 0).any():
-            raise ParameterError("importance accumulators must be non-negative")
+        self.per_tree_importances = np.stack([_tree_importances(tree) for tree in self.trees])
 
 
 def bootstrap_indices(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -89,45 +90,38 @@ def bootstrap_indices(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def _tree_importance_accumulator(tree: TreeNode, n_features: int) -> np.ndarray:
-    """Total weighted impurity decrease per feature, recomputed from node
-    counts alone so a deserialized tree yields bit-identical accumulators."""
-    acc = np.zeros(n_features)
-    counts: dict[int, tuple[int, int]] = {}
-    internal_nodes = []
-    stack: list[tuple[TreeNode, bool]] = [(tree, False)]
+def _tree_importances(tree: TreeNode) -> np.ndarray:
+    """Total weighted impurity decrease per feature, from node counts alone.
+
+    The decreases are added in a fixed order, the reverse of a (node, left,
+    right) pre-order, so retraining and reloading give identical floats.
+    """
+    preorder = []
+    stack = [tree]
     while stack:
-        node, children_done = stack.pop()
+        node = stack.pop()
+        preorder.append(node)
+        if isinstance(node, Internal):
+            stack.append(node.right)
+            stack.append(node.left)
+    root_total = sum(node.count_0 + node.count_1 for node in preorder if isinstance(node, Leaf))
+
+    acc = np.zeros(len(FEATURE_COLUMNS))
+    counts: list[tuple[int, int]] = []  # finished subtrees; the left child's on top
+    for node in reversed(preorder):
         if isinstance(node, Leaf):
-            counts[id(node)] = (node.counts.count_0, node.counts.count_1)
-        elif not children_done:
-            stack.append((node, True))
-            stack.append((node.left, False))
-            stack.append((node.right, False))
-        else:
-            l0, l1 = counts[id(node.left)]
-            r0, r1 = counts[id(node.right)]
-            counts[id(node)] = (l0 + r0, l1 + r1)
-            internal_nodes.append(node)
-
-    root_total = sum(counts[id(tree)])
-
-    def impurity(c0: int, c1: int) -> float:
-        n = c0 + c1
-        return 1.0 - (c0 * c0 + c1 * c1) / (n * n)
-
-    for node in internal_nodes:
-        c0, c1 = counts[id(node)]
-        l0, l1 = counts[id(node.left)]
-        r0, r1 = counts[id(node.right)]
-        n_node = c0 + c1
-        n_left = l0 + l1
-        n_right = r0 + r1
-        child_impurity = (n_left * impurity(l0, l1) + n_right * impurity(r0, r1)) / n_node
-        decrease = (n_node / root_total) * (impurity(c0, c1) - child_impurity)
+            counts.append((node.count_0, node.count_1))
+            continue
+        l0, l1 = counts.pop()
+        r0, r1 = counts.pop()
+        c0, c1 = l0 + r0, l1 + r1
+        n_node, n_left, n_right = c0 + c1, l0 + l1, r0 + r1
+        child_impurity = (n_left * gini_impurity(l0, l1) + n_right * gini_impurity(r0, r1)) / n_node
+        decrease = (n_node / root_total) * (gini_impurity(c0, c1) - child_impurity)
         # accepted splits decrease impurity exactly; the clamp only guards
         # float rounding of near-tie splits at extreme node sizes
         acc[node.feature] += max(0.0, decrease)
+        counts.append((c0, c1))
     return acc
 
 
@@ -147,30 +141,27 @@ def train_forest(train: Dataset, params: ForestParams) -> ForestModel:
     if len(np.unique(y)) < 2:
         raise DegenerateLabelsError("training set contains a single class; a forest needs both")
     X = train.feature_matrix()
-    trees = tuple(train_single_tree(X, y, params, t) for t in range(params.n_trees))
-    per_tree = np.stack([_tree_importance_accumulator(tree, X.shape[1]) for tree in trees])
-    return ForestModel(
-        trees=trees,
-        params=params,
-        feature_names=FEATURE_COLUMNS,
-        per_tree_importances=per_tree,
-    )
+    return ForestModel(tuple(train_single_tree(X, y, params, t) for t in range(params.n_trees)), params)
 
 
-def predict_forest_vector(model: ForestModel, x: np.ndarray) -> tuple[int, float]:
-    """Soft vote over one feature row: mean of per-tree leaf class-1
-    fractions; label = 1 iff that mean is >= 0.5."""
-    probs = np.array([predict_vector(tree, x)[1] for tree in model.trees])
-    p = float(np.mean(probs))
-    return (1 if p >= 0.5 else 0), p
+# Rows voted on at once: smaller blocks pay the tree walk's per-node
+# overhead more often, larger ones hold a bigger (rows, trees) matrix.
+_VOTE_BLOCK_ROWS = 1024
 
 
-def predict_forest_dataset(model: ForestModel, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, probabilities) arrays over a whole dataset."""
-    pairs = [predict_forest_vector(model, x) for x in dataset.feature_matrix()]
-    labels = np.array([lab for lab, _ in pairs], dtype=np.int64)
-    probs = np.array([p for _, p in pairs])
-    return labels, probs
+def predict_forest_dataset(model: ForestModel, dataset: Dataset) -> np.ndarray:
+    """Soft-vote class-1 probability of each row. The mean over a
+    C-contiguous (rows, trees) block sums each row exactly as ``np.mean``
+    over that row's own tree fractions would."""
+    X = dataset.feature_matrix()
+    probs = np.empty(len(X))
+    for start in range(0, len(X), _VOTE_BLOCK_ROWS):
+        block = X[start : start + _VOTE_BLOCK_ROWS]
+        votes = np.empty((len(block), len(model.trees)))
+        for t, tree in enumerate(model.trees):
+            votes[:, t] = predict_proba(tree, block)
+        probs[start : start + len(block)] = votes.mean(axis=1)
+    return probs
 
 
 def feature_importances(model: ForestModel) -> tuple[np.ndarray, bool]:
@@ -205,14 +196,6 @@ def forest_from_json_document(doc: dict) -> ForestModel:
         feature_names = tuple(str(name) for name in doc["feature_names"])
         if feature_names != FEATURE_COLUMNS:
             raise ValueError(f"feature_names {list(feature_names)} differ from {list(FEATURE_COLUMNS)}")
-        trees = tuple(tree_from_json_dict(t) for t in doc["trees"])
-        return ForestModel(
-            trees=trees,
-            params=params,
-            feature_names=feature_names,
-            per_tree_importances=np.stack(
-                [_tree_importance_accumulator(tree, len(feature_names)) for tree in trees]
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return ForestModel(tuple(tree_from_json_dict(t) for t in doc["trees"]), params)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed random_forest document: {exc!r}") from None

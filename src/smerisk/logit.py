@@ -222,5 +222,5 @@ def logistic_from_json_document(doc: dict) -> LogisticModel:
                 "final_loss": float(doc["training_meta"]["final_loss"]),
             },
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed logistic document: {exc!r}") from None

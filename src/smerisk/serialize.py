@@ -29,7 +29,8 @@ def _reject_constant(name: str):
 
 def parse_json_file(path: str | Path) -> dict:
     """Parse a JSON object from a file. NaN and Infinity, which the json
-    module would otherwise accept, are rejected like any other bad token."""
+    module would otherwise accept, are rejected like any other bad token,
+    and so is nesting too deep for the parser."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
@@ -37,6 +38,8 @@ def parse_json_file(path: str | Path) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or a rejected constant
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path} nests JSON arrays or objects too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path} must hold a JSON object, got {type(doc).__name__}")
     return doc

@@ -77,7 +77,7 @@ def oracle_grow(rows, labels, depth=0, max_depth=None, min_samples_split=2):
 def tree_as_tuple(node):
     """Package tree -> the oracle's tuple shape, for structural equality."""
     if isinstance(node, Leaf):
-        return ("leaf", node.counts.count_0, node.counts.count_1)
+        return ("leaf", node.count_0, node.count_1)
     assert isinstance(node, Internal)
     return ("node", node.feature, node.threshold, tree_as_tuple(node.left), tree_as_tuple(node.right))
 

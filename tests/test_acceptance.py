@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_grow, oracle_metrics, tree_as_tuple
-from smerisk.cart import TreeParams, grow_tree_arrays, predict_vector
+from smerisk.cart import TreeParams, grow_tree_arrays, predict_proba
 from smerisk.dataset import split_train_test
 from smerisk.experiment import (
     ExperimentConfig,
@@ -27,10 +27,9 @@ from smerisk.forest import (
     bootstrap_indices,
     feature_importances,
     predict_forest_dataset,
-    predict_forest_vector,
     train_forest,
 )
-from smerisk.logit import loss_and_gradient, predict_proba_dataset, train_logistic
+from smerisk.logit import loss_and_gradient, predict_proba_dataset, to_labels, train_logistic
 from smerisk.metrics import ConfusionMatrix, compute_metrics
 from smerisk.seeding import substream
 from smerisk.synthgen import GeneratorConfig, SignalCoefficients, generate
@@ -124,7 +123,9 @@ def test_criterion_3_tree_matches_bruteforce_oracle():
         if tree_as_tuple(node) != expected:
             mismatches += 1
             continue
-        if any(predict_vector(node, row) != _oracle_predict(expected, row) for row in X):
+        probs = predict_proba(node, X)
+        predicted = zip(to_labels(probs).tolist(), probs.tolist())
+        if any(pair != _oracle_predict(expected, row) for pair, row in zip(predicted, X)):
             mismatches += 1
     ok = mismatches == 0
     detail = (
@@ -224,9 +225,10 @@ def test_criterion_6_ensemble_of_one_equals_bare_tree(default_data):
         params.tree_params,
         substream(42, 0),
     )
-    X = default_data.feature_matrix()
-    mismatches = sum(
-        1 for row in X if predict_forest_vector(forest, row) != predict_vector(bare, row)
+    forest_probs = predict_forest_dataset(forest, default_data)
+    bare_probs = predict_proba(bare, default_data.feature_matrix())
+    mismatches = int(
+        ((forest_probs != bare_probs) | (to_labels(forest_probs) != to_labels(bare_probs))).sum()
     )
     ok = mismatches == 0
     detail = (
@@ -252,9 +254,7 @@ def test_criterion_7_reports_and_models_reproducible(default_run, default_data, 
     logit_exact = np.array_equal(
         predict_proba_dataset(logit, test), predict_proba_dataset(logit_back, test)
     )
-    fa_labels, fa_probs = predict_forest_dataset(forest, test)
-    fb_labels, fb_probs = predict_forest_dataset(forest_back, test)
-    forest_exact = np.array_equal(fa_labels, fb_labels) and np.array_equal(fa_probs, fb_probs)
+    forest_exact = np.array_equal(predict_forest_dataset(forest, test), predict_forest_dataset(forest_back, test))
 
     ok = byte_identical and logit_exact and forest_exact
     detail = (

@@ -12,19 +12,18 @@ import pytest
 
 from oracles import oracle_grow, tree_as_tuple
 from smerisk.cart import (
-    ClassCounts,
     Internal,
     Leaf,
     TreeParams,
     best_split,
     gini_impurity,
-    grow_tree,
     grow_tree_arrays,
-    predict_vector,
+    predict_proba,
     tree_from_json_dict,
     tree_to_json_dict,
 )
 from smerisk.errors import ModelFormatError, ParameterError
+from smerisk.logit import to_labels
 from smerisk.seeding import substream
 
 
@@ -42,15 +41,21 @@ def grow(X, y, **params):
 
 
 def test_gini_examples():
-    assert gini_impurity(ClassCounts(2, 2)) == 0.5
-    assert gini_impurity(ClassCounts(4, 0)) == 0.0
-    assert gini_impurity(ClassCounts(0, 7)) == 0.0
-    assert gini_impurity(ClassCounts(3, 1)) == 0.375
+    assert gini_impurity(2, 2) == 0.5
+    assert gini_impurity(4, 0) == 0.0
+    assert gini_impurity(0, 7) == 0.0
+    assert gini_impurity(3, 1) == 0.375
 
 
 def test_gini_empty_counts_rejected():
     with pytest.raises(ParameterError):
-        gini_impurity(ClassCounts(0, 0))
+        gini_impurity(0, 0)
+
+
+@pytest.mark.parametrize("counts", [(0, 0), (-1, 2), (2, -1), (True, 1), (1.0, 1), (1, "2")])
+def test_leaf_validation(counts):
+    with pytest.raises(ParameterError):
+        Leaf(*counts)
 
 
 # split search
@@ -133,7 +138,7 @@ def test_midpoint_never_lands_on_right_value(a, b):
 def test_grow_pure_leaf():
     node = grow([[1.0], [2.0]], [1, 1])
     assert isinstance(node, Leaf)
-    assert (node.counts.count_0, node.counts.count_1) == (0, 2)
+    assert (node.count_0, node.count_1) == (0, 2)
 
 
 def test_grow_separable_tree_shape():
@@ -141,14 +146,14 @@ def test_grow_separable_tree_shape():
     assert isinstance(node, Internal)
     assert node.feature == 0 and node.threshold == 2.5
     assert isinstance(node.left, Leaf) and isinstance(node.right, Leaf)
-    assert (node.left.counts.count_0, node.left.counts.count_1) == (2, 0)
-    assert (node.right.counts.count_0, node.right.counts.count_1) == (0, 2)
+    assert (node.left.count_0, node.left.count_1) == (2, 0)
+    assert (node.right.count_0, node.right.count_1) == (0, 2)
 
 
 def test_grow_min_samples_split_stops():
     node = grow([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1], min_samples_split=5)
     assert isinstance(node, Leaf)
-    assert (node.counts.count_0, node.counts.count_1) == (2, 2)
+    assert (node.count_0, node.count_1) == (2, 2)
 
 
 def test_grow_max_depth_stops():
@@ -169,7 +174,7 @@ def test_grow_max_depth_stops():
 def test_grow_xor_single_leaf():
     node = grow([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [0, 1, 1, 0])
     assert isinstance(node, Leaf)
-    assert (node.counts.count_0, node.counts.count_1) == (2, 2)
+    assert (node.count_0, node.count_1) == (2, 2)
 
 
 def test_grow_validates_inputs():
@@ -187,7 +192,7 @@ def test_training_accuracy_perfect_on_distinct_rows():
     X = rng.normal(size=(60, 4))
     y = rng.integers(0, 2, size=60).astype(np.int64)
     node = grow(X, y)
-    predictions = np.array([predict_vector(node, row)[0] for row in X])
+    predictions = to_labels(predict_proba(node, X))
     assert np.array_equal(predictions, y)
 
 
@@ -201,8 +206,7 @@ def test_monotone_transform_invariance():
     X2 = X.copy()
     X2[:, 1] = X2[:, 1] ** 3
     node_b = grow(X2, y)
-    for row, row2 in zip(X, X2):
-        assert predict_vector(node_a, row) == predict_vector(node_b, row2)
+    assert np.array_equal(predict_proba(node_a, X), predict_proba(node_b, X2))
 
 
 def test_split_always_reduces_weighted_impurity():
@@ -213,7 +217,7 @@ def test_split_always_reduces_weighted_impurity():
 
     def counts(n):
         if isinstance(n, Leaf):
-            return (n.counts.count_0, n.counts.count_1)
+            return (n.count_0, n.count_1)
         lc = counts(n.left)
         rc = counts(n.right)
         return (lc[0] + rc[0], lc[1] + rc[1])
@@ -224,10 +228,8 @@ def test_split_always_reduces_weighted_impurity():
         c = counts(n)
         lc, rc = counts(n.left), counts(n.right)
         nl, nr = sum(lc), sum(rc)
-        parent = gini_impurity(ClassCounts(*c))
-        children = (
-            nl * gini_impurity(ClassCounts(*lc)) + nr * gini_impurity(ClassCounts(*rc))
-        ) / (nl + nr)
+        parent = gini_impurity(*c)
+        children = (nl * gini_impurity(*lc) + nr * gini_impurity(*rc)) / (nl + nr)
         assert children < parent
         walk(n.left)
         walk(n.right)
@@ -246,8 +248,8 @@ def test_grow_deterministic():
 
 def test_grow_tree_from_dataset(strong_split):
     train, test = strong_split
-    node = grow_tree(train, TreeParams(max_depth=4), substream(1, 0))
-    hits = sum(predict_vector(node, x)[0] == label for x, label in zip(test.feature_matrix(), test.labels()))
+    node = grow_tree_arrays(train.feature_matrix(), train.labels(), TreeParams(max_depth=4), substream(1, 0))
+    hits = int((to_labels(predict_proba(node, test.feature_matrix())) == test.labels()).sum())
     assert hits / len(test) > 0.5
 
 
@@ -271,16 +273,32 @@ def test_matches_bruteforce_oracle_small_instances():
 
 
 def test_predict_boundary_goes_left():
-    node = Internal(feature=0, threshold=2.5, left=Leaf(ClassCounts(3, 0)), right=Leaf(ClassCounts(0, 3)))
-    assert predict_vector(node, np.array([2.5])) == (0, 0.0)
-    assert predict_vector(node, np.array([2.500001]))[0] == 1
+    node = Internal(feature=0, threshold=2.5, left=Leaf(3, 0), right=Leaf(0, 3))
+    probs = predict_proba(node, np.array([[2.5], [2.500001]]))
+    assert probs.tolist() == [0.0, 1.0]
+    assert to_labels(probs).tolist() == [0, 1]
 
 
 def test_predict_probability_and_tie():
-    assert predict_vector(Leaf(ClassCounts(1, 3)), np.array([0.0])) == (1, 0.75)
+    row = np.array([[0.0]])
+    probs = np.concatenate([predict_proba(Leaf(*counts), row) for counts in ((1, 3), (2, 2), (3, 1))])
+    assert probs.tolist() == [0.75, 0.5, 0.25]
     # Probability exactly 0.5 labels as default.
-    assert predict_vector(Leaf(ClassCounts(2, 2)), np.array([0.0])) == (1, 0.5)
-    assert predict_vector(Leaf(ClassCounts(3, 1)), np.array([0.0])) == (0, 0.25)
+    assert to_labels(probs).tolist() == [1, 1, 0]
+
+
+def test_predict_routes_every_row_to_its_own_leaf():
+    # depth-2 tree on two features; rows in shuffled order, one row per leaf
+    # plus a repeat, and an empty matrix
+    node = Internal(
+        feature=0,
+        threshold=0.0,
+        left=Internal(feature=1, threshold=1.0, left=Leaf(4, 0), right=Leaf(3, 1)),
+        right=Internal(feature=1, threshold=-1.0, left=Leaf(1, 1), right=Leaf(0, 5)),
+    )
+    X = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, -2.0], [-1.0, 2.0], [-1.0, 0.0]])
+    assert predict_proba(node, X).tolist() == [1.0, 0.0, 0.5, 0.25, 0.0]
+    assert predict_proba(node, np.zeros((0, 2))).shape == (0,)
 
 
 # params
@@ -307,6 +325,27 @@ def test_tree_params_validation():
         TreeParams(features_per_split=7).resolve_features_per_split(6)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_depth": 2.9},
+        {"max_depth": True},
+        {"max_depth": "3"},
+        {"min_samples_split": 2.0},
+        {"min_samples_split": True},
+        {"min_samples_split": None},
+        {"features_per_split": 2.5},
+        {"features_per_split": True},
+    ],
+)
+def test_tree_params_reject_non_integers(kwargs):
+    with pytest.raises(ParameterError):
+        TreeParams(**kwargs)
+    doc = dict(TreeParams().to_json_dict(), **kwargs)
+    with pytest.raises(ParameterError):
+        TreeParams.from_json_dict(doc)
+
+
 def test_tree_params_json_round_trip():
     params = TreeParams(max_depth=5, min_samples_split=4, features_per_split=2)
     assert TreeParams.from_json_dict(params.to_json_dict()) == params
@@ -327,7 +366,7 @@ def test_tree_json_round_trip():
 
 
 def test_tree_json_shapes():
-    node = Internal(feature=1, threshold=0.5, left=Leaf(ClassCounts(2, 0)), right=Leaf(ClassCounts(1, 4)))
+    node = Internal(feature=1, threshold=0.5, left=Leaf(2, 0), right=Leaf(1, 4))
     doc = tree_to_json_dict(node)
     assert doc == {
         "feature": 1,
@@ -348,6 +387,13 @@ def test_tree_json_shapes():
         {"feature": 6, "threshold": 0.5, "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
         {"feature": -1, "threshold": 0.5, "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
         {"feature": 0, "threshold": float("nan"), "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
+        {"count_0": 2.7, "count_1": 1},
+        {"count_0": 1, "count_1": True},
+        {"count_0": 2.0, "count_1": 1},
+        {"count_0": "1", "count_1": 1},
+        {"feature": 0, "threshold": "0.5", "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
+        {"feature": 0, "threshold": True, "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
+        {"feature": 0, "threshold": None, "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
     ],
 )
 def test_tree_json_malformed(doc):

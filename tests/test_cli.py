@@ -142,6 +142,37 @@ def test_compare_config_rejects_nan(tmp_path, capsys):
         assert "nan" in stderr.lower()
 
 
+def test_compare_config_rejects_deep_nesting(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, _, stderr = run_cli(capsys, "compare", "--config", str(path))
+    assert code == 2
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "forest_params",
+    [
+        {"bootstrap": "false"},
+        {"n_trees": 2.9},
+        {"n_trees": True},
+        {"seed": "3"},
+        {"tree_params": {"max_depth": 2.9, "min_samples_split": 2, "features_per_split": None}},
+        {"tree_params": {"max_depth": None, "min_samples_split": True, "features_per_split": None}},
+        {"tree_params": {"max_depth": None, "min_samples_split": 2, "features_per_split": 1.0}},
+    ],
+)
+def test_compare_config_rejects_mistyped_forest_params(forest_params, small_config_file, tmp_path, capsys):
+    doc = json.loads(small_config_file.read_text())
+    doc["forest_params"].update(forest_params)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run_cli(capsys, "compare", "--config", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
 def test_compare_unknown_config_key(tmp_path, capsys):
     path = tmp_path / "weird.json"
     path.write_text('{"depth": 3}\n')
@@ -277,12 +308,26 @@ def _first_split(doc):
     return next(tree for tree in doc["trees"] if "feature" in tree)
 
 
+def _first_leaf(doc):
+    node = doc["trees"][0]
+    while "feature" in node:
+        node = node["left"]
+    return node
+
+
 # name -> (model kind, in-place edit of its JSON document)
 MODEL_MUTATIONS = {
     "feature_99": ("forest", lambda doc: _first_split(doc).update(feature=99)),
     "feature_minus_1": ("forest", lambda doc: _first_split(doc).update(feature=-1)),
     "fractional_feature": ("forest", lambda doc: _first_split(doc).update(feature=2.5)),
     "nan_threshold": ("forest", lambda doc: _first_split(doc).update(threshold=float("nan"))),
+    "string_threshold": ("forest", lambda doc: _first_split(doc).update(threshold="0.5")),
+    "huge_integer_threshold": ("forest", lambda doc: _first_split(doc).update(threshold=10**400)),
+    "fractional_leaf_count": ("forest", lambda doc: _first_leaf(doc).update(count_0=2.7)),
+    "boolean_leaf_count": ("forest", lambda doc: _first_leaf(doc).update(count_1=True)),
+    "string_bootstrap": ("forest", lambda doc: doc["params"].update(bootstrap="false")),
+    "fractional_max_depth": ("forest", lambda doc: doc["params"]["tree_params"].update(max_depth=2.9)),
+    "huge_integer_weight": ("logistic", lambda doc: doc["weights"].__setitem__(0, 10**400)),
     "infinite_threshold": ("forest", lambda doc: _first_split(doc).update(threshold=float("inf"))),
     "three_feature_names": ("forest", lambda doc: doc.update(feature_names=doc["feature_names"][:3])),
     "n_trees_mismatch": ("forest", lambda doc: doc["trees"].pop()),
@@ -303,6 +348,16 @@ def test_score_rejects_malformed_model(mutation, model_documents, small_csv, tmp
     assert code == 3
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
     assert "Traceback" not in stderr
+
+
+def test_score_rejects_deeply_nested_model(small_csv, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text("[" * 200_000)
+    code, _, stderr = run_cli(
+        capsys, "score", "--model", str(model_path), "--data", str(small_csv), "--out", str(tmp_path / "s.csv")
+    )
+    assert code == 3
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
 def test_score_tampered_model_version(small_csv, tmp_path, capsys):

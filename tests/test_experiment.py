@@ -117,7 +117,7 @@ def test_run_comparison_equals_manual_pipeline():
     forest = train_forest(train, SMALL_CONFIG.forest_params)
     y = test.labels()
     delphi_pred = (predict_proba_dataset(delphi, test) >= 0.5).astype(np.int64)
-    forest_pred, _ = predict_forest_dataset(forest, test)
+    forest_pred = (predict_forest_dataset(forest, test) >= 0.5).astype(np.int64)
     values, degenerate = feature_importances(forest)
 
     assert report.delphi_metrics == score_predictions(y, delphi_pred)
@@ -251,9 +251,7 @@ def test_save_load_both_model_kinds(tmp_path, strong_split):
     forest_back = load_model(fp)
     assert np.array_equal(logit_back.weights, logit.weights)
     assert isinstance(forest_back, ForestModel)
-    labels_a, _ = predict_forest_dataset(forest, test)
-    labels_b, _ = predict_forest_dataset(forest_back, test)
-    assert np.array_equal(labels_a, labels_b)
+    assert np.array_equal(predict_forest_dataset(forest, test), predict_forest_dataset(forest_back, test))
 
 
 def test_save_model_rejects_other_objects(tmp_path):

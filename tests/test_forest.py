@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from smerisk.cart import ClassCounts, Leaf, TreeParams, grow_tree_arrays
+from smerisk.cart import Leaf, TreeParams, grow_tree_arrays, predict_proba, tree_from_json_dict
 from smerisk.dataset import FEATURE_COLUMNS, Dataset
 from smerisk.errors import DegenerateLabelsError, ModelFormatError, ParameterError
 from smerisk.forest import (
@@ -17,10 +17,10 @@ from smerisk.forest import (
     forest_from_json_document,
     forest_to_json_document,
     predict_forest_dataset,
-    predict_forest_vector,
     train_forest,
     train_single_tree,
 )
+from smerisk.logit import to_labels
 from smerisk.seeding import substream
 from smerisk.synthgen import GeneratorConfig, SignalCoefficients, generate
 
@@ -32,12 +32,10 @@ def small_forest(strong_split):
 
 
 def leaf_only_model(leaves, n_trees):
-    return ForestModel(
-        trees=tuple(leaves),
-        params=ForestParams(n_trees=n_trees, bootstrap=False, seed=0),
-        feature_names=FEATURE_COLUMNS,
-        per_tree_importances=np.zeros((n_trees, len(FEATURE_COLUMNS))),
-    )
+    return ForestModel(tuple(leaves), ForestParams(n_trees=n_trees, bootstrap=False, seed=0))
+
+
+ONE_ROW = Dataset(np.zeros((1, 6)))
 
 
 # params
@@ -56,6 +54,27 @@ def test_forest_params_validation():
         ForestParams(n_trees=0)
     with pytest.raises(ParameterError):
         ForestParams(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_trees", 2.9),
+        ("n_trees", True),
+        ("n_trees", "10"),
+        ("seed", 1.5),
+        ("seed", False),
+        ("bootstrap", "false"),
+        ("bootstrap", 0),
+        ("bootstrap", None),
+    ],
+)
+def test_forest_params_reject_wrong_types(field, value):
+    with pytest.raises(ParameterError):
+        ForestParams(**{field: value})
+    doc = dict(ForestParams().to_json_dict(), **{field: value})
+    with pytest.raises(ParameterError):
+        ForestParams.from_json_dict(doc)
 
 
 def test_forest_params_json_round_trip():
@@ -100,7 +119,7 @@ def test_train_forest_shape(small_forest):
 
 def test_forest_beats_coin_flip(small_forest, strong_split):
     _, test = strong_split
-    labels, _ = predict_forest_dataset(small_forest, test)
+    labels = to_labels(predict_forest_dataset(small_forest, test))
     assert np.mean(labels == test.labels()) > 0.6
 
 
@@ -161,52 +180,79 @@ def test_ensemble_of_one_equals_bare_tree(strong_split):
         params.tree_params,
         substream(11, 0),
     )
-    from smerisk.cart import predict_vector
-
-    X = test.feature_matrix()
-    for row in X:
-        assert predict_forest_vector(forest, row) == predict_vector(bare, row)
+    assert np.array_equal(predict_forest_dataset(forest, test), predict_proba(bare, test.feature_matrix()))
 
 
 # prediction
 
 
 def test_vote_averaging_and_tie():
-    model = leaf_only_model([Leaf(ClassCounts(4, 1)), Leaf(ClassCounts(1, 4))], 2)
-    label, prob = predict_forest_vector(model, np.zeros(6))
-    assert prob == 0.5  # (0.2 + 0.8) / 2
-    assert label == 1
+    model = leaf_only_model([Leaf(4, 1), Leaf(1, 4)], 2)
+    probs = predict_forest_dataset(model, ONE_ROW)
+    assert probs.tolist() == [0.5]  # (0.2 + 0.8) / 2
+    assert to_labels(probs).tolist() == [1]
 
 
 def test_unanimous_leaves():
-    model = leaf_only_model([Leaf(ClassCounts(0, 3))] * 4, 4)
-    assert predict_forest_vector(model, np.zeros(6)) == (1, 1.0)
-    model0 = leaf_only_model([Leaf(ClassCounts(5, 0))] * 4, 4)
-    assert predict_forest_vector(model0, np.zeros(6)) == (0, 0.0)
+    model = leaf_only_model([Leaf(0, 3)] * 4, 4)
+    assert predict_forest_dataset(model, ONE_ROW).tolist() == [1.0]
+    model0 = leaf_only_model([Leaf(5, 0)] * 4, 4)
+    assert predict_forest_dataset(model0, ONE_ROW).tolist() == [0.0]
 
 
 def test_forest_probability_is_mean_of_trees(small_forest, strong_split):
-    from smerisk.cart import predict_vector
-
+    # exactly np.mean over each row's own tree fractions, bit for bit
     _, test = strong_split
-    X = test.feature_matrix()
-    for row in X[:40]:
-        _, prob = predict_forest_vector(small_forest, row)
-        per_tree = [predict_vector(t, row)[1] for t in small_forest.trees]
-        assert prob == pytest.approx(float(np.mean(per_tree)), abs=1e-12)
+    X = test.feature_matrix()[:40]
+    per_tree = np.column_stack([predict_proba(t, X) for t in small_forest.trees])
+    probs = predict_forest_dataset(small_forest, Dataset(X))
+    assert probs.tolist() == [float(np.mean(list(row))) for row in per_tree]
 
 
 def test_predict_dataset_matches_scalar(small_forest, strong_split):
     _, test = strong_split
-    labels, probs = predict_forest_dataset(small_forest, test)
-    assert labels.shape == (len(test),)
-    for i, row in enumerate(test.feature_matrix()[:30]):
-        assert (labels[i], probs[i]) == predict_forest_vector(small_forest, row)
+    probs = predict_forest_dataset(small_forest, test)
+    assert probs.shape == (len(test),)
+    X = test.feature_matrix()
+    for i in range(30):
+        assert predict_forest_dataset(small_forest, Dataset(X[i : i + 1])).tolist() == [probs[i]]
+
+
+def test_predict_is_the_same_across_vote_blocks(small_forest, strong_split):
+    # a book several vote blocks long scores each row as it would alone
+    _, test = strong_split
+    probs = predict_forest_dataset(small_forest, test)
+    reps = 2500 // len(test) + 1
+    tiled = predict_forest_dataset(small_forest, Dataset(np.tile(test.feature_matrix(), (reps, 1))))
+    assert np.array_equal(tiled, np.tile(probs, reps))
+
+
+def test_predict_empty_dataset(small_forest):
+    assert predict_forest_dataset(small_forest, Dataset(np.zeros((0, 6)))).shape == (0,)
 
 
 def test_forest_model_validation():
     with pytest.raises(ParameterError):
-        leaf_only_model([Leaf(ClassCounts(1, 0))], 2)  # tree count mismatch
+        leaf_only_model([Leaf(1, 0)], 2)  # tree count mismatch
+
+
+def test_chain_tree_5000_levels_deep():
+    # Every walk over a tree is iterative: a chain far deeper than the
+    # interpreter's recursion limit loads, predicts and yields importances.
+    # Node i (i = 0 deepest) splits revenue growth (even i) or profit
+    # margin (odd i) at i + 0.5; its right child is a leaf with counts
+    # (i, 1), its left child the node below.
+    depth = 5000
+    doc = {"count_0": 1, "count_1": 0}
+    for i in range(depth):
+        doc = {"feature": (0, 3)[i % 2], "threshold": i + 0.5, "left": doc, "right": {"count_0": i, "count_1": 1}}
+    model = ForestModel((tree_from_json_dict(doc),), ForestParams(n_trees=1, bootstrap=False))
+    X = np.array([[v, 0.0, 0.0, v, 0.0, 0.0] for v in (0.0, 10.0, 1e9)])
+    assert predict_forest_dataset(model, Dataset(X)).tolist() == [0.0, 1 / 10, 1 / depth]
+    values, degenerate = feature_importances(model)
+    assert not degenerate
+    assert values[0] > 0.0 and values[3] > 0.0
+    assert abs(float(values.sum()) - 1.0) <= 1e-9
 
 
 # importances
@@ -221,7 +267,7 @@ def test_importances_normalized(small_forest):
 
 
 def test_importances_degenerate_all_leaves():
-    model = leaf_only_model([Leaf(ClassCounts(2, 1))], 1)
+    model = leaf_only_model([Leaf(2, 1)], 1)
     values, degenerate = feature_importances(model)
     assert degenerate
     assert np.all(values == 0.0)
@@ -258,10 +304,7 @@ def test_forest_json_round_trip(small_forest, strong_split):
     assert doc["model_type"] == "random_forest"
     assert doc["feature_names"] == list(FEATURE_COLUMNS)
     back = forest_from_json_document(doc)
-    labels_a, probs_a = predict_forest_dataset(small_forest, test)
-    labels_b, probs_b = predict_forest_dataset(back, test)
-    assert np.array_equal(labels_a, labels_b)
-    assert np.array_equal(probs_a, probs_b)
+    assert np.array_equal(predict_forest_dataset(small_forest, test), predict_forest_dataset(back, test))
 
 
 def test_forest_json_importances_recomputed_exactly(small_forest):
