@@ -97,17 +97,6 @@ class TreeParams:
             raise ParameterError(f"features_per_split {k} exceeds feature count {n_features}")
         return k
 
-    def to_json_dict(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "features_per_split": self.features_per_split,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TreeParams":
-        return cls(doc["max_depth"], doc["min_samples_split"], doc["features_per_split"])
-
 
 def best_split(
     X: np.ndarray, y: np.ndarray, candidate_features: Sequence[int]

@@ -293,21 +293,6 @@ class StandardizationParams:
         out[:, np.asarray(self.constant_flags)] = 0.0
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "means": list(self.means),
-            "sds": list(self.sds),
-            "constant_flags": list(self.constant_flags),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "StandardizationParams":
-        return cls(
-            means=tuple(float(v) for v in doc["means"]),
-            sds=tuple(float(v) for v in doc["sds"]),
-            constant_flags=tuple(bool(v) for v in doc["constant_flags"]),
-        )
-
 
 def fit_standardizer(train: Dataset) -> StandardizationParams:
     """Mean and population standard deviation of each continuous feature."""

@@ -15,6 +15,7 @@ from typing import Union
 
 import numpy as np
 
+from . import serialize
 from .dataset import Dataset, load_csv, split_train_test
 from .errors import DataError, DegenerateLabelsError, ParameterError
 from .forest import (
@@ -62,45 +63,31 @@ class ExperimentConfig:
             raise ParameterError("configure exactly one data source: generator or csv_path")
         if not 0.0 < self.test_fraction < 1.0:
             raise ParameterError(f"test_fraction must lie in (0, 1), got {self.test_fraction!r}")
-        if not isinstance(self.split_seed, int) or self.split_seed < 0:
+        if type(self.split_seed) is not int or self.split_seed < 0:
             raise ParameterError(f"split_seed must be a non-negative integer, got {self.split_seed!r}")
 
     def to_json_dict(self) -> dict:
-        source = {"generator": self.generator.to_json_dict()} if self.generator else {"csv_path": self.csv_path}
-        return {
-            "data_source": source,
-            "test_fraction": self.test_fraction,
-            "split_seed": self.split_seed,
-            "logit_hyper": self.logit_hyper.to_json_dict(),
-            "forest_params": self.forest_params.to_json_dict(),
-        }
+        """The codec's fields, with the data source under ``data_source``."""
+        doc = serialize.to_json_dict(self)
+        generator, csv_path = doc.pop("generator"), doc.pop("csv_path")
+        doc["data_source"] = {"generator": generator} if generator is not None else {"csv_path": csv_path}
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {"data_source", "test_fraction", "split_seed", "logit_hyper", "forest_params"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ParameterError(f"unknown experiment config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        source = doc.get("data_source")
-        if source is not None:
-            if not isinstance(source, dict) or len(source) != 1 or not {"generator", "csv_path"} >= set(source):
-                raise ParameterError("data_source must hold exactly one of: generator, csv_path")
-            if "generator" in source:
-                kwargs["generator"] = GeneratorConfig.from_json_dict(source["generator"])
-            else:
-                kwargs["csv_path"] = str(source["csv_path"])
-        else:
-            kwargs["generator"] = GeneratorConfig()
-        if "test_fraction" in doc:
-            kwargs["test_fraction"] = float(doc["test_fraction"])
-        if "split_seed" in doc:
-            kwargs["split_seed"] = int(doc["split_seed"])
-        if "logit_hyper" in doc:
-            kwargs["logit_hyper"] = LogitHyperparams.from_json_dict(doc["logit_hyper"])
-        if "forest_params" in doc:
-            kwargs["forest_params"] = ForestParams.from_json_dict(doc["forest_params"])
-        return cls(**kwargs)
+        """An absent ``data_source`` means the default generator."""
+        if not isinstance(doc, dict):
+            raise ParameterError(f"an experiment config must be a JSON object, got {type(doc).__name__}")
+        source = doc.get("data_source", {"generator": {}})
+        if not isinstance(source, dict) or len(source) != 1 or not {"generator", "csv_path"} >= set(source):
+            raise ParameterError("data_source must hold exactly one of: generator, csv_path")
+        [(key, value)] = source.items()
+        given = {"generator": None, "csv_path": None}
+        given[key] = serialize.from_json_value(
+            GeneratorConfig if key == "generator" else str, value, f"data_source.{key}"
+        )
+        rest = {k: v for k, v in doc.items() if k != "data_source"}
+        return serialize.from_json_dict(cls, rest, **given)
 
 
 def default_experiment_config() -> ExperimentConfig:
@@ -118,30 +105,20 @@ class ComparisonReport:
     config_echo: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "delphi_metrics": self.delphi_metrics.to_json_dict(),
-            "forest_metrics": self.forest_metrics.to_json_dict(),
-            "feature_importances": {
-                "names": list(self.feature_names),
-                "values": list(self.importances),
-                "degenerate": self.importances_degenerate,
-            },
-            "dataset_summary": self.dataset_summary,
-            "config_echo": self.config_echo,
+        doc = serialize.to_json_dict(self)
+        doc["feature_importances"] = {
+            "names": doc.pop("feature_names"),
+            "values": doc.pop("importances"),
+            "degenerate": doc.pop("importances_degenerate"),
         }
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ComparisonReport":
-        imp = doc["feature_importances"]
-        return cls(
-            delphi_metrics=MetricsReport.from_json_dict(doc["delphi_metrics"]),
-            forest_metrics=MetricsReport.from_json_dict(doc["forest_metrics"]),
-            feature_names=tuple(str(n) for n in imp["names"]),
-            importances=tuple(float(v) for v in imp["values"]),
-            importances_degenerate=bool(imp["degenerate"]),
-            dataset_summary=dict(doc["dataset_summary"]),
-            config_echo=dict(doc["config_echo"]),
-        )
+        doc = dict(doc)
+        imp = doc.pop("feature_importances")
+        doc.update(feature_names=imp["names"], importances=imp["values"], importances_degenerate=imp["degenerate"])
+        return serialize.from_json_dict(cls, doc)
 
 
 def _load_source(config: ExperimentConfig) -> tuple[Dataset, str]:

@@ -33,7 +33,7 @@ from .cart import (
 from .dataset import Dataset, FEATURE_COLUMNS
 from .errors import DegenerateLabelsError, ModelFormatError, ParameterError
 from .seeding import substream
-from .serialize import MODEL_FORMAT_VERSION, check_model_envelope
+from .serialize import MODEL_FORMAT_VERSION, check_model_envelope, from_json_dict, to_json_dict
 
 
 @dataclass(frozen=True)
@@ -50,18 +50,6 @@ class ForestParams:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
         if type(self.bootstrap) is not bool:
             raise ParameterError(f"bootstrap must be true or false, got {self.bootstrap!r}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "tree_params": self.tree_params.to_json_dict(),
-            "bootstrap": self.bootstrap,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ForestParams":
-        return cls(doc["n_trees"], TreeParams.from_json_dict(doc["tree_params"]), doc["bootstrap"], doc["seed"])
 
 
 @dataclass(eq=False)
@@ -182,7 +170,7 @@ def forest_to_json_document(model: ForestModel) -> dict:
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "model_type": "random_forest",
-        "params": model.params.to_json_dict(),
+        "params": to_json_dict(model.params),
         "feature_names": list(model.feature_names),
         "trees": [tree_to_json_dict(tree) for tree in model.trees],
         "importances": [float(v) for v in values],
@@ -192,10 +180,9 @@ def forest_to_json_document(model: ForestModel) -> dict:
 def forest_from_json_document(doc: dict) -> ForestModel:
     check_model_envelope(doc, expected_type="random_forest")
     try:
-        params = ForestParams.from_json_dict(doc["params"])
-        feature_names = tuple(str(name) for name in doc["feature_names"])
-        if feature_names != FEATURE_COLUMNS:
-            raise ValueError(f"feature_names {list(feature_names)} differ from {list(FEATURE_COLUMNS)}")
+        params = from_json_dict(ForestParams, doc["params"], "params")
+        if doc["feature_names"] != list(FEATURE_COLUMNS):
+            raise ValueError(f"feature_names {doc['feature_names']!r} differ from {list(FEATURE_COLUMNS)}")
         return ForestModel(tuple(tree_from_json_dict(t) for t in doc["trees"]), params)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed random_forest document: {exc!r}") from None

@@ -25,7 +25,7 @@ from .dataset import (
     fit_standardizer,
 )
 from .errors import DegenerateLabelsError, ModelFormatError, ParameterError
-from .serialize import MODEL_FORMAT_VERSION, check_model_envelope
+from .serialize import MODEL_FORMAT_VERSION, check_model_envelope, from_json_value, to_json_dict
 
 _PROB_CLAMP = 1e-12
 _MAX_HALVINGS = 60
@@ -59,27 +59,10 @@ class LogitHyperparams:
             raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate!r}")
         if not self.l2_lambda >= 0:  # also rejects NaN
             raise ParameterError(f"l2_lambda must be >= 0, got {self.l2_lambda!r}")
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 0:
+        if type(self.max_iterations) is not int or self.max_iterations < 0:
             raise ParameterError(f"max_iterations must be a non-negative integer, got {self.max_iterations!r}")
         if not self.tolerance > 0:
             raise ParameterError(f"tolerance must be > 0, got {self.tolerance!r}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "l2_lambda": self.l2_lambda,
-            "max_iterations": self.max_iterations,
-            "tolerance": self.tolerance,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "LogitHyperparams":
-        return cls(
-            learning_rate=float(doc["learning_rate"]),
-            l2_lambda=float(doc["l2_lambda"]),
-            max_iterations=int(doc["max_iterations"]),
-            tolerance=float(doc["tolerance"]),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +185,7 @@ def logistic_to_json_document(model: LogisticModel) -> dict:
         "model_type": "logistic",
         "weights": [float(w) for w in model.weights],
         "bias": model.bias,
-        "standardization": model.standardization.to_json_dict(),
+        "standardization": to_json_dict(model.standardization),
         "training_meta": {
             "iterations": int(model.training_meta["iterations"]),
             "final_loss": float(model.training_meta["final_loss"]),
@@ -213,13 +196,14 @@ def logistic_to_json_document(model: LogisticModel) -> dict:
 def logistic_from_json_document(doc: dict) -> LogisticModel:
     check_model_envelope(doc, expected_type="logistic")
     try:
+        meta = doc["training_meta"]
         return LogisticModel(
-            weights=np.array([float(w) for w in doc["weights"]]),
-            bias=float(doc["bias"]),
-            standardization=StandardizationParams.from_json_dict(doc["standardization"]),
+            weights=np.array(from_json_value(tuple[float, ...], doc["weights"], "weights")),
+            bias=from_json_value(float, doc["bias"], "bias"),
+            standardization=from_json_value(StandardizationParams, doc["standardization"], "standardization"),
             training_meta={
-                "iterations": int(doc["training_meta"]["iterations"]),
-                "final_loss": float(doc["training_meta"]["final_loss"]),
+                "iterations": from_json_value(int, meta["iterations"], "training_meta.iterations"),
+                "final_loss": from_json_value(float, meta["final_loss"], "training_meta.final_loss"),
             },
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -79,29 +79,6 @@ class MetricsReport:
     recall_undefined: bool = False
     f1_undefined: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "precision_undefined": self.precision_undefined,
-            "recall_undefined": self.recall_undefined,
-            "f1_undefined": self.f1_undefined,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "MetricsReport":
-        return cls(
-            accuracy=float(doc["accuracy"]),
-            precision=float(doc["precision"]),
-            recall=float(doc["recall"]),
-            f1=float(doc["f1"]),
-            precision_undefined=bool(doc["precision_undefined"]),
-            recall_undefined=bool(doc["recall_undefined"]),
-            f1_undefined=bool(doc["f1_undefined"]),
-        )
-
 
 def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
     """Derive the four headline metrics from a confusion matrix.

@@ -3,14 +3,26 @@
 All documents are emitted with sorted keys, two-space indentation and a
 trailing newline, and floats rendered by repr (shortest round-trip form),
 so equal in-memory objects serialize to byte-identical text.
+
+``to_json_dict`` and ``from_json_dict`` are the one codec between the
+parameter dataclasses and JSON objects, driven by the dataclass fields and
+their type hints. Reading is checked, never coerced: unknown keys are
+rejected, absent keys take the field default (a field without one is
+required), and each value must already have its field's JSON type. Every
+failure is a ``ParameterError`` naming the JSON path of the bad value;
+domain checks stay in the dataclasses' ``__post_init__``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import types
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
-from .errors import ModelFormatError, ParseError
+from .errors import ModelFormatError, ParameterError, ParseError
 
 MODEL_FORMAT_VERSION = 1
 
@@ -58,3 +70,80 @@ def check_model_envelope(doc: dict, expected_type: str | None = None) -> str:
     if expected_type is None and model_type not in ("logistic", "random_forest"):
         raise ModelFormatError(f"unknown model_type {model_type!r}")
     return model_type
+
+
+def to_json_dict(obj) -> dict:
+    """The JSON object of a dataclass: one key per constructor field,
+    nested dataclasses as objects and tuples as arrays."""
+    return {f.name: _to_json_value(getattr(obj, f.name)) for f in fields(obj) if f.init}
+
+
+def _to_json_value(value):
+    if is_dataclass(value):
+        return to_json_dict(value)
+    if isinstance(value, tuple):
+        return [_to_json_value(v) for v in value]
+    return value
+
+
+def from_json_dict(cls, doc, path: str = "", **given):
+    """Build the dataclass ``cls`` from the JSON object ``doc``, which sits
+    at ``path`` in its document. Fields passed in ``given`` are not read
+    from ``doc``."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{path or 'document'} must be a JSON object, got {_show(doc)}")
+    prefix = f"{path}." if path else ""
+    hints = typing.get_type_hints(cls)
+    wanted = [f for f in fields(cls) if f.init and f.name not in given]
+    unknown = sorted(set(doc) - {f.name for f in wanted})
+    missing = [f.name for f in wanted if f.name not in doc and f.default is MISSING and f.default_factory is MISSING]
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise ParameterError(f"{problem} key {', '.join(prefix + k for k in keys)}")
+    kwargs = {k: from_json_value(hints[k], v, prefix + k) for k, v in doc.items()}
+    try:
+        return cls(**kwargs, **given)
+    except ParameterError as exc:  # a domain check in __post_init__
+        if path:
+            raise ParameterError(f"{path}: {exc}") from None
+        raise
+
+
+def from_json_value(tp, value, path: str):
+    """Check ``value`` against the type hint ``tp`` and return it as that
+    type: a JSON integer for ``int`` (a boolean is not one), a finite JSON
+    number for ``float`` (an integer becomes a float), ``true``/``false``
+    for ``bool``, a string for ``str``, any object for ``dict``, null or an
+    ``X`` for ``X | None``, an array for ``tuple[...]`` and an object for a
+    dataclass."""
+    if tp is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:  # not NaN, infinite or too large
+            return float(value)
+        raise ParameterError(f"{path} must be a finite JSON number, got {_show(value)}")
+    if tp in _EXPECTED:
+        if type(value) is not tp:
+            raise ParameterError(f"{path} must be {_EXPECTED[tp]}, got {_show(value)}")
+        return value
+    if is_dataclass(tp):
+        return from_json_dict(tp, value, path)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is types.UnionType:  # X | None
+        return None if value is None else from_json_value(args[0], value, path)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ParameterError(f"{path} must be a JSON array, got {_show(value)}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ParameterError(f"{path} must hold {len(args)} values, got {len(value)}")
+        return tuple(from_json_value(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    raise TypeError(f"no JSON rule for type {tp!r} at {path}")
+
+
+_EXPECTED = {int: "a JSON integer", bool: "true or false", str: "a JSON string", dict: "a JSON object"}
+
+
+def _show(value) -> str:
+    if isinstance(value, (dict, list)):
+        return "an object" if isinstance(value, dict) else "an array"
+    return json.dumps(value, default=repr)

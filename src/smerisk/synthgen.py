@@ -63,17 +63,6 @@ class FeatureRanges:
         if self.commodity_price_dependency[0] < -1 or self.commodity_price_dependency[1] > 1:
             raise ParameterError("commodity_price_dependency range must lie inside [-1, 1]")
 
-    def to_json_dict(self) -> dict:
-        return {f.name: list(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "FeatureRanges":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ParameterError(f"unknown range keys: {sorted(unknown)}")
-        return cls(**{k: (float(v[0]), float(v[1])) for k, v in doc.items()})
-
 
 @dataclass(frozen=True)
 class SignalCoefficients:
@@ -93,17 +82,6 @@ class SignalCoefficients:
             if not math.isfinite(getattr(self, f.name)):
                 raise ParameterError(f"coefficient {f.name} must be finite")
 
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SignalCoefficients":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ParameterError(f"unknown coefficient keys: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in doc.items()})
-
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -116,46 +94,15 @@ class GeneratorConfig:
     b0: float = field(init=False, repr=False, compare=False, default=0.0)
 
     def __post_init__(self):
-        if not isinstance(self.n_samples, int) or self.n_samples < 1:
+        if type(self.n_samples) is not int or self.n_samples < 1:
             raise ParameterError(f"n_samples must be a positive integer, got {self.n_samples!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 < self.base_default_rate < 1.0:
             raise ParameterError(f"base_default_rate must lie in (0, 1), got {self.base_default_rate!r}")
         if not (math.isfinite(self.signal_strength) and self.signal_strength >= 0):
             raise ParameterError(f"signal_strength must be >= 0, got {self.signal_strength!r}")
         object.__setattr__(self, "b0", _calibrate_intercept(self))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "base_default_rate": self.base_default_rate,
-            "signal_strength": self.signal_strength,
-            "ranges": self.ranges.to_json_dict(),
-            "coefficients": self.coefficients.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "GeneratorConfig":
-        known = {"n_samples", "seed", "base_default_rate", "signal_strength", "ranges", "coefficients"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ParameterError(f"unknown generator config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        if "n_samples" in doc:
-            kwargs["n_samples"] = int(doc["n_samples"])
-        if "seed" in doc:
-            kwargs["seed"] = int(doc["seed"])
-        if "base_default_rate" in doc:
-            kwargs["base_default_rate"] = float(doc["base_default_rate"])
-        if "signal_strength" in doc:
-            kwargs["signal_strength"] = float(doc["signal_strength"])
-        if "ranges" in doc:
-            kwargs["ranges"] = FeatureRanges.from_json_dict(doc["ranges"])
-        if "coefficients" in doc:
-            kwargs["coefficients"] = SignalCoefficients.from_json_dict(doc["coefficients"])
-        return cls(**kwargs)
 
 
 ArrayLike = Union[float, np.ndarray]

@@ -25,6 +25,7 @@ from smerisk.cart import (
 from smerisk.errors import ModelFormatError, ParameterError
 from smerisk.logit import to_labels
 from smerisk.seeding import substream
+from smerisk.serialize import from_json_dict, to_json_dict
 
 
 def grow(X, y, **params):
@@ -341,15 +342,15 @@ def test_tree_params_validation():
 def test_tree_params_reject_non_integers(kwargs):
     with pytest.raises(ParameterError):
         TreeParams(**kwargs)
-    doc = dict(TreeParams().to_json_dict(), **kwargs)
+    doc = dict(to_json_dict(TreeParams()), **kwargs)
     with pytest.raises(ParameterError):
-        TreeParams.from_json_dict(doc)
+        from_json_dict(TreeParams, doc)
 
 
 def test_tree_params_json_round_trip():
     params = TreeParams(max_depth=5, min_samples_split=4, features_per_split=2)
-    assert TreeParams.from_json_dict(params.to_json_dict()) == params
-    assert TreeParams.from_json_dict(TreeParams().to_json_dict()) == TreeParams()
+    assert from_json_dict(TreeParams, to_json_dict(params)) == params
+    assert from_json_dict(TreeParams, to_json_dict(TreeParams())) == TreeParams()
 
 
 # serialization

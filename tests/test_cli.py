@@ -11,7 +11,7 @@ from smerisk.dataset import ALL_COLUMNS, Dataset, load_csv, write_csv
 from smerisk.experiment import ExperimentConfig
 from smerisk.forest import ForestParams, forest_to_json_document, train_forest
 from smerisk.logit import LogitHyperparams, logistic_to_json_document, train_logistic
-from smerisk.serialize import dumps_deterministic
+from smerisk.serialize import dumps_deterministic, to_json_dict
 from smerisk.synthgen import GeneratorConfig, generate
 
 
@@ -173,6 +173,66 @@ def test_compare_config_rejects_mistyped_forest_params(forest_params, small_conf
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
+def _generator(doc):
+    return doc["data_source"]["generator"]
+
+
+# name -> (in-place edit of the config document, JSON path the error must name)
+CONFIG_MUTATIONS = {
+    "forest_params_array": (lambda doc: doc.update(forest_params=[1]), "forest_params"),
+    "short_range": (
+        lambda doc: _generator(doc)["ranges"].update(revenue_growth=[0.1]),
+        "data_source.generator.ranges.revenue_growth",
+    ),
+    "fractional_split_seed": (lambda doc: doc.update(split_seed=2.5), "split_seed"),
+    "string_test_fraction": (lambda doc: doc.update(test_fraction="0.3"), "test_fraction"),
+    "boolean_generator_seed": (lambda doc: _generator(doc).update(seed=True), "data_source.generator.seed"),
+    "fractional_n_samples": (lambda doc: _generator(doc).update(n_samples=200.7), "data_source.generator.n_samples"),
+    "string_coefficient": (
+        lambda doc: _generator(doc)["coefficients"].update(covenant_breach="4"),
+        "data_source.generator.coefficients.covenant_breach",
+    ),
+    "boolean_max_iterations": (
+        lambda doc: doc["logit_hyper"].update(max_iterations=True),
+        "logit_hyper.max_iterations",
+    ),
+    "string_learning_rate": (lambda doc: doc["logit_hyper"].update(learning_rate="0.1"), "logit_hyper.learning_rate"),
+    "typo_forest_key": (lambda doc: doc["forest_params"].update(n_treez=5), "forest_params.n_treez"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(CONFIG_MUTATIONS))
+def test_compare_config_rejects_malformed_value(mutation, small_config_file, tmp_path, capsys):
+    mutate, json_path = CONFIG_MUTATIONS[mutation]
+    doc = json.loads(small_config_file.read_text())
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run_cli(capsys, "compare", "--config", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert json_path in stderr
+
+
+@pytest.mark.parametrize(
+    "section, partial, defaults",
+    [
+        ("forest_params", {"n_trees": 5}, ForestParams(n_trees=5)),
+        ("logit_hyper", {"learning_rate": 0.2}, LogitHyperparams(learning_rate=0.2)),
+    ],
+)
+def test_compare_config_partial_section_takes_defaults(section, partial, defaults, small_config_file, tmp_path, capsys):
+    doc = json.loads(small_config_file.read_text())
+    doc[section] = partial
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    code, _, stderr = run_cli(capsys, "compare", "--config", str(path), "--json", str(report))
+    assert code == 0, stderr
+    assert json.loads(report.read_text())["config_echo"][section] == to_json_dict(defaults)
+
+
 def test_compare_unknown_config_key(tmp_path, capsys):
     path = tmp_path / "weird.json"
     path.write_text('{"depth": 3}\n')
@@ -332,6 +392,10 @@ MODEL_MUTATIONS = {
     "three_feature_names": ("forest", lambda doc: doc.update(feature_names=doc["feature_names"][:3])),
     "n_trees_mismatch": ("forest", lambda doc: doc["trees"].pop()),
     "nan_mean": ("logistic", lambda doc: doc["standardization"]["means"].__setitem__(0, float("nan"))),
+    "string_bias": ("logistic", lambda doc: doc.update(bias="0.5")),
+    "boolean_weight": ("logistic", lambda doc: doc["weights"].__setitem__(0, True)),
+    "fractional_iterations": ("logistic", lambda doc: doc["training_meta"].update(iterations=12.7)),
+    "string_mean": ("logistic", lambda doc: doc["standardization"]["means"].__setitem__(0, "0.5")),
 }
 
 

@@ -24,6 +24,7 @@ from smerisk.errors import (
     RowParseError,
     SchemaError,
 )
+from smerisk.serialize import from_json_dict, to_json_dict
 
 BASE_ROW = dict(
     revenue_growth=0.05,
@@ -321,7 +322,7 @@ def test_standardization_params_round_trip():
         sds=(1.0, 2.0, 1.0, 0.0, 3.0),
         constant_flags=(False, False, False, True, False),
     )
-    back = StandardizationParams.from_json_dict(params.to_json_dict())
+    back = from_json_dict(StandardizationParams, to_json_dict(params))
     assert back == params
 
 

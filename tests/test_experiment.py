@@ -1,10 +1,13 @@
 """Comparison pipeline tests: config plumbing, the shared-split guarantee,
 report round trips, text rendering, and model save/load dispatch."""
 
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smerisk.dataset import Dataset, split_train_test, write_csv
 from smerisk.errors import (
@@ -71,6 +74,8 @@ def test_config_validation():
         ExperimentConfig(generator=GeneratorConfig(), test_fraction=1.0)
     with pytest.raises(ParameterError):
         ExperimentConfig(generator=GeneratorConfig(), split_seed=-2)
+    with pytest.raises(ParameterError):
+        ExperimentConfig(generator=GeneratorConfig(), split_seed=True)
 
 
 def test_default_config():
@@ -103,6 +108,71 @@ def test_config_json_rejects_unknown_keys():
         )
     with pytest.raises(ParameterError):
         ExperimentConfig.from_json_dict({"data_source": {"bogus": 1}})
+
+
+# The README config, with signal_strength 0 so that building its generator
+# needs no intercept calibration (about 0.2 s each), and the generator's
+# ranges and coefficients written out so they are fuzzed too. The same
+# config with a csv_path source fuzzes the other sections at no
+# calibration cost.
+FUZZ_BASE = {
+    "data_source": {"generator": {
+        "n_samples": 1000, "seed": 42, "base_default_rate": 0.2, "signal_strength": 0.0,
+        "ranges": {"revenue_growth": [-0.2, 0.2], "debt_equity_ratio": [0.2, 3.0]},
+        "coefficients": {"debt_equity_ratio": 1.2, "covenant_breach": 4.0},
+    }},
+    "test_fraction": 0.3,
+    "split_seed": 42,
+    "logit_hyper": {"learning_rate": 0.1, "l2_lambda": 0.001, "max_iterations": 5000, "tolerance": 1e-08},
+    "forest_params": {"n_trees": 100, "bootstrap": True, "seed": 42,
+                      "tree_params": {"max_depth": None, "min_samples_split": 2, "features_per_split": None}},
+}
+
+
+def _key_paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _key_paths(child, prefix + (key,))
+
+
+FUZZ_BASES = [FUZZ_BASE, dict(FUZZ_BASE, data_source={"csv_path": "book.csv"})]
+FUZZ_PATHS = [(base, path) for base in range(len(FUZZ_BASES)) for path in _key_paths(FUZZ_BASES[base])]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=12), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_config_parsing_fuzz(data):
+    """Replace, drop or add one value anywhere in a valid config: parsing
+    returns a config or raises ParameterError, nothing else."""
+    base, path = data.draw(st.sampled_from(FUZZ_PATHS))
+    doc = copy.deepcopy(FUZZ_BASES[base])
+    action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    value = data.draw(JSON_VALUES)
+    parent, last, node = None, None, doc
+    for key in path:
+        parent, last, node = node, key, node[key]
+    if action == "add" and isinstance(node, dict):
+        node[data.draw(st.text(max_size=12))] = value
+    elif action == "add" and isinstance(node, list):
+        node.append(value)
+    elif action == "drop" and parent is not None:
+        del parent[last]
+    elif parent is not None:
+        parent[last] = value
+    else:
+        doc = value
+    try:
+        config = ExperimentConfig.from_json_dict(doc)
+    except ParameterError:
+        return
+    assert ExperimentConfig.from_json_dict(config.to_json_dict()) == config
 
 
 # pipeline

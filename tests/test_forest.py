@@ -9,6 +9,7 @@ import pytest
 from smerisk.cart import Leaf, TreeParams, grow_tree_arrays, predict_proba, tree_from_json_dict
 from smerisk.dataset import FEATURE_COLUMNS, Dataset
 from smerisk.errors import DegenerateLabelsError, ModelFormatError, ParameterError
+from smerisk.serialize import from_json_dict, to_json_dict
 from smerisk.forest import (
     ForestModel,
     ForestParams,
@@ -72,16 +73,16 @@ def test_forest_params_validation():
 def test_forest_params_reject_wrong_types(field, value):
     with pytest.raises(ParameterError):
         ForestParams(**{field: value})
-    doc = dict(ForestParams().to_json_dict(), **{field: value})
+    doc = dict(to_json_dict(ForestParams()), **{field: value})
     with pytest.raises(ParameterError):
-        ForestParams.from_json_dict(doc)
+        from_json_dict(ForestParams, doc)
 
 
 def test_forest_params_json_round_trip():
     params = ForestParams(
         n_trees=7, tree_params=TreeParams(max_depth=3), bootstrap=False, seed=9
     )
-    assert ForestParams.from_json_dict(params.to_json_dict()) == params
+    assert from_json_dict(ForestParams, to_json_dict(params)) == params
 
 
 # bootstrap
@@ -312,6 +313,17 @@ def test_forest_json_importances_recomputed_exactly(small_forest):
     back = forest_from_json_document(doc)
     assert np.array_equal(back.per_tree_importances, small_forest.per_tree_importances)
     assert forest_to_json_document(back) == doc
+
+
+def test_forest_json_absent_params_take_defaults(small_forest, strong_split):
+    _, test = strong_split
+    doc = forest_to_json_document(small_forest)
+    doc["params"] = {"n_trees": 15, "seed": 5}  # bootstrap and tree_params left out
+    back = forest_from_json_document(doc)
+    assert back.params == small_forest.params
+    assert np.array_equal(predict_forest_dataset(back, test), predict_forest_dataset(small_forest, test))
+    with pytest.raises(ModelFormatError, match="params.n_treez"):
+        forest_from_json_document(dict(doc, params={"n_trees": 15, "n_treez": 15}))
 
 
 def test_forest_json_rejects_bad_documents(small_forest):

@@ -20,6 +20,7 @@ from smerisk.logit import (
     to_labels,
     train_logistic,
 )
+from smerisk.serialize import from_json_dict, to_json_dict
 
 
 def cluster_dataset(n_per_class=20, gap=0.08, seed=1):
@@ -185,13 +186,15 @@ def test_hyperparams_validation():
     with pytest.raises(ParameterError):
         LogitHyperparams(max_iterations=-1)
     with pytest.raises(ParameterError):
+        LogitHyperparams(max_iterations=True)
+    with pytest.raises(ParameterError):
         LogitHyperparams(tolerance=0.0)
     assert LogitHyperparams(max_iterations=0).max_iterations == 0
 
 
 def test_hyperparams_json_round_trip():
     h = LogitHyperparams(learning_rate=0.2, l2_lambda=0.01, max_iterations=100, tolerance=1e-6)
-    assert LogitHyperparams.from_json_dict(h.to_json_dict()) == h
+    assert from_json_dict(LogitHyperparams, to_json_dict(h)) == h
 
 
 # prediction

@@ -16,6 +16,7 @@ from smerisk.metrics import (
     score_predictions,
     two_decimals,
 )
+from smerisk.serialize import from_json_dict, to_json_dict
 
 
 def test_confusion_matrix_from_arrays():
@@ -123,7 +124,7 @@ def test_swapping_classes_swaps_nothing_for_accuracy():
 
 def test_report_json_round_trip():
     m = compute_metrics(ConfusionMatrix(tp=0, fp=0, tn=8, fn=2))
-    back = MetricsReport.from_json_dict(m.to_json_dict())
+    back = from_json_dict(MetricsReport, to_json_dict(m))
     assert back == m
 
 

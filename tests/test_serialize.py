@@ -1,16 +1,19 @@
 """JSON document plumbing tests: deterministic rendering, file parsing
-errors, and the model envelope check."""
+errors, the model envelope check, and the dataclass codec."""
 
 import math
+from dataclasses import dataclass, field
 
 import pytest
 
-from smerisk.errors import ModelFormatError, ParseError
+from smerisk.errors import ModelFormatError, ParameterError, ParseError
 from smerisk.serialize import (
     MODEL_FORMAT_VERSION,
     check_model_envelope,
     dumps_deterministic,
+    from_json_dict,
     parse_json_file,
+    to_json_dict,
     write_json_file,
 )
 
@@ -70,3 +73,112 @@ def test_envelope_check():
         check_model_envelope({"model_type": "logistic"})
     with pytest.raises(ModelFormatError):
         check_model_envelope({"format_version": 1, "model_type": "logistic"}, expected_type="random_forest")
+
+
+# dataclass codec
+
+
+@dataclass(frozen=True)
+class Inner:
+    n: int = 1
+    x: float = 0.5
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ParameterError(f"n must be >= 0, got {self.n}")
+
+
+@dataclass(frozen=True)
+class Outer:
+    flag: bool = True
+    name: str = "a"
+    limit: int | None = None
+    pair: tuple[float, float] = (0.0, 1.0)
+    values: tuple[float, ...] = ()
+    inner: Inner = field(default_factory=Inner)
+    derived: float = field(init=False, default=0.0)
+
+
+def test_codec_round_trip():
+    obj = Outer(flag=False, name="b", limit=3, pair=(-1.5, 2.0), values=(0.25, 0.5, 1.0), inner=Inner(n=4, x=0.1))
+    doc = to_json_dict(obj)
+    assert doc == {
+        "flag": False,
+        "name": "b",
+        "limit": 3,
+        "pair": [-1.5, 2.0],
+        "values": [0.25, 0.5, 1.0],
+        "inner": {"n": 4, "x": 0.1},
+    }
+    assert from_json_dict(Outer, doc) == obj
+    assert from_json_dict(Outer, to_json_dict(Outer())) == Outer()
+
+
+def test_codec_absent_keys_take_defaults():
+    assert from_json_dict(Outer, {}) == Outer()
+    assert from_json_dict(Outer, {"inner": {"x": 0.75}}) == Outer(inner=Inner(x=0.75))
+
+
+def test_codec_integer_becomes_float():
+    x = from_json_dict(Inner, {"x": 2}).x
+    assert type(x) is float and x == 2.0
+    assert from_json_dict(Outer, {"pair": [0, 1]}).pair == (0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "doc, json_path",
+    [
+        ({"inner": {"n": True}}, "inner.n"),
+        ({"inner": {"n": 2.0}}, "inner.n"),
+        ({"inner": {"n": "2"}}, "inner.n"),
+        ({"inner": {"x": True}}, "inner.x"),
+        ({"inner": {"x": "0.5"}}, "inner.x"),
+        ({"inner": {"x": None}}, "inner.x"),
+        ({"inner": {"x": 10**400}}, "inner.x"),
+        ({"inner": {"x": math.inf}}, "inner.x"),
+        ({"flag": 1}, "flag"),
+        ({"flag": "true"}, "flag"),
+        ({"name": 3}, "name"),
+        ({"limit": 2.5}, "limit"),
+        ({"limit": False}, "limit"),
+        ({"pair": [0.0]}, "pair"),
+        ({"pair": [0.0, 1.0, 2.0]}, "pair"),
+        ({"pair": [0.0, "1"]}, "pair[1]"),
+        ({"pair": {"low": 0.0}}, "pair"),
+        ({"values": [1.0, None]}, "values[1]"),
+        ({"values": 1.0}, "values"),
+        ({"inner": [1]}, "inner"),
+        ({"inner": {"m": 1}}, "inner.m"),
+        ({"derived": 1.0}, "derived"),
+        ({"inner": {"n": -1}}, "inner"),
+    ],
+)
+def test_codec_rejects_with_json_path(doc, json_path):
+    with pytest.raises(ParameterError) as info:
+        from_json_dict(Outer, doc)
+    message = str(info.value)
+    assert json_path in message
+    assert "\n" not in message
+
+
+def test_codec_requires_fields_without_defaults():
+    @dataclass(frozen=True)
+    class Pair:
+        low: float
+        high: float = 1.0
+
+    assert from_json_dict(Pair, {"low": 0}) == Pair(low=0.0)
+    with pytest.raises(ParameterError, match="missing key range.low"):
+        from_json_dict(Pair, {"high": 2.0}, "range")
+
+
+def test_codec_rejects_non_object():
+    for doc in ([1], "x", None, 3):
+        with pytest.raises(ParameterError):
+            from_json_dict(Inner, doc)
+
+
+def test_codec_given_fields_are_not_read():
+    assert from_json_dict(Outer, {"flag": False}, name="b") == Outer(flag=False, name="b")
+    with pytest.raises(ParameterError, match="unknown key name"):
+        from_json_dict(Outer, {"name": "c"}, name="b")

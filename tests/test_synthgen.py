@@ -11,6 +11,7 @@ from smerisk.dataset import split_train_test
 from smerisk.errors import ParameterError
 from smerisk.logit import predict_proba_dataset, train_logistic
 from smerisk.seeding import substream
+from smerisk.serialize import from_json_dict, to_json_dict
 from smerisk.synthgen import (
     FeatureRanges,
     GeneratorConfig,
@@ -51,6 +52,8 @@ def test_default_config_values():
         {"base_default_rate": 1.0},
         {"base_default_rate": -0.2},
         {"signal_strength": -0.5},
+        {"n_samples": True},
+        {"seed": True},
     ],
 )
 def test_config_validation(kwargs):
@@ -76,17 +79,17 @@ def test_config_json_round_trip():
         ranges=FeatureRanges(revenue_growth=(-0.1, 0.1)),
         coefficients=SignalCoefficients(debt_equity_ratio=2.0),
     )
-    back = GeneratorConfig.from_json_dict(cfg.to_json_dict())
+    back = from_json_dict(GeneratorConfig, to_json_dict(cfg))
     assert back == cfg
     assert back.b0 == cfg.b0
 
 
 def test_config_json_defaults_and_unknown_keys():
-    assert GeneratorConfig.from_json_dict({}) == GeneratorConfig()
+    assert from_json_dict(GeneratorConfig, {}) == GeneratorConfig()
     with pytest.raises(ParameterError):
-        GeneratorConfig.from_json_dict({"n_samples": 10, "typo_key": 1})
+        from_json_dict(GeneratorConfig, {"n_samples": 10, "typo_key": 1})
     with pytest.raises(ParameterError):
-        GeneratorConfig.from_json_dict({"ranges": {"revenue_growth": [0.0, 0.1], "bogus": [0, 1]}})
+        from_json_dict(GeneratorConfig, {"ranges": {"revenue_growth": [0.0, 0.1], "bogus": [0, 1]}})
 
 
 # generation invariants
