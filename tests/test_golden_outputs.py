@@ -43,6 +43,11 @@ COMMANDS = (
     ("score_forest.out", ("score", "--model", "forest.json", "--data", "book.csv", "--out", "scores_forest.csv")),
     ("score_logistic.out", ("score", "--model", "logit.json", "--data", "book.csv", "--out", "scores_logit.csv")),
     ("importance.out", ("importance", "--model", "forest.json")),
+    # zero signal grows the deepest trees: 21,548 nodes, depth 27
+    ("generate_zero.out", ("generate", "--n", "600", "--seed", "5", "--signal", "0.0", "--out", "zero.csv")),
+    ("train_zero.out", ("train", "--model", "forest", "--data", "zero.csv", "--out", "zero_forest.json")),
+    ("score_zero.out", ("score", "--model", "zero_forest.json", "--data", "book.csv", "--out", "scores_zero.csv")),
+    ("importance_zero.out", ("importance", "--model", "zero_forest.json")),
 )
 
 GOLDEN_SHA256 = {
@@ -52,16 +57,23 @@ GOLDEN_SHA256 = {
     "forest.json": "8f78a620374de874f28259bdb0f5d76af321727d40f255cad27d07ed076f3537",
     "generate_book.out": "848e30f5398bee6203b80a011c353c53aaf25b9619dfcdfbd3f470922271e0ca",
     "generate_train.out": "420e521396554261fe371d80d609395e6683abee2928edf9eab29bb1eadddafd",
+    "generate_zero.out": "0cb9436bbc9a306e1b16e17c1e861d4dbaa3a232da6cd0274e658e0bc24b5c84",
     "importance.out": "dd034246b97ee0c9d3bda9a70fdaa2d6f8b2766b06a559a60fc43244f0c49cd1",
+    "importance_zero.out": "e1b45c101f33d6405d9d8d5422701ee6d8e1093593002c20a587aebb1110a610",
     "logit.json": "ae77a53030301a5cd0e1ba36c5a7670bf910a564cc2a8191561fc264e54df306",
     "report.json": "b1f230fa510c2a464213841364252657d408fc02ddf52551c8bb974199163f3a",
     "score_forest.out": "5390b0100e551be88b3bf783720a6ed8d7edb30dbf7918cacb7603005ffe8198",
     "score_logistic.out": "f5b406705665af60248189f288524cfe2bcebdcec2dd5e4760ea3dd6ee68fda9",
+    "score_zero.out": "d19ba78f16dd8e89a0aacde1651e794f88586063bcccb4e3333962ee235dc0f6",
     "scores_forest.csv": "58173415e830f17d3c09558304cb2be8d34e99f0e5edcbf716e53a064323d2cb",
     "scores_logit.csv": "ee839c9cdc210c8b9ffe4647cc51e270b0e58e6c429c65c4d8c28dd9f3b061d7",
+    "scores_zero.csv": "39682fc8e9bc52579e89200ae68e368d27ca149e6e5ac2135cd90b7c6b70c2d6",
     "train.csv": "a24c7683e9fbb66334044cc59d2ba00a59068d48b060f9021979ba4a7a7f9f59",
     "train_forest.out": "52cb9e6544a88986f03c3da317d347fa6ef80dcba9db8b2f8ea4c68094cac606",
     "train_logistic.out": "2747670e62bd070c6abca3d811c1d30a0995b943f24f12f1e6749844b206ced4",
+    "train_zero.out": "f59639f193e2592e4606d24b7e86c5da8717e9a58fd21308aa14e93f1fc6a087",
+    "zero.csv": "a14a20e61b0659c068d0572683d3d71beb9edce3b6a98ec2a664306e1846650d",
+    "zero_forest.json": "ffbfb14e68a9ccc88c96afe07a97bc13e0d8970642221cf24d47bb322babbc67",
 }
 
 
