@@ -18,9 +18,12 @@ candidate keeps the comparison order exact for any node that fits in
 int64 arithmetic (n below about two million rows), and the final
 strict-improvement test against the parent is done in unbounded integers.
 
-``Leaf`` nodes hold the label tallies of their training rows;
-``predict_proba`` routes a whole feature matrix at once to leaf class-1
-fractions. Every walk over a tree uses an explicit stack, never recursion.
+A tree is immutable and built one way: growth and the JSON reader list
+its nodes in pre-order (scikit-learn's ``Tree`` order), a ``Leaf`` or a
+(feature, threshold) pair each, and ``_assemble`` builds it bottom-up.
+``preorder`` is the one walk of a finished tree; the JSON writer and
+``tree_importances`` fold over it in reverse. ``predict_proba`` routes a
+whole feature matrix at once to leaf class-1 fractions. No walk recurses.
 """
 
 from __future__ import annotations
@@ -59,15 +62,14 @@ class Leaf:
             raise ParameterError("a leaf must hold at least one row")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Internal:
-    """Split node. Children are filled in during growth and are never None
-    on a finished tree."""
+    """Split node: rows with x[feature] <= threshold go to ``left``."""
 
     feature: int
     threshold: float
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    left: "TreeNode"
+    right: "TreeNode"
 
 
 TreeNode = Union[Leaf, Internal]
@@ -158,13 +160,6 @@ def best_split(
     return feature, threshold, 1.0 - S_best / n
 
 
-def _place(parent, key, value):
-    if isinstance(parent, (list, dict)):
-        parent[key] = value
-    else:
-        setattr(parent, key, value)
-
-
 def grow_tree_arrays(
     X: np.ndarray,
     y: np.ndarray,
@@ -190,33 +185,64 @@ def grow_tree_arrays(
         raise ParameterError("labels may contain only 0 and 1")
     k = params.resolve_features_per_split(d)
 
-    root_holder: list = [None]
+    nodes: list = []  # pre-order: a Leaf, or a (feature, threshold) split
     # LIFO with right pushed before left gives pre-order growth, so the
     # feature sampler is consumed in the same order a recursive
     # implementation would use, without recursion depth limits
-    stack: list[tuple[np.ndarray, int, object, object]] = [(np.arange(n), 0, root_holder, 0)]
+    stack: list[tuple[np.ndarray, int]] = [(np.arange(n), 0)]
     while stack:
-        idx, depth, parent, key = stack.pop()
+        idx, depth = stack.pop()
         sub_y = y[idx]
         n_node = len(idx)
         c1 = int(sub_y.sum())
         c0 = n_node - c1
         at_depth_limit = params.max_depth is not None and depth >= params.max_depth
         if c0 == 0 or c1 == 0 or n_node < params.min_samples_split or at_depth_limit:
-            _place(parent, key, Leaf(c0, c1))
+            nodes.append(Leaf(c0, c1))
             continue
         features = np.sort(rng.choice(d, size=k, replace=False)) if k < d else np.arange(d)
         found = best_split(X[idx], sub_y, features)
         if found is None:
-            _place(parent, key, Leaf(c0, c1))
+            nodes.append(Leaf(c0, c1))
             continue
         feature, threshold, _ = found
-        node = Internal(feature=feature, threshold=threshold)
-        _place(parent, key, node)
+        nodes.append((feature, threshold))
         goes_left = X[idx, feature] <= threshold
-        stack.append((idx[~goes_left], depth + 1, node, "right"))
-        stack.append((idx[goes_left], depth + 1, node, "left"))
-    return root_holder[0]
+        stack.append((idx[~goes_left], depth + 1))
+        stack.append((idx[goes_left], depth + 1))
+    return _assemble(nodes)
+
+
+def _fold_up(nodes: Sequence, leaf, split):
+    """The root's result of ``leaf(node)`` at leaves and ``split(node,
+    left_result, right_result)`` at splits, over a pre-order node list
+    walked in reverse, so that a split's children are done before it."""
+    done: list = []
+    for node in reversed(nodes):
+        if isinstance(node, Leaf):
+            done.append(leaf(node))
+        else:
+            left = done.pop()
+            done.append(split(node, left, done.pop()))
+    return done[0]
+
+
+def _assemble(nodes: Sequence) -> TreeNode:
+    """The tree whose pre-order is ``nodes``, splits as (feature, threshold)."""
+    return _fold_up(nodes, lambda leaf: leaf, lambda pair, left, right: Internal(*pair, left, right))
+
+
+def preorder(tree: TreeNode) -> list[TreeNode]:
+    """Every node of ``tree`` in (node, left subtree, right subtree) order."""
+    nodes = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if isinstance(node, Internal):
+            stack.append(node.right)
+            stack.append(node.left)
+    return nodes
 
 
 def predict_proba(tree: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -238,46 +264,60 @@ def predict_proba(tree: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def tree_to_json_dict(root: TreeNode) -> dict:
-    holder: list = [None]
-    stack = [(root, holder, 0)]
-    while stack:
-        node, parent, key = stack.pop()
-        if isinstance(node, Leaf):
-            _place(parent, key, {"count_0": node.count_0, "count_1": node.count_1})
-        elif isinstance(node, Internal):
-            doc = {"feature": node.feature, "threshold": node.threshold, "left": None, "right": None}
-            _place(parent, key, doc)
-            stack.append((node.right, doc, "right"))
-            stack.append((node.left, doc, "left"))
-        else:
-            raise ParameterError(f"not a tree node: {node!r}")
-    return holder[0]
+def tree_importances(tree: TreeNode) -> np.ndarray:
+    """Total weighted impurity decrease per feature, from node counts alone,
+    added in reverse pre-order so retraining and reloading give equal floats."""
+    nodes = preorder(tree)
+    root_total = sum(node.count_0 + node.count_1 for node in nodes if isinstance(node, Leaf))
+    acc = np.zeros(len(FEATURE_COLUMNS))
+
+    def split(node, left, right):
+        (l0, l1), (r0, r1) = left, right
+        c0, c1 = l0 + r0, l1 + r1
+        n_node, n_left, n_right = c0 + c1, l0 + l1, r0 + r1
+        child_impurity = (n_left * gini_impurity(l0, l1) + n_right * gini_impurity(r0, r1)) / n_node
+        decrease = (n_node / root_total) * (gini_impurity(c0, c1) - child_impurity)
+        # accepted splits decrease impurity exactly; the clamp only guards
+        # float rounding of near-tie splits at extreme node sizes
+        acc[node.feature] += max(0.0, decrease)
+        return c0, c1
+
+    _fold_up(nodes, lambda leaf: (leaf.count_0, leaf.count_1), split)
+    return acc
+
+
+def tree_to_json_dict(tree: TreeNode) -> dict:
+    return _fold_up(
+        preorder(tree),
+        lambda leaf: {"count_0": leaf.count_0, "count_1": leaf.count_1},
+        lambda node, left, right: {"feature": node.feature, "threshold": node.threshold, "left": left, "right": right},
+    )
 
 
 def tree_from_json_dict(doc: dict) -> TreeNode:
-    holder: list = [None]
-    stack = [(doc, holder, 0)]
+    """Validate a tree document top-down into its pre-order node list."""
+    nodes: list = []
+    stack = [doc]
     while stack:
-        d, parent, key = stack.pop()
+        d = stack.pop()
         if not isinstance(d, dict):
             raise ModelFormatError(f"tree node must be an object, got {type(d).__name__}")
         keys = set(d)
         if keys == {"count_0", "count_1"}:
             counts = (d["count_0"], d["count_1"])
-            if any(type(c) is not int for c in counts):
-                raise ModelFormatError(f"leaf counts {list(counts)!r} are not JSON integers")
-            _place(parent, key, Leaf(*counts))
+            # larger counts would not convert to floats exactly, or at all
+            if any(type(c) is not int or c > 2**53 for c in counts):
+                raise ModelFormatError(f"leaf counts {list(counts)!r} are not JSON integers of at most 2**53")
+            nodes.append(Leaf(*counts))
         elif keys == {"feature", "threshold", "left", "right"}:
             feature, threshold = d["feature"], d["threshold"]
             if type(feature) is not int or not 0 <= feature < len(FEATURE_COLUMNS):
                 raise ModelFormatError(f"tree feature {feature!r} is not an index in [0, {len(FEATURE_COLUMNS)})")
             if type(threshold) not in (int, float) or not math.isfinite(threshold):
                 raise ModelFormatError(f"tree threshold {threshold!r} is not a finite JSON number")
-            node = Internal(feature=feature, threshold=float(threshold))
-            _place(parent, key, node)
-            stack.append((d["right"], node, "right"))
-            stack.append((d["left"], node, "left"))
+            nodes.append((feature, float(threshold)))
+            stack.append(d["right"])
+            stack.append(d["left"])
         else:
             raise ModelFormatError(f"unrecognized tree node fields: {sorted(keys)}")
-    return holder[0]
+    return _assemble(nodes)

@@ -41,6 +41,11 @@ def _cmd_generate(args) -> None:
     print(f"wrote {len(data)} records to {args.out}")
 
 
+def _given(**flags) -> dict:
+    """The flags that were set; the others keep their dataclass defaults."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _cmd_compare(args) -> None:
     if args.config is not None:
         if args.test_fraction is not None or args.seed is not None or args.trees is not None:
@@ -54,9 +59,8 @@ def _cmd_compare(args) -> None:
     else:
         config = ExperimentConfig(
             csv_path=args.data,
-            test_fraction=0.3 if args.test_fraction is None else args.test_fraction,
-            split_seed=42 if args.seed is None else args.seed,
-            forest_params=ForestParams(n_trees=100 if args.trees is None else args.trees),
+            forest_params=ForestParams(**_given(n_trees=args.trees)),
+            **_given(test_fraction=args.test_fraction, split_seed=args.seed),
         )
     report = run_comparison(config)
     sys.stdout.write(render_report(report, "text"))
@@ -86,8 +90,7 @@ def _cmd_score(args) -> None:
     with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["Predicted_Prob", "Predicted_Label"])
-        for p, lab in zip(probs, to_labels(probs)):
-            writer.writerow([repr(float(p)), int(lab)])
+        writer.writerows(zip(map(repr, probs.tolist()), to_labels(probs).tolist()))
     print(f"scored {len(data)} records to {args.out}")
 
 
@@ -122,9 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="experiment config JSON file")
     source.add_argument("--data", help="labeled CSV to compare on")
-    p.add_argument("--test-fraction", type=float, default=None, help="held-out fraction (default 0.3)")
-    p.add_argument("--seed", type=int, default=None, help="split seed (default 42)")
-    p.add_argument("--trees", type=int, default=None, help="forest size (default 100)")
+    p.add_argument("--test-fraction", type=float, help=f"held-out fraction (default {ExperimentConfig.test_fraction})")
+    p.add_argument("--seed", type=int, help=f"split seed (default {ExperimentConfig.split_seed})")
+    p.add_argument("--trees", type=int, help=f"forest size (default {ForestParams.n_trees})")
     p.add_argument("--json", default=None, help="also write the full-precision JSON report here")
     p.set_defaults(func=_cmd_compare)
 

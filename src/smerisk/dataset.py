@@ -28,6 +28,7 @@ from .errors import (
     DataError,
     EmptyInputError,
     ParameterError,
+    ParseError,
     RowParseError,
     SchemaError,
 )
@@ -180,6 +181,8 @@ def load_csv(path: str | Path) -> Dataset:
             rows = [row for row in csv.reader(fh)]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    except (csv.Error, UnicodeDecodeError) as exc:  # e.g. a cell over the csv field size limit
+        raise ParseError(f"{path} is not a readable UTF-8 CSV: {exc}") from None
     if not rows:
         raise EmptyInputError(f"{path} is empty")
     header = tuple(rows[0])
@@ -216,28 +219,24 @@ def _describe_header_mismatch(header: tuple[str, ...]) -> str:
     return f"unexpected extra column {header[len(expected)]!r}"
 
 
-def _render_number(value: float) -> str:
-    # repr() emits the shortest digit string that round-trips exactly.
-    return repr(float(value))
-
-
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a Dataset to a canonical CSV file.
 
-    Numbers are rendered with full round-trip precision, so
-    ``load_csv(write_csv(d))`` reproduces ``d`` exactly.
+    Columns are rendered whole: features by ``repr``, the shortest digits
+    that round-trip, so ``load_csv(write_csv(d))`` reproduces ``d``
+    exactly; the sector and the label as integers.
     """
     dataset._require_nonempty()
     header = ALL_COLUMNS if dataset.labeled else FEATURE_COLUMNS
+    k = len(CONTINUOUS_FEATURES)
+    columns = [[repr(v) for v in column] for column in dataset.X[:, :k].T.tolist()]
+    columns.append([str(int(v)) for v in dataset.X[:, k].tolist()])
+    if dataset.labeled:
+        columns.append([str(v) for v in dataset.y.tolist()])
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for *continuous, sector, label in dataset.records:
-            cells = [_render_number(v) for v in continuous]
-            cells.append(str(int(sector)))
-            if dataset.labeled:
-                cells.append(str(label))
-            writer.writerow(cells)
+        writer.writerows(zip(*columns))
 
 
 def split_train_test(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import serialize
 from .dataset import Dataset, load_csv, split_train_test
-from .errors import DataError, DegenerateLabelsError, ParameterError
+from .errors import DataError, DegenerateLabelsError, ModelFormatError, ParameterError
 from .forest import (
     ForestModel,
     ForestParams,
@@ -37,7 +37,7 @@ from .logit import (
     train_logistic,
 )
 from .metrics import MetricsReport, score_predictions, two_decimals
-from .serialize import check_model_envelope, dumps_deterministic, parse_json_file, write_json_file
+from .serialize import dumps_deterministic, parse_json_file, write_json_file
 from .synthgen import GeneratorConfig, generate
 
 DECISION_THRESHOLD = 0.5
@@ -206,21 +206,43 @@ def render_report(report: ComparisonReport, format: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
+MODEL_FORMAT_VERSION = 1
+
+# model_type -> (model class, body writer, body reader)
+_MODEL_CODECS = {
+    "logistic": (LogisticModel, logistic_to_json_document, logistic_from_json_document),
+    "random_forest": (ForestModel, forest_to_json_document, forest_from_json_document),
+}
+
+
+def model_to_json_document(model: Union[LogisticModel, ForestModel]) -> dict:
+    """A model's versioned JSON document: the format envelope, then its body."""
+    for model_type, (cls, write_body, _) in _MODEL_CODECS.items():
+        if isinstance(model, cls):
+            return {"format_version": MODEL_FORMAT_VERSION, "model_type": model_type, **write_body(model)}
+    raise ParameterError(f"cannot serialize {type(model).__name__}")
+
+
+def model_from_json_document(doc: dict) -> Union[LogisticModel, ForestModel]:
+    """Read a model document by its model_type; raises ModelFormatError."""
+    version, model_type = doc.get("format_version"), doc.get("model_type")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise ModelFormatError(
+            f"unsupported format_version {version!r}; this build reads version {MODEL_FORMAT_VERSION}"
+        )
+    if not (isinstance(model_type, str) and model_type in _MODEL_CODECS):  # an array or object is unhashable
+        raise ModelFormatError(f"unknown model_type {model_type!r}")
+    try:
+        return _MODEL_CODECS[model_type][2](doc)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ModelFormatError(f"malformed {model_type} document: {exc!r}") from None
+
+
 def save_model(model: Union[LogisticModel, ForestModel], path: str | Path) -> None:
     """Write a model as a versioned JSON document."""
-    if isinstance(model, LogisticModel):
-        doc = logistic_to_json_document(model)
-    elif isinstance(model, ForestModel):
-        doc = forest_to_json_document(model)
-    else:
-        raise ParameterError(f"cannot serialize {type(model).__name__}")
-    write_json_file(doc, path)
+    write_json_file(model_to_json_document(model), path)
 
 
 def load_model(path: str | Path) -> Union[LogisticModel, ForestModel]:
-    """Read back a model written by save_model; dispatches on model_type."""
-    doc = parse_json_file(path)
-    model_type = check_model_envelope(doc)
-    if model_type == "logistic":
-        return logistic_from_json_document(doc)
-    return forest_from_json_document(doc)
+    """Read back a model written by save_model."""
+    return model_from_json_document(parse_json_file(path))

@@ -9,8 +9,9 @@ more trees never changes the trees already trained.
 
 ``predict_forest_dataset`` is the one prediction path: a soft vote (the
 mean of the trees' leaf class-1 fractions) in fixed blocks of rows, with
-labels left to ``logit.to_labels``. Importances are derived from node
-counts when a model is built, so a reloaded model has them bit for bit.
+labels left to ``logit.to_labels``. Importances are computed from node
+counts when asked for, so a reloaded model gives them bit for bit and a
+model loaded only to score never computes them.
 """
 
 from __future__ import annotations
@@ -20,20 +21,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cart import (
-    Internal,
-    Leaf,
     TreeNode,
     TreeParams,
-    gini_impurity,
     grow_tree_arrays,
     predict_proba,
     tree_from_json_dict,
+    tree_importances,
     tree_to_json_dict,
 )
 from .dataset import Dataset, FEATURE_COLUMNS
-from .errors import DegenerateLabelsError, ModelFormatError, ParameterError
+from .errors import DegenerateLabelsError, ParameterError
 from .seeding import substream
-from .serialize import MODEL_FORMAT_VERSION, check_model_envelope, from_json_dict, to_json_dict
+from .serialize import from_json_dict, to_json_dict
 
 
 @dataclass(frozen=True)
@@ -52,15 +51,12 @@ class ForestParams:
             raise ParameterError(f"bootstrap must be true or false, got {self.bootstrap!r}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ForestModel:
-    """Trained ensemble. ``per_tree_importances`` is derived from the
-    trees: one row per tree, the total size-weighted impurity decrease
-    credited to each feature by that tree's splits."""
+    """Trained ensemble: one tree per ``params.n_trees``."""
 
     trees: tuple[TreeNode, ...]
     params: ForestParams
-    per_tree_importances: np.ndarray = field(init=False)
     feature_names = FEATURE_COLUMNS
 
     def __post_init__(self):
@@ -68,7 +64,6 @@ class ForestModel:
             raise ParameterError(
                 f"model holds {len(self.trees)} trees but params say {self.params.n_trees}"
             )
-        self.per_tree_importances = np.stack([_tree_importances(tree) for tree in self.trees])
 
 
 def bootstrap_indices(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -76,41 +71,6 @@ def bootstrap_indices(n: int, rng: np.random.Generator) -> np.ndarray:
     if n < 1:
         raise ParameterError(f"bootstrap needs at least one row, got n={n}")
     return rng.integers(0, n, size=n)
-
-
-def _tree_importances(tree: TreeNode) -> np.ndarray:
-    """Total weighted impurity decrease per feature, from node counts alone.
-
-    The decreases are added in a fixed order, the reverse of a (node, left,
-    right) pre-order, so retraining and reloading give identical floats.
-    """
-    preorder = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        preorder.append(node)
-        if isinstance(node, Internal):
-            stack.append(node.right)
-            stack.append(node.left)
-    root_total = sum(node.count_0 + node.count_1 for node in preorder if isinstance(node, Leaf))
-
-    acc = np.zeros(len(FEATURE_COLUMNS))
-    counts: list[tuple[int, int]] = []  # finished subtrees; the left child's on top
-    for node in reversed(preorder):
-        if isinstance(node, Leaf):
-            counts.append((node.count_0, node.count_1))
-            continue
-        l0, l1 = counts.pop()
-        r0, r1 = counts.pop()
-        c0, c1 = l0 + r0, l1 + r1
-        n_node, n_left, n_right = c0 + c1, l0 + l1, r0 + r1
-        child_impurity = (n_left * gini_impurity(l0, l1) + n_right * gini_impurity(r0, r1)) / n_node
-        decrease = (n_node / root_total) * (gini_impurity(c0, c1) - child_impurity)
-        # accepted splits decrease impurity exactly; the clamp only guards
-        # float rounding of near-tie splits at extreme node sizes
-        acc[node.feature] += max(0.0, decrease)
-        counts.append((c0, c1))
-    return acc
 
 
 def train_single_tree(X: np.ndarray, y: np.ndarray, params: ForestParams, tree_index: int) -> TreeNode:
@@ -158,7 +118,7 @@ def feature_importances(model: ForestModel) -> tuple[np.ndarray, bool]:
     The flag is set (and the vector is all zeros) only when every tree is a
     bare leaf, so no split ever reduced impurity.
     """
-    raw = model.per_tree_importances.mean(axis=0)
+    raw = np.stack([tree_importances(tree) for tree in model.trees]).mean(axis=0)
     total = float(raw.sum())
     if total == 0.0:
         return np.zeros(len(model.feature_names)), True
@@ -168,8 +128,6 @@ def feature_importances(model: ForestModel) -> tuple[np.ndarray, bool]:
 def forest_to_json_document(model: ForestModel) -> dict:
     values, _ = feature_importances(model)
     return {
-        "format_version": MODEL_FORMAT_VERSION,
-        "model_type": "random_forest",
         "params": to_json_dict(model.params),
         "feature_names": list(model.feature_names),
         "trees": [tree_to_json_dict(tree) for tree in model.trees],
@@ -178,11 +136,7 @@ def forest_to_json_document(model: ForestModel) -> dict:
 
 
 def forest_from_json_document(doc: dict) -> ForestModel:
-    check_model_envelope(doc, expected_type="random_forest")
-    try:
-        params = from_json_dict(ForestParams, doc["params"], "params")
-        if doc["feature_names"] != list(FEATURE_COLUMNS):
-            raise ValueError(f"feature_names {doc['feature_names']!r} differ from {list(FEATURE_COLUMNS)}")
-        return ForestModel(tuple(tree_from_json_dict(t) for t in doc["trees"]), params)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"malformed random_forest document: {exc!r}") from None
+    params = from_json_dict(ForestParams, doc["params"], "params")
+    if doc["feature_names"] != list(FEATURE_COLUMNS):
+        raise ValueError(f"feature_names {doc['feature_names']!r} differ from {list(FEATURE_COLUMNS)}")
+    return ForestModel(tuple(tree_from_json_dict(t) for t in doc["trees"]), params)

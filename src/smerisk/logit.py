@@ -24,8 +24,8 @@ from .dataset import (
     apply_standardizer,
     fit_standardizer,
 )
-from .errors import DegenerateLabelsError, ModelFormatError, ParameterError
-from .serialize import MODEL_FORMAT_VERSION, check_model_envelope, from_json_value, to_json_dict
+from .errors import DegenerateLabelsError, ParameterError
+from .serialize import from_json_value, to_json_dict
 
 _PROB_CLAMP = 1e-12
 _MAX_HALVINGS = 60
@@ -181,8 +181,6 @@ def to_labels(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
 
 def logistic_to_json_document(model: LogisticModel) -> dict:
     return {
-        "format_version": MODEL_FORMAT_VERSION,
-        "model_type": "logistic",
         "weights": [float(w) for w in model.weights],
         "bias": model.bias,
         "standardization": to_json_dict(model.standardization),
@@ -194,17 +192,13 @@ def logistic_to_json_document(model: LogisticModel) -> dict:
 
 
 def logistic_from_json_document(doc: dict) -> LogisticModel:
-    check_model_envelope(doc, expected_type="logistic")
-    try:
-        meta = doc["training_meta"]
-        return LogisticModel(
-            weights=np.array(from_json_value(tuple[float, ...], doc["weights"], "weights")),
-            bias=from_json_value(float, doc["bias"], "bias"),
-            standardization=from_json_value(StandardizationParams, doc["standardization"], "standardization"),
-            training_meta={
-                "iterations": from_json_value(int, meta["iterations"], "training_meta.iterations"),
-                "final_loss": from_json_value(float, meta["final_loss"], "training_meta.final_loss"),
-            },
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"malformed logistic document: {exc!r}") from None
+    meta = doc["training_meta"]
+    return LogisticModel(
+        weights=np.array(from_json_value(tuple[float, ...], doc["weights"], "weights")),
+        bias=from_json_value(float, doc["bias"], "bias"),
+        standardization=from_json_value(StandardizationParams, doc["standardization"], "standardization"),
+        training_meta={
+            "iterations": from_json_value(int, meta["iterations"], "training_meta.iterations"),
+            "final_loss": from_json_value(float, meta["final_loss"], "training_meta.final_loss"),
+        },
+    )

@@ -22,9 +22,7 @@ import typing
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
-from .errors import ModelFormatError, ParameterError, ParseError
-
-MODEL_FORMAT_VERSION = 1
+from .errors import ParameterError, ParseError
 
 
 def dumps_deterministic(doc) -> str:
@@ -55,21 +53,6 @@ def parse_json_file(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise ParseError(f"{path} must hold a JSON object, got {type(doc).__name__}")
     return doc
-
-
-def check_model_envelope(doc: dict, expected_type: str | None = None) -> str:
-    """Validate format_version and model_type; returns the model_type."""
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported format_version {version!r}; this build reads version {MODEL_FORMAT_VERSION}"
-        )
-    model_type = doc.get("model_type")
-    if expected_type is not None and model_type != expected_type:
-        raise ModelFormatError(f"expected a {expected_type!r} model, found {model_type!r}")
-    if expected_type is None and model_type not in ("logistic", "random_forest"):
-        raise ModelFormatError(f"unknown model_type {model_type!r}")
-    return model_type
 
 
 def to_json_dict(obj) -> dict:

@@ -35,6 +35,10 @@ from .errors import ParameterError
 from .logit import sigmoid
 from .seeding import substream
 
+# Largest book a config may ask for, checked before anything is drawn: 10x
+# the largest size benchmarked, and 48 MB of float64 features.
+MAX_SAMPLES = 10**6
+
 _PROBE_SEED = 0x5CA1AB1E
 _PROBE_SIZE = 100_000
 _B0_BRACKET = 40.0
@@ -94,8 +98,8 @@ class GeneratorConfig:
     b0: float = field(init=False, repr=False, compare=False, default=0.0)
 
     def __post_init__(self):
-        if type(self.n_samples) is not int or self.n_samples < 1:
-            raise ParameterError(f"n_samples must be a positive integer, got {self.n_samples!r}")
+        if type(self.n_samples) is not int or not 1 <= self.n_samples <= MAX_SAMPLES:
+            raise ParameterError(f"n_samples must be an integer in [1, {MAX_SAMPLES}], got {self.n_samples!r}")
         if type(self.seed) is not int or self.seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 < self.base_default_rate < 1.0:

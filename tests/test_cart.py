@@ -392,6 +392,7 @@ def test_tree_json_shapes():
         {"count_0": 1, "count_1": True},
         {"count_0": 2.0, "count_1": 1},
         {"count_0": "1", "count_1": 1},
+        {"count_0": 2**53 + 1, "count_1": 1},
         {"feature": 0, "threshold": "0.5", "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
         {"feature": 0, "threshold": True, "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
         {"feature": 0, "threshold": None, "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},

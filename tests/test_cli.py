@@ -8,11 +8,11 @@ import pytest
 
 from smerisk.cli import main
 from smerisk.dataset import ALL_COLUMNS, Dataset, load_csv, write_csv
-from smerisk.experiment import ExperimentConfig
-from smerisk.forest import ForestParams, forest_to_json_document, train_forest
-from smerisk.logit import LogitHyperparams, logistic_to_json_document, train_logistic
+from smerisk.experiment import ExperimentConfig, model_to_json_document
+from smerisk.forest import ForestParams, train_forest
+from smerisk.logit import LogitHyperparams, train_logistic
 from smerisk.serialize import dumps_deterministic, to_json_dict
-from smerisk.synthgen import GeneratorConfig, generate
+from smerisk.synthgen import MAX_SAMPLES, GeneratorConfig, generate
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +70,17 @@ def test_generate_rejects_bad_params(tmp_path, capsys):
     assert stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("n", [MAX_SAMPLES + 1, 10**20])
+def test_generate_rejects_n_above_cap(n, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, stdout, stderr = run_cli(capsys, "generate", "--n", str(n), "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert "n_samples" in stderr
+    assert not out.exists()
+
+
 # compare
 
 
@@ -97,6 +108,17 @@ def test_compare_json_report_round_trips(small_csv, tmp_path, capsys):
         "config_echo",
     }
     assert doc["dataset_summary"]["n_records"] == 120
+
+
+def test_compare_data_takes_config_defaults(small_csv, tmp_path, capsys, monkeypatch):
+    # unset --data flags mean the same run as a config naming only the CSV
+    monkeypatch.chdir(small_csv.parent)
+    (tmp_path / "only_csv.json").write_text(json.dumps({"data_source": {"csv_path": small_csv.name}}))
+    from_flags = run_cli(capsys, "compare", "--data", small_csv.name, "--json", "a.json")
+    from_config = run_cli(capsys, "compare", "--config", str(tmp_path / "only_csv.json"), "--json", "b.json")
+    assert from_flags[0] == from_config[0] == 0
+    assert from_flags[1] == from_config[1]
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_compare_config_file_runs(small_config_file, capsys):
@@ -198,6 +220,9 @@ CONFIG_MUTATIONS = {
     ),
     "string_learning_rate": (lambda doc: doc["logit_hyper"].update(learning_rate="0.1"), "logit_hyper.learning_rate"),
     "typo_forest_key": (lambda doc: doc["forest_params"].update(n_treez=5), "forest_params.n_treez"),
+    # never allocated: the cap is checked before the generator draws anything
+    "n_samples_over_cap": (lambda doc: _generator(doc).update(n_samples=MAX_SAMPLES + 1), "data_source.generator"),
+    "huge_n_samples": (lambda doc: _generator(doc).update(n_samples=10**20), "data_source.generator"),
 }
 
 
@@ -359,8 +384,8 @@ def test_importance_rejects_logistic(small_csv, tmp_path, capsys):
 def model_documents():
     data = generate(GeneratorConfig(n_samples=120, seed=4, signal_strength=2.0))
     return {
-        "forest": forest_to_json_document(train_forest(data, ForestParams(n_trees=3, seed=1))),
-        "logistic": logistic_to_json_document(train_logistic(data)),
+        "forest": model_to_json_document(train_forest(data, ForestParams(n_trees=3, seed=1))),
+        "logistic": model_to_json_document(train_logistic(data)),
     }
 
 
@@ -385,6 +410,7 @@ MODEL_MUTATIONS = {
     "huge_integer_threshold": ("forest", lambda doc: _first_split(doc).update(threshold=10**400)),
     "fractional_leaf_count": ("forest", lambda doc: _first_leaf(doc).update(count_0=2.7)),
     "boolean_leaf_count": ("forest", lambda doc: _first_leaf(doc).update(count_1=True)),
+    "huge_integer_leaf_count": ("forest", lambda doc: _first_leaf(doc).update(count_0=10**400)),
     "string_bootstrap": ("forest", lambda doc: doc["params"].update(bootstrap="false")),
     "fractional_max_depth": ("forest", lambda doc: doc["params"]["tree_params"].update(max_depth=2.9)),
     "huge_integer_weight": ("logistic", lambda doc: doc["weights"].__setitem__(0, 10**400)),

@@ -1,10 +1,13 @@
 """Dataset layer tests: construction-time validation, CSV round trips and
 error taxonomy, the train/test split contract, and standardization."""
 
+import csv
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smerisk.dataset import (
     ALL_COLUMNS,
@@ -21,6 +24,7 @@ from smerisk.errors import (
     DataError,
     EmptyInputError,
     ParameterError,
+    ParseError,
     RowParseError,
     SchemaError,
 )
@@ -232,6 +236,60 @@ def test_load_csv_out_of_range_value(tmp_path):
             load_csv(path)
         assert err.value.row_index == bad_row
         assert f"row {bad_row}:" in str(err.value)
+
+
+def test_load_csv_unreadable_text(tmp_path):
+    # the csv module refuses a field over 128 KiB with its own exception
+    path = tmp_path / "wide.csv"
+    path.write_text(",".join(ALL_COLUMNS) + "\n" + "9" * 200_000 + ",0.3,1.0,0.1,0.8,1,0\n")
+    with pytest.raises(ParseError):
+        load_csv(path)
+    path.write_bytes(",".join(ALL_COLUMNS).encode() + b"\n0.1,\xff,1.0,0.1,0.8,1,0\n")
+    with pytest.raises(ParseError):
+        load_csv(path)
+
+
+CELL_TEXTS = (
+    st.sampled_from(["", "nan", "inf", "-inf", "1e400", "-0.0", "1_0", " 1", "0x1", "2", "0.5", "-1", "1.0"])
+    | st.sampled_from(ALL_COLUMNS) | st.text(max_size=8) | st.floats().map(repr) | st.integers().map(str)
+)
+
+
+@pytest.fixture(scope="module")
+def csv_fuzz_base(tmp_path_factory, strong_data):
+    """The text rows of a saved 8-row labeled CSV, header first, and a
+    directory for the mutated files."""
+    workdir = tmp_path_factory.mktemp("csv_fuzz")
+    write_csv(strong_data.subset(range(8)), workdir / "base.csv")
+    with (workdir / "base.csv").open(newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh)), workdir
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_load_csv_fuzz(csv_fuzz_base, data):
+    """Replace one cell, header included, or drop or add one cell in a row:
+    loading returns a Dataset or raises DataError, nothing else, and a
+    Dataset that loads writes and loads back to the same records."""
+    base, workdir = csv_fuzz_base
+    rows = [list(row) for row in base]
+    row = rows[data.draw(st.integers(0, len(rows) - 1))]
+    action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    if action == "drop":
+        del row[data.draw(st.integers(0, len(row) - 1))]
+    elif action == "add":
+        row.insert(data.draw(st.integers(0, len(row))), data.draw(CELL_TEXTS))
+    else:
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(CELL_TEXTS)
+    path = workdir / "mutated.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    try:
+        dataset = load_csv(path)
+    except DataError:
+        return
+    write_csv(dataset, path)
+    assert load_csv(path).records == dataset.records
 
 
 def test_write_csv_empty_dataset(tmp_path):

@@ -1,14 +1,15 @@
 """Comparison pipeline tests: config plumbing, the shared-split guarantee,
 report round trips, text rendering, and model save/load dispatch."""
 
-import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzing import key_paths, mutate_one_value
 from smerisk.dataset import Dataset, split_train_test, write_csv
 from smerisk.errors import (
     DataError,
@@ -22,12 +23,14 @@ from smerisk.experiment import (
     ExperimentConfig,
     default_experiment_config,
     load_model,
+    model_from_json_document,
+    model_to_json_document,
     render_report,
     run_comparison,
     save_model,
 )
 from smerisk.forest import ForestModel, ForestParams, predict_forest_dataset, train_forest, feature_importances
-from smerisk.logit import LogitHyperparams, predict_proba_dataset, train_logistic
+from smerisk.logit import LogisticModel, LogitHyperparams, predict_proba_dataset, train_logistic
 from smerisk.metrics import MetricsReport, score_predictions
 from smerisk.synthgen import GeneratorConfig, generate
 
@@ -129,21 +132,8 @@ FUZZ_BASE = {
 }
 
 
-def _key_paths(node, prefix=()):
-    yield prefix
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in items:
-        yield from _key_paths(child, prefix + (key,))
-
-
 FUZZ_BASES = [FUZZ_BASE, dict(FUZZ_BASE, data_source={"csv_path": "book.csv"})]
-FUZZ_PATHS = [(base, path) for base in range(len(FUZZ_BASES)) for path in _key_paths(FUZZ_BASES[base])]
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.just(10**400)
-    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
-    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=12), children, max_size=3),
-    max_leaves=6,
-)
+FUZZ_PATHS = [(base, path) for base in range(len(FUZZ_BASES)) for path in key_paths(FUZZ_BASES[base])]
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -152,22 +142,7 @@ def test_config_parsing_fuzz(data):
     """Replace, drop or add one value anywhere in a valid config: parsing
     returns a config or raises ParameterError, nothing else."""
     base, path = data.draw(st.sampled_from(FUZZ_PATHS))
-    doc = copy.deepcopy(FUZZ_BASES[base])
-    action = data.draw(st.sampled_from(["replace", "drop", "add"]))
-    value = data.draw(JSON_VALUES)
-    parent, last, node = None, None, doc
-    for key in path:
-        parent, last, node = node, key, node[key]
-    if action == "add" and isinstance(node, dict):
-        node[data.draw(st.text(max_size=12))] = value
-    elif action == "add" and isinstance(node, list):
-        node.append(value)
-    elif action == "drop" and parent is not None:
-        del parent[last]
-    elif parent is not None:
-        parent[last] = value
-    else:
-        doc = value
+    doc = mutate_one_value(data, FUZZ_BASES[base], path)
     try:
         config = ExperimentConfig.from_json_dict(doc)
     except ParameterError:
@@ -205,8 +180,6 @@ def test_comparison_json_round_trip_and_determinism():
     rendered = render_report(report, format="json")
     again = render_report(run_comparison(SMALL_CONFIG), format="json")
     assert rendered == again  # byte-identical rerun
-    import json
-
     back = ComparisonReport.from_json_dict(json.loads(rendered))
     assert back == report
 
@@ -339,6 +312,24 @@ def test_load_model_rejects_tampered_version(tmp_path, strong_split):
         load_model(path)
 
 
+def test_model_envelope_check(model_fuzz_bases):
+    docs = model_fuzz_bases[0]
+    assert isinstance(model_from_json_document(docs["logistic"]), LogisticModel)
+    assert isinstance(model_from_json_document(docs["forest"]), ForestModel)
+    bad_envelopes = [
+        {"format_version": "999", "model_type": "logistic"},
+        {"format_version": 2, "model_type": "logistic"},
+        {"format_version": 1, "model_type": "gradient_boosting"},
+        {"model_type": "logistic"},
+    ]
+    # equal to 1 in Python, but not the JSON integer 1
+    bad_envelopes += [{"format_version": version, "model_type": "logistic"} for version in (True, 1.0, "1")]
+    for envelope in bad_envelopes:
+        doc = {k: v for k, v in docs["logistic"].items() if k not in ("format_version", "model_type")}
+        with pytest.raises(ModelFormatError, match="format_version|model_type"):
+            model_from_json_document(dict(doc, **envelope))
+
+
 def test_load_model_rejects_corrupt_file(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -347,3 +338,35 @@ def test_load_model_rejects_corrupt_file(tmp_path):
     path.write_text("[1, 2, 3]\n")
     with pytest.raises(ParseError):
         load_model(path)
+
+
+@pytest.fixture(scope="module")
+def model_fuzz_bases(tmp_path_factory):
+    """The saved documents of a 3-tree forest and a logistic model, every
+    key path into each, and a directory for the mutated files."""
+    data = generate(GeneratorConfig(n_samples=60, seed=4, signal_strength=2.0))
+    docs = {
+        "forest": model_to_json_document(train_forest(data, ForestParams(n_trees=3, seed=1))),
+        "logistic": model_to_json_document(train_logistic(data, LogitHyperparams(max_iterations=50))),
+    }
+    paths = {kind: list(key_paths(doc)) for kind, doc in docs.items()}
+    return docs, paths, tmp_path_factory.mktemp("model_fuzz")
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_load_model_fuzz(model_fuzz_bases, data):
+    """Replace, drop or add one value anywhere in a saved model file, tree
+    nodes included: loading returns a model or raises DataError, nothing
+    else, and a model that loads saves and loads again."""
+    docs, paths, workdir = model_fuzz_bases
+    kind = data.draw(st.sampled_from(sorted(docs)))
+    doc = mutate_one_value(data, docs[kind], data.draw(st.sampled_from(paths[kind])))
+    path = workdir / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        model = load_model(path)
+    except DataError:
+        return
+    save_model(model, path)
+    assert type(load_model(path)) is type(model)

@@ -6,16 +6,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from smerisk.cart import Leaf, TreeParams, grow_tree_arrays, predict_proba, tree_from_json_dict
+from smerisk.cart import Leaf, TreeParams, grow_tree_arrays, predict_proba, tree_from_json_dict, tree_importances
 from smerisk.dataset import FEATURE_COLUMNS, Dataset
 from smerisk.errors import DegenerateLabelsError, ModelFormatError, ParameterError
+from smerisk.experiment import model_from_json_document, model_to_json_document
 from smerisk.serialize import from_json_dict, to_json_dict
 from smerisk.forest import (
     ForestModel,
     ForestParams,
     bootstrap_indices,
     feature_importances,
-    forest_from_json_document,
     forest_to_json_document,
     predict_forest_dataset,
     train_forest,
@@ -30,6 +30,10 @@ from smerisk.synthgen import GeneratorConfig, SignalCoefficients, generate
 def small_forest(strong_split):
     train, _ = strong_split
     return train_forest(train, ForestParams(n_trees=15, seed=5))
+
+
+def per_tree_importances(model):
+    return np.stack([tree_importances(tree) for tree in model.trees])
 
 
 def leaf_only_model(leaves, n_trees):
@@ -114,8 +118,8 @@ def test_bootstrap_unique_fraction():
 def test_train_forest_shape(small_forest):
     assert len(small_forest.trees) == 15
     assert small_forest.feature_names == FEATURE_COLUMNS
-    assert small_forest.per_tree_importances.shape == (15, 6)
-    assert np.all(small_forest.per_tree_importances >= 0.0)
+    assert per_tree_importances(small_forest).shape == (15, 6)
+    assert np.all(per_tree_importances(small_forest) >= 0.0)
 
 
 def test_forest_beats_coin_flip(small_forest, strong_split):
@@ -301,44 +305,44 @@ def test_single_signal_feature_ranks_first():
 
 def test_forest_json_round_trip(small_forest, strong_split):
     _, test = strong_split
-    doc = forest_to_json_document(small_forest)
+    doc = model_to_json_document(small_forest)
     assert doc["model_type"] == "random_forest"
     assert doc["feature_names"] == list(FEATURE_COLUMNS)
-    back = forest_from_json_document(doc)
+    back = model_from_json_document(doc)
     assert np.array_equal(predict_forest_dataset(small_forest, test), predict_forest_dataset(back, test))
 
 
 def test_forest_json_importances_recomputed_exactly(small_forest):
-    doc = forest_to_json_document(small_forest)
-    back = forest_from_json_document(doc)
-    assert np.array_equal(back.per_tree_importances, small_forest.per_tree_importances)
-    assert forest_to_json_document(back) == doc
+    doc = model_to_json_document(small_forest)
+    back = model_from_json_document(doc)
+    assert np.array_equal(per_tree_importances(back), per_tree_importances(small_forest))
+    assert model_to_json_document(back) == doc
 
 
 def test_forest_json_absent_params_take_defaults(small_forest, strong_split):
     _, test = strong_split
-    doc = forest_to_json_document(small_forest)
+    doc = model_to_json_document(small_forest)
     doc["params"] = {"n_trees": 15, "seed": 5}  # bootstrap and tree_params left out
-    back = forest_from_json_document(doc)
+    back = model_from_json_document(doc)
     assert back.params == small_forest.params
     assert np.array_equal(predict_forest_dataset(back, test), predict_forest_dataset(small_forest, test))
     with pytest.raises(ModelFormatError, match="params.n_treez"):
-        forest_from_json_document(dict(doc, params={"n_trees": 15, "n_treez": 15}))
+        model_from_json_document(dict(doc, params={"n_trees": 15, "n_treez": 15}))
 
 
 def test_forest_json_rejects_bad_documents(small_forest):
-    doc = forest_to_json_document(small_forest)
+    doc = model_to_json_document(small_forest)
     with pytest.raises(ModelFormatError):
-        forest_from_json_document(dict(doc, format_version="999"))
+        model_from_json_document(dict(doc, format_version="999"))
     with pytest.raises(ModelFormatError):
-        forest_from_json_document(dict(doc, model_type="logistic"))
+        model_from_json_document(dict(doc, model_type="logistic"))
     broken = dict(doc)
     del broken["trees"]
     with pytest.raises(ModelFormatError):
-        forest_from_json_document(broken)
+        model_from_json_document(broken)
     with pytest.raises(ModelFormatError):
-        forest_from_json_document(dict(doc, trees=[{"count_0": 1}] * 15))
+        model_from_json_document(dict(doc, trees=[{"count_0": 1}] * 15))
     with pytest.raises(ModelFormatError):
-        forest_from_json_document(dict(doc, feature_names=list(FEATURE_COLUMNS[:3])))
+        model_from_json_document(dict(doc, feature_names=list(FEATURE_COLUMNS[:3])))
     with pytest.raises(ModelFormatError):
-        forest_from_json_document(dict(doc, trees=doc["trees"][:-1]))  # params say 15 trees
+        model_from_json_document(dict(doc, trees=doc["trees"][:-1]))  # params say 15 trees

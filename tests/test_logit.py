@@ -9,11 +9,10 @@ import pytest
 
 from smerisk.dataset import Dataset, apply_standardizer
 from smerisk.errors import DegenerateLabelsError, ModelFormatError, ParameterError
+from smerisk.experiment import model_from_json_document, model_to_json_document
 from smerisk.logit import (
     LogisticModel,
     LogitHyperparams,
-    logistic_from_json_document,
-    logistic_to_json_document,
     loss_and_gradient,
     predict_proba_dataset,
     sigmoid,
@@ -259,9 +258,9 @@ def test_threshold_bounds(strong_split, threshold):
 def test_logistic_json_round_trip(strong_split):
     train, test = strong_split
     model = train_logistic(train)
-    doc = logistic_to_json_document(model)
+    doc = model_to_json_document(model)
     assert doc["model_type"] == "logistic"
-    back = logistic_from_json_document(doc)
+    back = model_from_json_document(doc)
     assert np.array_equal(back.weights, model.weights)
     assert back.bias == model.bias
     assert back.standardization == model.standardization
@@ -270,14 +269,14 @@ def test_logistic_json_round_trip(strong_split):
 
 def test_logistic_json_rejects_bad_documents(strong_split):
     train, _ = strong_split
-    doc = logistic_to_json_document(train_logistic(train))
+    doc = model_to_json_document(train_logistic(train))
     stale = dict(doc, format_version="999")
     with pytest.raises(ModelFormatError):
-        logistic_from_json_document(stale)
+        model_from_json_document(stale)
     wrong = dict(doc, model_type="random_forest")
     with pytest.raises(ModelFormatError):
-        logistic_from_json_document(wrong)
+        model_from_json_document(wrong)
     broken = dict(doc)
     del broken["weights"]
     with pytest.raises(ModelFormatError):
-        logistic_from_json_document(broken)
+        model_from_json_document(broken)

@@ -1,15 +1,13 @@
 """JSON document plumbing tests: deterministic rendering, file parsing
-errors, the model envelope check, and the dataclass codec."""
+errors, and the dataclass codec."""
 
 import math
 from dataclasses import dataclass, field
 
 import pytest
 
-from smerisk.errors import ModelFormatError, ParameterError, ParseError
+from smerisk.errors import ParameterError, ParseError
 from smerisk.serialize import (
-    MODEL_FORMAT_VERSION,
-    check_model_envelope,
     dumps_deterministic,
     from_json_dict,
     parse_json_file,
@@ -37,7 +35,7 @@ def test_dumps_rejects_nan():
 
 
 def test_write_parse_round_trip(tmp_path):
-    doc = {"format_version": MODEL_FORMAT_VERSION, "model_type": "logistic", "x": [1.5, 2.5]}
+    doc = {"format_version": 1, "model_type": "logistic", "x": [1.5, 2.5]}
     path = tmp_path / "doc.json"
     write_json_file(doc, path)
     assert parse_json_file(path) == doc
@@ -57,22 +55,6 @@ def test_parse_errors(tmp_path):
     scalar.write_text("42")
     with pytest.raises(ParseError):
         parse_json_file(scalar)
-
-
-def test_envelope_check():
-    good = {"format_version": 1, "model_type": "logistic"}
-    assert check_model_envelope(good) == "logistic"
-    assert check_model_envelope({"format_version": 1, "model_type": "random_forest"}) == "random_forest"
-    with pytest.raises(ModelFormatError):
-        check_model_envelope({"format_version": "999", "model_type": "logistic"})
-    with pytest.raises(ModelFormatError):
-        check_model_envelope({"format_version": 2, "model_type": "logistic"})
-    with pytest.raises(ModelFormatError):
-        check_model_envelope({"format_version": 1, "model_type": "gradient_boosting"})
-    with pytest.raises(ModelFormatError):
-        check_model_envelope({"model_type": "logistic"})
-    with pytest.raises(ModelFormatError):
-        check_model_envelope({"format_version": 1, "model_type": "logistic"}, expected_type="random_forest")
 
 
 # dataclass codec

@@ -13,6 +13,7 @@ from smerisk.logit import predict_proba_dataset, train_logistic
 from smerisk.seeding import substream
 from smerisk.serialize import from_json_dict, to_json_dict
 from smerisk.synthgen import (
+    MAX_SAMPLES,
     FeatureRanges,
     GeneratorConfig,
     SignalCoefficients,
@@ -54,6 +55,8 @@ def test_default_config_values():
         {"signal_strength": -0.5},
         {"n_samples": True},
         {"seed": True},
+        {"n_samples": MAX_SAMPLES + 1},
+        {"n_samples": 10**20},
     ],
 )
 def test_config_validation(kwargs):
