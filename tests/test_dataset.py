@@ -239,7 +239,7 @@ def test_load_csv_out_of_range_value(tmp_path):
 
 
 def test_load_csv_unreadable_text(tmp_path):
-    # the csv module refuses a field over 128 KiB with its own exception
+    # a cell over the csv module's 128 KiB field limit, then a non-UTF-8 byte
     path = tmp_path / "wide.csv"
     path.write_text(",".join(ALL_COLUMNS) + "\n" + "9" * 200_000 + ",0.3,1.0,0.1,0.8,1,0\n")
     with pytest.raises(ParseError):
