@@ -62,9 +62,13 @@ class Leaf:
             raise ParameterError("a leaf must hold at least one row")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Internal:
-    """Split node: rows with x[feature] <= threshold go to ``left``."""
+    """Split node: rows with x[feature] <= threshold go to ``left``.
+
+    Compared and hashed by identity: a generated ``__eq__``/``__hash__``
+    would recurse over the subtree and overflow on deep trees.
+    """
 
     feature: int
     threshold: float

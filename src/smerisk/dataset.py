@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -160,11 +161,10 @@ class Dataset:
             raise ParameterError("operation requires a labeled dataset")
 
 
-def _parse_cell(text: str, column: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"non-numeric value {text!r} in column {column}")
+# A cell is a JSON number, which every write_csv output is: no sign '+',
+# padding, digit separators, bare '.5' or '1.', or non-ASCII digits.
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+_CELL = re.compile(_NUMBER)
 
 
 def load_csv(path: str | Path) -> Dataset:
@@ -192,14 +192,16 @@ def load_csv(path: str | Path) -> Dataset:
     if not body:
         raise EmptyInputError(f"{path} has a header but no data rows")
 
-    table = np.empty((len(body), len(header)))
+    # one match per row; a cell holding a quoted comma adds a field, so the
+    # joined row cannot match
+    row_pattern = re.compile(",".join([_NUMBER] * len(header)))
     for i, row in enumerate(body):
         if len(row) != len(header):
             raise RowParseError(i, f"expected {len(header)} cells, got {len(row)}")
-        try:
-            table[i] = [_parse_cell(cell, col) for cell, col in zip(row, header)]
-        except ValueError as exc:
-            raise RowParseError(i, str(exc)) from None
+        if not row_pattern.fullmatch(",".join(row)):
+            cell, col = next((cell, col) for cell, col in zip(row, header) if not _CELL.fullmatch(cell))
+            raise RowParseError(i, f"non-numeric value {cell!r} in column {col}")
+    table = np.array(body, dtype=float)
     X = table[:, : len(FEATURE_COLUMNS)]
     y = table[:, len(FEATURE_COLUMNS)] if header == ALL_COLUMNS else None
     # checked before Dataset does, so the error is a row-indexed RowParseError

@@ -12,9 +12,10 @@ breach is a conjunction of two thresholds, so no linear model in the six
 raw features can represent it, and it carries most of the gap between
 the best linear model and the generator's own probabilities.
 
-The intercept b0 is calibrated once, when the config is built, by
-bisection on a large fixed-seed probe sample, so the marginal default
-rate stays at base_default_rate no matter how strong the signal is.
+The intercept b0 is calibrated once, when the config is built, by a
+safeguarded Newton iteration on a large fixed-seed probe sample, so the
+marginal default rate stays at base_default_rate no matter how strong the
+signal is.
 
 Randomness: every column draws from its own substream derived from the
 master seed (streams 0-4 for the continuous features in canonical order,
@@ -157,8 +158,14 @@ def _draw_features(config: GeneratorConfig, n: int, master_seed: int):
 def _calibrate_intercept(config: GeneratorConfig) -> float:
     """b0 with mean(sigmoid(b0 + s*g)) = base_default_rate on the probe.
 
-    With signal_strength = 0 the rate is sigmoid(b0) itself, so the exact
-    analytic intercept is used and no probe is drawn.
+    Newton on f(b0) = mean(sigmoid(b0 + s*g)) - r, with f' = mean(p(1 - p))
+    taken from the same sigmoid evaluation, started at the zero-signal
+    intercept. Every evaluation of f narrows the bracket [-40, 40] around
+    the root, and a step that would leave it lands on its midpoint instead.
+    It stops on an exact zero of f or a step of at most 1e-12, the
+    resolution of a bisection on the same bracket. With signal_strength = 0
+    the rate is sigmoid(b0) itself, so the exact analytic intercept is used
+    and no probe is drawn.
     """
     r = config.base_default_rate
     if config.signal_strength == 0:
@@ -166,13 +173,23 @@ def _calibrate_intercept(config: GeneratorConfig) -> float:
     rg, cf, de, pm, cpd, sector = _draw_features(config, _PROBE_SIZE, _PROBE_SEED)
     g = config.signal_strength * _risk_score(config.coefficients, rg, cf, de, pm, cpd, sector)
     lo, hi = -_B0_BRACKET, _B0_BRACKET
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if float(np.mean(sigmoid(mid + g))) < r:
-            lo = mid
+    b0 = min(max(math.log(r / (1.0 - r)), lo), hi)
+    while True:
+        p = sigmoid(b0 + g)
+        residual = float(np.mean(p)) - r
+        if residual == 0.0:
+            return b0
+        if residual < 0.0:
+            lo = b0
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = b0
+        slope = float(np.mean(p * (1.0 - p)))
+        new_b0 = b0 - residual / slope if slope > 0.0 else math.nan
+        if not lo < new_b0 < hi:  # NaN too: the slope underflowed to 0
+            new_b0 = 0.5 * (lo + hi)
+        if abs(new_b0 - b0) <= 1e-12:
+            return new_b0
+        b0 = new_b0
 
 
 def latent_default_probability(X: np.ndarray, config: GeneratorConfig) -> np.ndarray:

@@ -6,8 +6,15 @@ import copy
 
 from hypothesis import strategies as st
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.just(10**400)
+# numbers at the edges of what a loader must bound: past the largest exact
+# float integer, past the float range, negative zero, the largest and the
+# smallest positive float
+BOUNDARY_NUMBERS = st.sampled_from([2**53, 2**53 + 1, 10**400, -1, -0.0, 1e308, 5e-324])
+
+# the boundary numbers are also a top-level branch of their own, so that a
+# replaced scalar (a leaf count, a weight) is often one of them
+JSON_VALUES = BOUNDARY_NUMBERS | st.recursive(
+    st.none() | st.booleans() | st.integers() | BOUNDARY_NUMBERS
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
     lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=12), children, max_size=3),
     max_leaves=6,

@@ -238,6 +238,28 @@ def test_load_csv_out_of_range_value(tmp_path):
         assert f"row {bad_row}:" in str(err.value)
 
 
+@pytest.mark.parametrize("cell", ["1_0", " 0.3 ", "\u0661", "+0.1", ".5", "1."])
+def test_load_csv_rejects_cell_outside_json_number_grammar(tmp_path, cell):
+    # float() reads each of these (1_0 as 10.0, an Arabic-Indic one as 1.0)
+    good = "0.1,0.3,1.0,0.1,0.8,1,0"
+    path = tmp_path / "loose.csv"
+    path.write_text("\n".join([",".join(ALL_COLUMNS), good, good.replace("0.3", cell, 1)]) + "\n", encoding="utf-8")
+    with pytest.raises(RowParseError) as err:
+        load_csv(path)
+    assert err.value.row_index == 1
+    assert f"{cell!r} in column Cash_Flow_Variability" in str(err.value)
+
+
+def test_load_csv_accepts_json_numbers(tmp_path):
+    path = tmp_path / "strict.csv"
+    rows = [",".join(ALL_COLUMNS), "-0.0,1e-05,2E+0,0.10,0.5,1,0", '0,"0.3",1.5e0,-1,-1,0,1']
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert load_csv(path).records == (
+        (-0.0, 1e-05, 2.0, 0.1, 0.5, 1, 0),
+        (0.0, 0.3, 1.5, -1.0, -1.0, 0, 1),
+    )
+
+
 def test_load_csv_unreadable_text(tmp_path):
     # a cell over the csv module's 128 KiB field limit, then a non-UTF-8 byte
     path = tmp_path / "wide.csv"

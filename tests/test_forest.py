@@ -243,7 +243,8 @@ def test_forest_model_validation():
 
 def test_chain_tree_5000_levels_deep():
     # Every walk over a tree is iterative: a chain far deeper than the
-    # interpreter's recursion limit loads, predicts and yields importances.
+    # interpreter's recursion limit loads, predicts and yields importances,
+    # and hashes and compares by identity without walking it.
     # Node i (i = 0 deepest) splits revenue growth (even i) or profit
     # margin (odd i) at i + 0.5; its right child is a leaf with counts
     # (i, 1), its left child the node below.
@@ -251,7 +252,10 @@ def test_chain_tree_5000_levels_deep():
     doc = {"count_0": 1, "count_1": 0}
     for i in range(depth):
         doc = {"feature": (0, 3)[i % 2], "threshold": i + 0.5, "left": doc, "right": {"count_0": i, "count_1": 1}}
-    model = ForestModel((tree_from_json_dict(doc),), ForestParams(n_trees=1, bootstrap=False))
+    tree = tree_from_json_dict(doc)
+    assert hash(tree) == hash(tree) and tree == tree
+    assert tree != tree_from_json_dict(doc)
+    model = ForestModel((tree,), ForestParams(n_trees=1, bootstrap=False))
     X = np.array([[v, 0.0, 0.0, v, 0.0, 0.0] for v in (0.0, 10.0, 1e9)])
     assert predict_forest_dataset(model, Dataset(X)).tolist() == [0.0, 1 / 10, 1 / depth]
     values, degenerate = feature_importances(model)

@@ -60,13 +60,13 @@ GOLDEN_SHA256 = {
     "generate_zero.out": "0cb9436bbc9a306e1b16e17c1e861d4dbaa3a232da6cd0274e658e0bc24b5c84",
     "importance.out": "dd034246b97ee0c9d3bda9a70fdaa2d6f8b2766b06a559a60fc43244f0c49cd1",
     "importance_zero.out": "e1b45c101f33d6405d9d8d5422701ee6d8e1093593002c20a587aebb1110a610",
-    "logit.json": "ae77a53030301a5cd0e1ba36c5a7670bf910a564cc2a8191561fc264e54df306",
+    "logit.json": "dbd2088274c3fed35a7df1ca043d3164253c5abf2fc2c317225a775b559b2b93",
     "report.json": "b1f230fa510c2a464213841364252657d408fc02ddf52551c8bb974199163f3a",
     "score_forest.out": "5390b0100e551be88b3bf783720a6ed8d7edb30dbf7918cacb7603005ffe8198",
     "score_logistic.out": "f5b406705665af60248189f288524cfe2bcebdcec2dd5e4760ea3dd6ee68fda9",
     "score_zero.out": "d19ba78f16dd8e89a0aacde1651e794f88586063bcccb4e3333962ee235dc0f6",
     "scores_forest.csv": "58173415e830f17d3c09558304cb2be8d34e99f0e5edcbf716e53a064323d2cb",
-    "scores_logit.csv": "ee839c9cdc210c8b9ffe4647cc51e270b0e58e6c429c65c4d8c28dd9f3b061d7",
+    "scores_logit.csv": "2601250c897e81c77e1161f263ea69fc74f85b8c8fdd70c75528a733c25695a5",
     "scores_zero.csv": "39682fc8e9bc52579e89200ae68e368d27ca149e6e5ac2135cd90b7c6b70c2d6",
     "train.csv": "a24c7683e9fbb66334044cc59d2ba00a59068d48b060f9021979ba4a7a7f9f59",
     "train_forest.out": "52cb9e6544a88986f03c3da317d347fa6ef80dcba9db8b2f8ea4c68094cac606",

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from smerisk.dataset import Dataset, apply_standardizer
+from smerisk.dataset import Dataset, apply_standardizer, split_train_test
 from smerisk.errors import DegenerateLabelsError, ModelFormatError, ParameterError
 from smerisk.experiment import model_from_json_document, model_to_json_document
 from smerisk.logit import (
@@ -20,6 +20,7 @@ from smerisk.logit import (
     train_logistic,
 )
 from smerisk.serialize import from_json_dict, to_json_dict
+from smerisk.synthgen import GeneratorConfig, generate
 
 
 def cluster_dataset(n_per_class=20, gap=0.08, seed=1):
@@ -167,6 +168,40 @@ def test_leverage_weight_positive_on_generated_data(default_split):
     model = train_logistic(train)
     # Debt to equity is the strongest risk driver in the generator.
     assert model.weights[2] > 0.0
+
+
+@pytest.mark.parametrize("seed", [*range(10), 42])
+def test_fit_is_stationary_in_few_steps(seed):
+    # A certificate that the fit reached the optimum of its own objective:
+    # the gradient recomputed at the returned model vanishes. The step
+    # count guards against a return to slow first-order fitting.
+    train, _ = split_train_test(generate(GeneratorConfig(seed=seed)), 0.3, seed)
+    hyper = LogitHyperparams()
+    model = train_logistic(train, hyper)
+    X = apply_standardizer(model.standardization, train)
+    _, grad = loss_and_gradient(model.weights, model.bias, X, train.labels(), hyper.l2_lambda)
+    assert float(np.abs(grad).max()) <= 1e-8
+    assert model.training_meta["iterations"] <= 20
+
+
+def test_train_singular_hessian_without_penalty(strong_data):
+    # With l2_lambda = 0, a constant feature (standardized to a zero
+    # column) and a constant sector column (a copy of the bias column) make
+    # the Newton system singular; the fit must still reach a stationary
+    # point deterministically.
+    X = strong_data.X.copy()
+    X[:, 0] = 0.0
+    X[:, 5] = 1.0
+    data = Dataset(X, strong_data.labels())
+    hyper = LogitHyperparams(l2_lambda=0.0)
+    model = train_logistic(data, hyper)
+    Z = apply_standardizer(model.standardization, data)
+    assert np.linalg.matrix_rank(np.column_stack([Z, np.ones(len(Z))])) == 5
+    _, grad = loss_and_gradient(model.weights, model.bias, Z, data.labels(), 0.0)
+    assert float(np.abs(grad).max()) <= 1e-8
+    assert model.training_meta["iterations"] <= 20
+    again = train_logistic(data, hyper)
+    assert np.array_equal(again.weights, model.weights) and again.bias == model.bias
 
 
 def test_train_rejects_single_class():

@@ -9,7 +9,8 @@ import pytest
 
 from smerisk.dataset import split_train_test
 from smerisk.errors import ParameterError
-from smerisk.logit import predict_proba_dataset, train_logistic
+from smerisk import synthgen
+from smerisk.logit import predict_proba_dataset, sigmoid, train_logistic
 from smerisk.seeding import substream
 from smerisk.serialize import from_json_dict, to_json_dict
 from smerisk.synthgen import (
@@ -154,6 +155,41 @@ def test_latent_probabilities_beat_best_linear_model():
     bayes_accuracy = float(np.mean((latent >= 0.5) == y))
     logit_accuracy = float(np.mean((predict_proba_dataset(train_logistic(train), test) >= 0.5) == y))
     assert bayes_accuracy - logit_accuracy >= 0.02
+
+
+def _bisection_intercept(cfg):
+    """The reference b0: bisection to width 1e-12 on the calibration probe."""
+    features = synthgen._draw_features(cfg, synthgen._PROBE_SIZE, synthgen._PROBE_SEED)
+    g = cfg.signal_strength * synthgen._risk_score(cfg.coefficients, *features)
+    lo, hi = -synthgen._B0_BRACKET, synthgen._B0_BRACKET
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if float(np.mean(sigmoid(mid + g))) < cfg.base_default_rate:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"base_default_rate": 0.01, "signal_strength": 5.0},
+        {"base_default_rate": 0.99, "signal_strength": 0.1},
+        {"seed": 9, "signal_strength": 1.5},
+    ],
+)
+def test_calibration_matches_bisection_oracle(kwargs):
+    b0_ref = _bisection_intercept(GeneratorConfig(**kwargs))
+    for n in (1000, 100_000):
+        cfg = GeneratorConfig(n_samples=n, **kwargs)
+        assert abs(cfg.b0 - b0_ref) <= 1e-11
+        # the labels the reference intercept would draw, drawn by hand
+        data = generate(cfg)
+        g = cfg.signal_strength * synthgen._risk_score(cfg.coefficients, *data.feature_matrix().T)
+        u = substream(cfg.seed, 6).random(n)
+        assert np.array_equal(data.labels(), (u < sigmoid(b0_ref + g)).astype(np.int64))
 
 
 def test_higher_rate_config_shifts_rate():
