@@ -22,8 +22,12 @@ A tree is immutable and built one way: growth and the JSON reader list
 its nodes in pre-order (scikit-learn's ``Tree`` order), a ``Leaf`` or a
 (feature, threshold) pair each, and ``_assemble`` builds it bottom-up.
 ``preorder`` is the one walk of a finished tree; the JSON writer and
-``tree_importances`` fold over it in reverse. ``predict_proba`` routes a
-whole feature matrix at once to leaf class-1 fractions. No walk recurses.
+``tree_importances`` fold over it in reverse, and ``flatten`` concatenates
+trees into one pre-order node table (scikit-learn's ``Tree`` arrays).
+Prediction is one level-synchronous walk over that table:
+``leaf_values`` advances every (row, tree) pair one depth level per step,
+dropping pairs as they reach a leaf, and ``predict_proba`` is its one-tree
+case. No walk recurses.
 """
 
 from __future__ import annotations
@@ -249,23 +253,88 @@ def preorder(tree: TreeNode) -> list[TreeNode]:
     return nodes
 
 
+@dataclass(frozen=True, eq=False)
+class FlatTrees:
+    """Trees concatenated into one pre-order node table.
+
+    Node i splits on ``feature[i]`` at ``threshold[i]``; its left child is
+    i + 1 (pre-order) and its right child ``right[i]``. A leaf has feature
+    -1 and ``value`` its class-1 fraction. ``roots[t]`` is tree t's root.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+
+
+def flatten(trees: Sequence[TreeNode]) -> FlatTrees:
+    """The node table of ``trees``, in order."""
+    feature, threshold, right, value, roots = [], [], [], [], []
+    for tree in trees:
+        nodes = preorder(tree)
+        roots.append(len(feature))
+        position = {id(node): len(feature) + i for i, node in enumerate(nodes)}
+        for node in nodes:
+            if isinstance(node, Leaf):
+                feature.append(-1)
+                threshold.append(0.0)
+                right.append(-1)
+                value.append(node.count_1 / (node.count_0 + node.count_1))
+            elif node.feature < 0:
+                raise ParameterError(f"a split feature must be a column index, got {node.feature!r}")
+            else:
+                feature.append(node.feature)
+                threshold.append(node.threshold)
+                right.append(position[id(node.right)])
+                value.append(0.0)
+    return FlatTrees(
+        np.array(feature, dtype=np.intp),
+        np.array(threshold, dtype=float),
+        np.array(right, dtype=np.intp),
+        np.array(value, dtype=float),
+        np.array(roots, dtype=np.intp),
+    )
+
+
+def leaf_values(flat: FlatTrees, X: np.ndarray) -> np.ndarray:
+    """The C-contiguous (rows, trees) matrix of the class-1 fraction of the
+    leaf each row of ``X`` reaches in each tree.
+
+    Every (row, tree) pair walks at once, one depth level per step, with
+    pair r * n_trees + t in row-major order; a step advances only the
+    pairs still at internal nodes. NaN compares false, so it goes right.
+    """
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ParameterError(f"expected a 2-D feature matrix, got shape {X.shape}")
+    n_rows, n_cols = X.shape
+    n_trees = len(flat.roots)
+    if flat.feature.max() >= n_cols:
+        raise ParameterError(f"a tree splits on feature {flat.feature.max()} but X has {n_cols} columns")
+    x = X.ravel()
+    out = np.empty(n_rows * n_trees)
+    pair = np.arange(n_rows * n_trees)
+    offset = np.repeat(np.arange(n_rows) * n_cols, n_trees)  # row start in x
+    node = np.tile(flat.roots, n_rows)
+    while len(pair):
+        feature = flat.feature.take(node)
+        at_leaf = feature < 0
+        if at_leaf.any():
+            done = np.flatnonzero(at_leaf)
+            out[pair.take(done)] = flat.value.take(node.take(done))
+            keep = np.flatnonzero(~at_leaf)
+            pair, offset, node, feature = (a.take(keep) for a in (pair, offset, node, feature))
+        goes_left = x.take(offset + feature) <= flat.threshold.take(node)
+        node = np.where(goes_left, node + 1, flat.right.take(node))
+    return out.reshape(n_rows, n_trees)
+
+
 def predict_proba(tree: TreeNode, X: np.ndarray) -> np.ndarray:
     """Class-1 fraction of the leaf each row of ``X`` reaches, as an (n,)
-    array. All rows go down the tree at once: each node splits the index
-    array of the rows that reached it, and empty branches are not walked."""
-    X = np.asarray(X, dtype=float)
-    out = np.empty(len(X))
-    stack = [(tree, np.arange(len(X)))]
-    while stack:
-        node, idx = stack.pop()
-        if isinstance(node, Leaf):
-            out[idx] = node.count_1 / (node.count_0 + node.count_1)
-            continue
-        goes_left = X[idx, node.feature] <= node.threshold
-        for child, rows in ((node.left, idx[goes_left]), (node.right, idx[~goes_left])):
-            if len(rows):
-                stack.append((child, rows))
-    return out
+    array: the one-tree case of ``leaf_values``."""
+    return leaf_values(flatten([tree]), X).ravel()
 
 
 def tree_importances(tree: TreeNode) -> np.ndarray:

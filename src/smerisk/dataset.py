@@ -296,12 +296,18 @@ class StandardizationParams:
 
 
 def fit_standardizer(train: Dataset) -> StandardizationParams:
-    """Mean and population standard deviation of each continuous feature."""
+    """Mean and population standard deviation of each continuous feature.
+
+    A column whose values are all equal (or whose sd is 0.0) is flagged
+    constant with sd 0.0: its computed sd can be a rounding residue, such
+    as 1.9e-15 for 400 copies of 0.3, which would z-score it into a column
+    of ones rather than zeros."""
     train._require_nonempty()
     matrix = train.X[:, : len(CONTINUOUS_FEATURES)]
     means = matrix.mean(axis=0)
     sds = matrix.std(axis=0)  # ddof=0: population sd
-    flags = sds == 0.0
+    flags = (matrix.max(axis=0) == matrix.min(axis=0)) | (sds == 0.0)
+    sds[flags] = 0.0
     return StandardizationParams(
         means=tuple(float(m) for m in means),
         sds=tuple(float(s) for s in sds),

@@ -8,8 +8,10 @@ concurrently and the model comes out identical, and growing a forest by
 more trees never changes the trees already trained.
 
 ``predict_forest_dataset`` is the one prediction path: a soft vote (the
-mean of the trees' leaf class-1 fractions) in fixed blocks of rows, with
-labels left to ``logit.to_labels``. Importances are computed from node
+mean of the trees' leaf class-1 fractions). It flattens the trees once
+per call and walks the book in blocks of a fixed budget of (row, tree)
+pairs, so its memory grows with neither the book nor the tree count.
+Labels are left to ``logit.to_labels``. Importances are computed from node
 counts when asked for, so a reloaded model gives them bit for bit and a
 model loaded only to score never computes them.
 """
@@ -23,8 +25,9 @@ import numpy as np
 from .cart import (
     TreeNode,
     TreeParams,
+    flatten,
     grow_tree_arrays,
-    predict_proba,
+    leaf_values,
     tree_from_json_dict,
     tree_importances,
     tree_to_json_dict,
@@ -92,9 +95,10 @@ def train_forest(train: Dataset, params: ForestParams) -> ForestModel:
     return ForestModel(tuple(train_single_tree(X, y, params, t) for t in range(params.n_trees)), params)
 
 
-# Rows voted on at once: smaller blocks pay the tree walk's per-node
-# overhead more often, larger ones hold a bigger (rows, trees) matrix.
-_VOTE_BLOCK_ROWS = 1024
+# (row, tree) pairs walked at once: smaller blocks pay the walk's per-step
+# numpy overhead more often, larger ones hold bigger pair arrays. A block
+# holds at least one row.
+_PAIR_BUDGET = 2**14
 
 
 def predict_forest_dataset(model: ForestModel, dataset: Dataset) -> np.ndarray:
@@ -102,13 +106,12 @@ def predict_forest_dataset(model: ForestModel, dataset: Dataset) -> np.ndarray:
     C-contiguous (rows, trees) block sums each row exactly as ``np.mean``
     over that row's own tree fractions would."""
     X = dataset.feature_matrix()
+    flat = flatten(model.trees)
+    block_rows = max(1, _PAIR_BUDGET // len(model.trees))
     probs = np.empty(len(X))
-    for start in range(0, len(X), _VOTE_BLOCK_ROWS):
-        block = X[start : start + _VOTE_BLOCK_ROWS]
-        votes = np.empty((len(block), len(model.trees)))
-        for t, tree in enumerate(model.trees):
-            votes[:, t] = predict_proba(tree, block)
-        probs[start : start + len(block)] = votes.mean(axis=1)
+    for start in range(0, len(X), block_rows):
+        block = X[start : start + block_rows]
+        probs[start : start + len(block)] = leaf_values(flat, block).mean(axis=1)
     return probs
 
 

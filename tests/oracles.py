@@ -3,12 +3,16 @@
 The tree oracle re-derives greedy CART growth from scratch: it enumerates
 every (feature, midpoint-threshold) candidate at every node and scores it
 in exact Fraction arithmetic, so there is no shared code (and no shared
-rounding) with the package's vectorized integer-score search. The metrics
+rounding) with the package's vectorized integer-score search. The
+prediction oracle walks node objects one row at a time in plain Python,
+sharing nothing with the package's flat (row, tree) walk. The metrics
 oracle likewise works in rational arithmetic end to end. Finite
 differences for the gradient live in the logit tests themselves.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from smerisk.cart import Internal, Leaf
 
@@ -80,6 +84,21 @@ def tree_as_tuple(node):
         return ("leaf", node.count_0, node.count_1)
     assert isinstance(node, Internal)
     return ("node", node.feature, node.threshold, tree_as_tuple(node.left), tree_as_tuple(node.right))
+
+
+def oracle_leaf_fraction(tree, row):
+    """Class-1 fraction of the leaf ``row`` (a list of floats) reaches,
+    walking down from the root one node at a time. NaN compares false and
+    goes right."""
+    node = tree
+    while isinstance(node, Internal):
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node.count_1 / (node.count_0 + node.count_1)
+
+
+def oracle_soft_vote(trees, X):
+    """Per row of ``X``, ``np.mean`` of its trees' leaf fractions."""
+    return [float(np.mean([oracle_leaf_fraction(tree, row) for tree in trees])) for row in np.asarray(X).tolist()]
 
 
 def oracle_metrics(tp, fp, tn, fn):

@@ -302,6 +302,27 @@ def test_predict_routes_every_row_to_its_own_leaf():
     assert predict_proba(node, np.zeros((0, 2))).shape == (0,)
 
 
+def test_predict_rejects_a_split_feature_outside_the_matrix():
+    node = Internal(feature=1, threshold=0.0, left=Leaf(1, 0), right=Leaf(0, 1))
+    assert predict_proba(node, np.array([[0.0, 1.0]])).tolist() == [1.0]
+    for X in (np.zeros((2, 1)), np.zeros((0, 1))):
+        with pytest.raises(ParameterError, match="feature 1 but X has 1 columns"):
+            predict_proba(node, X)
+    with pytest.raises(ParameterError):
+        predict_proba(Internal(feature=-1, threshold=0.0, left=Leaf(1, 0), right=Leaf(0, 1)), np.zeros((2, 2)))
+
+
+def test_predict_nan_goes_right_at_every_split():
+    node = Internal(
+        feature=0,
+        threshold=0.0,
+        left=Leaf(4, 0),
+        right=Internal(feature=1, threshold=1.0, left=Leaf(3, 1), right=Leaf(0, 5)),
+    )
+    X = np.array([[np.nan, 0.0], [np.nan, np.nan], [-1.0, np.nan]])
+    assert predict_proba(node, X).tolist() == [0.25, 1.0, 0.0]
+
+
 # params
 
 

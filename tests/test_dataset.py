@@ -396,6 +396,17 @@ def test_constant_feature_flagged_and_zeroed():
     assert not np.all(Z[:, 0] == 0.0)
 
 
+def test_constant_column_with_rounding_residue_is_flagged():
+    # the mean of 400 copies of 0.3 is not exactly 0.3, so the computed sd
+    # is a rounding residue (1.9e-15 here), not 0; the column must still
+    # standardize to 0
+    ds = make_dataset(*({"revenue_growth": 0.3, "debt_equity_ratio": 0.01 * i} for i in range(400)))
+    params = fit_standardizer(ds)
+    assert params.constant_flags[0] and params.sds[0] == 0.0
+    assert not params.constant_flags[2]
+    assert np.all(apply_standardizer(params, ds)[:, 0] == 0.0)
+
+
 def test_standardization_params_round_trip():
     params = StandardizationParams(
         means=(0.1, 0.2, 0.3, 0.4, 0.5),

@@ -1,17 +1,30 @@
 """Random forest tests: bootstrap behaviour, ensemble equivalences,
-thread-order independence, importances, and serialization."""
+thread-order independence, prediction against the per-row oracle walk,
+scoring memory, importances, and serialization."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from smerisk.cart import Leaf, TreeParams, grow_tree_arrays, predict_proba, tree_from_json_dict, tree_importances
+from oracles import oracle_soft_vote
+from smerisk.cart import (
+    Internal,
+    Leaf,
+    TreeParams,
+    grow_tree_arrays,
+    predict_proba,
+    preorder,
+    tree_from_json_dict,
+    tree_importances,
+)
 from smerisk.dataset import FEATURE_COLUMNS, Dataset
 from smerisk.errors import DegenerateLabelsError, ModelFormatError, ParameterError
 from smerisk.experiment import model_from_json_document, model_to_json_document
 from smerisk.serialize import from_json_dict, to_json_dict
 from smerisk.forest import (
+    _PAIR_BUDGET,
     ForestModel,
     ForestParams,
     bootstrap_indices,
@@ -262,6 +275,92 @@ def test_chain_tree_5000_levels_deep():
     assert not degenerate
     assert values[0] > 0.0 and values[3] > 0.0
     assert abs(float(values.sum()) - 1.0) <= 1e-9
+
+
+# the flat walk against the per-row oracle
+
+
+def on_threshold_rows(trees, base_rows):
+    """Copies of ``base_rows`` with one continuous feature set exactly to a
+    split threshold of ``trees``, one copy per split (sector splits at 0.5
+    are skipped: a sector is 0 or 1)."""
+    out = []
+    for tree in trees:
+        for i, node in enumerate(n for n in preorder(tree) if isinstance(n, Internal) and n.feature != 5):
+            row = np.array(base_rows[i % len(base_rows)])
+            row[node.feature] = node.threshold
+            out.append(row)
+    return np.array(out)
+
+
+@pytest.fixture(scope="module")
+def mixed_forest(small_forest):
+    # bare leaves between deep trees, one leaf first so a root is a leaf
+    trees = (Leaf(3, 1),) + small_forest.trees[:4] + (Leaf(0, 2), Leaf(5, 5)) + small_forest.trees[4:7]
+    return ForestModel(trees, ForestParams(n_trees=len(trees), bootstrap=False))
+
+
+@pytest.fixture(scope="module")
+def oracle_rows(mixed_forest, strong_split):
+    _, test = strong_split
+    X = test.feature_matrix()
+    return np.concatenate([on_threshold_rows(mixed_forest.trees, X), X])
+
+
+def test_walk_matches_oracle_on_threshold_rows(mixed_forest, oracle_rows):
+    assert len(oracle_rows) > 200
+    probs = predict_forest_dataset(mixed_forest, Dataset(oracle_rows))
+    assert probs.tolist() == oracle_soft_vote(mixed_forest.trees, oracle_rows)
+    for tree in mixed_forest.trees:
+        assert predict_proba(tree, oracle_rows).tolist() == oracle_soft_vote([tree], oracle_rows)
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_walk_matches_oracle_at_block_boundaries(mixed_forest, oracle_rows, blocks, extra):
+    n_rows = blocks * (_PAIR_BUDGET // len(mixed_forest.trees)) + extra
+    X = np.resize(oracle_rows, (n_rows, 6))
+    assert predict_forest_dataset(mixed_forest, Dataset(X)).tolist() == oracle_soft_vote(mixed_forest.trees, X)
+
+
+def test_walk_matches_oracle_with_more_trees_than_the_pair_budget(mixed_forest, oracle_rows):
+    # each block then holds a single row
+    trees = tuple(mixed_forest.trees[i % len(mixed_forest.trees)] for i in range(_PAIR_BUDGET + 1))
+    model = ForestModel(trees, ForestParams(n_trees=len(trees), bootstrap=False))
+    X = oracle_rows[:3]
+    assert predict_forest_dataset(model, Dataset(X)).tolist() == oracle_soft_vote(trees, X)
+
+
+@pytest.mark.parametrize("n_cols", [1, 2])
+def test_predict_proba_matches_oracle_on_narrow_matrices(n_cols):
+    # the walk on 1- and 2-column matrices: the training rows, all-NaN rows
+    # (NaN goes right at every split) and one row on each split's threshold
+    rng = np.random.default_rng(n_cols)
+    X = rng.integers(0, 8, size=(60, n_cols)) / 4.0
+    y = rng.integers(0, 2, size=60)
+    tree = grow_tree_arrays(X, y, TreeParams(features_per_split=n_cols), rng)
+    splits = [node for node in preorder(tree) if isinstance(node, Internal)]
+    assert len(splits) > 3
+    rows = np.concatenate([X, np.full((n_cols, n_cols), np.nan)])
+    for i, node in enumerate(splits):
+        row = np.array(X[i])
+        row[node.feature] = node.threshold
+        rows = np.concatenate([rows, [row]])
+    assert predict_proba(tree, rows).tolist() == oracle_soft_vote([tree], rows)
+
+
+def test_scoring_memory_does_not_grow_with_the_book(strong_split):
+    # pairs are walked a bounded block at a time: a whole 10,000 x 100 vote
+    # matrix alone would take 7.6 MiB
+    train, _ = strong_split
+    forest = train_forest(train, ForestParams(n_trees=100, seed=5))
+    book = generate(GeneratorConfig(n_samples=10_000, seed=4))
+    tracemalloc.start()
+    try:
+        predict_forest_dataset(forest, book)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 # importances
