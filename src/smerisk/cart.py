@@ -21,6 +21,7 @@ strict-improvement test against the parent is done in unbounded integers.
 A tree is immutable and built one way: growth and the JSON reader list
 its nodes in pre-order (scikit-learn's ``Tree`` order), a ``Leaf`` or a
 (feature, threshold) pair each, and ``_assemble`` builds it bottom-up.
+Each node checks its own fields, so the JSON reader only checks keys.
 ``preorder`` is the one walk of a finished tree; the JSON writer and
 ``tree_importances`` fold over it in reverse, and ``flatten`` concatenates
 trees into one pre-order node table (scikit-learn's ``Tree`` arrays).
@@ -40,6 +41,7 @@ import numpy as np
 
 from .dataset import FEATURE_COLUMNS
 from .errors import ModelFormatError, ParameterError
+from .serialize import from_json_value
 
 
 def gini_impurity(count_0: int, count_1: int) -> float:
@@ -60,8 +62,8 @@ class Leaf:
     def __post_init__(self):
         for name in ("count_0", "count_1"):
             v = getattr(self, name)
-            if type(v) is not int or v < 0:
-                raise ParameterError(f"{name} must be a non-negative integer, got {v!r}")
+            if type(v) is not int or not 0 <= v <= 2**53:  # larger counts lose precision as floats
+                raise ParameterError(f"{name} must be an integer in [0, 2**53], got {v!r}")
         if self.count_0 + self.count_1 < 1:
             raise ParameterError("a leaf must hold at least one row")
 
@@ -78,6 +80,12 @@ class Internal:
     threshold: float
     left: "TreeNode"
     right: "TreeNode"
+
+    def __post_init__(self):
+        if type(self.feature) is not int or not 0 <= self.feature < len(FEATURE_COLUMNS):
+            raise ParameterError(f"feature must be an index in [0, {len(FEATURE_COLUMNS)}), got {self.feature!r}")
+        if not math.isfinite(self.threshold):
+            raise ParameterError(f"threshold must be finite, got {self.threshold!r}")
 
 
 TreeNode = Union[Leaf, Internal]
@@ -282,8 +290,6 @@ def flatten(trees: Sequence[TreeNode]) -> FlatTrees:
                 threshold.append(0.0)
                 right.append(-1)
                 value.append(node.count_1 / (node.count_0 + node.count_1))
-            elif node.feature < 0:
-                raise ParameterError(f"a split feature must be a column index, got {node.feature!r}")
             else:
                 feature.append(node.feature)
                 threshold.append(node.threshold)
@@ -367,30 +373,29 @@ def tree_to_json_dict(tree: TreeNode) -> dict:
     )
 
 
-def tree_from_json_dict(doc: dict) -> TreeNode:
-    """Validate a tree document top-down into its pre-order node list."""
+def tree_from_json_dict(doc: dict, path: str = "tree") -> TreeNode:
+    """Read the tree document at ``path`` in its model file. The walk only
+    checks each node's keys and lists the nodes in pre-order; values are
+    read by the ``serialize`` rules and checked by ``Leaf`` and
+    ``Internal``."""
     nodes: list = []
     stack = [doc]
-    while stack:
-        d = stack.pop()
-        if not isinstance(d, dict):
-            raise ModelFormatError(f"tree node must be an object, got {type(d).__name__}")
-        keys = set(d)
-        if keys == {"count_0", "count_1"}:
-            counts = (d["count_0"], d["count_1"])
-            # larger counts would not convert to floats exactly, or at all
-            if any(type(c) is not int or c > 2**53 for c in counts):
-                raise ModelFormatError(f"leaf counts {list(counts)!r} are not JSON integers of at most 2**53")
-            nodes.append(Leaf(*counts))
-        elif keys == {"feature", "threshold", "left", "right"}:
-            feature, threshold = d["feature"], d["threshold"]
-            if type(feature) is not int or not 0 <= feature < len(FEATURE_COLUMNS):
-                raise ModelFormatError(f"tree feature {feature!r} is not an index in [0, {len(FEATURE_COLUMNS)})")
-            if type(threshold) not in (int, float) or not math.isfinite(threshold):
-                raise ModelFormatError(f"tree threshold {threshold!r} is not a finite JSON number")
-            nodes.append((feature, float(threshold)))
-            stack.append(d["right"])
-            stack.append(d["left"])
-        else:
-            raise ModelFormatError(f"unrecognized tree node fields: {sorted(keys)}")
-    return _assemble(nodes)
+    try:
+        while stack:
+            d = stack.pop()
+            if not isinstance(d, dict):
+                raise ModelFormatError(f"{path}: a tree node must be an object, got {type(d).__name__}")
+            keys = set(d)
+            if keys == {"count_0", "count_1"}:
+                count_0 = from_json_value(int, d["count_0"], "count_0")
+                nodes.append(Leaf(count_0, from_json_value(int, d["count_1"], "count_1")))
+            elif keys == {"feature", "threshold", "left", "right"}:
+                feature = from_json_value(int, d["feature"], "feature")
+                nodes.append((feature, from_json_value(float, d["threshold"], "threshold")))
+                stack.append(d["right"])
+                stack.append(d["left"])
+            else:
+                raise ModelFormatError(f"{path}: unrecognized tree node fields {sorted(keys)}")
+        return _assemble(nodes)
+    except ParameterError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None

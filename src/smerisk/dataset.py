@@ -46,17 +46,18 @@ LABEL_COLUMN = "Default_Status"
 FEATURE_COLUMNS = CONTINUOUS_FEATURES + (SECTOR_COLUMN,)
 ALL_COLUMNS = FEATURE_COLUMNS + (LABEL_COLUMN,)
 
-AGRICULTURE = 0
-MANUFACTURING = 1
-
-# Physical bounds of the continuous features, inclusive. Commodity price
-# dependency is a correlation coefficient against commodity prices.
-_BOUNDS = {
-    "Cash_Flow_Variability": (0.0, math.inf, "a finite number >= 0"),
-    "Debt_Equity_Ratio": (0.0, math.inf, "a finite number >= 0"),
+# Physical (low, high, rule) bounds of each continuous feature, inclusive.
+# Commodity price dependency is a correlation coefficient against commodity
+# prices.
+_ANY = (-math.inf, math.inf, "a finite number")
+_NON_NEGATIVE = (0.0, math.inf, "a finite number >= 0")
+FEATURE_BOUNDS = {
+    "Revenue_Growth": _ANY,
+    "Cash_Flow_Variability": _NON_NEGATIVE,
+    "Debt_Equity_Ratio": _NON_NEGATIVE,
+    "Profit_Margin": _ANY,
     "Commodity_Price_Dependency": (-1.0, 1.0, "a finite number in [-1, 1]"),
 }
-_UNBOUNDED = (-math.inf, math.inf, "a finite number")
 
 
 def _first_invalid(X: np.ndarray, y: np.ndarray | None) -> tuple[int, str] | None:
@@ -74,7 +75,7 @@ def _first_invalid(X: np.ndarray, y: np.ndarray | None) -> tuple[int, str] | Non
         if name in (SECTOR_COLUMN, LABEL_COLUMN):
             checks.append((name, values, (values != 0) & (values != 1), "0 or 1"))
         else:
-            low, high, rule = _BOUNDS.get(name, _UNBOUNDED)
+            low, high, rule = FEATURE_BOUNDS[name]
             ok = (values >= low) & (values <= high) & np.isfinite(values)
             checks.append((name, values, ~ok, rule))
     bad_rows = np.flatnonzero(np.any([mask for _, _, mask, _ in checks], axis=0))

@@ -30,8 +30,6 @@ from .forest import (
 from .logit import (
     LogisticModel,
     LogitHyperparams,
-    logistic_from_json_document,
-    logistic_to_json_document,
     predict_proba_dataset,
     to_labels,
     train_logistic,
@@ -95,29 +93,27 @@ def default_experiment_config() -> ExperimentConfig:
 
 
 @dataclass(frozen=True)
+class FeatureImportances:
+    """The forest's normalized impurity decrease per feature; ``degenerate``
+    is set (and every value 0) when no split reduced impurity."""
+
+    names: tuple[str, ...]
+    values: tuple[float, ...]
+    degenerate: bool
+
+
+@dataclass(frozen=True)
 class ComparisonReport:
+    """The comparison's result; the ``serialize`` codec writes its JSON."""
+
     delphi_metrics: MetricsReport
     forest_metrics: MetricsReport
-    feature_names: tuple[str, ...]
-    importances: tuple[float, ...]
-    importances_degenerate: bool
+    feature_importances: FeatureImportances
     dataset_summary: dict
     config_echo: dict
 
-    def to_json_dict(self) -> dict:
-        doc = serialize.to_json_dict(self)
-        doc["feature_importances"] = {
-            "names": doc.pop("feature_names"),
-            "values": doc.pop("importances"),
-            "degenerate": doc.pop("importances_degenerate"),
-        }
-        return doc
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ComparisonReport":
-        doc = dict(doc)
-        imp = doc.pop("feature_importances")
-        doc.update(feature_names=imp["names"], importances=imp["values"], importances_degenerate=imp["degenerate"])
         return serialize.from_json_dict(cls, doc)
 
 
@@ -151,9 +147,7 @@ def run_comparison(config: ExperimentConfig) -> ComparisonReport:
     return ComparisonReport(
         delphi_metrics=score_predictions(y_test, delphi_pred),
         forest_metrics=score_predictions(y_test, forest_pred),
-        feature_names=forest.feature_names,
-        importances=tuple(float(v) for v in importance_values),
-        importances_degenerate=degenerate,
+        feature_importances=FeatureImportances(forest.feature_names, tuple(importance_values.tolist()), degenerate),
         dataset_summary={
             "n_records": len(data),
             "default_rate": data.default_rate,
@@ -177,7 +171,7 @@ def render_report(report: ComparisonReport, format: str = "text") -> str:
     """Render to 'text' (two-decimal comparison table) or 'json' (full
     precision, deterministic key order)."""
     if format == "json":
-        return dumps_deterministic(report.to_json_dict())
+        return dumps_deterministic(serialize.to_json_dict(report))
     if format != "text":
         raise ParameterError(f"unknown report format {format!r}; use 'text' or 'json'")
 
@@ -197,11 +191,12 @@ def render_report(report: ComparisonReport, format: str = "text") -> str:
             notes.append(f"note: forest {name.lower()} undefined (zero denominator), shown as 0.00")
     lines.extend(notes)
     lines.append("")
-    if report.importances_degenerate:
+    importances = report.feature_importances
+    if importances.degenerate:
         lines.append("Feature importances: degenerate (no split reduced impurity)")
     else:
         lines.append("Feature importances (impurity decrease, normalized):")
-        for name, value in sorted(zip(report.feature_names, report.importances), key=lambda kv: -kv[1]):
+        for name, value in sorted(zip(importances.names, importances.values), key=lambda kv: -kv[1]):
             lines.append(f"  {name:<28}{value:.4f}")
     return "\n".join(lines) + "\n"
 
@@ -210,7 +205,7 @@ MODEL_FORMAT_VERSION = 1
 
 # model_type -> (model class, body writer, body reader)
 _MODEL_CODECS = {
-    "logistic": (LogisticModel, logistic_to_json_document, logistic_from_json_document),
+    "logistic": (LogisticModel, serialize.to_json_dict, lambda body: serialize.from_json_dict(LogisticModel, body)),
     "random_forest": (ForestModel, forest_to_json_document, forest_from_json_document),
 }
 
@@ -224,7 +219,8 @@ def model_to_json_document(model: Union[LogisticModel, ForestModel]) -> dict:
 
 
 def model_from_json_document(doc: dict) -> Union[LogisticModel, ForestModel]:
-    """Read a model document by its model_type; raises ModelFormatError."""
+    """Read a model document by its model_type; raises ModelFormatError.
+    An unknown key in the body (every key but these two) is an error."""
     version, model_type = doc.get("format_version"), doc.get("model_type")
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
@@ -232,15 +228,20 @@ def model_from_json_document(doc: dict) -> Union[LogisticModel, ForestModel]:
         )
     if not (isinstance(model_type, str) and model_type in _MODEL_CODECS):  # an array or object is unhashable
         raise ModelFormatError(f"unknown model_type {model_type!r}")
+    body = {key: value for key, value in doc.items() if key not in ("format_version", "model_type")}
     try:
-        return _MODEL_CODECS[model_type][2](doc)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"malformed {model_type} document: {exc!r}") from None
+        return _MODEL_CODECS[model_type][2](body)
+    except ParameterError as exc:
+        raise ModelFormatError(f"malformed {model_type} document: {exc}") from None
 
 
 def save_model(model: Union[LogisticModel, ForestModel], path: str | Path) -> None:
-    """Write a model as a versioned JSON document."""
-    write_json_file(model_to_json_document(model), path)
+    """Write a model as a versioned JSON document. A tree too deep for the
+    JSON writer raises ModelFormatError and writes nothing."""
+    try:
+        write_json_file(model_to_json_document(model), path)  # renders the text before opening the file
+    except RecursionError:
+        raise ModelFormatError(f"cannot save {path}: a tree nests too deeply to write as JSON") from None
 
 
 def load_model(path: str | Path) -> Union[LogisticModel, ForestModel]:

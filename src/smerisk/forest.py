@@ -128,18 +128,28 @@ def feature_importances(model: ForestModel) -> tuple[np.ndarray, bool]:
     return raw / total, False
 
 
+@dataclass(frozen=True)
+class _ForestBody:
+    """A forest file's body. Its importances are checked on loading, not
+    kept: a loaded model computes its own when asked."""
+
+    params: ForestParams
+    feature_names: tuple[str, ...]
+    trees: tuple[dict, ...]
+    importances: tuple[float, float, float, float, float, float]
+
+    def __post_init__(self):
+        if self.feature_names != FEATURE_COLUMNS:
+            raise ParameterError(f"feature_names {list(self.feature_names)!r} differ from {list(FEATURE_COLUMNS)}")
+
+
 def forest_to_json_document(model: ForestModel) -> dict:
     values, _ = feature_importances(model)
-    return {
-        "params": to_json_dict(model.params),
-        "feature_names": list(model.feature_names),
-        "trees": [tree_to_json_dict(tree) for tree in model.trees],
-        "importances": [float(v) for v in values],
-    }
+    trees = tuple(tree_to_json_dict(tree) for tree in model.trees)
+    return to_json_dict(_ForestBody(model.params, model.feature_names, trees, tuple(values.tolist())))
 
 
 def forest_from_json_document(doc: dict) -> ForestModel:
-    params = from_json_dict(ForestParams, doc["params"], "params")
-    if doc["feature_names"] != list(FEATURE_COLUMNS):
-        raise ValueError(f"feature_names {doc['feature_names']!r} differ from {list(FEATURE_COLUMNS)}")
-    return ForestModel(tuple(tree_from_json_dict(t) for t in doc["trees"]), params)
+    body = from_json_dict(_ForestBody, doc)
+    trees = tuple(tree_from_json_dict(tree, f"trees[{t}]") for t, tree in enumerate(body.trees))
+    return ForestModel(trees, body.params)

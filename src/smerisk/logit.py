@@ -27,7 +27,7 @@ from .dataset import (
     fit_standardizer,
 )
 from .errors import DegenerateLabelsError, ParameterError
-from .serialize import from_json_value, to_json_dict
+from .serialize import from_json_value
 
 _PROB_CLAMP = 1e-12
 _MAX_HALVINGS = 60
@@ -76,7 +76,11 @@ class LogisticModel:
 
     ``weights`` has one slot per canonical feature (sector encoded 0/1 and
     unstandardized); predictions standardize the continuous features with
-    the stored parameters before applying the linear form.
+    the stored parameters before applying the linear form. ``training_meta``
+    holds exactly ``iterations`` (the accepted Newton steps) and
+    ``final_loss``. The model file body is this dataclass through the
+    ``serialize`` codec, so its keys and values are checked like any
+    config's.
     """
 
     weights: np.ndarray
@@ -90,8 +94,15 @@ class LogisticModel:
             raise ParameterError(f"weights must have shape ({len(FEATURE_COLUMNS)},), got {w.shape}")
         if not (np.isfinite(w).all() and np.isfinite(self.bias)):
             raise ParameterError("model parameters must be finite")
+        meta = self.training_meta
+        if not isinstance(meta, dict) or set(meta) != {"iterations", "final_loss"}:
+            raise ParameterError("training_meta must hold exactly the keys final_loss and iterations")
+        if from_json_value(int, meta["iterations"], "training_meta.iterations") < 0:
+            raise ParameterError(f"training_meta.iterations must be >= 0, got {meta['iterations']}")
+        final_loss = from_json_value(float, meta["final_loss"], "training_meta.final_loss")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", float(self.bias))
+        object.__setattr__(self, "training_meta", dict(meta, final_loss=final_loss))
 
 
 def loss_and_gradient(
@@ -190,28 +201,3 @@ def to_labels(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     if not 0.0 < threshold < 1.0:
         raise ParameterError(f"threshold must lie in (0, 1), got {threshold}")
     return (np.asarray(probs) >= threshold).astype(np.int64)
-
-
-def logistic_to_json_document(model: LogisticModel) -> dict:
-    return {
-        "weights": [float(w) for w in model.weights],
-        "bias": model.bias,
-        "standardization": to_json_dict(model.standardization),
-        "training_meta": {
-            "iterations": int(model.training_meta["iterations"]),
-            "final_loss": float(model.training_meta["final_loss"]),
-        },
-    }
-
-
-def logistic_from_json_document(doc: dict) -> LogisticModel:
-    meta = doc["training_meta"]
-    return LogisticModel(
-        weights=np.array(from_json_value(tuple[float, ...], doc["weights"], "weights")),
-        bias=from_json_value(float, doc["bias"], "bias"),
-        standardization=from_json_value(StandardizationParams, doc["standardization"], "standardization"),
-        training_meta={
-            "iterations": from_json_value(int, meta["iterations"], "training_meta.iterations"),
-            "final_loss": from_json_value(float, meta["final_loss"], "training_meta.final_loss"),
-        },
-    )

@@ -5,12 +5,13 @@ trailing newline, and floats rendered by repr (shortest round-trip form),
 so equal in-memory objects serialize to byte-identical text.
 
 ``to_json_dict`` and ``from_json_dict`` are the one codec between the
-parameter dataclasses and JSON objects, driven by the dataclass fields and
-their type hints. Reading is checked, never coerced: unknown keys are
-rejected, absent keys take the field default (a field without one is
-required), and each value must already have its field's JSON type. Every
-failure is a ``ParameterError`` naming the JSON path of the bad value;
-domain checks stay in the dataclasses' ``__post_init__``.
+package's dataclasses (configs, both model bodies, the comparison report)
+and JSON objects, driven by the dataclass fields and their type hints.
+Reading is checked, never coerced: unknown keys are rejected, absent keys
+take the field default (a field without one is required), and each value
+must already have its field's JSON type. Every failure is a
+``ParameterError`` naming the JSON path of the bad value; domain checks
+stay in the dataclasses' ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ParameterError, ParseError
 
@@ -57,7 +60,7 @@ def parse_json_file(path: str | Path) -> dict:
 
 def to_json_dict(obj) -> dict:
     """The JSON object of a dataclass: one key per constructor field,
-    nested dataclasses as objects and tuples as arrays."""
+    nested dataclasses as objects, tuples and 1-D arrays as arrays."""
     return {f.name: _to_json_value(getattr(obj, f.name)) for f in fields(obj) if f.init}
 
 
@@ -66,6 +69,8 @@ def _to_json_value(value):
         return to_json_dict(value)
     if isinstance(value, tuple):
         return [_to_json_value(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     return value
 
 
@@ -97,8 +102,9 @@ def from_json_value(tp, value, path: str):
     type: a JSON integer for ``int`` (a boolean is not one), a finite JSON
     number for ``float`` (an integer becomes a float), ``true``/``false``
     for ``bool``, a string for ``str``, any object for ``dict``, null or an
-    ``X`` for ``X | None``, an array for ``tuple[...]`` and an object for a
-    dataclass."""
+    ``X`` for ``X | None``, an array for ``tuple[...]``, an array of finite
+    numbers for ``np.ndarray`` (read as a 1-D float array) and an object for
+    a dataclass."""
     if tp is float:
         if type(value) in (int, float) and abs(value) <= sys.float_info.max:  # not NaN, infinite or too large
             return float(value)
@@ -109,6 +115,8 @@ def from_json_value(tp, value, path: str):
         return value
     if is_dataclass(tp):
         return from_json_dict(tp, value, path)
+    if tp is np.ndarray:
+        return np.array(from_json_value(tuple[float, ...], value, path), dtype=float)
     args = typing.get_args(tp)
     if typing.get_origin(tp) is types.UnionType:  # X | None
         return None if value is None else from_json_value(args[0], value, path)

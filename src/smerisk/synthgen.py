@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Union
 
 import numpy as np
 
-from .dataset import FEATURE_COLUMNS, Dataset
+from .dataset import CONTINUOUS_FEATURES, FEATURE_BOUNDS, FEATURE_COLUMNS, Dataset
 from .errors import ParameterError
 from .logit import sigmoid
 from .seeding import substream
@@ -47,8 +46,9 @@ _B0_BRACKET = 40.0
 
 @dataclass(frozen=True)
 class FeatureRanges:
-    """(low, high) sampling bounds per continuous feature. low = high pins
-    a feature to a constant."""
+    """(low, high) sampling bounds per continuous feature, in canonical
+    column order. low = high pins a feature to a constant. Each range must
+    lie inside its column's physical bounds, ``dataset.FEATURE_BOUNDS``."""
 
     revenue_growth: tuple[float, float] = (-0.2, 0.2)
     cash_flow_variability: tuple[float, float] = (0.1, 0.5)
@@ -57,16 +57,11 @@ class FeatureRanges:
     commodity_price_dependency: tuple[float, float] = (0.5, 1.0)
 
     def __post_init__(self):
-        for f in fields(self):
+        for f, column in zip(fields(self), CONTINUOUS_FEATURES):
             low, high = getattr(self, f.name)
-            if not (math.isfinite(low) and math.isfinite(high) and low <= high):
-                raise ParameterError(f"range for {f.name} must satisfy low <= high, got ({low}, {high})")
-        if self.cash_flow_variability[0] < 0:
-            raise ParameterError("cash_flow_variability range must be non-negative")
-        if self.debt_equity_ratio[0] < 0:
-            raise ParameterError("debt_equity_ratio range must be non-negative")
-        if self.commodity_price_dependency[0] < -1 or self.commodity_price_dependency[1] > 1:
-            raise ParameterError("commodity_price_dependency range must lie inside [-1, 1]")
+            lowest, highest, rule = FEATURE_BOUNDS[column]
+            if not (math.isfinite(low) and math.isfinite(high) and lowest <= low <= high <= highest):
+                raise ParameterError(f"range for {f.name} must have low <= high, each {rule}, got ({low}, {high})")
 
 
 @dataclass(frozen=True)
@@ -110,19 +105,8 @@ class GeneratorConfig:
         object.__setattr__(self, "b0", _calibrate_intercept(self))
 
 
-ArrayLike = Union[float, np.ndarray]
-
-
-def _risk_score(
-    c: SignalCoefficients,
-    revenue_growth: ArrayLike,
-    cash_flow_variability: ArrayLike,
-    debt_equity_ratio: ArrayLike,
-    profit_margin: ArrayLike,
-    commodity_price_dependency: ArrayLike,
-    industry_sector: ArrayLike,
-) -> ArrayLike:
-    """The unscaled signal g(x).
+def _risk_score(c: SignalCoefficients, X: np.ndarray) -> np.ndarray:
+    """The unscaled signal g(x) of each row of the (n, 6) feature matrix.
 
     Each continuous linear term is centered on its default range midpoint
     and scaled by the half-width. The commodity interaction and the two
@@ -131,28 +115,26 @@ def _risk_score(
     coefficient only when debt/equity > 2.0 and cash-flow variability >
     0.35 hold together. The intercept calibration absorbs their means.
     """
+    revenue_growth, cash_flow_variability, debt_equity_ratio, profit_margin, commodity_price_dependency, sector = X.T
     return (
         c.debt_equity_ratio * (debt_equity_ratio - 1.6) / 1.4
         + c.cash_flow_variability * (cash_flow_variability - 0.3) / 0.2
         + c.revenue_growth * revenue_growth / 0.2
         + c.profit_margin * (profit_margin - 0.15) / 0.1
-        + c.commodity_sector * commodity_price_dependency * industry_sector
+        + c.commodity_sector * commodity_price_dependency * sector
         + c.high_leverage_step * (debt_equity_ratio > 2.0)
         + c.covenant_breach * ((debt_equity_ratio > 2.0) & (cash_flow_variability > 0.35))
     )
 
 
-def _draw_features(config: GeneratorConfig, n: int, master_seed: int):
-    bounds = [getattr(config.ranges, name) for name in (
-        "revenue_growth",
-        "cash_flow_variability",
-        "debt_equity_ratio",
-        "profit_margin",
-        "commodity_price_dependency",
-    )]
-    columns = [substream(master_seed, k).uniform(low, high, n) for k, (low, high) in enumerate(bounds)]
-    sector = substream(master_seed, 5).integers(0, 2, n)
-    return (*columns, sector)
+def _draw_features(config: GeneratorConfig, n: int, master_seed: int) -> np.ndarray:
+    """The (n, 6) feature matrix: the ranges' columns in field order, then
+    the sector."""
+    X = np.empty((n, len(FEATURE_COLUMNS)))
+    for k, f in enumerate(fields(FeatureRanges)):
+        X[:, k] = substream(master_seed, k).uniform(*getattr(config.ranges, f.name), n)
+    X[:, 5] = substream(master_seed, 5).integers(0, 2, n)
+    return X
 
 
 def _calibrate_intercept(config: GeneratorConfig) -> float:
@@ -170,8 +152,7 @@ def _calibrate_intercept(config: GeneratorConfig) -> float:
     r = config.base_default_rate
     if config.signal_strength == 0:
         return math.log(r / (1.0 - r))
-    rg, cf, de, pm, cpd, sector = _draw_features(config, _PROBE_SIZE, _PROBE_SEED)
-    g = config.signal_strength * _risk_score(config.coefficients, rg, cf, de, pm, cpd, sector)
+    g = config.signal_strength * _risk_score(config.coefficients, _draw_features(config, _PROBE_SIZE, _PROBE_SEED))
     lo, hi = -_B0_BRACKET, _B0_BRACKET
     b0 = min(max(math.log(r / (1.0 - r)), lo), hi)
     while True:
@@ -205,14 +186,14 @@ def latent_default_probability(X: np.ndarray, config: GeneratorConfig) -> np.nda
         raise ParameterError(f"feature matrix must have shape (n, {len(FEATURE_COLUMNS)}), got {X.shape}")
     if config.signal_strength == 0:
         return np.full(len(X), config.base_default_rate)
-    g = _risk_score(config.coefficients, *X.T)
+    g = _risk_score(config.coefficients, X)
     return sigmoid(config.b0 + config.signal_strength * g)
 
 
 def generate(config: GeneratorConfig) -> Dataset:
     """Draw a labeled synthetic loan book; a pure function of the config."""
     n = config.n_samples
-    X = np.column_stack(_draw_features(config, n, config.seed))
+    X = _draw_features(config, n, config.seed)
     p = latent_default_probability(X, config)
     labels = (substream(config.seed, 6).random(n) < p).astype(np.int64)
     return Dataset(X, labels)

@@ -7,6 +7,8 @@ targeted examples for the split rules, stopping rules, prediction
 semantics, and serialization.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,10 +55,20 @@ def test_gini_empty_counts_rejected():
         gini_impurity(0, 0)
 
 
-@pytest.mark.parametrize("counts", [(0, 0), (-1, 2), (2, -1), (True, 1), (1.0, 1), (1, "2")])
+@pytest.mark.parametrize("counts", [(0, 0), (-1, 2), (2, -1), (True, 1), (1.0, 1), (1, "2"), (2**53 + 1, 0)])
 def test_leaf_validation(counts):
     with pytest.raises(ParameterError):
         Leaf(*counts)
+    assert Leaf(2**53, 0).count_0 == 2**53
+
+
+@pytest.mark.parametrize(
+    "feature, threshold", [(6, 0.5), (-1, 0.5), (True, 0.5), (1.0, 0.5), (0, math.nan), (0, math.inf)]
+)
+def test_internal_validation(feature, threshold):
+    with pytest.raises(ParameterError):
+        Internal(feature, threshold, Leaf(1, 0), Leaf(0, 1))
+    assert Internal(5, -1e300, Leaf(1, 0), Leaf(0, 1)).feature == 5
 
 
 # split search

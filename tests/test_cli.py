@@ -422,6 +422,13 @@ MODEL_MUTATIONS = {
     "boolean_weight": ("logistic", lambda doc: doc["weights"].__setitem__(0, True)),
     "fractional_iterations": ("logistic", lambda doc: doc["training_meta"].update(iterations=12.7)),
     "string_mean": ("logistic", lambda doc: doc["standardization"]["means"].__setitem__(0, "0.5")),
+    "logistic_unknown_key": ("logistic", lambda doc: doc.update(extra=1)),
+    "extra_training_meta_key": ("logistic", lambda doc: doc["training_meta"].update(converged=True)),
+    "negative_iterations": ("logistic", lambda doc: doc["training_meta"].update(iterations=-5)),
+    "string_final_loss": ("logistic", lambda doc: doc["training_meta"].update(final_loss="0.5")),
+    "forest_unknown_key": ("forest", lambda doc: doc.update(extra=1)),
+    "string_importances": ("forest", lambda doc: doc.update(importances="junk")),
+    "three_importances": ("forest", lambda doc: doc.update(importances=doc["importances"][:3])),
 }
 
 

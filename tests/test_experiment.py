@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzing import key_paths, mutate_one_value
+from smerisk.cart import Internal, Leaf
 from smerisk.dataset import Dataset, split_train_test, write_csv
 from smerisk.errors import (
     DataError,
@@ -21,6 +22,7 @@ from smerisk.errors import (
 from smerisk.experiment import (
     ComparisonReport,
     ExperimentConfig,
+    FeatureImportances,
     default_experiment_config,
     load_model,
     model_from_json_document,
@@ -52,9 +54,7 @@ def paper_style_report():
     return ComparisonReport(
         delphi_metrics=MetricsReport(accuracy=0.69, precision=0.65, recall=0.56, f1=0.58),
         forest_metrics=MetricsReport(accuracy=0.83, precision=0.81, recall=0.77, f1=0.79),
-        feature_names=("A", "B"),
-        importances=(0.25, 0.75),
-        importances_degenerate=False,
+        feature_importances=FeatureImportances(names=("A", "B"), values=(0.25, 0.75), degenerate=False),
         dataset_summary={"n_records": 1000, "default_rate": 0.2, "source": "generator"},
         config_echo={},
     )
@@ -167,8 +167,9 @@ def test_run_comparison_equals_manual_pipeline():
 
     assert report.delphi_metrics == score_predictions(y, delphi_pred)
     assert report.forest_metrics == score_predictions(y, forest_pred)
-    assert report.importances == tuple(float(v) for v in values)
-    assert report.importances_degenerate == degenerate
+    assert report.feature_importances == FeatureImportances(
+        forest.feature_names, tuple(float(v) for v in values), degenerate
+    )
     assert report.dataset_summary["n_records"] == 240
     assert report.dataset_summary["default_rate"] == data.default_rate
     assert "generator" in report.dataset_summary["source"]
@@ -266,7 +267,8 @@ def test_text_rendering_undefined_note():
 
 def test_text_rendering_degenerate_importances():
     report = dataclasses.replace(
-        paper_style_report(), importances=(0.0, 0.0), importances_degenerate=True
+        paper_style_report(),
+        feature_importances=FeatureImportances(names=("A", "B"), values=(0.0, 0.0), degenerate=True),
     )
     text = render_report(report, format="text")
     assert "degenerate" in text
@@ -295,6 +297,17 @@ def test_save_load_both_model_kinds(tmp_path, strong_split):
     assert np.array_equal(logit_back.weights, logit.weights)
     assert isinstance(forest_back, ForestModel)
     assert np.array_equal(predict_forest_dataset(forest, test), predict_forest_dataset(forest_back, test))
+
+
+def test_save_model_rejects_a_tree_too_deep_to_write(tmp_path):
+    tree = Leaf(1, 0)
+    for depth in range(1500):
+        tree = Internal(0, float(depth), Leaf(1, 0), tree)
+    path = tmp_path / "deep.json"
+    with pytest.raises(ModelFormatError, match="too deeply") as info:
+        save_model(ForestModel((tree,), ForestParams(n_trees=1)), path)
+    assert "\n" not in str(info.value)
+    assert not path.exists()
 
 
 def test_save_model_rejects_other_objects(tmp_path):

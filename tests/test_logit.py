@@ -302,6 +302,27 @@ def test_logistic_json_round_trip(strong_split):
     assert np.array_equal(predict_proba_dataset(back, test), predict_proba_dataset(model, test))
 
 
+@pytest.mark.parametrize(
+    "meta",
+    [
+        {"iterations": 3},
+        {"iterations": 3, "final_loss": 0.5, "converged": True},
+        {"iterations": -5, "final_loss": 0.5},
+        {"iterations": 3.0, "final_loss": 0.5},
+        {"iterations": 3, "final_loss": "0.5"},
+        {"iterations": 3, "final_loss": math.nan},
+        [3, 0.5],
+    ],
+)
+def test_training_meta_validation(strong_split, meta):
+    model = train_logistic(strong_split[0])
+    with pytest.raises(ParameterError, match="training_meta"):
+        LogisticModel(model.weights, model.bias, model.standardization, meta)
+    back = LogisticModel(model.weights, model.bias, model.standardization, {"iterations": 0, "final_loss": 1})
+    assert back.training_meta == {"iterations": 0, "final_loss": 1.0}
+    assert type(back.training_meta["final_loss"]) is float
+
+
 def test_logistic_json_rejects_bad_documents(strong_split):
     train, _ = strong_split
     doc = model_to_json_document(train_logistic(train))

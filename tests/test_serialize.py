@@ -4,6 +4,7 @@ errors, and the dataclass codec."""
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 from smerisk.errors import ParameterError, ParseError
@@ -164,3 +165,17 @@ def test_codec_given_fields_are_not_read():
     assert from_json_dict(Outer, {"flag": False}, name="b") == Outer(flag=False, name="b")
     with pytest.raises(ParameterError, match="unknown key name"):
         from_json_dict(Outer, {"name": "c"}, name="b")
+
+
+def test_codec_reads_and_writes_arrays():
+    @dataclass(frozen=True, eq=False)
+    class Weights:
+        w: np.ndarray
+
+    doc = to_json_dict(Weights(np.array([0.5, -2.0])))
+    assert doc == {"w": [0.5, -2.0]} and type(doc["w"][0]) is float
+    back = from_json_dict(Weights, {"w": [1, 0.25]}).w
+    assert back.dtype == float and back.tolist() == [1.0, 0.25]
+    for bad, json_path in (("x", "w"), ([1.0, None], "w[1]"), ([[1.0]], "w[0]"), ([True], "w[0]"), ([10**400], "w[0]")):
+        with pytest.raises(ParameterError, match=json_path.replace("[", r"\[")):
+            from_json_dict(Weights, {"w": bad})

@@ -160,7 +160,7 @@ def test_latent_probabilities_beat_best_linear_model():
 def _bisection_intercept(cfg):
     """The reference b0: bisection to width 1e-12 on the calibration probe."""
     features = synthgen._draw_features(cfg, synthgen._PROBE_SIZE, synthgen._PROBE_SEED)
-    g = cfg.signal_strength * synthgen._risk_score(cfg.coefficients, *features)
+    g = cfg.signal_strength * synthgen._risk_score(cfg.coefficients, features)
     lo, hi = -synthgen._B0_BRACKET, synthgen._B0_BRACKET
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
@@ -187,7 +187,7 @@ def test_calibration_matches_bisection_oracle(kwargs):
         assert abs(cfg.b0 - b0_ref) <= 1e-11
         # the labels the reference intercept would draw, drawn by hand
         data = generate(cfg)
-        g = cfg.signal_strength * synthgen._risk_score(cfg.coefficients, *data.feature_matrix().T)
+        g = cfg.signal_strength * synthgen._risk_score(cfg.coefficients, data.feature_matrix())
         u = substream(cfg.seed, 6).random(n)
         assert np.array_equal(data.labels(), (u < sigmoid(b0_ref + g)).astype(np.int64))
 
