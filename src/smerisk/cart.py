@@ -18,6 +18,18 @@ candidate keeps the comparison order exact for any node that fits in
 int64 arithmetic (n below about two million rows), and the final
 strict-improvement test against the parent is done in unbounded integers.
 
+Growth is one path. ``grow_trees`` grows every tree of a forest in
+lockstep: each step takes one splittable node from each of several trees,
+every tree in its own pre-order, so each tree draws its feature subsets
+in the order it would alone, and scores all of them in one exact
+segmented search over per-column dense ranks computed once (one sort of
+(node, feature, rank) keys, a segmented cumsum and a first argmax per
+node). Two private budgets bound its memory: a step holds at most
+``_STEP_BUDGET`` (row, candidate feature) elements and trees start only
+while the growing ones hold fewer than ``_ROW_BUDGET`` rows; at least one
+node and one tree always go ahead. ``grow_tree_arrays`` is its one-tree
+case and ``best_split`` the one-node case of its search.
+
 A tree is immutable and built one way: growth and the JSON reader list
 its nodes in pre-order (scikit-learn's ``Tree`` order), a ``Leaf`` or a
 (feature, threshold) pair each, and ``_assemble`` builds it bottom-up.
@@ -34,8 +46,9 @@ case. No walk recurses.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -116,10 +129,96 @@ class TreeParams:
         return k
 
 
+# The growth memory budgets of the module docstring: (row, candidate
+# feature) elements per step, and rows of the trees growing at once.
+_STEP_BUDGET = 2**12
+_ROW_BUDGET = 2**17
+
+
+def _dense_ranks(X: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ranks of each column of ``X``, column after column (the rank
+    of ``X[i, f]`` is at ``f * len(X) + i``), and one more than the
+    largest. Equal values share a rank, so a rank change between sorted
+    neighbours is the test ``v[i] < v[i+1]``."""
+    ranks = np.empty(X.T.shape, dtype=np.int64)
+    for f, col in enumerate(X.T):
+        ranks[f] = np.unique(col, return_inverse=True)[1]
+    return ranks.ravel(), int(ranks.max(initial=0)) + 1
+
+
+def _best_splits(X, y, ranks, n_ranks, nodes) -> list:
+    """The best split of each node, as (feature, threshold, S, left
+    class-1 count), or None where no candidate strictly beats the parent.
+
+    A node is (row ids, class-1 count, sorted candidate features), and
+    every node holds the same number of candidates. All nodes are scored
+    by one search: a segment is one (node, candidate) pair, one stable
+    sort orders the elements by (segment, rank), and a boundary is a rank
+    change inside a segment. Boundaries come out in (node, feature,
+    threshold) order, so the first maximal S of a node is both the lowest
+    threshold within a feature and the lowest feature across features.
+    """
+    sizes = [len(rows) for rows, _, _ in nodes]
+    counts_1 = [c1 for _, c1, _ in nodes]
+    features = np.array([f for _, _, f in nodes])
+    rows = np.concatenate([rows for rows, _, _ in nodes])
+    m, k = features.shape
+    # element j * len(rows) + r: row rows[r] on its node's j-th candidate
+    feature = np.repeat(features, sizes, axis=0).T
+    segment = np.repeat(np.arange(m) * k, sizes) + np.arange(k)[:, None]
+    key = (segment * n_ranks + ranks.take(feature * len(X) + rows)).ravel()
+    # the element breaks ties, so sorting the values gives the stable
+    # order; the product fits in int64 for nodes below two million rows
+    key, element = np.divmod(np.sort(key * len(key) + np.arange(len(key))), len(key))
+    row = rows.take(element % len(rows))
+    left_1 = np.concatenate(([0], np.cumsum(y.take(row))))
+    seg_size = np.repeat(sizes, k)
+    seg_start = np.cumsum(seg_size) - seg_size
+    segment = key // n_ranks
+    b = np.flatnonzero((key[:-1] < key[1:]) & (segment[:-1] == segment[1:]))
+    found = [None] * m
+    if len(b) == 0:
+        return found
+    seg = segment.take(b)
+    node = seg // k
+    n_node = np.take(sizes, node)
+    n_left = b + 1 - seg_start.take(seg)
+    n_right = n_node - n_left
+    c1_left = left_1.take(b + 1) - left_1.take(seg_start.take(seg))
+    c0_left = n_left - c1_left
+    c1_right = np.take(counts_1, node) - c1_left
+    c0_right = n_right - c1_right
+    T = (c0_left * c0_left + c1_left * c1_left) * n_right + (c0_right * c0_right + c1_right * c1_right) * n_left
+    D = n_left * n_right
+    S = T / D
+    starts = np.concatenate(([True], node[1:] != node[:-1]))
+    first, group = np.flatnonzero(starts), np.cumsum(starts) - 1
+    hit = np.flatnonzero(S == np.maximum.reduceat(S, first)[group])
+    win = hit[np.concatenate(([True], group[hit][1:] != group[hit][:-1]))]
+    at = b.take(win)
+    win_feature = feature.ravel().take(element.take(at))
+    lo = X[row.take(at), win_feature]  # the values either side of the boundary
+    hi = X[row.take(at + 1), win_feature]
+    columns = (node.take(win), win_feature, lo, hi, S.take(win), T.take(win), D.take(win), c1_left.take(win))
+    for i, f, lo, hi, s, t, d, c1 in zip(*(column.tolist() for column in columns)):
+        n, n_1 = sizes[i], counts_1[i]
+        if t * n <= ((n - n_1) ** 2 + n_1 * n_1) * d:  # exact: S <= parent impurity score
+            continue
+        threshold = (lo + hi) / 2.0
+        if threshold == hi:
+            # adjacent floats can round the midpoint up onto the right
+            # value; fall back to the left value so routing by
+            # x <= threshold reproduces the intended partition
+            threshold = lo
+        found[i] = (f, threshold, s, c1)
+    return found
+
+
 def best_split(
     X: np.ndarray, y: np.ndarray, candidate_features: Sequence[int]
 ) -> Optional[tuple[int, float, float]]:
-    """Exhaustive search for the impurity-minimizing (feature, threshold).
+    """Exhaustive search for the impurity-minimizing (feature, threshold):
+    the one-node case of the search ``grow_trees`` runs per step.
 
     Returns (feature_index, threshold, weighted_child_impurity), or None if
     no candidate strictly beats the parent impurity. Candidates are the
@@ -130,65 +229,81 @@ def best_split(
     n = len(y)
     if n == 0 or len(candidate_features) == 0:
         raise ParameterError("best_split needs rows and at least one candidate feature")
-
-    total_1 = int(y.sum())
-    total_0 = n - total_1
-    parent_score = total_0 * total_0 + total_1 * total_1
-
-    best = None  # (S, feature, threshold, T, D)
-    for f in sorted(int(f) for f in candidate_features):
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        v = col[order]
-        boundaries = np.nonzero(v[:-1] < v[1:])[0]
-        if len(boundaries) == 0:
-            continue
-        n_left = boundaries + 1
-        n_right = n - n_left
-        c1_left = np.cumsum(y[order])[boundaries]
-        c0_left = n_left - c1_left
-        c1_right = total_1 - c1_left
-        c0_right = n_right - c1_right
-        A = c0_left * c0_left + c1_left * c1_left
-        B = c0_right * c0_right + c1_right * c1_right
-        T = A * n_right + B * n_left
-        D = n_left * n_right
-        S = T / D
-        # argmax takes the first maximum; thresholds ascend with the sort,
-        # so within a feature the lowest winning threshold is kept.
-        j = int(np.argmax(S))
-        if best is None or S[j] > best[0]:
-            a = float(v[boundaries[j]])
-            b = float(v[boundaries[j] + 1])
-            threshold = (a + b) / 2.0
-            if threshold == b:
-                # adjacent floats can round the midpoint up onto the right
-                # value; fall back to the left value so routing by
-                # x <= threshold reproduces the intended partition
-                threshold = a
-            best = (S[j], f, threshold, int(T[j]), int(D[j]))
-
-    if best is None:
+    features = np.array(sorted(int(f) for f in candidate_features))
+    ranks, n_ranks = _dense_ranks(X)
+    [found] = _best_splits(X, y, ranks, n_ranks, [(np.arange(n), int(y.sum()), features)])
+    if found is None:
         return None
-    S_best, feature, threshold, T, D = best
-    if T * n <= parent_score * D:  # exact: S <= parent impurity score
-        return None
-    return feature, threshold, 1.0 - S_best / n
+    feature, threshold, S, _ = found
+    return feature, threshold, 1.0 - S / n
 
 
-def grow_tree_arrays(
+class _Growth:
+    """One tree being grown: its pre-order node list (a Leaf, or a
+    (feature, threshold) split each), a LIFO stack of (row ids, depth,
+    class-1 count) still to grow, and ``node``, the splittable node it
+    waits to have scored, with its sorted candidate features."""
+
+    __slots__ = ("nodes", "stack", "rng", "n_rows", "node")
+
+    def __init__(self, rows: np.ndarray, y: np.ndarray, rng: np.random.Generator):
+        self.nodes: list = []
+        self.stack = [(rows, 0, int(y[rows].sum()))]
+        self.rng = rng
+        self.n_rows = len(rows)
+        self.node = None
+
+    def advance(self, params: TreeParams, d: int, k: int) -> bool:
+        """Move to the next splittable node in pre-order, listing the leaves
+        on the way and drawing the node's feature subset (skipped when the
+        subset is all features, so full-subset growth consumes no
+        randomness); False once the tree is done."""
+        while self.stack:
+            rows, depth, c1 = self.stack.pop()
+            c0 = len(rows) - c1
+            at_depth_limit = params.max_depth is not None and depth >= params.max_depth
+            if c0 == 0 or c1 == 0 or len(rows) < params.min_samples_split or at_depth_limit:
+                self.nodes.append(Leaf(c0, c1))
+                continue
+            features = np.sort(self.rng.choice(d, size=k, replace=False)) if k < d else np.arange(d)
+            self.node = (rows, depth, c1, features)
+            return True
+        return False
+
+    def split(self, X: np.ndarray, found) -> None:
+        """Record the node as ``found`` by the search. The right
+        child is pushed first, so the left is grown next (pre-order), and
+        children keep their rows' order."""
+        rows, depth, c1, _ = self.node
+        if found is None:
+            self.nodes.append(Leaf(len(rows) - c1, c1))
+            return
+        feature, threshold, _, c1_left = found
+        self.nodes.append((feature, threshold))
+        goes_left = X[rows, feature] <= threshold
+        self.stack.append((rows[~goes_left], depth + 1, c1 - c1_left))
+        self.stack.append((rows[goes_left], depth + 1, c1_left))
+
+
+def grow_trees(
     X: np.ndarray,
     y: np.ndarray,
+    jobs: Iterable[tuple[np.ndarray, np.random.Generator]],
     params: TreeParams,
-    rng: np.random.Generator,
-) -> TreeNode:
-    """Grow a tree on a feature matrix and 0/1 label array.
+) -> list[TreeNode]:
+    """Grow one tree per job, in job order. A job is (rows, rng): the tree
+    grown on ``X[rows]``, ``y[rows]`` drawing its feature subsets from
+    ``rng``.
 
     Per node: stop with a Leaf if the node is pure, smaller than
     min_samples_split, or at the depth limit; otherwise draw a fresh random
-    feature subset (skipped when the subset is all features, so full-subset
-    growth consumes no randomness) and split, stopping if best_split finds
-    no strict improvement.
+    feature subset and split, stopping if the search finds no strict
+    improvement. The trees grow in lockstep: each step takes one waiting
+    node from each of as many trees as the step budget admits (round
+    robin), scores them all in one search, and moves each of those trees
+    on to its next splittable node in its own pre-order. A tree's rng is
+    therefore drawn in the order one-tree growth draws it, and jobs are
+    taken from ``jobs`` only when the row budget lets a tree start.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -199,34 +314,54 @@ def grow_tree_arrays(
         raise ParameterError("cannot grow a tree on zero rows")
     if not np.isin(y, (0, 1)).all():
         raise ParameterError("labels may contain only 0 and 1")
+    if np.isnan(X).any():
+        raise ParameterError("feature values may not be NaN")
     k = params.resolve_features_per_split(d)
+    ranks, n_ranks = _dense_ranks(X)
 
-    nodes: list = []  # pre-order: a Leaf, or a (feature, threshold) split
-    # LIFO with right pushed before left gives pre-order growth, so the
-    # feature sampler is consumed in the same order a recursive
-    # implementation would use, without recursion depth limits
-    stack: list[tuple[np.ndarray, int]] = [(np.arange(n), 0)]
-    while stack:
-        idx, depth = stack.pop()
-        sub_y = y[idx]
-        n_node = len(idx)
-        c1 = int(sub_y.sum())
-        c0 = n_node - c1
-        at_depth_limit = params.max_depth is not None and depth >= params.max_depth
-        if c0 == 0 or c1 == 0 or n_node < params.min_samples_split or at_depth_limit:
-            nodes.append(Leaf(c0, c1))
-            continue
-        features = np.sort(rng.choice(d, size=k, replace=False)) if k < d else np.arange(d)
-        found = best_split(X[idx], sub_y, features)
-        if found is None:
-            nodes.append(Leaf(c0, c1))
-            continue
-        feature, threshold, _ = found
-        nodes.append((feature, threshold))
-        goes_left = X[idx, feature] <= threshold
-        stack.append((idx[~goes_left], depth + 1))
-        stack.append((idx[goes_left], depth + 1))
-    return _assemble(nodes)
+    trees: list[list] = []  # each job's pre-order node list
+    waiting: deque[_Growth] = deque()
+    held = 0  # rows of the trees growing
+    jobs = iter(jobs)
+    while True:
+        while held < _ROW_BUDGET or not waiting:
+            job = next(jobs, None)
+            if job is None:
+                break
+            rows, rng = job
+            if len(rows) == 0:
+                raise ParameterError("cannot grow a tree on zero rows")
+            tree = _Growth(np.asarray(rows, dtype=np.intp), y, rng)
+            trees.append(tree.nodes)
+            if tree.advance(params, d, k):
+                waiting.append(tree)
+                held += tree.n_rows
+        if not waiting:
+            break
+        step, elements = [], 0
+        while waiting and (not step or elements + len(waiting[0].node[0]) * k <= _STEP_BUDGET):
+            elements += len(waiting[0].node[0]) * k
+            step.append(waiting.popleft())
+        found = _best_splits(X, y, ranks, n_ranks, [(rows, c1, f) for rows, _, c1, f in (t.node for t in step)])
+        for tree, split in zip(step, found):
+            tree.split(X, split)
+            if tree.advance(params, d, k):
+                waiting.append(tree)
+            else:
+                held -= tree.n_rows
+    return [_assemble(nodes) for nodes in trees]
+
+
+def grow_tree_arrays(
+    X: np.ndarray,
+    y: np.ndarray,
+    params: TreeParams,
+    rng: np.random.Generator,
+) -> TreeNode:
+    """Grow a tree on a feature matrix and 0/1 label array: the one-tree
+    case of ``grow_trees``."""
+    X = np.asarray(X, dtype=float)
+    return grow_trees(X, y, [(np.arange(len(X)), rng)], params)[0]
 
 
 def _fold_up(nodes: Sequence, leaf, split):

@@ -5,7 +5,11 @@ feature subsets) from its own substream, seeded by mixing the master seed
 with the tree index. A tree is therefore a pure function of
 (training data, params, tree index): trees can be trained in any order or
 concurrently and the model comes out identical, and growing a forest by
-more trees never changes the trees already trained.
+more trees never changes the trees already trained. ``train_forest``
+grows all trees with one ``cart.grow_trees`` call, in lockstep, and
+draws each tree's bootstrap only when the grower's row budget lets that
+tree start, so its memory does not grow with the tree count;
+``train_single_tree`` grows one tree alone and gives the same tree.
 
 ``predict_forest_dataset`` is the one prediction path: a soft vote (the
 mean of the trees' leaf class-1 fractions). It flattens the trees once
@@ -27,6 +31,7 @@ from .cart import (
     TreeParams,
     flatten,
     grow_tree_arrays,
+    grow_trees,
     leaf_values,
     tree_from_json_dict,
     tree_importances,
@@ -76,23 +81,30 @@ def bootstrap_indices(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
+def _tree_job(n: int, params: ForestParams, tree_index: int) -> tuple[np.ndarray, np.random.Generator]:
+    """Tree ``tree_index``'s training rows, drawn first from its substream
+    when bootstrapping, and the substream it goes on to draw from."""
+    rng = substream(params.seed, tree_index)
+    return (bootstrap_indices(n, rng) if params.bootstrap else np.arange(n)), rng
+
+
 def train_single_tree(X: np.ndarray, y: np.ndarray, params: ForestParams, tree_index: int) -> TreeNode:
     """Tree number ``tree_index`` of the forest: a pure function of its
     arguments, independent of any other tree."""
-    rng = substream(params.seed, tree_index)
-    if params.bootstrap:
-        idx = bootstrap_indices(len(y), rng)
-        return grow_tree_arrays(X[idx], y[idx], params.tree_params, rng)
-    return grow_tree_arrays(X, y, params.tree_params, rng)
+    rows, rng = _tree_job(len(y), params, tree_index)
+    return grow_tree_arrays(X[rows], y[rows], params.tree_params, rng)
 
 
 def train_forest(train: Dataset, params: ForestParams) -> ForestModel:
-    """Train ``params.n_trees`` trees on bootstrap samples of ``train``."""
+    """Train ``params.n_trees`` trees on bootstrap samples of ``train``,
+    grown together by one ``grow_trees`` call; each tree equals
+    ``train_single_tree`` of its index."""
     y = train.labels()
     if len(np.unique(y)) < 2:
         raise DegenerateLabelsError("training set contains a single class; a forest needs both")
     X = train.feature_matrix()
-    return ForestModel(tuple(train_single_tree(X, y, params, t) for t in range(params.n_trees)), params)
+    jobs = (_tree_job(len(y), params, t) for t in range(params.n_trees))
+    return ForestModel(tuple(grow_trees(X, y, jobs, params.tree_params)), params)
 
 
 # (row, tree) pairs walked at once: smaller blocks pay the walk's per-step

@@ -20,6 +20,7 @@ from smerisk.cart import (
     best_split,
     gini_impurity,
     grow_tree_arrays,
+    grow_trees,
     predict_proba,
     tree_from_json_dict,
     tree_to_json_dict,
@@ -145,6 +146,16 @@ def test_midpoint_never_lands_on_right_value(a, b):
     assert a <= threshold < b
 
 
+@pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)])
+def test_signed_zeros_tie_and_the_last_in_row_order_sets_the_sign(zeros):
+    # -0.0 and 0.0 are one value; the midpoint up to +inf rounds onto inf,
+    # so the threshold falls back to the last zero in the rows' order
+    X = np.array([[zeros[0]], [zeros[1]], [np.inf]])
+    feature, threshold, _ = best_split(X, np.array([0, 0, 1]), np.array([0]))
+    assert (feature, threshold) == (0, 0.0)
+    assert math.copysign(1.0, threshold) == math.copysign(1.0, zeros[1])
+
+
 # growth and stopping rules
 
 
@@ -162,6 +173,14 @@ def test_grow_separable_tree_shape():
     assert (node.left.count_0, node.left.count_1) == (2, 0)
     assert (node.right.count_0, node.right.count_1) == (0, 2)
 
+
+def test_grow_splits_adjacent_floats_at_the_left_value():
+    # the midpoint rounds up onto the right value, so the split falls back
+    # to the left one and each child still gets its own row
+    a, b = np.nextafter(1.0, 0.0), 1.0
+    node = grow([[b], [a], [b], [a]], [1, 0, 1, 0])
+    assert isinstance(node, Internal) and node.threshold == a
+    assert (node.left, node.right) == (Leaf(2, 0), Leaf(0, 2))
 
 def test_grow_min_samples_split_stops():
     node = grow([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1], min_samples_split=5)
@@ -281,6 +300,35 @@ def test_matches_bruteforce_oracle_small_instances():
         expected = oracle_grow([tuple(r) for r in X], [int(v) for v in y])
         assert tree_as_tuple(node) == expected, f"trial {trial}"
 
+
+
+def test_lockstep_trees_match_bruteforce_oracle():
+    # up to 8 small instances stacked into one matrix and grown together,
+    # one tree per instance: a step's segments then run across the nodes
+    # of different trees, which one-tree growth never puts side by side
+    rng = np.random.default_rng(2025)
+    for trial in range(25):
+        instances = []
+        for _ in range(int(rng.integers(1, 9))):
+            n = int(rng.integers(4, 51))
+            X = rng.uniform(-2.0, 2.0, size=(n, 4))
+            if len(instances) % 2 == 1:
+                X = np.round(X, 1)  # force duplicate values and threshold ties
+            instances.append((X, rng.integers(0, 2, size=n).astype(np.int64)))
+        starts = np.cumsum([0] + [len(y) for _, y in instances])
+        jobs = [(np.arange(a, b), substream(trial, t)) for t, (a, b) in enumerate(zip(starts, starts[1:]))]
+        X = np.concatenate([X for X, _ in instances])
+        y = np.concatenate([y for _, y in instances])
+        trees = grow_trees(X, y, jobs, TreeParams(features_per_split=4))
+        assert len(trees) == len(instances)
+        for t, (tree, (X, y)) in enumerate(zip(trees, instances)):
+            expected = oracle_grow([tuple(r) for r in X], [int(v) for v in y])
+            assert tree_as_tuple(tree) == expected, f"trial {trial}, tree {t}"
+
+
+def test_grow_rejects_nan_features():
+    with pytest.raises(ParameterError, match="NaN"):
+        grow([[1.0], [np.nan], [3.0]], [0, 1, 1])
 
 # prediction semantics
 

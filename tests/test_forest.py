@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_soft_vote
+from smerisk import cart
 from smerisk.cart import (
     Internal,
     Leaf,
@@ -18,6 +19,7 @@ from smerisk.cart import (
     preorder,
     tree_from_json_dict,
     tree_importances,
+    tree_to_json_dict,
 )
 from smerisk.dataset import FEATURE_COLUMNS, Dataset
 from smerisk.errors import DegenerateLabelsError, ModelFormatError, ParameterError
@@ -200,6 +202,67 @@ def test_ensemble_of_one_equals_bare_tree(strong_split):
     )
     assert np.array_equal(predict_forest_dataset(forest, test), predict_proba(bare, test.feature_matrix()))
 
+
+
+LOCKSTEP_CASES = {
+    "bootstrap, one feature": ForestParams(n_trees=8, seed=4, tree_params=TreeParams(features_per_split=1)),
+    "no bootstrap, two features": ForestParams(
+        n_trees=8, seed=5, bootstrap=False, tree_params=TreeParams(features_per_split=2)
+    ),
+    "bootstrap, all features": ForestParams(n_trees=8, seed=6, tree_params=TreeParams(features_per_split=6)),
+    "depth and split limits": ForestParams(
+        n_trees=8, seed=7, tree_params=TreeParams(max_depth=3, min_samples_split=5)
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def zero_signal_book():
+    # no signal: trees grow to purity, 12 to 19 levels deep
+    return generate(GeneratorConfig(n_samples=400, seed=5, signal_strength=0.0))
+
+
+@pytest.mark.parametrize("budget", ["default", "one element", "one root node", "2^30", "one tree at a time"])
+@pytest.mark.parametrize("case", [*LOCKSTEP_CASES, "zero signal, deep"])
+def test_lockstep_forest_equals_its_trees_grown_alone(strong_split, zero_signal_book, monkeypatch, case, budget):
+    # every tree of one lockstep growth equals the tree grown on its own,
+    # however the step and row budgets cut the growth into steps
+    if case == "zero signal, deep":
+        train, params = zero_signal_book, ForestParams(n_trees=8, seed=8)
+    else:
+        train, params = strong_split[0], LOCKSTEP_CASES[case]
+    k = params.tree_params.resolve_features_per_split(6)
+    if budget == "one element":
+        monkeypatch.setattr(cart, "_STEP_BUDGET", 1)
+    elif budget == "one root node":
+        monkeypatch.setattr(cart, "_STEP_BUDGET", len(train) * k)
+    elif budget == "2^30":
+        monkeypatch.setattr(cart, "_STEP_BUDGET", 2**30)
+    elif budget == "one tree at a time":
+        monkeypatch.setattr(cart, "_ROW_BUDGET", 1)
+    forest = train_forest(train, params)
+    X, y = train.feature_matrix(), train.labels()
+    for t, tree in enumerate(forest.trees):
+        assert tree_to_json_dict(tree) == tree_to_json_dict(train_single_tree(X, y, params, t)), f"tree {t}"
+
+
+def test_training_memory_does_not_grow_with_the_tree_count():
+    # trees start growing only while the rows they hold stay under a
+    # budget, and a step scores a bounded number of elements: 40 trees on
+    # a 20,000-row book peak close to 4 trees
+    book = generate(GeneratorConfig(n_samples=20_000, seed=4))
+    train_forest(book, ForestParams(n_trees=1, tree_params=TreeParams(max_depth=1)))  # one-time allocations
+
+    def peak(n_trees):
+        tracemalloc.start()
+        try:
+            train_forest(book, ForestParams(n_trees=n_trees, seed=3, tree_params=TreeParams(max_depth=3)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(4), peak(40)
+    assert many - few <= 2 * 2**20, (few, many)
 
 # prediction
 
