@@ -30,25 +30,30 @@ while the growing ones hold fewer than ``_ROW_BUDGET`` rows; at least one
 node and one tree always go ahead. ``grow_tree_arrays`` is its one-tree
 case and ``best_split`` the one-node case of its search.
 
-A tree is immutable and built one way: growth and the JSON reader list
-its nodes in pre-order (scikit-learn's ``Tree`` order), a ``Leaf`` or a
-(feature, threshold) pair each, and ``_assemble`` builds it bottom-up.
-Each node checks its own fields, so the JSON reader only checks keys.
-``preorder`` is the one walk of a finished tree; the JSON writer and
-``tree_importances`` fold over it in reverse, and ``flatten`` concatenates
-trees into one pre-order node table (scikit-learn's ``Tree`` arrays).
-Prediction is one level-synchronous walk over that table:
-``leaf_values`` advances every (row, tree) pair one depth level per step,
-dropping pairs as they reach a leaf, and ``predict_proba`` is its one-tree
-case. No walk recurses.
+A tree is five read-only pre-order node arrays, scikit-learn's ``Tree``
+layout: node i splits on ``feature[i]`` at ``threshold[i]``, its left
+child is i + 1 and its right child ``right[i]``. A leaf has feature -1
+and holds the label tallies ``count_0[i]`` and ``count_1[i]`` of the
+training rows that reached it; a split holds zero counts. Growth and the
+JSON reader fill the arrays in pre-order, each recording a split's right
+index when it reaches that child. The reader checks every value at once
+when the walk is done, and growth rejects non-finite features up front,
+so both build only valid trees. The JSON writer and ``tree_importances``
+fold over the arrays in reverse pre-order, where both children of a
+split are done before it. Prediction is one level-synchronous walk over
+``join_trees``'s concatenation of the trees: ``leaf_values`` advances
+every (row, tree) pair one depth level per step, dropping pairs as they
+reach a leaf, and ``predict_proba`` is its one-tree case. No walk
+recurses.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -65,43 +70,20 @@ def gini_impurity(count_0: int, count_1: int) -> float:
     return 1.0 - (count_0 * count_0 + count_1 * count_1) / (n * n)
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """Terminal node: label tallies of the training rows that reached it."""
-
-    count_0: int
-    count_1: int
-
-    def __post_init__(self):
-        for name in ("count_0", "count_1"):
-            v = getattr(self, name)
-            if type(v) is not int or not 0 <= v <= 2**53:  # larger counts lose precision as floats
-                raise ParameterError(f"{name} must be an integer in [0, 2**53], got {v!r}")
-        if self.count_0 + self.count_1 < 1:
-            raise ParameterError("a leaf must hold at least one row")
-
-
 @dataclass(frozen=True, eq=False)
-class Internal:
-    """Split node: rows with x[feature] <= threshold go to ``left``.
+class Tree:
+    """One tree as the pre-order node arrays of the module docstring,
+    made read-only. Compared and hashed by identity."""
 
-    Compared and hashed by identity: a generated ``__eq__``/``__hash__``
-    would recurse over the subtree and overflow on deep trees.
-    """
-
-    feature: int
-    threshold: float
-    left: "TreeNode"
-    right: "TreeNode"
+    feature: np.ndarray  # intp, -1 at a leaf
+    threshold: np.ndarray  # float, 0.0 at a leaf
+    right: np.ndarray  # intp, -1 at a leaf
+    count_0: np.ndarray  # int64, 0 at a split
+    count_1: np.ndarray  # int64, 0 at a split
 
     def __post_init__(self):
-        if type(self.feature) is not int or not 0 <= self.feature < len(FEATURE_COLUMNS):
-            raise ParameterError(f"feature must be an index in [0, {len(FEATURE_COLUMNS)}), got {self.feature!r}")
-        if not math.isfinite(self.threshold):
-            raise ParameterError(f"threshold must be finite, got {self.threshold!r}")
-
-
-TreeNode = Union[Leaf, Internal]
+        for array in (self.feature, self.threshold, self.right, self.count_0, self.count_1):
+            array.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -239,16 +221,18 @@ def best_split(
 
 
 class _Growth:
-    """One tree being grown: its pre-order node list (a Leaf, or a
-    (feature, threshold) split each), a LIFO stack of (row ids, depth,
-    class-1 count) still to grow, and ``node``, the splittable node it
-    waits to have scored, with its sorted candidate features."""
+    """One tree being grown: its pre-order nodes as [feature, threshold,
+    right, count_0, count_1] rows, a LIFO stack of (row ids, depth,
+    class-1 count, parent) still to grow, where parent is the split whose
+    right child the entry is (-1 for a left child or the root), and
+    ``node``, the splittable node it waits to have scored, with its sorted
+    candidate features."""
 
     __slots__ = ("nodes", "stack", "rng", "n_rows", "node")
 
     def __init__(self, rows: np.ndarray, y: np.ndarray, rng: np.random.Generator):
         self.nodes: list = []
-        self.stack = [(rows, 0, int(y[rows].sum()))]
+        self.stack = [(rows, 0, int(y[rows].sum()), -1)]
         self.rng = rng
         self.n_rows = len(rows)
         self.node = None
@@ -257,13 +241,16 @@ class _Growth:
         """Move to the next splittable node in pre-order, listing the leaves
         on the way and drawing the node's feature subset (skipped when the
         subset is all features, so full-subset growth consumes no
-        randomness); False once the tree is done."""
+        randomness); False once the tree is done. A node's index is the
+        node count when it is popped, as nothing is listed before it."""
         while self.stack:
-            rows, depth, c1 = self.stack.pop()
+            rows, depth, c1, parent = self.stack.pop()
+            if parent >= 0:
+                self.nodes[parent][2] = len(self.nodes)
             c0 = len(rows) - c1
             at_depth_limit = params.max_depth is not None and depth >= params.max_depth
             if c0 == 0 or c1 == 0 or len(rows) < params.min_samples_split or at_depth_limit:
-                self.nodes.append(Leaf(c0, c1))
+                self.nodes.append([-1, 0.0, -1, c0, c1])
                 continue
             features = np.sort(self.rng.choice(d, size=k, replace=False)) if k < d else np.arange(d)
             self.node = (rows, depth, c1, features)
@@ -276,13 +263,18 @@ class _Growth:
         children keep their rows' order."""
         rows, depth, c1, _ = self.node
         if found is None:
-            self.nodes.append(Leaf(len(rows) - c1, c1))
+            self.nodes.append([-1, 0.0, -1, len(rows) - c1, c1])
             return
         feature, threshold, _, c1_left = found
-        self.nodes.append((feature, threshold))
         goes_left = X[rows, feature] <= threshold
-        self.stack.append((rows[~goes_left], depth + 1, c1 - c1_left))
-        self.stack.append((rows[goes_left], depth + 1, c1_left))
+        self.stack.append((rows[~goes_left], depth + 1, c1 - c1_left, len(self.nodes)))
+        self.stack.append((rows[goes_left], depth + 1, c1_left, -1))
+        self.nodes.append([feature, threshold, -1, 0, 0])
+
+    def tree(self) -> Tree:
+        """The grown tree: one array per column of the node rows."""
+        columns = zip(*self.nodes)
+        return Tree(*(np.array(c, dtype=t) for c, t in zip(columns, (np.intp, float, np.intp, np.int64, np.int64))))
 
 
 def grow_trees(
@@ -290,12 +282,12 @@ def grow_trees(
     y: np.ndarray,
     jobs: Iterable[tuple[np.ndarray, np.random.Generator]],
     params: TreeParams,
-) -> list[TreeNode]:
+) -> list[Tree]:
     """Grow one tree per job, in job order. A job is (rows, rng): the tree
     grown on ``X[rows]``, ``y[rows]`` drawing its feature subsets from
     ``rng``.
 
-    Per node: stop with a Leaf if the node is pure, smaller than
+    Per node: stop with a leaf if the node is pure, smaller than
     min_samples_split, or at the depth limit; otherwise draw a fresh random
     feature subset and split, stopping if the search finds no strict
     improvement. The trees grow in lockstep: each step takes one waiting
@@ -314,12 +306,12 @@ def grow_trees(
         raise ParameterError("cannot grow a tree on zero rows")
     if not np.isin(y, (0, 1)).all():
         raise ParameterError("labels may contain only 0 and 1")
-    if np.isnan(X).any():
-        raise ParameterError("feature values may not be NaN")
+    if not np.isfinite(X).all():  # a midpoint next to -inf would be -inf
+        raise ParameterError("feature values may not be NaN or infinite")
     k = params.resolve_features_per_split(d)
     ranks, n_ranks = _dense_ranks(X)
 
-    trees: list[list] = []  # each job's pre-order node list
+    trees: list[_Growth] = []
     waiting: deque[_Growth] = deque()
     held = 0  # rows of the trees growing
     jobs = iter(jobs)
@@ -332,7 +324,7 @@ def grow_trees(
             if len(rows) == 0:
                 raise ParameterError("cannot grow a tree on zero rows")
             tree = _Growth(np.asarray(rows, dtype=np.intp), y, rng)
-            trees.append(tree.nodes)
+            trees.append(tree)
             if tree.advance(params, d, k):
                 waiting.append(tree)
                 held += tree.n_rows
@@ -349,7 +341,8 @@ def grow_trees(
                 waiting.append(tree)
             else:
                 held -= tree.n_rows
-    return [_assemble(nodes) for nodes in trees]
+                tree.node = None  # a finished tree holds no rows
+    return [tree.tree() for tree in trees]
 
 
 def grow_tree_arrays(
@@ -357,53 +350,18 @@ def grow_tree_arrays(
     y: np.ndarray,
     params: TreeParams,
     rng: np.random.Generator,
-) -> TreeNode:
+) -> Tree:
     """Grow a tree on a feature matrix and 0/1 label array: the one-tree
     case of ``grow_trees``."""
     X = np.asarray(X, dtype=float)
     return grow_trees(X, y, [(np.arange(len(X)), rng)], params)[0]
 
 
-def _fold_up(nodes: Sequence, leaf, split):
-    """The root's result of ``leaf(node)`` at leaves and ``split(node,
-    left_result, right_result)`` at splits, over a pre-order node list
-    walked in reverse, so that a split's children are done before it."""
-    done: list = []
-    for node in reversed(nodes):
-        if isinstance(node, Leaf):
-            done.append(leaf(node))
-        else:
-            left = done.pop()
-            done.append(split(node, left, done.pop()))
-    return done[0]
-
-
-def _assemble(nodes: Sequence) -> TreeNode:
-    """The tree whose pre-order is ``nodes``, splits as (feature, threshold)."""
-    return _fold_up(nodes, lambda leaf: leaf, lambda pair, left, right: Internal(*pair, left, right))
-
-
-def preorder(tree: TreeNode) -> list[TreeNode]:
-    """Every node of ``tree`` in (node, left subtree, right subtree) order."""
-    nodes = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        if isinstance(node, Internal):
-            stack.append(node.right)
-            stack.append(node.left)
-    return nodes
-
-
 @dataclass(frozen=True, eq=False)
 class FlatTrees:
-    """Trees concatenated into one pre-order node table.
-
-    Node i splits on ``feature[i]`` at ``threshold[i]``; its left child is
-    i + 1 (pre-order) and its right child ``right[i]``. A leaf has feature
-    -1 and ``value`` its class-1 fraction. ``roots[t]`` is tree t's root.
-    """
+    """Trees concatenated into one node table in the ``Tree`` layout, with
+    each leaf's class-1 fraction in ``value`` and tree t's root at
+    ``roots[t]``."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -412,31 +370,21 @@ class FlatTrees:
     roots: np.ndarray
 
 
-def flatten(trees: Sequence[TreeNode]) -> FlatTrees:
-    """The node table of ``trees``, in order."""
-    feature, threshold, right, value, roots = [], [], [], [], []
-    for tree in trees:
-        nodes = preorder(tree)
-        roots.append(len(feature))
-        position = {id(node): len(feature) + i for i, node in enumerate(nodes)}
-        for node in nodes:
-            if isinstance(node, Leaf):
-                feature.append(-1)
-                threshold.append(0.0)
-                right.append(-1)
-                value.append(node.count_1 / (node.count_0 + node.count_1))
-            else:
-                feature.append(node.feature)
-                threshold.append(node.threshold)
-                right.append(position[id(node.right)])
-                value.append(0.0)
-    return FlatTrees(
-        np.array(feature, dtype=np.intp),
-        np.array(threshold, dtype=float),
-        np.array(right, dtype=np.intp),
-        np.array(value, dtype=float),
-        np.array(roots, dtype=np.intp),
+def join_trees(trees: Sequence[Tree]) -> FlatTrees:
+    """The node table of ``trees``, in order. A leaf's value is
+    count_1 / (count_0 + count_1) rounded once, as Python divides ints."""
+    sizes = [len(tree.feature) for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature, threshold, right, count_0, count_1 = (
+        np.concatenate([getattr(tree, name) for tree in trees])
+        for name in ("feature", "threshold", "right", "count_0", "count_1")
     )
+    right = np.where(feature < 0, -1, right + np.repeat(roots, sizes))
+    n = count_0 + count_1  # 0 at splits
+    value = count_1 / np.maximum(n, 1)
+    for i in np.flatnonzero(n > 2**53).tolist():  # a float64 above 2**53 may have rounded
+        value[i] = int(count_1[i]) / int(n[i])
+    return FlatTrees(feature, threshold, right, value, roots)
 
 
 def leaf_values(flat: FlatTrees, X: np.ndarray) -> np.ndarray:
@@ -472,65 +420,113 @@ def leaf_values(flat: FlatTrees, X: np.ndarray) -> np.ndarray:
     return out.reshape(n_rows, n_trees)
 
 
-def predict_proba(tree: TreeNode, X: np.ndarray) -> np.ndarray:
+def predict_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
     """Class-1 fraction of the leaf each row of ``X`` reaches, as an (n,)
     array: the one-tree case of ``leaf_values``."""
-    return leaf_values(flatten([tree]), X).ravel()
+    return leaf_values(join_trees([tree]), X).ravel()
 
 
-def tree_importances(tree: TreeNode) -> np.ndarray:
-    """Total weighted impurity decrease per feature, from node counts alone,
-    added in reverse pre-order so retraining and reloading give equal floats."""
-    nodes = preorder(tree)
-    root_total = sum(node.count_0 + node.count_1 for node in nodes if isinstance(node, Leaf))
+def tree_importances(tree: Tree) -> np.ndarray:
+    """Total weighted impurity decrease per feature, from leaf counts alone,
+    added in reverse pre-order so retraining and reloading give equal
+    floats. Counts stay Python ints, so the expressions round as the
+    grower's exact arithmetic would."""
+    feature, right, count_0, count_1 = (a.tolist() for a in (tree.feature, tree.right, tree.count_0, tree.count_1))
+    root_total = sum(count_0) + sum(count_1)
     acc = np.zeros(len(FEATURE_COLUMNS))
-
-    def split(node, left, right):
-        (l0, l1), (r0, r1) = left, right
-        c0, c1 = l0 + r0, l1 + r1
+    for i in reversed(range(len(feature))):
+        if feature[i] < 0:
+            continue
+        l0, l1, r0, r1 = count_0[i + 1], count_1[i + 1], count_0[right[i]], count_1[right[i]]
+        c0, c1 = count_0[i], count_1[i] = l0 + r0, l1 + r1  # a split's counts become its subtree's
         n_node, n_left, n_right = c0 + c1, l0 + l1, r0 + r1
         child_impurity = (n_left * gini_impurity(l0, l1) + n_right * gini_impurity(r0, r1)) / n_node
         decrease = (n_node / root_total) * (gini_impurity(c0, c1) - child_impurity)
         # accepted splits decrease impurity exactly; the clamp only guards
         # float rounding of near-tie splits at extreme node sizes
-        acc[node.feature] += max(0.0, decrease)
-        return c0, c1
-
-    _fold_up(nodes, lambda leaf: (leaf.count_0, leaf.count_1), split)
+        acc[feature[i]] += max(0.0, decrease)
     return acc
 
 
-def tree_to_json_dict(tree: TreeNode) -> dict:
-    return _fold_up(
-        preorder(tree),
-        lambda leaf: {"count_0": leaf.count_0, "count_1": leaf.count_1},
-        lambda node, left, right: {"feature": node.feature, "threshold": node.threshold, "left": left, "right": right},
+def tree_to_json_dict(tree: Tree) -> dict:
+    """The nested document of ``tree``, built from the leaves up."""
+    feature, threshold, right, count_0, count_1 = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.right, tree.count_0, tree.count_1)
     )
+    docs: list = [None] * len(feature)
+    for i in reversed(range(len(feature))):
+        if feature[i] < 0:
+            docs[i] = {"count_0": count_0[i], "count_1": count_1[i]}
+        else:
+            docs[i] = {"feature": feature[i], "threshold": threshold[i], "left": docs[i + 1], "right": docs[right[i]]}
+    return docs[0]
 
 
-def tree_from_json_dict(doc: dict, path: str = "tree") -> TreeNode:
+_FLOAT_MAX = sys.float_info.max
+_LEAF_KEYS = frozenset(("count_0", "count_1"))
+_SPLIT_KEYS = frozenset(("feature", "threshold", "left", "right"))
+
+
+def _column(values: list, nodes: list, name: str, tp: type, low, high) -> np.ndarray:
+    """The field ``name`` of ``nodes``, read from ``values`` as an array;
+    each value must be a JSON ``tp`` (by the ``serialize`` rules) in
+    [low, high]. The values are checked all at once, and one by one only
+    to name a bad one."""
+    try:
+        if set(map(type, values)) <= ({int} if tp is int else {int, float}):
+            column = np.array(values, dtype=np.int64 if tp is int else float)
+            if ((column >= low) & (column <= high)).all():  # NaN fails
+                return column
+    except OverflowError:  # an integer beyond int64 or float
+        pass
+    for node, value in zip(nodes, values):
+        value = from_json_value(tp, value, f"node {node} {name}")
+        if not low <= value <= high:
+            raise ParameterError(f"node {node} {name} must be in [{low}, {high}], got {value!r}")
+    return np.array(values, dtype=np.int64 if tp is int else float)
+
+
+def tree_from_json_dict(doc: dict, path: str = "tree") -> Tree:
     """Read the tree document at ``path`` in its model file. The walk only
-    checks each node's keys and lists the nodes in pre-order; values are
-    read by the ``serialize`` rules and checked by ``Leaf`` and
-    ``Internal``."""
-    nodes: list = []
-    stack = [doc]
+    checks each node's keys and lists the nodes in pre-order; then every
+    value is checked: features are indices in [0, 6), thresholds finite,
+    and leaf counts integers in [0, 2**53] (larger counts lose precision
+    as floats), at least one row per leaf."""
+    splits, features, thresholds, leaves, counts_0, counts_1 = [], [], [], [], [], []
+    right: list = []
+    stack = [(doc, -1)]
     try:
         while stack:
-            d = stack.pop()
+            d, parent = stack.pop()
+            i = len(right)
+            if parent >= 0:
+                right[parent] = i
+            right.append(-1)
             if not isinstance(d, dict):
                 raise ModelFormatError(f"{path}: a tree node must be an object, got {type(d).__name__}")
-            keys = set(d)
-            if keys == {"count_0", "count_1"}:
-                count_0 = from_json_value(int, d["count_0"], "count_0")
-                nodes.append(Leaf(count_0, from_json_value(int, d["count_1"], "count_1")))
-            elif keys == {"feature", "threshold", "left", "right"}:
-                feature = from_json_value(int, d["feature"], "feature")
-                nodes.append((feature, from_json_value(float, d["threshold"], "threshold")))
-                stack.append(d["right"])
-                stack.append(d["left"])
+            keys = d.keys()
+            if keys == _LEAF_KEYS:
+                leaves.append(i)
+                counts_0.append(d["count_0"])
+                counts_1.append(d["count_1"])
+            elif keys == _SPLIT_KEYS:
+                splits.append(i)
+                features.append(d["feature"])
+                thresholds.append(d["threshold"])
+                stack.append((d["right"], i))
+                stack.append((d["left"], -1))
             else:
                 raise ModelFormatError(f"{path}: unrecognized tree node fields {sorted(keys)}")
-        return _assemble(nodes)
+        feature = np.full(len(right), -1, dtype=np.intp)
+        feature[splits] = _column(features, splits, "feature", int, 0, len(FEATURE_COLUMNS) - 1)
+        threshold = np.zeros(len(right))
+        threshold[splits] = _column(thresholds, splits, "threshold", float, -_FLOAT_MAX, _FLOAT_MAX)
+        count_0, count_1 = np.zeros(len(right), dtype=np.int64), np.zeros(len(right), dtype=np.int64)
+        count_0[leaves] = _column(counts_0, leaves, "count_0", int, 0, 2**53)
+        count_1[leaves] = _column(counts_1, leaves, "count_1", int, 0, 2**53)
+        empty = np.flatnonzero(count_0[leaves] + count_1[leaves] < 1)
+        if len(empty):
+            raise ParameterError(f"node {leaves[empty[0]]} is a leaf with no rows")
+        return Tree(feature, threshold, np.array(right, dtype=np.intp), count_0, count_1)
     except ParameterError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None

@@ -11,13 +11,14 @@ draws each tree's bootstrap only when the grower's row budget lets that
 tree start, so its memory does not grow with the tree count;
 ``train_single_tree`` grows one tree alone and gives the same tree.
 
-``predict_forest_dataset`` is the one prediction path: a soft vote (the
-mean of the trees' leaf class-1 fractions). It flattens the trees once
-per call and walks the book in blocks of a fixed budget of (row, tree)
-pairs, so its memory grows with neither the book nor the tree count.
-Labels are left to ``logit.to_labels``. Importances are computed from node
-counts when asked for, so a reloaded model gives them bit for bit and a
-model loaded only to score never computes them.
+A model holds its trees as ``cart.Tree`` node arrays, one record per
+tree. ``predict_forest_dataset`` is the one prediction path: a soft vote
+(the mean of the trees' leaf class-1 fractions). It joins the trees into
+one node table once per call and walks the book in blocks of a fixed
+budget of (row, tree) pairs, so its memory grows with neither the book
+nor the tree count. Labels are left to ``logit.to_labels``. Importances
+are computed from leaf counts when asked for, so a reloaded model gives
+them bit for bit and a model loaded only to score never computes them.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cart import (
-    TreeNode,
+    Tree,
     TreeParams,
-    flatten,
     grow_tree_arrays,
     grow_trees,
+    join_trees,
     leaf_values,
     tree_from_json_dict,
     tree_importances,
@@ -61,9 +62,9 @@ class ForestParams:
 
 @dataclass(frozen=True, eq=False)
 class ForestModel:
-    """Trained ensemble: one tree per ``params.n_trees``."""
+    """Trained ensemble: one ``Tree`` per ``params.n_trees``."""
 
-    trees: tuple[TreeNode, ...]
+    trees: tuple[Tree, ...]
     params: ForestParams
     feature_names = FEATURE_COLUMNS
 
@@ -88,7 +89,7 @@ def _tree_job(n: int, params: ForestParams, tree_index: int) -> tuple[np.ndarray
     return (bootstrap_indices(n, rng) if params.bootstrap else np.arange(n)), rng
 
 
-def train_single_tree(X: np.ndarray, y: np.ndarray, params: ForestParams, tree_index: int) -> TreeNode:
+def train_single_tree(X: np.ndarray, y: np.ndarray, params: ForestParams, tree_index: int) -> Tree:
     """Tree number ``tree_index`` of the forest: a pure function of its
     arguments, independent of any other tree."""
     rows, rng = _tree_job(len(y), params, tree_index)
@@ -118,7 +119,7 @@ def predict_forest_dataset(model: ForestModel, dataset: Dataset) -> np.ndarray:
     C-contiguous (rows, trees) block sums each row exactly as ``np.mean``
     over that row's own tree fractions would."""
     X = dataset.feature_matrix()
-    flat = flatten(model.trees)
+    flat = join_trees(model.trees)
     block_rows = max(1, _PAIR_BUDGET // len(model.trees))
     probs = np.empty(len(X))
     for start in range(0, len(X), block_rows):

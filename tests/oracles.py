@@ -3,9 +3,12 @@
 The tree oracle re-derives greedy CART growth from scratch: it enumerates
 every (feature, midpoint-threshold) candidate at every node and scores it
 in exact Fraction arithmetic, so there is no shared code (and no shared
-rounding) with the package's vectorized integer-score search. The
-prediction oracle walks node objects one row at a time in plain Python,
-sharing nothing with the package's flat (row, tree) walk. The metrics
+rounding) with the package's vectorized integer-score search. Trees are
+compared in the oracle's nested-tuple shape, which ``tree_as_tuple``
+reads off the package's node arrays and ``tree_from_tuple`` turns back
+into them through the model-file reader. The prediction oracle walks
+those tuples one row at a time in plain Python, sharing nothing with the
+package's flat (row, tree) walk. The metrics
 oracle likewise works in rational arithmetic end to end. Finite
 differences for the gradient live in the logit tests themselves.
 """
@@ -14,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from smerisk.cart import Internal, Leaf
+from smerisk.cart import tree_from_json_dict
 
 
 def oracle_gini(labels) -> Fraction:
@@ -78,27 +81,57 @@ def oracle_grow(rows, labels, depth=0, max_depth=None, min_samples_split=2):
     )
 
 
-def tree_as_tuple(node):
-    """Package tree -> the oracle's tuple shape, for structural equality."""
-    if isinstance(node, Leaf):
-        return ("leaf", node.count_0, node.count_1)
-    assert isinstance(node, Internal)
-    return ("node", node.feature, node.threshold, tree_as_tuple(node.left), tree_as_tuple(node.right))
+def tree_as_tuple(tree):
+    """Package tree -> the oracle's tuple shape, for structural equality.
+    Built from the leaves up: node i's left child is i + 1, its right
+    child ``right[i]``, and a leaf has feature -1."""
+    feature, threshold, right, count_0, count_1 = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.right, tree.count_0, tree.count_1)
+    )
+    done = [None] * len(feature)
+    for i in reversed(range(len(feature))):
+        if feature[i] < 0:
+            done[i] = ("leaf", count_0[i], count_1[i])
+        else:
+            done[i] = ("node", feature[i], threshold[i], done[i + 1], done[right[i]])
+    return done[0]
+
+
+def tree_from_tuple(node):
+    """The oracle's tuple shape -> a package tree, read as a model file's
+    tree document, so every value is checked as a loaded one is."""
+
+    def doc(node):
+        if node[0] == "leaf":
+            return {"count_0": node[1], "count_1": node[2]}
+        _, feature, threshold, left, right = node
+        return {"feature": feature, "threshold": threshold, "left": doc(left), "right": doc(right)}
+
+    return tree_from_json_dict(doc(node))
+
+
+def leaf(count_0, count_1):
+    return ("leaf", count_0, count_1)
+
+
+def split(feature, threshold, left, right):
+    return ("node", feature, threshold, left, right)
 
 
 def oracle_leaf_fraction(tree, row):
-    """Class-1 fraction of the leaf ``row`` (a list of floats) reaches,
-    walking down from the root one node at a time. NaN compares false and
-    goes right."""
+    """Class-1 fraction of the leaf ``row`` (a list of floats) reaches in
+    ``tree`` (tuple shape), walking down from the root one node at a time.
+    NaN compares false and goes right."""
     node = tree
-    while isinstance(node, Internal):
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.count_1 / (node.count_0 + node.count_1)
+    while node[0] == "node":
+        node = node[3] if row[node[1]] <= node[2] else node[4]
+    return node[2] / (node[1] + node[2])
 
 
 def oracle_soft_vote(trees, X):
     """Per row of ``X``, ``np.mean`` of its trees' leaf fractions."""
-    return [float(np.mean([oracle_leaf_fraction(tree, row) for tree in trees])) for row in np.asarray(X).tolist()]
+    shapes = [tree_as_tuple(tree) for tree in trees]
+    return [float(np.mean([oracle_leaf_fraction(tree, row) for tree in shapes])) for row in np.asarray(X).tolist()]
 
 
 def oracle_metrics(tp, fp, tn, fn):

@@ -12,10 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import oracle_grow, tree_as_tuple
+from oracles import leaf, oracle_grow, split, tree_as_tuple, tree_from_tuple
 from smerisk.cart import (
-    Internal,
-    Leaf,
     TreeParams,
     best_split,
     gini_impurity,
@@ -41,6 +39,21 @@ def grow(X, y, **params):
     )
 
 
+def grow_shape(X, y, **params):
+    return tree_as_tuple(grow(X, y, **params))
+
+
+def depth(shape):
+    """Depth of a tree in tuple shape, leaves at 0."""
+    deepest, stack = 0, [(shape, 0)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        if node[0] == "node":
+            stack += [(node[3], d + 1), (node[4], d + 1)]
+    return deepest
+
+
 # impurity
 
 
@@ -56,20 +69,30 @@ def test_gini_empty_counts_rejected():
         gini_impurity(0, 0)
 
 
+# node values, checked where a tree is read (a model file's bad values exit
+# 3 through the CLI, see test_cli's MODEL_MUTATIONS)
+
+
+def assert_rejected(node):
+    with pytest.raises(ModelFormatError) as info:
+        tree_from_tuple(node)
+    assert "\n" not in str(info.value)
+
+
 @pytest.mark.parametrize("counts", [(0, 0), (-1, 2), (2, -1), (True, 1), (1.0, 1), (1, "2"), (2**53 + 1, 0)])
 def test_leaf_validation(counts):
-    with pytest.raises(ParameterError):
-        Leaf(*counts)
-    assert Leaf(2**53, 0).count_0 == 2**53
+    assert_rejected(leaf(*counts))
+    assert_rejected(split(0, 0.5, leaf(1, 0), leaf(*counts)))  # deeper in the tree
+    assert tree_from_tuple(leaf(2**53, 0)).count_0.tolist() == [2**53]
 
 
 @pytest.mark.parametrize(
     "feature, threshold", [(6, 0.5), (-1, 0.5), (True, 0.5), (1.0, 0.5), (0, math.nan), (0, math.inf)]
 )
 def test_internal_validation(feature, threshold):
-    with pytest.raises(ParameterError):
-        Internal(feature, threshold, Leaf(1, 0), Leaf(0, 1))
-    assert Internal(5, -1e300, Leaf(1, 0), Leaf(0, 1)).feature == 5
+    assert_rejected(split(feature, threshold, leaf(1, 0), leaf(0, 1)))
+    assert_rejected(split(0, 0.5, leaf(1, 0), split(feature, threshold, leaf(1, 0), leaf(0, 1))))
+    assert tree_from_tuple(split(5, -1e300, leaf(1, 0), leaf(0, 1))).feature.tolist() == [5, -1, -1]
 
 
 # split search
@@ -160,53 +183,42 @@ def test_signed_zeros_tie_and_the_last_in_row_order_sets_the_sign(zeros):
 
 
 def test_grow_pure_leaf():
-    node = grow([[1.0], [2.0]], [1, 1])
-    assert isinstance(node, Leaf)
-    assert (node.count_0, node.count_1) == (0, 2)
+    assert grow_shape([[1.0], [2.0]], [1, 1]) == leaf(0, 2)
 
 
 def test_grow_separable_tree_shape():
-    node = grow([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
-    assert isinstance(node, Internal)
-    assert node.feature == 0 and node.threshold == 2.5
-    assert isinstance(node.left, Leaf) and isinstance(node.right, Leaf)
-    assert (node.left.count_0, node.left.count_1) == (2, 0)
-    assert (node.right.count_0, node.right.count_1) == (0, 2)
+    tree = grow([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
+    assert tree_as_tuple(tree) == split(0, 2.5, leaf(2, 0), leaf(0, 2))
+    # the node arrays themselves: left child i + 1, a leaf has feature -1
+    # and threshold 0, a split zero counts
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert tree.threshold.tolist() == [2.5, 0.0, 0.0]
+    assert tree.right.tolist() == [2, -1, -1]
+    assert (tree.count_0.tolist(), tree.count_1.tolist()) == ([0, 2, 0], [0, 0, 2])
+    with pytest.raises(ValueError):
+        tree.feature[0] = 1  # read-only
 
 
 def test_grow_splits_adjacent_floats_at_the_left_value():
     # the midpoint rounds up onto the right value, so the split falls back
     # to the left one and each child still gets its own row
     a, b = np.nextafter(1.0, 0.0), 1.0
-    node = grow([[b], [a], [b], [a]], [1, 0, 1, 0])
-    assert isinstance(node, Internal) and node.threshold == a
-    assert (node.left, node.right) == (Leaf(2, 0), Leaf(0, 2))
+    assert grow_shape([[b], [a], [b], [a]], [1, 0, 1, 0]) == split(0, a, leaf(2, 0), leaf(0, 2))
+
 
 def test_grow_min_samples_split_stops():
-    node = grow([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1], min_samples_split=5)
-    assert isinstance(node, Leaf)
-    assert (node.count_0, node.count_1) == (2, 2)
+    assert grow_shape([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1], min_samples_split=5) == leaf(2, 2)
 
 
 def test_grow_max_depth_stops():
-    node = grow([[1.0], [2.0], [3.0], [4.0]], [0, 1, 1, 0], max_depth=1)
-    assert isinstance(node, Internal)
-    assert isinstance(node.left, Leaf) and isinstance(node.right, Leaf)
-
-    def depth(n):
-        if isinstance(n, Leaf):
-            return 0
-        return 1 + max(depth(n.left), depth(n.right))
-
-    deeper = grow([[1.0], [2.0], [3.0], [4.0]], [0, 1, 1, 0])
-    assert depth(deeper) > 1
-    assert depth(node) == 1
+    shape = grow_shape([[1.0], [2.0], [3.0], [4.0]], [0, 1, 1, 0], max_depth=1)
+    assert shape[0] == "node" and shape[3][0] == shape[4][0] == "leaf"
+    assert depth(shape) == 1
+    assert depth(grow_shape([[1.0], [2.0], [3.0], [4.0]], [0, 1, 1, 0])) > 1
 
 
 def test_grow_xor_single_leaf():
-    node = grow([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [0, 1, 1, 0])
-    assert isinstance(node, Leaf)
-    assert (node.count_0, node.count_1) == (2, 2)
+    assert grow_shape([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [0, 1, 1, 0]) == leaf(2, 2)
 
 
 def test_grow_validates_inputs():
@@ -245,26 +257,26 @@ def test_split_always_reduces_weighted_impurity():
     rng = np.random.default_rng(29)
     X = rng.normal(size=(120, 4))
     y = (rng.random(120) < 0.4).astype(np.int64)
-    root = grow(X, y)
+    root = grow_shape(X, y)
 
     def counts(n):
-        if isinstance(n, Leaf):
-            return (n.count_0, n.count_1)
-        lc = counts(n.left)
-        rc = counts(n.right)
+        if n[0] == "leaf":
+            return n[1:]
+        lc = counts(n[3])
+        rc = counts(n[4])
         return (lc[0] + rc[0], lc[1] + rc[1])
 
     def walk(n):
-        if isinstance(n, Leaf):
+        if n[0] == "leaf":
             return
         c = counts(n)
-        lc, rc = counts(n.left), counts(n.right)
+        lc, rc = counts(n[3]), counts(n[4])
         nl, nr = sum(lc), sum(rc)
         parent = gini_impurity(*c)
         children = (nl * gini_impurity(*lc) + nr * gini_impurity(*rc)) / (nl + nr)
         assert children < parent
-        walk(n.left)
-        walk(n.right)
+        walk(n[3])
+        walk(n[4])
 
     walk(root)
 
@@ -330,11 +342,24 @@ def test_grow_rejects_nan_features():
     with pytest.raises(ParameterError, match="NaN"):
         grow([[1.0], [np.nan], [3.0]], [0, 1, 1])
 
+
+def test_grow_rejects_infinite_features():
+    # the midpoint between -inf and its neighbour is -inf, no valid
+    # threshold; growth stops before any tree is grown
+    rng = np.random.default_rng(8)
+    X = rng.choice([-0.0, 0.0, -np.inf, np.inf], size=(300, 2))
+    y = rng.integers(0, 2, size=300)
+    with pytest.raises(ParameterError, match="infinite") as info:
+        grow(X, y)
+    assert "\n" not in str(info.value)
+    with pytest.raises(ParameterError, match="infinite"):
+        grow_trees(X, y, [(np.arange(300), substream(0, 0))], TreeParams())
+
 # prediction semantics
 
 
 def test_predict_boundary_goes_left():
-    node = Internal(feature=0, threshold=2.5, left=Leaf(3, 0), right=Leaf(0, 3))
+    node = tree_from_tuple(split(0, 2.5, leaf(3, 0), leaf(0, 3)))
     probs = predict_proba(node, np.array([[2.5], [2.500001]]))
     assert probs.tolist() == [0.0, 1.0]
     assert to_labels(probs).tolist() == [0, 1]
@@ -342,7 +367,7 @@ def test_predict_boundary_goes_left():
 
 def test_predict_probability_and_tie():
     row = np.array([[0.0]])
-    probs = np.concatenate([predict_proba(Leaf(*counts), row) for counts in ((1, 3), (2, 2), (3, 1))])
+    probs = np.concatenate([predict_proba(tree_from_tuple(leaf(*counts)), row) for counts in ((1, 3), (2, 2), (3, 1))])
     assert probs.tolist() == [0.75, 0.5, 0.25]
     # Probability exactly 0.5 labels as default.
     assert to_labels(probs).tolist() == [1, 1, 0]
@@ -351,11 +376,8 @@ def test_predict_probability_and_tie():
 def test_predict_routes_every_row_to_its_own_leaf():
     # depth-2 tree on two features; rows in shuffled order, one row per leaf
     # plus a repeat, and an empty matrix
-    node = Internal(
-        feature=0,
-        threshold=0.0,
-        left=Internal(feature=1, threshold=1.0, left=Leaf(4, 0), right=Leaf(3, 1)),
-        right=Internal(feature=1, threshold=-1.0, left=Leaf(1, 1), right=Leaf(0, 5)),
+    node = tree_from_tuple(
+        split(0, 0.0, split(1, 1.0, leaf(4, 0), leaf(3, 1)), split(1, -1.0, leaf(1, 1), leaf(0, 5)))
     )
     X = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, -2.0], [-1.0, 2.0], [-1.0, 0.0]])
     assert predict_proba(node, X).tolist() == [1.0, 0.0, 0.5, 0.25, 0.0]
@@ -363,22 +385,15 @@ def test_predict_routes_every_row_to_its_own_leaf():
 
 
 def test_predict_rejects_a_split_feature_outside_the_matrix():
-    node = Internal(feature=1, threshold=0.0, left=Leaf(1, 0), right=Leaf(0, 1))
+    node = tree_from_tuple(split(1, 0.0, leaf(1, 0), leaf(0, 1)))
     assert predict_proba(node, np.array([[0.0, 1.0]])).tolist() == [1.0]
     for X in (np.zeros((2, 1)), np.zeros((0, 1))):
         with pytest.raises(ParameterError, match="feature 1 but X has 1 columns"):
             predict_proba(node, X)
-    with pytest.raises(ParameterError):
-        predict_proba(Internal(feature=-1, threshold=0.0, left=Leaf(1, 0), right=Leaf(0, 1)), np.zeros((2, 2)))
 
 
 def test_predict_nan_goes_right_at_every_split():
-    node = Internal(
-        feature=0,
-        threshold=0.0,
-        left=Leaf(4, 0),
-        right=Internal(feature=1, threshold=1.0, left=Leaf(3, 1), right=Leaf(0, 5)),
-    )
+    node = tree_from_tuple(split(0, 0.0, leaf(4, 0), split(1, 1.0, leaf(3, 1), leaf(0, 5))))
     X = np.array([[np.nan, 0.0], [np.nan, np.nan], [-1.0, np.nan]])
     assert predict_proba(node, X).tolist() == [0.25, 1.0, 0.0]
 
@@ -445,10 +460,13 @@ def test_tree_json_round_trip():
     doc = tree_to_json_dict(node)
     back = tree_from_json_dict(doc)
     assert tree_as_tuple(back) == tree_as_tuple(node)
+    for name in ("feature", "threshold", "right", "count_0", "count_1"):
+        grown, read = getattr(node, name), getattr(back, name)
+        assert grown.dtype == read.dtype and np.array_equal(grown, read), name
 
 
 def test_tree_json_shapes():
-    node = Internal(feature=1, threshold=0.5, left=Leaf(2, 0), right=Leaf(1, 4))
+    node = tree_from_tuple(split(1, 0.5, leaf(2, 0), leaf(1, 4)))
     doc = tree_to_json_dict(node)
     assert doc == {
         "feature": 1,

@@ -411,6 +411,11 @@ MODEL_MUTATIONS = {
     "fractional_leaf_count": ("forest", lambda doc: _first_leaf(doc).update(count_0=2.7)),
     "boolean_leaf_count": ("forest", lambda doc: _first_leaf(doc).update(count_1=True)),
     "huge_integer_leaf_count": ("forest", lambda doc: _first_leaf(doc).update(count_0=10**400)),
+    "leaf_count_above_2_53": ("forest", lambda doc: _first_leaf(doc).update(count_1=2**53 + 1)),
+    "negative_leaf_count": ("forest", lambda doc: _first_leaf(doc).update(count_0=-1)),
+    "empty_leaf": ("forest", lambda doc: _first_leaf(doc).update(count_0=0, count_1=0)),
+    "feature_6": ("forest", lambda doc: _first_split(doc).update(feature=6)),
+    "boolean_feature": ("forest", lambda doc: _first_split(doc).update(feature=True)),
     "string_bootstrap": ("forest", lambda doc: doc["params"].update(bootstrap="false")),
     "fractional_max_depth": ("forest", lambda doc: doc["params"]["tree_params"].update(max_depth=2.9)),
     "huge_integer_weight": ("logistic", lambda doc: doc["weights"].__setitem__(0, 10**400)),

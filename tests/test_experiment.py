@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzing import key_paths, mutate_one_value
-from smerisk.cart import Internal, Leaf
+from smerisk.cart import tree_from_json_dict
 from smerisk.dataset import Dataset, split_train_test, write_csv
 from smerisk.errors import (
     DataError,
@@ -300,9 +300,12 @@ def test_save_load_both_model_kinds(tmp_path, strong_split):
 
 
 def test_save_model_rejects_a_tree_too_deep_to_write(tmp_path):
-    tree = Leaf(1, 0)
+    # a 1,500-level chain reads and predicts, but the nested document is
+    # too deep for the JSON writer
+    doc = {"count_0": 1, "count_1": 0}
     for depth in range(1500):
-        tree = Internal(0, float(depth), Leaf(1, 0), tree)
+        doc = {"feature": 0, "threshold": float(depth), "left": {"count_0": 1, "count_1": 0}, "right": doc}
+    tree = tree_from_json_dict(doc)
     path = tmp_path / "deep.json"
     with pytest.raises(ModelFormatError, match="too deeply") as info:
         save_model(ForestModel((tree,), ForestParams(n_trees=1)), path)

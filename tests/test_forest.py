@@ -4,19 +4,17 @@ scoring memory, importances, and serialization."""
 
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import oracle_soft_vote
+from oracles import leaf, oracle_soft_vote, split, tree_as_tuple, tree_from_tuple
 from smerisk import cart
 from smerisk.cart import (
-    Internal,
-    Leaf,
     TreeParams,
     grow_tree_arrays,
     predict_proba,
-    preorder,
     tree_from_json_dict,
     tree_importances,
     tree_to_json_dict,
@@ -52,7 +50,15 @@ def per_tree_importances(model):
 
 
 def leaf_only_model(leaves, n_trees):
-    return ForestModel(tuple(leaves), ForestParams(n_trees=n_trees, bootstrap=False, seed=0))
+    """A model of bare-leaf trees, from (count_0, count_1) pairs."""
+    trees = tuple(tree_from_tuple(leaf(*counts)) for counts in leaves)
+    return ForestModel(trees, ForestParams(n_trees=n_trees, bootstrap=False, seed=0))
+
+
+def split_pairs(tree):
+    """(feature, threshold) of every split of ``tree``, in pre-order."""
+    at = np.flatnonzero(tree.feature >= 0)
+    return list(zip(tree.feature[at].tolist(), tree.threshold[at].tolist()))
 
 
 ONE_ROW = Dataset(np.zeros((1, 6)))
@@ -167,8 +173,6 @@ def test_tree_seeds_independent_of_training_order(strong_split):
     sequential = [train_single_tree(X, y, params, i) for i in range(12)]
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(lambda i: train_single_tree(X, y, params, i), range(12)))
-    from oracles import tree_as_tuple
-
     assert [tree_as_tuple(t) for t in sequential] == [tree_as_tuple(t) for t in threaded]
 
 
@@ -178,8 +182,6 @@ def test_forest_prefix_stable(strong_split):
     train, _ = strong_split
     small = train_forest(train, ForestParams(n_trees=5, seed=2))
     large = train_forest(train, ForestParams(n_trees=9, seed=2))
-    from oracles import tree_as_tuple
-
     assert [tree_as_tuple(t) for t in large.trees[:5]] == [
         tree_as_tuple(t) for t in small.trees
     ]
@@ -268,16 +270,16 @@ def test_training_memory_does_not_grow_with_the_tree_count():
 
 
 def test_vote_averaging_and_tie():
-    model = leaf_only_model([Leaf(4, 1), Leaf(1, 4)], 2)
+    model = leaf_only_model([(4, 1), (1, 4)], 2)
     probs = predict_forest_dataset(model, ONE_ROW)
     assert probs.tolist() == [0.5]  # (0.2 + 0.8) / 2
     assert to_labels(probs).tolist() == [1]
 
 
 def test_unanimous_leaves():
-    model = leaf_only_model([Leaf(0, 3)] * 4, 4)
+    model = leaf_only_model([(0, 3)] * 4, 4)
     assert predict_forest_dataset(model, ONE_ROW).tolist() == [1.0]
-    model0 = leaf_only_model([Leaf(5, 0)] * 4, 4)
+    model0 = leaf_only_model([(5, 0)] * 4, 4)
     assert predict_forest_dataset(model0, ONE_ROW).tolist() == [0.0]
 
 
@@ -314,7 +316,7 @@ def test_predict_empty_dataset(small_forest):
 
 def test_forest_model_validation():
     with pytest.raises(ParameterError):
-        leaf_only_model([Leaf(1, 0)], 2)  # tree count mismatch
+        leaf_only_model([(1, 0)], 2)  # tree count mismatch
 
 
 def test_chain_tree_5000_levels_deep():
@@ -340,6 +342,70 @@ def test_chain_tree_5000_levels_deep():
     assert abs(float(values.sum()) - 1.0) <= 1e-9
 
 
+# exactness at the edge of the count range
+
+# leaf counts near 2**53: their float64 sums and squares round, while a
+# Python int division rounds once
+BIG_COUNTS = (
+    (8014687441826738, 6902491098965293),
+    (6213613670442314, 7063079316197149),
+    (9001456378717380, 8046614809298885),
+    (2**53, 2**53 - 1),
+)
+
+
+def reference_gini(c0, c1):
+    return 1.0 - float(Fraction(c0 * c0 + c1 * c1, (c0 + c1) ** 2))
+
+
+def reference_importances(shape):
+    """Each split's weighted impurity decrease by the per-node expressions
+    of ``cart.tree_importances``, on Python ints and Fractions over the
+    tuple shape, added in reverse pre-order (right subtree, left subtree,
+    node)."""
+    acc = [0.0] * len(FEATURE_COLUMNS)
+    root_total = 0
+
+    def total(node):
+        return node[1] + node[2] if node[0] == "leaf" else total(node[3]) + total(node[4])
+
+    def visit(node):
+        if node[0] == "leaf":
+            return node[1], node[2]
+        r0, r1 = visit(node[4])
+        l0, l1 = visit(node[3])
+        c0, c1 = l0 + r0, l1 + r1
+        n_node, n_left, n_right = c0 + c1, l0 + l1, r0 + r1
+        child = (n_left * reference_gini(l0, l1) + n_right * reference_gini(r0, r1)) / n_node
+        acc[node[1]] += max(0.0, (n_node / root_total) * (reference_gini(c0, c1) - child))
+        return c0, c1
+
+    root_total = total(shape)
+    visit(shape)
+    return np.array(acc)
+
+
+def test_leaf_fractions_and_importances_are_exact_near_2_53():
+    # revenue growth (feature 0), then profit margin (feature 3) on both sides
+    shape = split(
+        0, 0.0, split(3, 0.0, leaf(*BIG_COUNTS[0]), leaf(*BIG_COUNTS[1])), split(3, 0.0, leaf(*BIG_COUNTS[2]), leaf(*BIG_COUNTS[3]))
+    )
+    model = ForestModel((tree_from_tuple(shape),), ForestParams(n_trees=1, bootstrap=False))
+    X = np.zeros((4, 6))
+    X[:, [0, 3]] = [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]  # one row per leaf
+    exact = [float(Fraction(c1, c0 + c1)) for c0, c1 in BIG_COUNTS]
+    assert predict_forest_dataset(model, Dataset(X)).tolist() == exact
+    # the float64 route gives other values, so the check above has teeth
+    assert [c1 / float(c0 + c1) for c0, c1 in BIG_COUNTS] != exact
+    raw = reference_importances(shape)
+    values, degenerate = feature_importances(model)
+    assert not degenerate
+    assert values.tolist() == (raw / raw.sum()).tolist()
+    assert np.array_equal(cart.tree_importances(model.trees[0]), raw)
+    float_gini = [1.0 - (a * a + b * b) / (a + b) ** 2 for a, b in (map(float, pair) for pair in BIG_COUNTS)]
+    assert float_gini != [reference_gini(*pair) for pair in BIG_COUNTS]
+
+
 # the flat walk against the per-row oracle
 
 
@@ -349,9 +415,9 @@ def on_threshold_rows(trees, base_rows):
     are skipped: a sector is 0 or 1)."""
     out = []
     for tree in trees:
-        for i, node in enumerate(n for n in preorder(tree) if isinstance(n, Internal) and n.feature != 5):
+        for i, (feature, threshold) in enumerate((f, t) for f, t in split_pairs(tree) if f != 5):
             row = np.array(base_rows[i % len(base_rows)])
-            row[node.feature] = node.threshold
+            row[feature] = threshold
             out.append(row)
     return np.array(out)
 
@@ -359,7 +425,8 @@ def on_threshold_rows(trees, base_rows):
 @pytest.fixture(scope="module")
 def mixed_forest(small_forest):
     # bare leaves between deep trees, one leaf first so a root is a leaf
-    trees = (Leaf(3, 1),) + small_forest.trees[:4] + (Leaf(0, 2), Leaf(5, 5)) + small_forest.trees[4:7]
+    bare = [tree_from_tuple(leaf(*counts)) for counts in ((3, 1), (0, 2), (5, 5))]
+    trees = (bare[0],) + small_forest.trees[:4] + (bare[1], bare[2]) + small_forest.trees[4:7]
     return ForestModel(trees, ForestParams(n_trees=len(trees), bootstrap=False))
 
 
@@ -401,12 +468,11 @@ def test_predict_proba_matches_oracle_on_narrow_matrices(n_cols):
     X = rng.integers(0, 8, size=(60, n_cols)) / 4.0
     y = rng.integers(0, 2, size=60)
     tree = grow_tree_arrays(X, y, TreeParams(features_per_split=n_cols), rng)
-    splits = [node for node in preorder(tree) if isinstance(node, Internal)]
-    assert len(splits) > 3
+    assert len(split_pairs(tree)) > 3
     rows = np.concatenate([X, np.full((n_cols, n_cols), np.nan)])
-    for i, node in enumerate(splits):
+    for i, (feature, threshold) in enumerate(split_pairs(tree)):
         row = np.array(X[i])
-        row[node.feature] = node.threshold
+        row[feature] = threshold
         rows = np.concatenate([rows, [row]])
     assert predict_proba(tree, rows).tolist() == oracle_soft_vote([tree], rows)
 
@@ -438,7 +504,7 @@ def test_importances_normalized(small_forest):
 
 
 def test_importances_degenerate_all_leaves():
-    model = leaf_only_model([Leaf(2, 1)], 1)
+    model = leaf_only_model([(2, 1)], 1)
     values, degenerate = feature_importances(model)
     assert degenerate
     assert np.all(values == 0.0)
