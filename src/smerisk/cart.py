@@ -51,9 +51,12 @@ training rows that reached it; a split holds zero counts. Growth and the
 JSON reader fill the arrays in pre-order, each recording a split's right
 index when it reaches that child. The reader checks every value at once
 when the walk is done, and growth rejects non-finite features up front,
-so both build only valid trees. The JSON writer and ``tree_importances``
-fold over the arrays in reverse pre-order, where both children of a
-split are done before it. Prediction is one level-synchronous walk over
+so both build only valid trees. ``tree_importances`` folds over the
+arrays in reverse pre-order, where both children of a split are done
+before it. ``tree_to_json_text`` writes a tree's nested JSON document in
+one pre-order pass with a stack of the text each open split still owes,
+so no node becomes a dict; it refuses a tree deeper than the JSON parser
+can read back. Prediction is one level-synchronous walk over
 ``join_trees``'s concatenation of the trees: ``leaf_values`` advances
 every (row, tree) pair one depth level per step, dropping pairs as they
 reach a leaf, and ``predict_proba`` is its one-tree case. No walk
@@ -518,18 +521,53 @@ def tree_importances(tree: Tree) -> np.ndarray:
     return acc
 
 
-def tree_to_json_dict(tree: Tree) -> dict:
-    """The nested document of ``tree``, built from the leaves up."""
-    feature, threshold, right, count_0, count_1 = (
-        a.tolist() for a in (tree.feature, tree.threshold, tree.right, tree.count_0, tree.count_1)
+# The deepest tree the writer takes. ``json``'s parser recurses once per
+# nesting level, so ``load_model`` reads a tree only as deep as the
+# caller's recursion limit allows (about 990 levels from a top-level
+# call); this bound leaves room for a caller hundreds of frames deep, so
+# no saved file is one that loading cannot read back.
+_MAX_WRITE_DEPTH = 512
+
+
+def tree_to_json_text(tree: Tree) -> str:
+    """The JSON text of ``tree``'s nested document, byte for byte as
+    ``json.dumps(doc, sort_keys=True, indent=2)`` writes it at indent level
+    0, rendered from the node arrays in one pre-order pass. A split's keys
+    sort as feature, left, right, threshold, so its text is an opening
+    part, the left subtree, a middle part, the right subtree and a closing
+    part. ``pending`` holds the parts still owed, innermost last: each
+    open split's closing part and, until its left subtree is done, None
+    for its middle part, which depends only on the level. Numbers are
+    written by ``repr``, as ``json`` writes ints and finite floats. A tree
+    deeper than ``_MAX_WRITE_DEPTH`` raises ModelFormatError."""
+    feature, threshold, count_0, count_1 = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.count_0, tree.count_1)
     )
-    docs: list = [None] * len(feature)
-    for i in reversed(range(len(feature))):
-        if feature[i] < 0:
-            docs[i] = {"count_0": count_0[i], "count_1": count_1[i]}
-        else:
-            docs[i] = {"feature": feature[i], "threshold": threshold[i], "left": docs[i + 1], "right": docs[right[i]]}
-    return docs[0]
+    nl = ["\n", "\n  "]  # a newline and the indentation of each level reached
+    out = []
+    pending: list = []
+    level = 0  # of the node about to be written
+    for i, f in enumerate(feature):
+        inner = nl[level + 1]
+        if f >= 0:
+            if level == _MAX_WRITE_DEPTH:
+                raise ModelFormatError(f"a tree nests too deeply to read back as JSON (more than {_MAX_WRITE_DEPTH} levels)")
+            out.append(f'{{{inner}"feature": {f},{inner}"left": ')
+            pending.append(f',{inner}"threshold": {threshold[i]!r}{nl[level]}}}')
+            pending.append(None)
+            level += 1
+            if level + 1 == len(nl):
+                nl.append(nl[-1] + "  ")
+            continue
+        out.append(f'{{{inner}"count_0": {count_0[i]},{inner}"count_1": {count_1[i]}{nl[level]}}}')
+        while pending:
+            part = pending.pop()
+            if part is None:
+                out.append(f',{nl[level]}"right": ')
+                break
+            out.append(part)
+            level -= 1
+    return "".join(out)
 
 
 _FLOAT_MAX = sys.float_info.max

@@ -10,11 +10,10 @@ arguments or config file; nothing reads the clock or the environment.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
-from .dataset import load_csv, write_csv
+from .dataset import load_csv, write_csv, write_csv_table
 from .errors import DataError, DegenerateLabelsError, ParameterError, ParseError
 from .experiment import (
     ExperimentConfig,
@@ -87,10 +86,8 @@ def _cmd_score(args) -> None:
     data = load_csv(args.data)
     predict = predict_forest_dataset if isinstance(model, ForestModel) else predict_proba_dataset
     probs = predict(model, data)
-    with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["Predicted_Prob", "Predicted_Label"])
-        writer.writerows(zip(map(repr, probs.tolist()), to_labels(probs).tolist()))
+    rows = zip(map(repr, probs.tolist()), map(str, to_labels(probs).tolist()))
+    write_csv_table(args.out, ("Predicted_Prob", "Predicted_Label"), rows)
     print(f"scored {len(data)} records to {args.out}")
 
 

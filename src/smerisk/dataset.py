@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -236,10 +236,18 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
     columns.append([str(int(v)) for v in dataset.X[:, k].tolist()])
     if dataset.labeled:
         columns.append([str(v) for v in dataset.y.tolist()])
+    write_csv_table(path, header, zip(*columns))
+
+
+def write_csv_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write a header and rows of cells as CSV, byte for byte as
+    ``csv.writer`` does: each row ends in CRLF and no cell is quoted. Only
+    cells that need no quoting may come here: numbers, and names without
+    commas, quotes or line breaks. Rows are written as they come, so the
+    file's text is never held whole."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def split_train_test(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -23,7 +23,7 @@ from .forest import (
     ForestParams,
     feature_importances,
     forest_from_json_document,
-    forest_to_json_document,
+    forest_to_json_text,
     predict_forest_dataset,
     train_forest,
 )
@@ -35,7 +35,7 @@ from .logit import (
     train_logistic,
 )
 from .metrics import MetricsReport, score_predictions, two_decimals
-from .serialize import dumps_deterministic, parse_json_file, write_json_file
+from .serialize import dumps_deterministic, parse_json_file
 from .synthgen import GeneratorConfig, generate
 
 DECISION_THRESHOLD = 0.5
@@ -204,18 +204,23 @@ def render_report(report: ComparisonReport, format: str = "text") -> str:
 
 MODEL_FORMAT_VERSION = 1
 
-# model_type -> (model class, body writer, body reader)
+# model_type -> (model class, file writer, body reader); the writer
+# renders the envelope it is given and the model's body as one text
 _MODEL_CODECS = {
-    "logistic": (LogisticModel, serialize.to_json_dict, lambda body: serialize.from_json_dict(LogisticModel, body)),
-    "random_forest": (ForestModel, forest_to_json_document, forest_from_json_document),
+    "logistic": (
+        LogisticModel,
+        lambda model, envelope: dumps_deterministic({**envelope, **serialize.to_json_dict(model)}),
+        lambda body: serialize.from_json_dict(LogisticModel, body),
+    ),
+    "random_forest": (ForestModel, forest_to_json_text, forest_from_json_document),
 }
 
 
-def model_to_json_document(model: Union[LogisticModel, ForestModel]) -> dict:
-    """A model's versioned JSON document: the format envelope, then its body."""
-    for model_type, (cls, write_body, _) in _MODEL_CODECS.items():
+def model_to_json_text(model: Union[LogisticModel, ForestModel]) -> str:
+    """A model file's text: the format envelope, then the model's body."""
+    for model_type, (cls, write, _) in _MODEL_CODECS.items():
         if isinstance(model, cls):
-            return {"format_version": MODEL_FORMAT_VERSION, "model_type": model_type, **write_body(model)}
+            return write(model, {"format_version": MODEL_FORMAT_VERSION, "model_type": model_type})
     raise ParameterError(f"cannot serialize {type(model).__name__}")
 
 
@@ -237,12 +242,13 @@ def model_from_json_document(doc: dict) -> Union[LogisticModel, ForestModel]:
 
 
 def save_model(model: Union[LogisticModel, ForestModel], path: str | Path) -> None:
-    """Write a model as a versioned JSON document. A tree too deep for the
-    JSON writer raises ModelFormatError and writes nothing."""
+    """Write a model as a versioned JSON document. A tree too deep for
+    ``load_model`` to read back raises ModelFormatError and writes nothing."""
     try:
-        write_json_file(model_to_json_document(model), path)  # renders the text before opening the file
-    except RecursionError:
-        raise ModelFormatError(f"cannot save {path}: a tree nests too deeply to write as JSON") from None
+        text = model_to_json_text(model)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"cannot save {path}: {exc}") from None
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_model(path: str | Path) -> Union[LogisticModel, ForestModel]:

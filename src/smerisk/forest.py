@@ -19,6 +19,9 @@ budget of (row, tree) pairs, so its memory grows with neither the book
 nor the tree count. Labels are left to ``logit.to_labels``. Importances
 are computed from leaf counts when asked for, so a reloaded model gives
 them bit for bit and a model loaded only to score never computes them.
+A forest file is written as text: its other keys go through the
+``serialize`` codec, and each tree's text comes straight from its node
+arrays (``cart.tree_to_json_text``), spliced in as ``trees``.
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ from .cart import (
     leaf_values,
     tree_from_json_dict,
     tree_importances,
-    tree_to_json_dict,
+    tree_to_json_text,
 )
 from .dataset import Dataset, FEATURE_COLUMNS
 from .errors import DegenerateLabelsError, ParameterError
 from .seeding import substream
-from .serialize import from_json_dict, to_json_dict
+from .serialize import dumps_with_rendered_array, from_json_dict, to_json_dict
 
 
 @dataclass(frozen=True)
@@ -156,10 +159,14 @@ class _ForestBody:
             raise ParameterError(f"feature_names {list(self.feature_names)!r} differ from {list(FEATURE_COLUMNS)}")
 
 
-def forest_to_json_document(model: ForestModel) -> dict:
+def forest_to_json_text(model: ForestModel, envelope: dict) -> str:
+    """The forest file's text: ``envelope`` and the body, with the trees
+    rendered from their node arrays and spliced in as ``trees``, the key
+    that sorts last."""
     values, _ = feature_importances(model)
-    trees = tuple(tree_to_json_dict(tree) for tree in model.trees)
-    return to_json_dict(_ForestBody(model.params, model.feature_names, trees, tuple(values.tolist())))
+    head = to_json_dict(_ForestBody(model.params, model.feature_names, (), tuple(values.tolist())))
+    del head["trees"]
+    return dumps_with_rendered_array({**envelope, **head}, "trees", [tree_to_json_text(tree) for tree in model.trees])
 
 
 def forest_from_json_document(doc: dict) -> ForestModel:

@@ -41,11 +41,10 @@ def sigmoid(z: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     instead of overflowing.
     """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))  # e^-z where z >= 0, e^z elsewhere
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0  # in place: no array beyond e and out is held
+    out /= e
     return float(out) if out.ndim == 0 else out
 
 

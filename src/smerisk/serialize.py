@@ -3,6 +3,9 @@
 All documents are emitted with sorted keys, two-space indentation and a
 trailing newline, and floats rendered by repr (shortest round-trip form),
 so equal in-memory objects serialize to byte-identical text.
+``dumps_with_rendered_array`` writes the same text for a document whose
+last key holds values rendered elsewhere, such as trees written from
+their node arrays, without building them as JSON objects first.
 
 ``to_json_dict`` and ``from_json_dict`` are the one codec between the
 package's dataclasses (configs, both model bodies, the comparison report)
@@ -32,8 +35,17 @@ def dumps_deterministic(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def write_json_file(doc, path: str | Path) -> None:
-    Path(path).write_text(dumps_deterministic(doc), encoding="utf-8")
+def dumps_with_rendered_array(doc: dict, key: str, items: list[str]) -> str:
+    """``dumps_deterministic`` of ``doc`` with ``key`` added, its value an
+    array of ``items``, which holds at least one. Each item is already
+    rendered as ``dumps_deterministic`` renders a value at indent level 0,
+    without the newline at the end; ``key`` must sort after every key of
+    the non-empty ``doc``. A level-0 text becomes its level-2 text when every newline in
+    it gains four spaces, which is exact because a JSON text holds raw
+    newlines only as layout: a string escapes its own."""
+    head = dumps_deterministic(doc)[: -len("\n}\n")]
+    body = ",\n".join(items).replace("\n", "\n    ")
+    return f"{head},\n  {json.dumps(key)}: [\n    {body}\n  ]\n}}\n"
 
 
 def _reject_constant(name: str):

@@ -8,7 +8,9 @@ compared in the oracle's nested-tuple shape, which ``tree_as_tuple``
 reads off the package's node arrays and ``tree_from_tuple`` turns back
 into them through the model-file reader. The prediction oracle walks
 those tuples one row at a time in plain Python, sharing nothing with the
-package's flat (row, tree) walk. The metrics
+package's flat (row, tree) walk. ``tree_to_json_dict`` builds a tree's
+nested model-file document one dict per node, for ``json.dumps`` to
+render as the reference for the package's tree text writer. The metrics
 oracle likewise works in rational arithmetic end to end. Finite
 differences for the gradient live in the logit tests themselves.
 """
@@ -95,6 +97,21 @@ def tree_as_tuple(tree):
         else:
             done[i] = ("node", feature[i], threshold[i], done[i + 1], done[right[i]])
     return done[0]
+
+
+def tree_to_json_dict(tree):
+    """Package tree -> its nested model-file document, built from the
+    leaves up: the reference the tree text writer is checked against."""
+    feature, threshold, right, count_0, count_1 = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.right, tree.count_0, tree.count_1)
+    )
+    docs = [None] * len(feature)
+    for i in reversed(range(len(feature))):
+        if feature[i] < 0:
+            docs[i] = {"count_0": count_0[i], "count_1": count_1[i]}
+        else:
+            docs[i] = {"feature": feature[i], "threshold": threshold[i], "left": docs[i + 1], "right": docs[right[i]]}
+    return docs[0]
 
 
 def tree_from_tuple(node):

@@ -7,12 +7,13 @@ targeted examples for the split rules, stopping rules, prediction
 semantics, and serialization.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from oracles import leaf, oracle_grow, split, tree_as_tuple, tree_from_tuple
+from oracles import leaf, oracle_grow, split, tree_as_tuple, tree_from_tuple, tree_to_json_dict
 from smerisk import cart
 from smerisk.cart import (
     TreeParams,
@@ -22,7 +23,7 @@ from smerisk.cart import (
     grow_trees,
     predict_proba,
     tree_from_json_dict,
-    tree_to_json_dict,
+    tree_to_json_text,
 )
 from smerisk.errors import ModelFormatError, ParameterError
 from smerisk.logit import to_labels
@@ -536,6 +537,7 @@ def test_tree_json_round_trip():
     y = rng.integers(0, 2, size=50).astype(np.int64)
     node = grow(X, y)
     doc = tree_to_json_dict(node)
+    assert tree_to_json_text(node) == json.dumps(doc, sort_keys=True, indent=2)
     back = tree_from_json_dict(doc)
     assert tree_as_tuple(back) == tree_as_tuple(node)
     for name in ("feature", "threshold", "right", "count_0", "count_1"):

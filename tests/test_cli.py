@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import smerisk
+from smerisk import cart
 from smerisk.cli import main
 from smerisk.dataset import ALL_COLUMNS, Dataset, load_csv, write_csv
-from smerisk.experiment import ExperimentConfig, model_to_json_document
+from smerisk.experiment import ExperimentConfig, model_to_json_text
 from smerisk.forest import ForestParams, train_forest
 from smerisk.logit import LogitHyperparams, train_logistic
 from smerisk.serialize import dumps_deterministic, to_json_dict
@@ -340,6 +341,18 @@ def test_train_score_round_trip(small_csv, tmp_path, capsys):
         assert label in ("0", "1")
 
 
+def test_train_refuses_a_forest_too_deep_to_load_back(small_csv, tmp_path, capsys, monkeypatch):
+    # grown trees are far shallower than the writer's bound, so lower it
+    monkeypatch.setattr(cart, "_MAX_WRITE_DEPTH", 2)
+    model_path = tmp_path / "forest.json"
+    code, _, stderr = run_cli(
+        capsys, "train", "--model", "forest", "--data", str(small_csv), "--out", str(model_path)
+    )
+    assert code == 3
+    assert "too deeply" in stderr and stderr.count("\n") == 1
+    assert not model_path.exists()
+
+
 def test_train_logistic_and_score_unlabeled(small_csv, tmp_path, capsys):
     model_path = tmp_path / "logit.json"
     assert run_cli(
@@ -406,8 +419,8 @@ def test_importance_rejects_logistic(small_csv, tmp_path, capsys):
 def model_documents():
     data = generate(GeneratorConfig(n_samples=120, seed=4, signal_strength=2.0))
     return {
-        "forest": model_to_json_document(train_forest(data, ForestParams(n_trees=3, seed=1))),
-        "logistic": model_to_json_document(train_logistic(data)),
+        "forest": json.loads(model_to_json_text(train_forest(data, ForestParams(n_trees=3, seed=1)))),
+        "logistic": json.loads(model_to_json_text(train_logistic(data))),
     }
 
 

@@ -2,6 +2,7 @@
 error taxonomy, the train/test split contract, and standardization."""
 
 import csv
+import io
 from collections import Counter
 
 import numpy as np
@@ -19,6 +20,7 @@ from smerisk.dataset import (
     load_csv,
     split_train_test,
     write_csv,
+    write_csv_table,
 )
 from smerisk.errors import (
     DataError,
@@ -312,6 +314,41 @@ def test_load_csv_fuzz(csv_fuzz_base, data):
         return
     write_csv(dataset, path)
     assert load_csv(path).records == dataset.records
+
+
+EXTREME_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1 + 0.2, 1e-7, 1e16, 1e22, 1.7976931348623157e308)
+
+
+def csv_writer_bytes(rows):
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    return out.getvalue().encode()
+
+
+def test_write_csv_matches_csv_writer_on_extreme_values(tmp_path):
+    n = len(EXTREME_FLOATS)
+    unit = [v for v in EXTREME_FLOATS if abs(v) <= 1.0] + [1.0, -1.0, 0.3, -0.7]
+    X = np.column_stack([
+        np.array(EXTREME_FLOATS) * (-1.0) ** np.arange(n),
+        np.abs(EXTREME_FLOATS),
+        np.abs(EXTREME_FLOATS[::-1]),
+        -np.array(EXTREME_FLOATS),
+        np.resize(unit, n),
+        np.arange(n) % 2,
+    ])
+    data = Dataset(X, (np.arange(n) // 2) % 2)
+    path = tmp_path / "extreme.csv"
+    write_csv(data, path)
+    rows = [[repr(v) for v in row[:5]] + [str(int(row[5])), str(label)] for row, label in zip(X.tolist(), data.y.tolist())]
+    assert path.read_bytes() == csv_writer_bytes([ALL_COLUMNS, *rows])
+    assert load_csv(path).records == data.records
+
+
+def test_write_csv_table_matches_csv_writer(tmp_path):
+    rows = [(repr(p), str(int(p >= 0.5))) for p in EXTREME_FLOATS[:4] + (0.5, 1.0 - 2**-53, 1.0)]
+    path = tmp_path / "scores.csv"
+    write_csv_table(path, ("Predicted_Prob", "Predicted_Label"), rows)
+    assert path.read_bytes() == csv_writer_bytes([("Predicted_Prob", "Predicted_Label"), *rows])
 
 
 def test_write_csv_empty_dataset(tmp_path):

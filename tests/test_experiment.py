@@ -26,7 +26,7 @@ from smerisk.experiment import (
     default_experiment_config,
     load_model,
     model_from_json_document,
-    model_to_json_document,
+    model_to_json_text,
     render_report,
     run_comparison,
     save_model,
@@ -365,8 +365,8 @@ def model_fuzz_bases(tmp_path_factory):
     key path into each, and a directory for the mutated files."""
     data = generate(GeneratorConfig(n_samples=60, seed=4, signal_strength=2.0))
     docs = {
-        "forest": model_to_json_document(train_forest(data, ForestParams(n_trees=3, seed=1))),
-        "logistic": model_to_json_document(train_logistic(data, LogitHyperparams(max_iterations=50))),
+        "forest": json.loads(model_to_json_text(train_forest(data, ForestParams(n_trees=3, seed=1)))),
+        "logistic": json.loads(model_to_json_text(train_logistic(data, LogitHyperparams(max_iterations=50)))),
     }
     paths = {kind: list(key_paths(doc)) for kind, doc in docs.items()}
     return docs, paths, tmp_path_factory.mktemp("model_fuzz")

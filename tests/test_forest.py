@@ -2,14 +2,17 @@
 thread-order independence, prediction against the per-row oracle walk,
 scoring memory, importances, and serialization."""
 
+import json
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import leaf, oracle_soft_vote, split, tree_as_tuple, tree_from_tuple
+from oracles import leaf, oracle_soft_vote, split, tree_as_tuple, tree_from_tuple, tree_to_json_dict
 from smerisk import cart
 from smerisk.cart import (
     TreeParams,
@@ -17,11 +20,10 @@ from smerisk.cart import (
     predict_proba,
     tree_from_json_dict,
     tree_importances,
-    tree_to_json_dict,
 )
 from smerisk.dataset import FEATURE_COLUMNS, Dataset
 from smerisk.errors import DegenerateLabelsError, ModelFormatError, ParameterError
-from smerisk.experiment import model_from_json_document, model_to_json_document
+from smerisk.experiment import load_model, model_from_json_document, model_to_json_text, save_model
 from smerisk.serialize import from_json_dict, to_json_dict
 from smerisk.forest import (
     _PAIR_BUDGET,
@@ -29,7 +31,6 @@ from smerisk.forest import (
     ForestParams,
     bootstrap_indices,
     feature_importances,
-    forest_to_json_document,
     predict_forest_dataset,
     train_forest,
     train_single_tree,
@@ -159,8 +160,8 @@ def test_train_forest_rejects_single_class():
 def test_train_forest_deterministic(strong_split):
     train, _ = strong_split
     params = ForestParams(n_trees=6, seed=13)
-    a = forest_to_json_document(train_forest(train, params))
-    b = forest_to_json_document(train_forest(train, params))
+    a = model_to_json_text(train_forest(train, params))
+    b = model_to_json_text(train_forest(train, params))
     assert a == b
 
 
@@ -246,7 +247,7 @@ def test_lockstep_forest_equals_its_trees_grown_alone(strong_split, zero_signal_
     forest = train_forest(train, params)
     X, y = train.feature_matrix(), train.labels()
     for t, tree in enumerate(forest.trees):
-        assert tree_to_json_dict(tree) == tree_to_json_dict(train_single_tree(X, y, params, t)), f"tree {t}"
+        assert tree_as_tuple(tree) == tree_as_tuple(train_single_tree(X, y, params, t)), f"tree {t}"
 
 
 def test_training_memory_does_not_grow_with_the_tree_count():
@@ -538,7 +539,7 @@ def test_single_signal_feature_ranks_first():
 
 def test_forest_json_round_trip(small_forest, strong_split):
     _, test = strong_split
-    doc = model_to_json_document(small_forest)
+    doc = json.loads(model_to_json_text(small_forest))
     assert doc["model_type"] == "random_forest"
     assert doc["feature_names"] == list(FEATURE_COLUMNS)
     back = model_from_json_document(doc)
@@ -546,15 +547,102 @@ def test_forest_json_round_trip(small_forest, strong_split):
 
 
 def test_forest_json_importances_recomputed_exactly(small_forest):
-    doc = model_to_json_document(small_forest)
-    back = model_from_json_document(doc)
+    text = model_to_json_text(small_forest)
+    back = model_from_json_document(json.loads(text))
     assert np.array_equal(per_tree_importances(back), per_tree_importances(small_forest))
-    assert model_to_json_document(back) == doc
+    assert model_to_json_text(back) == text
+
+
+def oracle_forest_text(model):
+    """The forest file as ``json.dumps`` writes it from the oracle's
+    nested tree documents."""
+    values, _ = feature_importances(model)
+    doc = {
+        "feature_names": list(FEATURE_COLUMNS),
+        "format_version": 1,
+        "importances": values.tolist(),
+        "model_type": "random_forest",
+        "params": to_json_dict(model.params),
+        "trees": [tree_to_json_dict(tree) for tree in model.trees],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def forest_of(shapes):
+    return ForestModel(tuple(tree_from_tuple(shape) for shape in shapes), ForestParams(n_trees=len(shapes)))
+
+
+_counts = st.tuples(st.integers(0, 2**53), st.integers(0, 2**53)).filter(lambda counts: counts != (0, 0))
+_shapes = st.recursive(
+    _counts.map(lambda counts: leaf(*counts)),
+    lambda children: st.builds(
+        split, st.integers(0, 5), st.floats(allow_nan=False, allow_infinity=False), children, children
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(_shapes, min_size=1, max_size=4))
+def test_forest_text_matches_json_dumps_of_the_oracle_documents(shapes):
+    model = forest_of(shapes)
+    assert model_to_json_text(model) == oracle_forest_text(model)
+
+
+WRITER_CASES = {
+    "bare leaf root": [leaf(3, 4)],
+    "negative zero threshold": [split(0, -0.0, leaf(1, 0), leaf(0, 1))],
+    "subnormal threshold": [split(1, 5e-324, leaf(1, 0), leaf(0, 1))],
+    "huge threshold": [split(2, 1e308, leaf(1, 0), split(3, -1e308, leaf(2, 1), leaf(1, 2)))],
+    "inexact threshold": [split(5, 0.1 + 0.2, leaf(1, 0), leaf(0, 1))],
+    "extreme counts": [split(4, 0.5, leaf(0, 2**53), leaf(2**53, 0))],
+    "several trees": [
+        leaf(0, 1),
+        split(0, 1.5, split(1, -2.25, leaf(5, 1), leaf(1, 5)), leaf(0, 3)),
+        split(2, 0.0, leaf(2, 0), split(4, 7.0, split(5, 1e-9, leaf(1, 1), leaf(4, 0)), leaf(0, 9))),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_saved_forest_matches_json_dumps_of_the_oracle_documents(case, tmp_path):
+    model = forest_of(WRITER_CASES[case])
+    path = tmp_path / "forest.json"
+    save_model(model, path)
+    assert path.read_bytes() == oracle_forest_text(model).encode()
+    back = load_model(path)
+    assert [tree_as_tuple(tree) for tree in back.trees] == WRITER_CASES[case]
+
+
+def chain_tree(depth):
+    """A tree whose ``depth`` splits lie on one root-to-leaf path."""
+    doc = {"count_0": 1, "count_1": 0}
+    for d in range(depth):
+        doc = {"feature": d % 6, "threshold": float(d), "left": {"count_0": d, "count_1": 1}, "right": doc}
+    return tree_from_json_dict(doc)
+
+
+def test_a_tree_at_the_depth_bound_saves_and_loads_back(tmp_path):
+    tree = chain_tree(cart._MAX_WRITE_DEPTH)
+    path = tmp_path / "deep.json"
+    save_model(ForestModel((tree,), ForestParams(n_trees=1)), path)
+    back = load_model(path).trees[0]
+    for name in ("feature", "threshold", "right", "count_0", "count_1"):
+        assert np.array_equal(getattr(back, name), getattr(tree, name)), name
+
+
+def test_a_tree_one_level_past_the_depth_bound_is_refused(tmp_path):
+    path = tmp_path / "deep.json"
+    model = ForestModel((chain_tree(cart._MAX_WRITE_DEPTH + 1),), ForestParams(n_trees=1))
+    with pytest.raises(ModelFormatError, match="too deeply") as info:
+        save_model(model, path)
+    assert "\n" not in str(info.value)
+    assert not path.exists()
 
 
 def test_forest_json_absent_params_take_defaults(small_forest, strong_split):
     _, test = strong_split
-    doc = model_to_json_document(small_forest)
+    doc = json.loads(model_to_json_text(small_forest))
     doc["params"] = {"n_trees": 15, "seed": 5}  # bootstrap and tree_params left out
     back = model_from_json_document(doc)
     assert back.params == small_forest.params
@@ -564,7 +652,7 @@ def test_forest_json_absent_params_take_defaults(small_forest, strong_split):
 
 
 def test_forest_json_rejects_bad_documents(small_forest):
-    doc = model_to_json_document(small_forest)
+    doc = json.loads(model_to_json_text(small_forest))
     with pytest.raises(ModelFormatError):
         model_from_json_document(dict(doc, format_version="999"))
     with pytest.raises(ModelFormatError):

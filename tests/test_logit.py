@@ -2,6 +2,7 @@
 central finite differences), training behaviour, prediction semantics,
 and serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from smerisk.dataset import Dataset, apply_standardizer, split_train_test
 from smerisk.errors import DegenerateLabelsError, ModelFormatError, ParameterError
-from smerisk.experiment import model_from_json_document, model_to_json_document
+from smerisk.experiment import model_from_json_document, model_to_json_text
 from smerisk.logit import (
     LogisticModel,
     LogitHyperparams,
@@ -62,6 +63,30 @@ def test_sigmoid_vectorized_symmetry():
     q = sigmoid(-z)
     assert np.all(np.abs(p + q - 1.0) <= 1e-15)
     assert np.all((p > 0.0) & (p < 1.0))
+
+
+def masked_sigmoid(z):
+    """The sigmoid's two branches applied through boolean masks, as the
+    package first computed it: the reference for bitwise equality."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bitwise_equal_to_the_masked_branches():
+    edges = [0.0, 745.0, 800.0, 1e308, 5e-324, 2.2250738585072014e-308 / 3, 36.7, 709.8]
+    z = np.concatenate([edges, np.negative(edges), np.random.default_rng(0).normal(scale=20.0, size=2000)])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = sigmoid(z)
+    assert np.array_equal(got.view(np.int64), masked_sigmoid(z).view(np.int64))
+    for value in z[:16].tolist():
+        assert np.float64(sigmoid(value)).view(np.int64) == masked_sigmoid(value).view(np.int64), value
+    assert math.isnan(sigmoid(math.nan))
+    assert np.isnan(sigmoid(np.array([math.nan, 1.0])))[0]
 
 
 # loss and gradient
@@ -294,7 +319,7 @@ def test_threshold_bounds(strong_split, threshold):
 def test_logistic_json_round_trip(strong_split):
     train, test = strong_split
     model = train_logistic(train)
-    doc = model_to_json_document(model)
+    doc = json.loads(model_to_json_text(model))
     assert doc["model_type"] == "logistic"
     back = model_from_json_document(doc)
     assert np.array_equal(back.weights, model.weights)
@@ -326,7 +351,7 @@ def test_training_meta_validation(strong_split, meta):
 
 def test_logistic_json_rejects_bad_documents(strong_split):
     train, _ = strong_split
-    doc = model_to_json_document(train_logistic(train))
+    doc = json.loads(model_to_json_text(train_logistic(train)))
     stale = dict(doc, format_version="999")
     with pytest.raises(ModelFormatError):
         model_from_json_document(stale)

@@ -10,10 +10,10 @@ import pytest
 from smerisk.errors import ParameterError, ParseError
 from smerisk.serialize import (
     dumps_deterministic,
+    dumps_with_rendered_array,
     from_json_dict,
     parse_json_file,
     to_json_dict,
-    write_json_file,
 )
 
 
@@ -35,13 +35,18 @@ def test_dumps_rejects_nan():
         dumps_deterministic({"x": math.nan})
 
 
+def test_rendered_array_splice_matches_dumps():
+    items = [{"s": "line\nbreak", "k": [1, {"x": -0.0}], "e": {}}, [], "plain", 2.5]
+    doc = {"b": [1, 2], "a": {"y": None, "x": True}}
+    rendered = [dumps_deterministic(item)[:-1] for item in items]
+    assert dumps_with_rendered_array(doc, "z", rendered) == dumps_deterministic(dict(doc, z=items))
+
+
 def test_write_parse_round_trip(tmp_path):
     doc = {"format_version": 1, "model_type": "logistic", "x": [1.5, 2.5]}
     path = tmp_path / "doc.json"
-    write_json_file(doc, path)
+    path.write_text(dumps_deterministic(doc))
     assert parse_json_file(path) == doc
-    write_json_file(doc, path)
-    assert path.read_text() == dumps_deterministic(doc)
 
 
 def test_parse_errors(tmp_path):
