@@ -6,7 +6,7 @@ feature-to-default signal. Everything is deterministic given the seeds in
 the configs: datasets, trained models, reports.
 """
 
-from .cart import TreeParams, grow_tree_arrays
+from .cart import TreeParams
 from .dataset import Dataset, load_csv, split_train_test, write_csv
 from .experiment import (
     ComparisonReport,
@@ -41,7 +41,6 @@ __all__ = [
     "default_experiment_config",
     "feature_importances",
     "generate",
-    "grow_tree_arrays",
     "latent_default_probability",
     "load_csv",
     "load_model",

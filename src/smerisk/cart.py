@@ -38,29 +38,30 @@ called. Up to 10,000 features numpy draws that subset by Floyd's
 sampling (Bentley & Floyd 1987), each draw Lemire's bounded integer on
 one 32-bit word (Lemire 2019), then shuffles it with k - 1 more bounded
 draws. The replay takes the same words from blocks of
-``rng.integers(0, 2**32, dtype=np.uint32)``, so it makes the same
-subsets and leaves the rng further along than ``choice`` would, which
-nothing notices: a tree's rng is not drawn from after its growth. Wider
-matrices call ``choice`` itself, which switches to another algorithm.
+``rng.integers(0, 2**32, dtype=np.uint32)``, so up to 10,000 features it
+makes the same subsets as ``choice`` and leaves the rng further along,
+which nothing notices: a tree's rng is not drawn from after its growth.
+Wider, ``choice`` switches algorithm, and the replay stays uniform.
 
-A tree is five read-only pre-order node arrays, scikit-learn's ``Tree``
-layout: node i splits on ``feature[i]`` at ``threshold[i]``, its left
-child is i + 1 and its right child ``right[i]``. A leaf has feature -1
-and holds the label tallies ``count_0[i]`` and ``count_1[i]`` of the
-training rows that reached it; a split holds zero counts. Growth and the
-JSON reader fill the arrays in pre-order, each recording a split's right
-index when it reaches that child. The reader checks every value at once
-when the walk is done, and growth rejects non-finite features up front,
-so both build only valid trees. ``tree_importances`` folds over the
-arrays in reverse pre-order, where both children of a split are done
-before it. ``tree_to_json_text`` writes a tree's nested JSON document in
-one pre-order pass with a stack of the text each open split still owes,
-so no node becomes a dict; it refuses a tree deeper than the JSON parser
-can read back. Prediction is one level-synchronous walk over
-``join_trees``'s concatenation of the trees: ``leaf_values`` advances
-every (row, tree) pair one depth level per step, dropping pairs as they
-reach a leaf, and ``predict_proba`` is its one-tree case. No walk
-recurses.
+A forest is one node table, ``Trees``, in scikit-learn's ``Tree``
+layout: the read-only pre-order node arrays of every tree, tree after
+tree, with tree t's root at ``roots[t]``. Node i splits on ``feature[i]``
+at ``threshold[i]``, its left child is i + 1 and its right child
+``right[i]``, an index into the whole table. A leaf has feature -1 and
+holds the label tallies ``count_0[i]`` and ``count_1[i]`` of the training
+rows that reached it, and its class-1 fraction ``value[i]``, computed
+once when the table is built; a split holds zero counts. Growth and the
+JSON reader fill the table in pre-order, each recording a split's right
+index when it reaches that child. The reader checks every value of every
+tree at once when the walk is done, and growth rejects non-finite
+features up front, so both build only valid tables. ``tree_importances``
+folds over the table in reverse pre-order, where both children of a
+split are done before it. ``tree_to_json_text`` writes one tree's nested
+JSON document in one pre-order pass with a stack of the text each open
+split still owes, so no node becomes a dict; it refuses a tree deeper
+than the JSON parser can read back. Prediction is one level-synchronous
+walk: ``leaf_values`` advances every (row, tree) pair one depth level per
+step, dropping pairs as they reach a leaf. No walk recurses.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -78,28 +79,37 @@ from .errors import ModelFormatError, ParameterError
 from .serialize import from_json_value
 
 
-def gini_impurity(count_0: int, count_1: int) -> float:
-    """1 - p0^2 - p1^2, in [0, 0.5] for two classes."""
-    n = count_0 + count_1
-    if n == 0:
-        raise ParameterError("gini impurity is undefined for an empty node")
-    return 1.0 - (count_0 * count_0 + count_1 * count_1) / (n * n)
-
-
 @dataclass(frozen=True, eq=False)
-class Tree:
-    """One tree as the pre-order node arrays of the module docstring,
-    made read-only. Compared and hashed by identity."""
+class Trees:
+    """A forest's trees as the one node table of the module docstring,
+    made read-only; ``len()`` is the tree count. A leaf's ``value`` is
+    count_1 / (count_0 + count_1) rounded once, as Python divides ints
+    (0 at a split). Compared and hashed by identity."""
 
     feature: np.ndarray  # intp, -1 at a leaf
     threshold: np.ndarray  # float, 0.0 at a leaf
-    right: np.ndarray  # intp, -1 at a leaf
+    right: np.ndarray  # intp into the whole table, -1 at a leaf
     count_0: np.ndarray  # int64, 0 at a split
     count_1: np.ndarray  # int64, 0 at a split
+    roots: np.ndarray  # intp, tree t's first node
+    value: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for array in (self.feature, self.threshold, self.right, self.count_0, self.count_1):
+        n = self.count_0 + self.count_1  # 0 at splits
+        value = self.count_1 / np.maximum(n, 1)
+        for i in np.flatnonzero(n > 2**53).tolist():  # a float64 above 2**53 may have rounded
+            value[i] = int(self.count_1[i]) / int(n[i])
+        object.__setattr__(self, "value", value)
+        for array in (self.feature, self.threshold, self.right, self.count_0, self.count_1, self.roots, value):
             array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.roots)
+
+    def span(self, t: int) -> tuple[int, int]:
+        """The table rows [start, stop) of tree ``t``."""
+        stop = self.roots[t + 1] if t + 1 < len(self.roots) else len(self.feature)
+        return int(self.roots[t]), int(stop)
 
 
 @dataclass(frozen=True)
@@ -131,9 +141,7 @@ class TreeParams:
 # feature) elements per step, and rows of the trees growing at once.
 _STEP_BUDGET = 2**12
 _ROW_BUDGET = 2**17
-# the widest population Generator.choice(replace=False) samples by
-# Floyd's algorithm, and the 32-bit words a replay draws at a time
-_FLOYD_MAX = 10_000
+# the 32-bit words a feature-subset replay draws at a time
 _WORD_BLOCK = 256
 
 
@@ -225,6 +233,7 @@ def best_split(
     Returns (feature_index, threshold, weighted_child_impurity), or None if
     no candidate strictly beats the parent impurity. Candidates are the
     midpoints between consecutive distinct sorted values of each feature.
+    Unused in the package; perfbench's tracer wraps it by name.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -265,7 +274,9 @@ def _partition(X: np.ndarray, rows: list, found: list) -> list:
 
 class _Growth:
     """One tree being grown: its pre-order nodes as [feature, threshold,
-    right, count_0, count_1] rows, a LIFO stack of (row ids, depth,
+    skip, count_0, count_1] rows, where a split's right child is ``skip``
+    rows after it (-1 at a leaf), turned into one array per column once
+    the tree is done, a LIFO stack of (row ids, depth,
     class-1 count, parent) still to grow, where parent is the split whose
     right child the entry is (-1 for a left child or the root), ``node``,
     the splittable node it waits to have scored, with its sorted candidate
@@ -296,13 +307,12 @@ class _Growth:
                 return m >> 32
 
     def _subset(self, d: int, k: int) -> list:
-        """``np.sort(rng.choice(d, k, replace=False)).tolist()``, with the
-        same draws: all features draw nothing, and up to ``_FLOYD_MAX``
-        features Floyd's sampling is replayed."""
+        """A sorted uniform k-subset of range(d), d < 2**32, by Floyd's
+        sampling; up to 10,000 features it is
+        ``np.sort(rng.choice(d, k, replace=False)).tolist()``, with the same
+        draws. All features draw nothing."""
         if k == d:
             return list(range(d))
-        if d > _FLOYD_MAX:
-            return np.sort(self.rng.choice(d, size=k, replace=False)).tolist()
         taken: set = set()
         for j in range(d - k, d):
             v = self._bounded(j)
@@ -314,12 +324,12 @@ class _Growth:
     def advance(self, params: TreeParams, d: int, k: int) -> bool:
         """Move to the next splittable node in pre-order, listing the leaves
         on the way and drawing the node's feature subset; False once the
-        tree is done. A node's index is the node count when it is popped,
-        as nothing is listed before it."""
+        tree is done and its node columns are built. A node's index is the
+        node count when it is popped, as nothing is listed before it."""
         while self.stack:
             rows, depth, c1, parent = self.stack.pop()
             if parent >= 0:
-                self.nodes[parent][2] = len(self.nodes)
+                self.nodes[parent][2] = len(self.nodes) - parent
             c0 = len(rows) - c1
             at_depth_limit = params.max_depth is not None and depth >= params.max_depth
             if c0 == 0 or c1 == 0 or len(rows) < params.min_samples_split or at_depth_limit:
@@ -327,6 +337,10 @@ class _Growth:
                 continue
             self.node = (rows, depth, c1, self._subset(d, k))
             return True
+        # done: a finished tree holds no rows, words or per-node objects
+        columns = zip(*self.nodes)
+        self.nodes = [np.array(c, dtype=t) for c, t in zip(columns, (np.intp, float, np.intp, np.int64, np.int64))]
+        self.node = self.words = None
         return False
 
     def split(self, found, children) -> None:
@@ -343,21 +357,16 @@ class _Growth:
         self.stack.append((left, depth + 1, c1_left, -1))
         self.nodes.append([feature, threshold, -1, 0, 0])
 
-    def tree(self) -> Tree:
-        """The grown tree: one array per column of the node rows."""
-        columns = zip(*self.nodes)
-        return Tree(*(np.array(c, dtype=t) for c, t in zip(columns, (np.intp, float, np.intp, np.int64, np.int64))))
-
 
 def grow_trees(
     X: np.ndarray,
     y: np.ndarray,
     jobs: Iterable[tuple[np.ndarray, np.random.Generator]],
     params: TreeParams,
-) -> list[Tree]:
-    """Grow one tree per job, in job order. A job is (rows, rng): the tree
-    grown on ``X[rows]``, ``y[rows]`` drawing its feature subsets from
-    ``rng``.
+) -> Trees:
+    """Grow one tree per job into one table, in job order. A job is (rows,
+    rng): the tree grown on ``X[rows]``, ``y[rows]`` drawing its feature
+    subsets from ``rng``.
 
     Per node: stop with a leaf if the node is pure, smaller than
     min_samples_split, or at the depth limit; otherwise draw a fresh random
@@ -414,8 +423,11 @@ def grow_trees(
                 waiting.append(tree)
             else:
                 held -= tree.n_rows
-                tree.node = tree.words = None  # a finished tree holds no rows or words
-    return [tree.tree() for tree in trees]
+    if not trees:
+        raise ParameterError("grow_trees needs at least one job")
+    feature, threshold, skip, count_0, count_1 = (np.concatenate(c) for c in zip(*(tree.nodes for tree in trees)))
+    roots = np.cumsum([0] + [len(tree.nodes[0]) for tree in trees[:-1]], dtype=np.intp)
+    return Trees(feature, threshold, np.where(feature < 0, -1, skip + np.arange(len(skip))), count_0, count_1, roots)
 
 
 def grow_tree_arrays(
@@ -423,44 +435,13 @@ def grow_tree_arrays(
     y: np.ndarray,
     params: TreeParams,
     rng: np.random.Generator,
-) -> Tree:
+) -> Trees:
     """Grow a tree on a feature matrix and 0/1 label array: the one-tree
-    case of ``grow_trees``."""
-    X = np.asarray(X, dtype=float)
-    return grow_trees(X, y, [(np.arange(len(X)), rng)], params)[0]
+    case of ``grow_trees``. Unused in the package; perfbench wraps it."""
+    return grow_trees(X, y, [(np.arange(len(X)), rng)], params)
 
 
-@dataclass(frozen=True, eq=False)
-class FlatTrees:
-    """Trees concatenated into one node table in the ``Tree`` layout, with
-    each leaf's class-1 fraction in ``value`` and tree t's root at
-    ``roots[t]``."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    roots: np.ndarray
-
-
-def join_trees(trees: Sequence[Tree]) -> FlatTrees:
-    """The node table of ``trees``, in order. A leaf's value is
-    count_1 / (count_0 + count_1) rounded once, as Python divides ints."""
-    sizes = [len(tree.feature) for tree in trees]
-    roots = np.cumsum([0] + sizes[:-1])
-    feature, threshold, right, count_0, count_1 = (
-        np.concatenate([getattr(tree, name) for tree in trees])
-        for name in ("feature", "threshold", "right", "count_0", "count_1")
-    )
-    right = np.where(feature < 0, -1, right + np.repeat(roots, sizes))
-    n = count_0 + count_1  # 0 at splits
-    value = count_1 / np.maximum(n, 1)
-    for i in np.flatnonzero(n > 2**53).tolist():  # a float64 above 2**53 may have rounded
-        value[i] = int(count_1[i]) / int(n[i])
-    return FlatTrees(feature, threshold, right, value, roots)
-
-
-def leaf_values(flat: FlatTrees, X: np.ndarray) -> np.ndarray:
+def leaf_values(trees: Trees, X: np.ndarray) -> np.ndarray:
     """The C-contiguous (rows, trees) matrix of the class-1 fraction of the
     leaf each row of ``X`` reaches in each tree.
 
@@ -472,53 +453,52 @@ def leaf_values(flat: FlatTrees, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2:
         raise ParameterError(f"expected a 2-D feature matrix, got shape {X.shape}")
     n_rows, n_cols = X.shape
-    n_trees = len(flat.roots)
-    if flat.feature.max() >= n_cols:
-        raise ParameterError(f"a tree splits on feature {flat.feature.max()} but X has {n_cols} columns")
+    n_trees = len(trees)
+    if trees.feature.max() >= n_cols:
+        raise ParameterError(f"a tree splits on feature {trees.feature.max()} but X has {n_cols} columns")
     x = X.ravel()
     out = np.empty(n_rows * n_trees)
     pair = np.arange(n_rows * n_trees)
     offset = np.repeat(np.arange(n_rows) * n_cols, n_trees)  # row start in x
-    node = np.tile(flat.roots, n_rows)
+    node = np.tile(trees.roots, n_rows)
     while len(pair):
-        feature = flat.feature.take(node)
+        feature = trees.feature.take(node)
         at_leaf = feature < 0
         if at_leaf.any():
             done = np.flatnonzero(at_leaf)
-            out[pair.take(done)] = flat.value.take(node.take(done))
+            out[pair.take(done)] = trees.value.take(node.take(done))
             keep = np.flatnonzero(~at_leaf)
             pair, offset, node, feature = (a.take(keep) for a in (pair, offset, node, feature))
-        goes_left = x.take(offset + feature) <= flat.threshold.take(node)
-        node = np.where(goes_left, node + 1, flat.right.take(node))
+        goes_left = x.take(offset + feature) <= trees.threshold.take(node)
+        node = np.where(goes_left, node + 1, trees.right.take(node))
     return out.reshape(n_rows, n_trees)
 
 
-def predict_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Class-1 fraction of the leaf each row of ``X`` reaches, as an (n,)
-    array: the one-tree case of ``leaf_values``."""
-    return leaf_values(join_trees([tree]), X).ravel()
-
-
-def tree_importances(tree: Tree) -> np.ndarray:
-    """Total weighted impurity decrease per feature, from leaf counts alone,
-    added in reverse pre-order so retraining and reloading give equal
-    floats. Counts stay Python ints, so the expressions round as the
-    grower's exact arithmetic would."""
-    feature, right, count_0, count_1 = (a.tolist() for a in (tree.feature, tree.right, tree.count_0, tree.count_1))
-    root_total = sum(count_0) + sum(count_1)
-    acc = np.zeros(len(FEATURE_COLUMNS))
-    for i in reversed(range(len(feature))):
-        if feature[i] < 0:
-            continue
-        l0, l1, r0, r1 = count_0[i + 1], count_1[i + 1], count_0[right[i]], count_1[right[i]]
-        c0, c1 = count_0[i], count_1[i] = l0 + r0, l1 + r1  # a split's counts become its subtree's
-        n_node, n_left, n_right = c0 + c1, l0 + l1, r0 + r1
-        child_impurity = (n_left * gini_impurity(l0, l1) + n_right * gini_impurity(r0, r1)) / n_node
-        decrease = (n_node / root_total) * (gini_impurity(c0, c1) - child_impurity)
-        # accepted splits decrease impurity exactly; the clamp only guards
-        # float rounding of near-tie splits at extreme node sizes
-        acc[feature[i]] += max(0.0, decrease)
-    return acc
+def tree_importances(trees: Trees) -> np.ndarray:
+    """Each tree's total weighted impurity decrease per feature, as an
+    (n_trees, 6) array, from leaf counts alone: one fold over the table in
+    reverse pre-order, so retraining and reloading give equal floats.
+    Counts stay Python ints, so the gini expressions 1 - (c0^2 + c1^2)/n^2
+    round as the grower's exact arithmetic would."""
+    feature, right, count_0, count_1 = (a.tolist() for a in (trees.feature, trees.right, trees.count_0, trees.count_1))
+    acc = [[0.0] * len(FEATURE_COLUMNS) for _ in range(len(trees))]
+    for t, row in enumerate(acc):
+        start, stop = trees.span(t)
+        root_total = sum(count_0[start:stop]) + sum(count_1[start:stop])
+        for i in reversed(range(start, stop)):
+            if feature[i] < 0:
+                continue
+            l0, l1, r0, r1 = count_0[i + 1], count_1[i + 1], count_0[right[i]], count_1[right[i]]
+            c0, c1 = count_0[i], count_1[i] = l0 + r0, l1 + r1  # a split's counts become its subtree's
+            n_node, n_left, n_right = c0 + c1, l0 + l1, r0 + r1
+            gini_left = 1.0 - (l0 * l0 + l1 * l1) / (n_left * n_left)
+            gini_right = 1.0 - (r0 * r0 + r1 * r1) / (n_right * n_right)
+            gini_node = 1.0 - (c0 * c0 + c1 * c1) / (n_node * n_node)
+            decrease = (n_node / root_total) * (gini_node - (n_left * gini_left + n_right * gini_right) / n_node)
+            # accepted splits decrease impurity exactly; the clamp only guards
+            # float rounding of near-tie splits at extreme node sizes
+            row[feature[i]] += max(0.0, decrease)
+    return np.array(acc)
 
 
 # The deepest tree the writer takes. ``json``'s parser recurses once per
@@ -529,8 +509,8 @@ def tree_importances(tree: Tree) -> np.ndarray:
 _MAX_WRITE_DEPTH = 512
 
 
-def tree_to_json_text(tree: Tree) -> str:
-    """The JSON text of ``tree``'s nested document, byte for byte as
+def tree_to_json_text(trees: Trees, t: int) -> str:
+    """The JSON text of tree ``t``'s nested document, byte for byte as
     ``json.dumps(doc, sort_keys=True, indent=2)`` writes it at indent level
     0, rendered from the node arrays in one pre-order pass. A split's keys
     sort as feature, left, right, threshold, so its text is an opening
@@ -540,8 +520,9 @@ def tree_to_json_text(tree: Tree) -> str:
     for its middle part, which depends only on the level. Numbers are
     written by ``repr``, as ``json`` writes ints and finite floats. A tree
     deeper than ``_MAX_WRITE_DEPTH`` raises ModelFormatError."""
+    start, stop = trees.span(t)
     feature, threshold, count_0, count_1 = (
-        a.tolist() for a in (tree.feature, tree.threshold, tree.count_0, tree.count_1)
+        a[start:stop].tolist() for a in (trees.feature, trees.threshold, trees.count_0, trees.count_1)
     )
     nl = ["\n", "\n  "]  # a newline and the indentation of each level reached
     out = []
@@ -575,11 +556,11 @@ _LEAF_KEYS = frozenset(("count_0", "count_1"))
 _SPLIT_KEYS = frozenset(("feature", "threshold", "left", "right"))
 
 
-def _column(values: list, nodes: list, name: str, tp: type, low, high) -> np.ndarray:
+def _column(values: list, nodes: list, where, name: str, tp: type, low, high) -> np.ndarray:
     """The field ``name`` of ``nodes``, read from ``values`` as an array;
     each value must be a JSON ``tp`` (by the ``serialize`` rules) in
     [low, high]. The values are checked all at once, and one by one only
-    to name a bad one."""
+    to name a bad one, as ``where(node)``."""
     try:
         if set(map(type, values)) <= ({int} if tp is int else {int, float}):
             column = np.array(values, dtype=np.int64 if tp is int else float)
@@ -588,22 +569,25 @@ def _column(values: list, nodes: list, name: str, tp: type, low, high) -> np.nda
     except OverflowError:  # an integer beyond int64 or float
         pass
     for node, value in zip(nodes, values):
-        value = from_json_value(tp, value, f"node {node} {name}")
+        value = from_json_value(tp, value, f"{where(node)} {name}")
         if not low <= value <= high:
-            raise ParameterError(f"node {node} {name} must be in [{low}, {high}], got {value!r}")
+            raise ParameterError(f"{where(node)} {name} must be in [{low}, {high}], got {value!r}")
     return np.array(values, dtype=np.int64 if tp is int else float)
 
 
-def tree_from_json_dict(doc: dict, path: str = "tree") -> Tree:
-    """Read the tree document at ``path`` in its model file. The walk only
-    checks each node's keys and lists the nodes in pre-order; then every
-    value is checked: features are indices in [0, 6), thresholds finite,
-    and leaf counts integers in [0, 2**53] (larger counts lose precision
-    as floats), at least one row per leaf."""
+def trees_from_json(docs: Sequence, path: str = "trees") -> Trees:
+    """Read the tree documents at ``path`` in their model file into one
+    table. The walk only checks each node's keys and lists the nodes in
+    pre-order; then every value of every tree is checked: features are
+    indices in [0, 6), thresholds finite, and leaf counts integers in
+    [0, 2**53] (larger counts lose precision as floats), at least one row
+    per leaf. An error names ``path[t]`` and the node's index in tree t."""
     splits, features, thresholds, leaves, counts_0, counts_1 = [], [], [], [], [], []
     right: list = []
-    stack = [(doc, -1)]
-    try:
+    roots: list = []
+    for t, doc in enumerate(docs):
+        roots.append(len(right))
+        stack = [(doc, -1)]
         while stack:
             d, parent = stack.pop()
             i = len(right)
@@ -611,7 +595,7 @@ def tree_from_json_dict(doc: dict, path: str = "tree") -> Tree:
                 right[parent] = i
             right.append(-1)
             if not isinstance(d, dict):
-                raise ModelFormatError(f"{path}: a tree node must be an object, got {type(d).__name__}")
+                raise ModelFormatError(f"{path}[{t}]: a tree node must be an object, got {type(d).__name__}")
             keys = d.keys()
             if keys == _LEAF_KEYS:
                 leaves.append(i)
@@ -624,17 +608,23 @@ def tree_from_json_dict(doc: dict, path: str = "tree") -> Tree:
                 stack.append((d["right"], i))
                 stack.append((d["left"], -1))
             else:
-                raise ModelFormatError(f"{path}: unrecognized tree node fields {sorted(keys)}")
-        feature = np.full(len(right), -1, dtype=np.intp)
-        feature[splits] = _column(features, splits, "feature", int, 0, len(FEATURE_COLUMNS) - 1)
-        threshold = np.zeros(len(right))
-        threshold[splits] = _column(thresholds, splits, "threshold", float, -_FLOAT_MAX, _FLOAT_MAX)
-        count_0, count_1 = np.zeros(len(right), dtype=np.int64), np.zeros(len(right), dtype=np.int64)
-        count_0[leaves] = _column(counts_0, leaves, "count_0", int, 0, 2**53)
-        count_1[leaves] = _column(counts_1, leaves, "count_1", int, 0, 2**53)
-        empty = np.flatnonzero(count_0[leaves] + count_1[leaves] < 1)
-        if len(empty):
-            raise ParameterError(f"node {leaves[empty[0]]} is a leaf with no rows")
-        return Tree(feature, threshold, np.array(right, dtype=np.intp), count_0, count_1)
+                raise ModelFormatError(f"{path}[{t}]: unrecognized tree node fields {sorted(keys)}")
+    root = np.array(roots, dtype=np.intp)
+
+    def where(i: int) -> str:
+        t = int(np.searchsorted(root, i, side="right")) - 1
+        return f"{path}[{t}]: node {i - roots[t]}"
+
+    feature, threshold = np.full(len(right), -1, dtype=np.intp), np.zeros(len(right))
+    count_0, count_1 = np.zeros(len(right), dtype=np.int64), np.zeros(len(right), dtype=np.int64)
+    try:
+        feature[splits] = _column(features, splits, where, "feature", int, 0, len(FEATURE_COLUMNS) - 1)
+        threshold[splits] = _column(thresholds, splits, where, "threshold", float, -_FLOAT_MAX, _FLOAT_MAX)
+        count_0[leaves] = _column(counts_0, leaves, where, "count_0", int, 0, 2**53)
+        count_1[leaves] = _column(counts_1, leaves, where, "count_1", int, 0, 2**53)
     except ParameterError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+        raise ModelFormatError(str(exc)) from None
+    empty = np.flatnonzero(count_0[leaves] + count_1[leaves] < 1)
+    if len(empty):
+        raise ModelFormatError(f"{where(leaves[empty[0]])} is a leaf with no rows")
+    return Trees(feature, threshold, np.array(right, dtype=np.intp), count_0, count_1, root)

@@ -131,7 +131,8 @@ class Dataset:
     @property
     def records(self) -> tuple[tuple, ...]:
         """One hashable tuple per row, in ALL_COLUMNS order (label None when
-        unlabeled). Built on each access; for equality checks and counting."""
+        unlabeled). Built on each access; for equality checks and counting.
+        Unused in the package: perfbench's set-up check compares by it."""
         labels = self.y.tolist() if self.y is not None else [None] * len(self)
         return tuple((*row, label) for row, label in zip(self.X.tolist(), labels))
 
@@ -284,24 +285,14 @@ class StandardizationParams:
     constant_flags: tuple[bool, ...]
 
     def __post_init__(self):
-        if not (len(self.means) == len(self.sds) == len(self.constant_flags)):
-            raise ParameterError("standardization parameter lengths disagree")
+        sizes = (len(self.means), len(self.sds), len(self.constant_flags))
+        if sizes != (len(CONTINUOUS_FEATURES),) * 3:
+            raise ParameterError(f"standardization lists need {len(CONTINUOUS_FEATURES)} entries each, got {sizes}")
         if not all(math.isfinite(v) for v in self.means + self.sds):
             raise ParameterError("standardization means and sds must be finite")
         for sd, flag in zip(self.sds, self.constant_flags):
             if sd < 0 or (sd == 0) != flag:
                 raise ParameterError("sd must be > 0 exactly where the constant flag is unset")
-
-    def transform_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        if matrix.ndim != 2 or matrix.shape[1] != len(self.means):
-            raise ParameterError(
-                f"expected {len(self.means)} feature columns, got shape {matrix.shape}"
-            )
-        means = np.asarray(self.means)
-        sds = np.where(self.constant_flags, 1.0, np.asarray(self.sds))
-        out = (matrix - means) / sds
-        out[:, np.asarray(self.constant_flags)] = 0.0
-        return out
 
 
 def fit_standardizer(train: Dataset) -> StandardizationParams:
@@ -329,5 +320,6 @@ def apply_standardizer(params: StandardizationParams, dataset: Dataset) -> np.nd
     under ``params`` (constant-flagged ones become 0), sector unchanged."""
     out = np.array(dataset.X)
     k = len(CONTINUOUS_FEATURES)
-    out[:, :k] = params.transform_matrix(out[:, :k])
+    out[:, :k] = (out[:, :k] - np.asarray(params.means)) / np.where(params.constant_flags, 1.0, params.sds)
+    out[:, np.flatnonzero(params.constant_flags)] = 0.0
     return out

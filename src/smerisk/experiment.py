@@ -113,7 +113,7 @@ class ComparisonReport:
     config_echo: dict
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "ComparisonReport":
+    def from_json_dict(cls, doc: dict) -> "ComparisonReport":  # unused here: perfbench's report check calls it
         return serialize.from_json_dict(cls, doc)
 
 

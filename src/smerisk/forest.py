@@ -8,20 +8,20 @@ concurrently and the model comes out identical, and growing a forest by
 more trees never changes the trees already trained. ``train_forest``
 grows all trees with one ``cart.grow_trees`` call, in lockstep, and
 draws each tree's bootstrap only when the grower's row budget lets that
-tree start, so its memory does not grow with the tree count;
-``train_single_tree`` grows one tree alone and gives the same tree.
+tree start, so its memory does not grow with the tree count; a one-job
+``grow_trees`` call on ``_tree_job`` of an index grows that tree alone.
 
-A model holds its trees as ``cart.Tree`` node arrays, one record per
-tree. ``predict_forest_dataset`` is the one prediction path: a soft vote
-(the mean of the trees' leaf class-1 fractions). It joins the trees into
-one node table once per call and walks the book in blocks of a fixed
-budget of (row, tree) pairs, so its memory grows with neither the book
-nor the tree count. Labels are left to ``logit.to_labels``. Importances
-are computed from leaf counts when asked for, so a reloaded model gives
-them bit for bit and a model loaded only to score never computes them.
-A forest file is written as text: its other keys go through the
-``serialize`` codec, and each tree's text comes straight from its node
-arrays (``cart.tree_to_json_text``), spliced in as ``trees``.
+A model holds its trees in one ``cart.Trees`` node table, which every
+step reads as it is. ``predict_forest_dataset`` is the one prediction
+path: a soft vote (the mean of the trees' leaf class-1 fractions). It
+walks the book through the table in blocks of a fixed budget of
+(row, tree) pairs, so its memory grows with neither the book nor the
+tree count. Labels are left to ``logit.to_labels``. Importances are
+computed from leaf counts when asked for, so a reloaded model gives them
+bit for bit and a model loaded only to score never computes them. A
+forest file is written as text: its other keys go through the
+``serialize`` codec, and each tree's text comes straight from the table
+(``cart.tree_to_json_text``), spliced in as ``trees``.
 """
 
 from __future__ import annotations
@@ -31,15 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cart import (
-    Tree,
+    Trees,
     TreeParams,
-    grow_tree_arrays,
+    grow_tree_arrays,  # unused here: perfbench's tracer wraps it in this module
     grow_trees,
-    join_trees,
     leaf_values,
-    tree_from_json_dict,
     tree_importances,
     tree_to_json_text,
+    trees_from_json,
 )
 from .dataset import Dataset, FEATURE_COLUMNS
 from .errors import DegenerateLabelsError, ParameterError
@@ -65,9 +64,9 @@ class ForestParams:
 
 @dataclass(frozen=True, eq=False)
 class ForestModel:
-    """Trained ensemble: one ``Tree`` per ``params.n_trees``."""
+    """Trained ensemble: ``params.n_trees`` trees in one node table."""
 
-    trees: tuple[Tree, ...]
+    trees: Trees
     params: ForestParams
     feature_names = FEATURE_COLUMNS
 
@@ -92,23 +91,16 @@ def _tree_job(n: int, params: ForestParams, tree_index: int) -> tuple[np.ndarray
     return (bootstrap_indices(n, rng) if params.bootstrap else np.arange(n)), rng
 
 
-def train_single_tree(X: np.ndarray, y: np.ndarray, params: ForestParams, tree_index: int) -> Tree:
-    """Tree number ``tree_index`` of the forest: a pure function of its
-    arguments, independent of any other tree."""
-    rows, rng = _tree_job(len(y), params, tree_index)
-    return grow_tree_arrays(X[rows], y[rows], params.tree_params, rng)
-
-
 def train_forest(train: Dataset, params: ForestParams) -> ForestModel:
     """Train ``params.n_trees`` trees on bootstrap samples of ``train``,
-    grown together by one ``grow_trees`` call; each tree equals
-    ``train_single_tree`` of its index."""
+    grown together by one ``grow_trees`` call; each tree equals the one
+    grown alone from ``_tree_job`` of its index."""
     y = train.labels()
     if len(y) == 0 or y.min() == y.max():
         raise DegenerateLabelsError("training set contains a single class; a forest needs both")
     X = train.feature_matrix()
     jobs = (_tree_job(len(y), params, t) for t in range(params.n_trees))
-    return ForestModel(tuple(grow_trees(X, y, jobs, params.tree_params)), params)
+    return ForestModel(grow_trees(X, y, jobs, params.tree_params), params)
 
 
 # (row, tree) pairs walked at once: smaller blocks pay the walk's per-step
@@ -122,12 +114,11 @@ def predict_forest_dataset(model: ForestModel, dataset: Dataset) -> np.ndarray:
     C-contiguous (rows, trees) block sums each row exactly as ``np.mean``
     over that row's own tree fractions would."""
     X = dataset.feature_matrix()
-    flat = join_trees(model.trees)
     block_rows = max(1, _PAIR_BUDGET // len(model.trees))
     probs = np.empty(len(X))
     for start in range(0, len(X), block_rows):
         block = X[start : start + block_rows]
-        probs[start : start + len(block)] = leaf_values(flat, block).mean(axis=1)
+        probs[start : start + len(block)] = leaf_values(model.trees, block).mean(axis=1)
     return probs
 
 
@@ -137,7 +128,7 @@ def feature_importances(model: ForestModel) -> tuple[np.ndarray, bool]:
     The flag is set (and the vector is all zeros) only when every tree is a
     bare leaf, so no split ever reduced impurity.
     """
-    raw = np.stack([tree_importances(tree) for tree in model.trees]).mean(axis=0)
+    raw = tree_importances(model.trees).mean(axis=0)
     total = float(raw.sum())
     if total == 0.0:
         return np.zeros(len(model.feature_names)), True
@@ -166,10 +157,10 @@ def forest_to_json_text(model: ForestModel, envelope: dict) -> str:
     values, _ = feature_importances(model)
     head = to_json_dict(_ForestBody(model.params, model.feature_names, (), tuple(values.tolist())))
     del head["trees"]
-    return dumps_with_rendered_array({**envelope, **head}, "trees", [tree_to_json_text(tree) for tree in model.trees])
+    texts = [tree_to_json_text(model.trees, t) for t in range(len(model.trees))]
+    return dumps_with_rendered_array({**envelope, **head}, "trees", texts)
 
 
 def forest_from_json_document(doc: dict) -> ForestModel:
     body = from_json_dict(_ForestBody, doc)
-    trees = tuple(tree_from_json_dict(tree, f"trees[{t}]") for t, tree in enumerate(body.trees))
-    return ForestModel(trees, body.params)
+    return ForestModel(trees_from_json(body.trees), body.params)

@@ -5,8 +5,8 @@ every (feature, midpoint-threshold) candidate at every node and scores it
 in exact Fraction arithmetic, so there is no shared code (and no shared
 rounding) with the package's vectorized integer-score search. Trees are
 compared in the oracle's nested-tuple shape, which ``tree_as_tuple``
-reads off the package's node arrays and ``tree_from_tuple`` turns back
-into them through the model-file reader. The prediction oracle walks
+reads off one tree of the package's node table and ``trees_from_tuples``
+turns back into a table through the model-file reader. The prediction oracle walks
 those tuples one row at a time in plain Python, sharing nothing with the
 package's flat (row, tree) walk. ``tree_to_json_dict`` builds a tree's
 nested model-file document one dict per node, for ``json.dumps`` to
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from smerisk.cart import tree_from_json_dict
+from smerisk.cart import trees_from_json
 
 
 def oracle_gini(labels) -> Fraction:
@@ -83,13 +83,21 @@ def oracle_grow(rows, labels, depth=0, max_depth=None, min_samples_split=2):
     )
 
 
-def tree_as_tuple(tree):
-    """Package tree -> the oracle's tuple shape, for structural equality.
-    Built from the leaves up: node i's left child is i + 1, its right
-    child ``right[i]``, and a leaf has feature -1."""
+def _tree_columns(trees, t):
+    """Tree ``t``'s node arrays as lists, with ``right`` counted from its
+    root."""
+    start, stop = trees.span(t)
     feature, threshold, right, count_0, count_1 = (
-        a.tolist() for a in (tree.feature, tree.threshold, tree.right, tree.count_0, tree.count_1)
+        a[start:stop].tolist() for a in (trees.feature, trees.threshold, trees.right, trees.count_0, trees.count_1)
     )
+    return feature, threshold, [r - start for r in right], count_0, count_1
+
+
+def tree_as_tuple(trees, t=0):
+    """Tree ``t`` of a package table -> the oracle's tuple shape, for
+    structural equality. Built from the leaves up: node i's left child is
+    i + 1, its right child ``right[i]``, and a leaf has feature -1."""
+    feature, threshold, right, count_0, count_1 = _tree_columns(trees, t)
     done = [None] * len(feature)
     for i in reversed(range(len(feature))):
         if feature[i] < 0:
@@ -99,12 +107,15 @@ def tree_as_tuple(tree):
     return done[0]
 
 
-def tree_to_json_dict(tree):
-    """Package tree -> its nested model-file document, built from the
-    leaves up: the reference the tree text writer is checked against."""
-    feature, threshold, right, count_0, count_1 = (
-        a.tolist() for a in (tree.feature, tree.threshold, tree.right, tree.count_0, tree.count_1)
-    )
+def trees_as_tuples(trees):
+    return [tree_as_tuple(trees, t) for t in range(len(trees))]
+
+
+def tree_to_json_dict(trees, t=0):
+    """Tree ``t`` of a package table -> its nested model-file document,
+    built from the leaves up: the reference the tree text writer is
+    checked against."""
+    feature, threshold, right, count_0, count_1 = _tree_columns(trees, t)
     docs = [None] * len(feature)
     for i in reversed(range(len(feature))):
         if feature[i] < 0:
@@ -114,9 +125,9 @@ def tree_to_json_dict(tree):
     return docs[0]
 
 
-def tree_from_tuple(node):
-    """The oracle's tuple shape -> a package tree, read as a model file's
-    tree document, so every value is checked as a loaded one is."""
+def trees_from_tuples(shapes):
+    """The oracle's tuple shapes -> one package table, read as a model
+    file's tree documents, so every value is checked as a loaded one is."""
 
     def doc(node):
         if node[0] == "leaf":
@@ -124,7 +135,11 @@ def tree_from_tuple(node):
         _, feature, threshold, left, right = node
         return {"feature": feature, "threshold": threshold, "left": doc(left), "right": doc(right)}
 
-    return tree_from_json_dict(doc(node))
+    return trees_from_json([doc(shape) for shape in shapes])
+
+
+def tree_from_tuple(shape):
+    return trees_from_tuples([shape])
 
 
 def leaf(count_0, count_1):
@@ -146,8 +161,9 @@ def oracle_leaf_fraction(tree, row):
 
 
 def oracle_soft_vote(trees, X):
-    """Per row of ``X``, ``np.mean`` of its trees' leaf fractions."""
-    shapes = [tree_as_tuple(tree) for tree in trees]
+    """Per row of ``X``, ``np.mean`` of the leaf fractions of the trees of
+    the table ``trees``."""
+    shapes = trees_as_tuples(trees)
     return [float(np.mean([oracle_leaf_fraction(tree, row) for tree in shapes])) for row in np.asarray(X).tolist()]
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_grow, oracle_metrics, tree_as_tuple
-from smerisk.cart import TreeParams, grow_tree_arrays, predict_proba
+from smerisk.cart import TreeParams, grow_tree_arrays, leaf_values
 from smerisk.dataset import split_train_test
 from smerisk.experiment import (
     ExperimentConfig,
@@ -123,7 +123,7 @@ def test_criterion_3_tree_matches_bruteforce_oracle():
         if tree_as_tuple(node) != expected:
             mismatches += 1
             continue
-        probs = predict_proba(node, X)
+        probs = leaf_values(node, X)[:, 0]
         predicted = zip(to_labels(probs).tolist(), probs.tolist())
         if any(pair != _oracle_predict(expected, row) for pair, row in zip(predicted, X)):
             mismatches += 1
@@ -226,7 +226,7 @@ def test_criterion_6_ensemble_of_one_equals_bare_tree(default_data):
         substream(42, 0),
     )
     forest_probs = predict_forest_dataset(forest, default_data)
-    bare_probs = predict_proba(bare, default_data.feature_matrix())
+    bare_probs = leaf_values(bare, default_data.feature_matrix())[:, 0]
     mismatches = int(
         ((forest_probs != bare_probs) | (to_labels(forest_probs) != to_labels(bare_probs))).sum()
     )

@@ -13,17 +13,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import leaf, oracle_grow, split, tree_as_tuple, tree_from_tuple, tree_to_json_dict
+from fractions import Fraction
+
+from oracles import leaf, oracle_gini, oracle_grow, split, tree_as_tuple, tree_from_tuple, tree_to_json_dict
 from smerisk import cart
 from smerisk.cart import (
     TreeParams,
     best_split,
-    gini_impurity,
     grow_tree_arrays,
     grow_trees,
-    predict_proba,
-    tree_from_json_dict,
+    leaf_values,
     tree_to_json_text,
+    trees_from_json,
 )
 from smerisk.errors import ModelFormatError, ParameterError
 from smerisk.logit import to_labels
@@ -45,6 +46,12 @@ def grow_shape(X, y, **params):
     return tree_as_tuple(grow(X, y, **params))
 
 
+def predict(tree, X):
+    """The class-1 fraction of the leaf each row of ``X`` reaches in a
+    one-tree table."""
+    return leaf_values(tree, X)[:, 0]
+
+
 def depth(shape):
     """Depth of a tree in tuple shape, leaves at 0."""
     deepest, stack = 0, [(shape, 0)]
@@ -59,16 +66,15 @@ def depth(shape):
 # impurity
 
 
+def gini(count_0, count_1):
+    return oracle_gini([0] * count_0 + [1] * count_1)
+
+
 def test_gini_examples():
-    assert gini_impurity(2, 2) == 0.5
-    assert gini_impurity(4, 0) == 0.0
-    assert gini_impurity(0, 7) == 0.0
-    assert gini_impurity(3, 1) == 0.375
-
-
-def test_gini_empty_counts_rejected():
-    with pytest.raises(ParameterError):
-        gini_impurity(0, 0)
+    assert gini(2, 2) == Fraction(1, 2)
+    assert gini(4, 0) == 0
+    assert gini(0, 7) == 0
+    assert gini(3, 1) == Fraction(3, 8)
 
 
 # node values, checked where a tree is read (a model file's bad values exit
@@ -197,8 +203,10 @@ def test_grow_separable_tree_shape():
     assert tree.threshold.tolist() == [2.5, 0.0, 0.0]
     assert tree.right.tolist() == [2, -1, -1]
     assert (tree.count_0.tolist(), tree.count_1.tolist()) == ([0, 2, 0], [0, 0, 2])
-    with pytest.raises(ValueError):
-        tree.feature[0] = 1  # read-only
+    assert (len(tree), tree.roots.tolist(), tree.value.tolist()) == (1, [0], [0.0, 0.0, 1.0])
+    for name in ("feature", "threshold", "right", "count_0", "count_1", "roots", "value"):
+        with pytest.raises(ValueError):
+            getattr(tree, name)[0] = 1  # read-only
 
 
 def test_grow_splits_adjacent_floats_at_the_left_value():
@@ -231,6 +239,8 @@ def test_grow_validates_inputs():
         grow_tree_arrays(np.zeros((3, 2)), np.array([0, 1, 2]), TreeParams(), rng)
     with pytest.raises(ParameterError):
         grow_tree_arrays(np.zeros((3, 2)), np.array([0, 1]), TreeParams(), rng)
+    with pytest.raises(ParameterError, match="at least one job"):
+        grow_trees(np.zeros((3, 2)), np.array([0, 1, 0]), [], TreeParams())
 
 
 def test_training_accuracy_perfect_on_distinct_rows():
@@ -238,7 +248,7 @@ def test_training_accuracy_perfect_on_distinct_rows():
     X = rng.normal(size=(60, 4))
     y = rng.integers(0, 2, size=60).astype(np.int64)
     node = grow(X, y)
-    predictions = to_labels(predict_proba(node, X))
+    predictions = to_labels(predict(node, X))
     assert np.array_equal(predictions, y)
 
 
@@ -252,7 +262,7 @@ def test_monotone_transform_invariance():
     X2 = X.copy()
     X2[:, 1] = X2[:, 1] ** 3
     node_b = grow(X2, y)
-    assert np.array_equal(predict_proba(node_a, X), predict_proba(node_b, X2))
+    assert np.array_equal(predict(node_a, X), predict(node_b, X2))
 
 
 def test_split_always_reduces_weighted_impurity():
@@ -274,8 +284,8 @@ def test_split_always_reduces_weighted_impurity():
         c = counts(n)
         lc, rc = counts(n[3]), counts(n[4])
         nl, nr = sum(lc), sum(rc)
-        parent = gini_impurity(*c)
-        children = (nl * gini_impurity(*lc) + nr * gini_impurity(*rc)) / (nl + nr)
+        parent = gini(*c)
+        children = (nl * gini(*lc) + nr * gini(*rc)) / (nl + nr)
         assert children < parent
         walk(n[3])
         walk(n[4])
@@ -295,7 +305,7 @@ def test_grow_deterministic():
 def test_grow_tree_from_dataset(strong_split):
     train, test = strong_split
     node = grow_tree_arrays(train.feature_matrix(), train.labels(), TreeParams(max_depth=4), substream(1, 0))
-    hits = int((to_labels(predict_proba(node, test.feature_matrix())) == test.labels()).sum())
+    hits = int((to_labels(predict(node, test.feature_matrix())) == test.labels()).sum())
     assert hits / len(test) > 0.5
 
 
@@ -365,17 +375,6 @@ def test_subset_of_all_features_draws_nothing():
     assert rng.bit_generator.state == before
 
 
-@pytest.mark.parametrize("k", [3, 300])
-def test_subset_of_over_10000_features_calls_rng_choice(k):
-    # above 10,000 features choice tail-shuffles when k > d // 50, which
-    # the replay does not reproduce, so the subset comes from choice itself
-    oracle, rng = np.random.default_rng(4), np.random.default_rng(4)
-    growth = replay(rng)
-    assert growth._subset(10_001, k) == np.sort(oracle.choice(10_001, k, replace=False)).tolist()
-    assert growth.words == []
-    assert rng.bit_generator.state == oracle.bit_generator.state
-
-
 # oracle loop
 
 
@@ -412,9 +411,9 @@ def test_lockstep_trees_match_bruteforce_oracle():
         y = np.concatenate([y for _, y in instances])
         trees = grow_trees(X, y, jobs, TreeParams(features_per_split=4))
         assert len(trees) == len(instances)
-        for t, (tree, (X, y)) in enumerate(zip(trees, instances)):
+        for t, (X, y) in enumerate(instances):
             expected = oracle_grow([tuple(r) for r in X], [int(v) for v in y])
-            assert tree_as_tuple(tree) == expected, f"trial {trial}, tree {t}"
+            assert tree_as_tuple(trees, t) == expected, f"trial {trial}, tree {t}"
 
 
 def test_grow_rejects_nan_features():
@@ -439,14 +438,14 @@ def test_grow_rejects_infinite_features():
 
 def test_predict_boundary_goes_left():
     node = tree_from_tuple(split(0, 2.5, leaf(3, 0), leaf(0, 3)))
-    probs = predict_proba(node, np.array([[2.5], [2.500001]]))
+    probs = predict(node, np.array([[2.5], [2.500001]]))
     assert probs.tolist() == [0.0, 1.0]
     assert to_labels(probs).tolist() == [0, 1]
 
 
 def test_predict_probability_and_tie():
     row = np.array([[0.0]])
-    probs = np.concatenate([predict_proba(tree_from_tuple(leaf(*counts)), row) for counts in ((1, 3), (2, 2), (3, 1))])
+    probs = np.concatenate([predict(tree_from_tuple(leaf(*counts)), row) for counts in ((1, 3), (2, 2), (3, 1))])
     assert probs.tolist() == [0.75, 0.5, 0.25]
     # Probability exactly 0.5 labels as default.
     assert to_labels(probs).tolist() == [1, 1, 0]
@@ -459,22 +458,22 @@ def test_predict_routes_every_row_to_its_own_leaf():
         split(0, 0.0, split(1, 1.0, leaf(4, 0), leaf(3, 1)), split(1, -1.0, leaf(1, 1), leaf(0, 5)))
     )
     X = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, -2.0], [-1.0, 2.0], [-1.0, 0.0]])
-    assert predict_proba(node, X).tolist() == [1.0, 0.0, 0.5, 0.25, 0.0]
-    assert predict_proba(node, np.zeros((0, 2))).shape == (0,)
+    assert predict(node, X).tolist() == [1.0, 0.0, 0.5, 0.25, 0.0]
+    assert predict(node, np.zeros((0, 2))).shape == (0,)
 
 
 def test_predict_rejects_a_split_feature_outside_the_matrix():
     node = tree_from_tuple(split(1, 0.0, leaf(1, 0), leaf(0, 1)))
-    assert predict_proba(node, np.array([[0.0, 1.0]])).tolist() == [1.0]
+    assert predict(node, np.array([[0.0, 1.0]])).tolist() == [1.0]
     for X in (np.zeros((2, 1)), np.zeros((0, 1))):
         with pytest.raises(ParameterError, match="feature 1 but X has 1 columns"):
-            predict_proba(node, X)
+            predict(node, X)
 
 
 def test_predict_nan_goes_right_at_every_split():
     node = tree_from_tuple(split(0, 0.0, leaf(4, 0), split(1, 1.0, leaf(3, 1), leaf(0, 5))))
     X = np.array([[np.nan, 0.0], [np.nan, np.nan], [-1.0, np.nan]])
-    assert predict_proba(node, X).tolist() == [0.25, 1.0, 0.0]
+    assert predict(node, X).tolist() == [0.25, 1.0, 0.0]
 
 
 # params
@@ -537,10 +536,10 @@ def test_tree_json_round_trip():
     y = rng.integers(0, 2, size=50).astype(np.int64)
     node = grow(X, y)
     doc = tree_to_json_dict(node)
-    assert tree_to_json_text(node) == json.dumps(doc, sort_keys=True, indent=2)
-    back = tree_from_json_dict(doc)
+    assert tree_to_json_text(node, 0) == json.dumps(doc, sort_keys=True, indent=2)
+    back = trees_from_json([doc])
     assert tree_as_tuple(back) == tree_as_tuple(node)
-    for name in ("feature", "threshold", "right", "count_0", "count_1"):
+    for name in ("feature", "threshold", "right", "count_0", "count_1", "roots", "value"):
         grown, read = getattr(node, name), getattr(back, name)
         assert grown.dtype == read.dtype and np.array_equal(grown, read), name
 
@@ -579,4 +578,39 @@ def test_tree_json_shapes():
 )
 def test_tree_json_malformed(doc):
     with pytest.raises(ModelFormatError):
-        tree_from_json_dict(doc)
+        trees_from_json([doc])
+
+
+def two_tree_docs():
+    """A bare leaf, then a tree whose node 3 is the leaf (2, 1)."""
+    inner = {"feature": 1, "threshold": 0.0, "left": {"count_0": 2, "count_1": 1}, "right": {"count_0": 0, "count_1": 3}}
+    return [{"count_0": 1, "count_1": 2}, {"feature": 0, "threshold": 0.5, "left": {"count_0": 1, "count_1": 0}, "right": inner}]
+
+
+def test_trees_read_into_one_table():
+    trees = trees_from_json(two_tree_docs())
+    assert len(trees) == 2 and trees.roots.tolist() == [0, 1]
+    assert trees.feature.tolist() == [-1, 0, -1, 1, -1, -1]
+    assert trees.right.tolist() == [-1, 3, -1, 5, -1, -1]  # indices into the whole table
+    assert trees.value.tolist() == [2 / 3, 0.0, 0.0, 0.0, 1 / 3, 1.0]
+    assert [trees.span(t) for t in range(2)] == [(0, 1), (1, 6)]
+    assert tree_as_tuple(trees, 1) == split(0, 0.5, leaf(1, 0), split(1, 0.0, leaf(2, 1), leaf(0, 3)))
+    assert predict(trees_from_json(two_tree_docs()[1:]), np.array([[1.0, -1.0]])).tolist() == [1 / 3]
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ({"count_0": -1, "count_1": 1}, "trees[1]: node 3 count_0 must be in [0, "),
+        ({"count_0": 1, "count_1": 1.5}, "trees[1]: node 3 count_1 must be "),
+        ({"count_0": 0, "count_1": 0}, "trees[1]: node 3 is a leaf with no rows"),
+        ({"count_0": 1}, "trees[1]: unrecognized tree node fields"),
+        ([], "trees[1]: a tree node must be an object"),
+    ],
+)
+def test_tree_read_errors_name_the_tree_and_its_node(value, message):
+    docs = two_tree_docs()
+    docs[1]["right"]["left"] = value
+    with pytest.raises(ModelFormatError) as info:
+        trees_from_json(docs)
+    assert str(info.value).startswith(message)

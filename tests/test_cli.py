@@ -487,6 +487,27 @@ def test_score_rejects_malformed_model(mutation, model_documents, small_csv, tmp
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("entries", [3, 6])
+@pytest.mark.parametrize("command", ["score", "importance"])
+def test_logistic_standardization_of_the_wrong_width_exits_3_at_load(
+    command, entries, model_documents, small_csv, tmp_path, capsys
+):
+    # the model standardizes 5 continuous features; any other width is a
+    # malformed file, refused where it is read rather than where it is used
+    doc = copy.deepcopy(model_documents["logistic"])
+    for name, extra in (("means", 0.0), ("sds", 1.0), ("constant_flags", False)):
+        doc["standardization"][name] = (doc["standardization"][name] + [extra])[:entries]
+    model_path = tmp_path / "logit.json"
+    model_path.write_text(json.dumps(doc))
+    scores = tmp_path / "s.csv"
+    args = ["--data", str(small_csv), "--out", str(scores)] if command == "score" else []
+    code, _, stderr = run_cli(capsys, command, "--model", str(model_path), *args)
+    assert code == 3
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert f"standardization lists need 5 entries each, got ({entries}, {entries}, {entries})" in stderr
+    assert not scores.exists()
+
+
 def test_score_rejects_deeply_nested_model(small_csv, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     model_path.write_text("[" * 200_000)

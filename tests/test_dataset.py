@@ -467,11 +467,3 @@ def test_standardization_params_validation():
         StandardizationParams(
             means=(0.0, float("nan"), 0.0, 0.0, 0.0), sds=(1.0,) * 5, constant_flags=(False,) * 5
         )
-
-
-def test_transform_matrix_width_checked():
-    params = StandardizationParams(
-        means=(0.0,) * 5, sds=(1.0,) * 5, constant_flags=(False,) * 5
-    )
-    with pytest.raises(ParameterError):
-        params.transform_matrix(np.zeros((3, 4)))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzing import key_paths, mutate_one_value
-from smerisk.cart import tree_from_json_dict
+from smerisk.cart import trees_from_json
 from smerisk.dataset import Dataset, split_train_test, write_csv
 from smerisk.errors import (
     DataError,
@@ -308,10 +308,10 @@ def test_save_model_rejects_a_tree_too_deep_to_write(tmp_path):
     doc = {"count_0": 1, "count_1": 0}
     for depth in range(1500):
         doc = {"feature": 0, "threshold": float(depth), "left": {"count_0": 1, "count_1": 0}, "right": doc}
-    tree = tree_from_json_dict(doc)
+    tree = trees_from_json([doc])
     path = tmp_path / "deep.json"
     with pytest.raises(ModelFormatError, match="too deeply") as info:
-        save_model(ForestModel((tree,), ForestParams(n_trees=1)), path)
+        save_model(ForestModel(tree, ForestParams(n_trees=1)), path)
     assert "\n" not in str(info.value)
     assert not path.exists()
 

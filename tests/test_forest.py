@@ -12,14 +12,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import leaf, oracle_soft_vote, split, tree_as_tuple, tree_from_tuple, tree_to_json_dict
+from oracles import (
+    leaf,
+    oracle_soft_vote,
+    split,
+    tree_as_tuple,
+    tree_from_tuple,
+    tree_to_json_dict,
+    trees_as_tuples,
+    trees_from_tuples,
+)
 from smerisk import cart
 from smerisk.cart import (
     TreeParams,
     grow_tree_arrays,
-    predict_proba,
-    tree_from_json_dict,
+    grow_trees,
+    leaf_values,
     tree_importances,
+    trees_from_json,
 )
 from smerisk.dataset import FEATURE_COLUMNS, Dataset
 from smerisk.errors import DegenerateLabelsError, ModelFormatError, ParameterError
@@ -29,11 +39,11 @@ from smerisk.forest import (
     _PAIR_BUDGET,
     ForestModel,
     ForestParams,
+    _tree_job,
     bootstrap_indices,
     feature_importances,
     predict_forest_dataset,
     train_forest,
-    train_single_tree,
 )
 from smerisk.logit import to_labels
 from smerisk.seeding import substream
@@ -46,20 +56,29 @@ def small_forest(strong_split):
     return train_forest(train, ForestParams(n_trees=15, seed=5))
 
 
-def per_tree_importances(model):
-    return np.stack([tree_importances(tree) for tree in model.trees])
+def grown_alone(X, y, params, t):
+    """Tree ``t`` of the forest ``params`` describes, grown by itself as a
+    one-tree table."""
+    return grow_trees(X, y, [_tree_job(len(y), params, t)], params.tree_params)
+
+
+def predict(tree, X):
+    """The class-1 fraction of the leaf each row of ``X`` reaches in a
+    one-tree table."""
+    return leaf_values(tree, X)[:, 0]
 
 
 def leaf_only_model(leaves, n_trees):
     """A model of bare-leaf trees, from (count_0, count_1) pairs."""
-    trees = tuple(tree_from_tuple(leaf(*counts)) for counts in leaves)
+    trees = trees_from_tuples([leaf(*counts) for counts in leaves])
     return ForestModel(trees, ForestParams(n_trees=n_trees, bootstrap=False, seed=0))
 
 
-def split_pairs(tree):
-    """(feature, threshold) of every split of ``tree``, in pre-order."""
-    at = np.flatnonzero(tree.feature >= 0)
-    return list(zip(tree.feature[at].tolist(), tree.threshold[at].tolist()))
+def split_pairs(trees, t=0):
+    """(feature, threshold) of every split of tree ``t``, in pre-order."""
+    start, stop = trees.span(t)
+    at = start + np.flatnonzero(trees.feature[start:stop] >= 0)
+    return list(zip(trees.feature[at].tolist(), trees.threshold[at].tolist()))
 
 
 ONE_ROW = Dataset(np.zeros((1, 6)))
@@ -140,8 +159,8 @@ def test_bootstrap_unique_fraction():
 def test_train_forest_shape(small_forest):
     assert len(small_forest.trees) == 15
     assert small_forest.feature_names == FEATURE_COLUMNS
-    assert per_tree_importances(small_forest).shape == (15, 6)
-    assert np.all(per_tree_importances(small_forest) >= 0.0)
+    assert tree_importances(small_forest.trees).shape == (15, 6)
+    assert np.all(tree_importances(small_forest.trees) >= 0.0)
 
 
 def test_forest_beats_coin_flip(small_forest, strong_split):
@@ -172,9 +191,9 @@ def test_tree_seeds_independent_of_training_order(strong_split):
     X = train.feature_matrix()
     y = train.labels()
     params = ForestParams(n_trees=12, seed=21)
-    sequential = [train_single_tree(X, y, params, i) for i in range(12)]
+    sequential = [grown_alone(X, y, params, i) for i in range(12)]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        threaded = list(pool.map(lambda i: train_single_tree(X, y, params, i), range(12)))
+        threaded = list(pool.map(lambda i: grown_alone(X, y, params, i), range(12)))
     assert [tree_as_tuple(t) for t in sequential] == [tree_as_tuple(t) for t in threaded]
 
 
@@ -184,9 +203,7 @@ def test_forest_prefix_stable(strong_split):
     train, _ = strong_split
     small = train_forest(train, ForestParams(n_trees=5, seed=2))
     large = train_forest(train, ForestParams(n_trees=9, seed=2))
-    assert [tree_as_tuple(t) for t in large.trees[:5]] == [
-        tree_as_tuple(t) for t in small.trees
-    ]
+    assert trees_as_tuples(large.trees)[:5] == trees_as_tuples(small.trees)
 
 
 def test_ensemble_of_one_equals_bare_tree(strong_split):
@@ -204,7 +221,7 @@ def test_ensemble_of_one_equals_bare_tree(strong_split):
         params.tree_params,
         substream(11, 0),
     )
-    assert np.array_equal(predict_forest_dataset(forest, test), predict_proba(bare, test.feature_matrix()))
+    assert np.array_equal(predict_forest_dataset(forest, test), predict(bare, test.feature_matrix()))
 
 
 
@@ -246,8 +263,8 @@ def test_lockstep_forest_equals_its_trees_grown_alone(strong_split, zero_signal_
         monkeypatch.setattr(cart, "_ROW_BUDGET", 1)
     forest = train_forest(train, params)
     X, y = train.feature_matrix(), train.labels()
-    for t, tree in enumerate(forest.trees):
-        assert tree_as_tuple(tree) == tree_as_tuple(train_single_tree(X, y, params, t)), f"tree {t}"
+    for t in range(len(forest.trees)):
+        assert tree_as_tuple(forest.trees, t) == tree_as_tuple(grown_alone(X, y, params, t)), f"tree {t}"
 
 
 def test_training_memory_does_not_grow_with_the_tree_count():
@@ -289,7 +306,7 @@ def test_forest_probability_is_mean_of_trees(small_forest, strong_split):
     # exactly np.mean over each row's own tree fractions, bit for bit
     _, test = strong_split
     X = test.feature_matrix()[:40]
-    per_tree = np.column_stack([predict_proba(t, X) for t in small_forest.trees])
+    per_tree = np.column_stack([predict(tree_from_tuple(shape), X) for shape in trees_as_tuples(small_forest.trees)])
     probs = predict_forest_dataset(small_forest, Dataset(X))
     assert probs.tolist() == [float(np.mean(list(row))) for row in per_tree]
 
@@ -332,10 +349,10 @@ def test_chain_tree_5000_levels_deep():
     doc = {"count_0": 1, "count_1": 0}
     for i in range(depth):
         doc = {"feature": (0, 3)[i % 2], "threshold": i + 0.5, "left": doc, "right": {"count_0": i, "count_1": 1}}
-    tree = tree_from_json_dict(doc)
+    tree = trees_from_json([doc])
     assert hash(tree) == hash(tree) and tree == tree
-    assert tree != tree_from_json_dict(doc)
-    model = ForestModel((tree,), ForestParams(n_trees=1, bootstrap=False))
+    assert tree != trees_from_json([doc])
+    model = ForestModel(tree, ForestParams(n_trees=1, bootstrap=False))
     X = np.array([[v, 0.0, 0.0, v, 0.0, 0.0] for v in (0.0, 10.0, 1e9)])
     assert predict_forest_dataset(model, Dataset(X)).tolist() == [0.0, 1 / 10, 1 / depth]
     values, degenerate = feature_importances(model)
@@ -392,7 +409,7 @@ def test_leaf_fractions_and_importances_are_exact_near_2_53():
     shape = split(
         0, 0.0, split(3, 0.0, leaf(*BIG_COUNTS[0]), leaf(*BIG_COUNTS[1])), split(3, 0.0, leaf(*BIG_COUNTS[2]), leaf(*BIG_COUNTS[3]))
     )
-    model = ForestModel((tree_from_tuple(shape),), ForestParams(n_trees=1, bootstrap=False))
+    model = ForestModel(tree_from_tuple(shape), ForestParams(n_trees=1, bootstrap=False))
     X = np.zeros((4, 6))
     X[:, [0, 3]] = [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]  # one row per leaf
     exact = [float(Fraction(c1, c0 + c1)) for c0, c1 in BIG_COUNTS]
@@ -403,7 +420,7 @@ def test_leaf_fractions_and_importances_are_exact_near_2_53():
     values, degenerate = feature_importances(model)
     assert not degenerate
     assert values.tolist() == (raw / raw.sum()).tolist()
-    assert np.array_equal(cart.tree_importances(model.trees[0]), raw)
+    assert np.array_equal(tree_importances(model.trees)[0], raw)
     float_gini = [1.0 - (a * a + b * b) / (a + b) ** 2 for a, b in (map(float, pair) for pair in BIG_COUNTS)]
     assert float_gini != [reference_gini(*pair) for pair in BIG_COUNTS]
 
@@ -416,8 +433,8 @@ def on_threshold_rows(trees, base_rows):
     split threshold of ``trees``, one copy per split (sector splits at 0.5
     are skipped: a sector is 0 or 1)."""
     out = []
-    for tree in trees:
-        for i, (feature, threshold) in enumerate((f, t) for f, t in split_pairs(tree) if f != 5):
+    for t in range(len(trees)):
+        for i, (feature, threshold) in enumerate((f, v) for f, v in split_pairs(trees, t) if f != 5):
             row = np.array(base_rows[i % len(base_rows)])
             row[feature] = threshold
             out.append(row)
@@ -427,9 +444,10 @@ def on_threshold_rows(trees, base_rows):
 @pytest.fixture(scope="module")
 def mixed_forest(small_forest):
     # bare leaves between deep trees, one leaf first so a root is a leaf
-    bare = [tree_from_tuple(leaf(*counts)) for counts in ((3, 1), (0, 2), (5, 5))]
-    trees = (bare[0],) + small_forest.trees[:4] + (bare[1], bare[2]) + small_forest.trees[4:7]
-    return ForestModel(trees, ForestParams(n_trees=len(trees), bootstrap=False))
+    bare = [leaf(*counts) for counts in ((3, 1), (0, 2), (5, 5))]
+    grown = trees_as_tuples(small_forest.trees)
+    shapes = [bare[0], *grown[:4], bare[1], bare[2], *grown[4:7]]
+    return ForestModel(trees_from_tuples(shapes), ForestParams(n_trees=len(shapes), bootstrap=False))
 
 
 @pytest.fixture(scope="module")
@@ -443,8 +461,9 @@ def test_walk_matches_oracle_on_threshold_rows(mixed_forest, oracle_rows):
     assert len(oracle_rows) > 200
     probs = predict_forest_dataset(mixed_forest, Dataset(oracle_rows))
     assert probs.tolist() == oracle_soft_vote(mixed_forest.trees, oracle_rows)
-    for tree in mixed_forest.trees:
-        assert predict_proba(tree, oracle_rows).tolist() == oracle_soft_vote([tree], oracle_rows)
+    for shape in trees_as_tuples(mixed_forest.trees):
+        tree = tree_from_tuple(shape)
+        assert predict(tree, oracle_rows).tolist() == oracle_soft_vote(tree, oracle_rows)
 
 
 @pytest.mark.parametrize("blocks, extra", [(0, 0), (1, -1), (1, 0), (1, 1), (2, 1)])
@@ -456,7 +475,8 @@ def test_walk_matches_oracle_at_block_boundaries(mixed_forest, oracle_rows, bloc
 
 def test_walk_matches_oracle_with_more_trees_than_the_pair_budget(mixed_forest, oracle_rows):
     # each block then holds a single row
-    trees = tuple(mixed_forest.trees[i % len(mixed_forest.trees)] for i in range(_PAIR_BUDGET + 1))
+    shapes = trees_as_tuples(mixed_forest.trees)
+    trees = trees_from_tuples([shapes[i % len(shapes)] for i in range(_PAIR_BUDGET + 1)])
     model = ForestModel(trees, ForestParams(n_trees=len(trees), bootstrap=False))
     X = oracle_rows[:3]
     assert predict_forest_dataset(model, Dataset(X)).tolist() == oracle_soft_vote(trees, X)
@@ -476,7 +496,7 @@ def test_predict_proba_matches_oracle_on_narrow_matrices(n_cols):
         row = np.array(X[i])
         row[feature] = threshold
         rows = np.concatenate([rows, [row]])
-    assert predict_proba(tree, rows).tolist() == oracle_soft_vote([tree], rows)
+    assert predict(tree, rows).tolist() == oracle_soft_vote(tree, rows)
 
 
 def test_scoring_memory_does_not_grow_with_the_book(strong_split):
@@ -549,8 +569,26 @@ def test_forest_json_round_trip(small_forest, strong_split):
 def test_forest_json_importances_recomputed_exactly(small_forest):
     text = model_to_json_text(small_forest)
     back = model_from_json_document(json.loads(text))
-    assert np.array_equal(per_tree_importances(back), per_tree_importances(small_forest))
+    assert np.array_equal(tree_importances(back.trees), tree_importances(small_forest.trees))
     assert model_to_json_text(back) == text
+
+
+def test_grown_and_reloaded_tables_are_array_equal(small_forest, tmp_path):
+    path = tmp_path / "forest.json"
+    save_model(small_forest, path)
+    back = load_model(path)
+    assert len(small_forest.trees) == len(back.trees) == small_forest.params.n_trees == 15
+    for name in ("feature", "threshold", "right", "count_0", "count_1", "roots", "value"):
+        grown, read = getattr(small_forest.trees, name), getattr(back.trees, name)
+        assert grown.dtype == read.dtype and np.array_equal(grown, read), name
+    # a split's right child lies after it in its own tree, indexed in the whole table
+    trees = back.trees
+    assert trees.roots[0] == 0 and (np.diff(trees.roots) > 0).all()
+    for t in range(len(trees)):
+        start, stop = trees.span(t)
+        right = trees.right[start:stop]
+        split = trees.feature[start:stop] >= 0
+        assert ((right > np.arange(start, stop)) & (right < stop) == split).all(), t
 
 
 def oracle_forest_text(model):
@@ -563,13 +601,13 @@ def oracle_forest_text(model):
         "importances": values.tolist(),
         "model_type": "random_forest",
         "params": to_json_dict(model.params),
-        "trees": [tree_to_json_dict(tree) for tree in model.trees],
+        "trees": [tree_to_json_dict(model.trees, t) for t in range(len(model.trees))],
     }
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def forest_of(shapes):
-    return ForestModel(tuple(tree_from_tuple(shape) for shape in shapes), ForestParams(n_trees=len(shapes)))
+    return ForestModel(trees_from_tuples(shapes), ForestParams(n_trees=len(shapes)))
 
 
 _counts = st.tuples(st.integers(0, 2**53), st.integers(0, 2**53)).filter(lambda counts: counts != (0, 0))
@@ -611,7 +649,7 @@ def test_saved_forest_matches_json_dumps_of_the_oracle_documents(case, tmp_path)
     save_model(model, path)
     assert path.read_bytes() == oracle_forest_text(model).encode()
     back = load_model(path)
-    assert [tree_as_tuple(tree) for tree in back.trees] == WRITER_CASES[case]
+    assert trees_as_tuples(back.trees) == WRITER_CASES[case]
 
 
 def chain_tree(depth):
@@ -619,21 +657,21 @@ def chain_tree(depth):
     doc = {"count_0": 1, "count_1": 0}
     for d in range(depth):
         doc = {"feature": d % 6, "threshold": float(d), "left": {"count_0": d, "count_1": 1}, "right": doc}
-    return tree_from_json_dict(doc)
+    return trees_from_json([doc])
 
 
 def test_a_tree_at_the_depth_bound_saves_and_loads_back(tmp_path):
     tree = chain_tree(cart._MAX_WRITE_DEPTH)
     path = tmp_path / "deep.json"
-    save_model(ForestModel((tree,), ForestParams(n_trees=1)), path)
-    back = load_model(path).trees[0]
-    for name in ("feature", "threshold", "right", "count_0", "count_1"):
+    save_model(ForestModel(tree, ForestParams(n_trees=1)), path)
+    back = load_model(path).trees
+    for name in ("feature", "threshold", "right", "count_0", "count_1", "roots"):
         assert np.array_equal(getattr(back, name), getattr(tree, name)), name
 
 
 def test_a_tree_one_level_past_the_depth_bound_is_refused(tmp_path):
     path = tmp_path / "deep.json"
-    model = ForestModel((chain_tree(cart._MAX_WRITE_DEPTH + 1),), ForestParams(n_trees=1))
+    model = ForestModel(chain_tree(cart._MAX_WRITE_DEPTH + 1), ForestParams(n_trees=1))
     with pytest.raises(ModelFormatError, match="too deeply") as info:
         save_model(model, path)
     assert "\n" not in str(info.value)
