@@ -27,10 +27,11 @@ segmented search over per-column dense ranks computed once (one sort of
 node). Two private budgets bound its memory: a step holds at most
 ``_STEP_BUDGET`` (row, candidate feature) elements and trees start only
 while the growing ones hold fewer than ``_ROW_BUDGET`` rows; at least one
-node and one tree always go ahead. After each search, one stable sort of
-the step's rows by (node, side) partitions every split node at once, and
-each child keeps its parent's row order. ``grow_tree_arrays`` is its
-one-tree case and ``best_split`` the one-node case of its search.
+node and one tree always go ahead. That sort is the step's only one: it
+lists each winning feature's rows in rank order, so a split node's
+children are the rows either side of its boundary. Nothing depends on
+the order of a node's rows. ``grow_tree_arrays`` is its one-tree case
+and ``best_split`` the one-node case of its search.
 
 A node's feature subset is ``np.sort(rng.choice(d, k, replace=False))``
 for its tree's rng, replayed in plain integer arithmetic rather than
@@ -82,9 +83,9 @@ from .serialize import from_json_value
 @dataclass(frozen=True, eq=False)
 class Trees:
     """A forest's trees as the one node table of the module docstring,
-    made read-only; ``len()`` is the tree count. A leaf's ``value`` is
-    count_1 / (count_0 + count_1) rounded once, as Python divides ints
-    (0 at a split). Compared and hashed by identity."""
+    made read-only; ``len()`` is the tree count, at least 1. A leaf's
+    ``value`` is count_1 / (count_0 + count_1) rounded once, as Python
+    divides ints (0 at a split). Compared and hashed by identity."""
 
     feature: np.ndarray  # intp, -1 at a leaf
     threshold: np.ndarray  # float, 0.0 at a leaf
@@ -95,6 +96,8 @@ class Trees:
     value: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if len(self.roots) == 0:
+            raise ParameterError("a forest table needs at least one tree")
         n = self.count_0 + self.count_1  # 0 at splits
         value = self.count_1 / np.maximum(n, 1)
         for i in np.flatnonzero(n > 2**53).tolist():  # a float64 above 2**53 may have rounded
@@ -158,7 +161,8 @@ def _dense_ranks(X: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _best_splits(X, y, ranks, n_ranks, nodes) -> list:
     """The best split of each node, as (feature, threshold, S, left
-    class-1 count), or None where no candidate strictly beats the parent.
+    class-1 count, left rows, right rows), or None where no candidate
+    strictly beats the parent.
 
     A node is (row ids, class-1 count, sorted candidate features), and
     every node holds the same number of candidates. All nodes are scored
@@ -167,6 +171,8 @@ def _best_splits(X, y, ranks, n_ranks, nodes) -> list:
     change inside a segment. Boundaries come out in (node, feature,
     threshold) order, so the first maximal S of a node is both the lowest
     threshold within a feature and the lowest feature across features.
+    The children are the winning segment's rows before and after its
+    boundary, copied so a child held on a stack does not keep the step's.
     """
     sizes = [len(rows) for rows, _, _ in nodes]
     counts_1 = [c1 for _, c1, _ in nodes]
@@ -210,7 +216,8 @@ def _best_splits(X, y, ranks, n_ranks, nodes) -> list:
     lo = X[row.take(at), win_feature]  # the values either side of the boundary
     hi = X[row.take(at + 1), win_feature]
     columns = (node.take(win), win_feature, lo, hi, S.take(win), T.take(win), D.take(win), c1_left.take(win))
-    for i, f, lo, hi, s, t, d, c1 in zip(*(column.tolist() for column in columns)):
+    columns += (seg_start.take(seg.take(win)), at)
+    for i, f, lo, hi, s, t, d, c1, start, at in zip(*(column.tolist() for column in columns)):
         n, n_1 = sizes[i], counts_1[i]
         if t * n <= ((n - n_1) ** 2 + n_1 * n_1) * d:  # exact: S <= parent impurity score
             continue
@@ -220,7 +227,7 @@ def _best_splits(X, y, ranks, n_ranks, nodes) -> list:
             # value; fall back to the left value so routing by
             # x <= threshold reproduces the intended partition
             threshold = lo
-        found[i] = (f, threshold, s, c1)
+        found[i] = (f, threshold, s, c1, row[start : at + 1].copy(), row[at + 1 : start + n].copy())
     return found
 
 
@@ -245,31 +252,8 @@ def best_split(
     [found] = _best_splits(X, y, ranks, n_ranks, [(np.arange(n), int(y.sum()), features)])
     if found is None:
         return None
-    feature, threshold, S, _ = found
+    feature, threshold, S = found[:3]
     return feature, threshold, 1.0 - S / n
-
-
-def _partition(X: np.ndarray, rows: list, found: list) -> list:
-    """The (left rows, right rows) of each node of a step, or None where
-    ``found`` holds no split, from one stable sort of the split nodes'
-    rows by (node, side): each child keeps its parent's row order."""
-    split = [i for i, f in enumerate(found) if f is not None]
-    children = [None] * len(found)
-    if not split:
-        return children
-    sizes = [len(rows[i]) for i in split]
-    at = np.concatenate([rows[i] for i in split])
-    feature = np.repeat([found[i][0] for i in split], sizes)
-    threshold = np.repeat([found[i][1] for i in split], sizes)
-    # value <= threshold goes left; growth admits no NaN
-    key = np.repeat(np.arange(0, 2 * len(split), 2), sizes) + (X[at, feature] > threshold)
-    at = at.take(np.argsort(key, kind="stable"))
-    bounds = [0, *np.cumsum(np.bincount(key, minlength=2 * len(split))).tolist()]
-    for j, i in enumerate(split):
-        a, b, c = bounds[2 * j : 2 * j + 3]
-        # copies, so a child held on a stack does not keep the step's rows
-        children[i] = (at[a:b].copy(), at[b:c].copy())
-    return children
 
 
 class _Growth:
@@ -343,16 +327,15 @@ class _Growth:
         self.node = self.words = None
         return False
 
-    def split(self, found, children) -> None:
-        """Record the node as ``found`` by the search, with its
-        ``children`` rows. The right child is pushed first, so the left is
-        grown next (pre-order)."""
+    def split(self, found) -> None:
+        """Record the node as ``found`` by the search, children included.
+        The right child is pushed first, so the left is grown next
+        (pre-order)."""
         rows, depth, c1, _ = self.node
         if found is None:
             self.nodes.append([-1, 0.0, -1, len(rows) - c1, c1])
             return
-        feature, threshold, _, c1_left = found
-        left, right = children
+        feature, threshold, _, c1_left, left, right = found
         self.stack.append((right, depth + 1, c1 - c1_left, len(self.nodes)))
         self.stack.append((left, depth + 1, c1_left, -1))
         self.nodes.append([feature, threshold, -1, 0, 0])
@@ -366,7 +349,7 @@ def grow_trees(
 ) -> Trees:
     """Grow one tree per job into one table, in job order. A job is (rows,
     rng): the tree grown on ``X[rows]``, ``y[rows]`` drawing its feature
-    subsets from ``rng``.
+    subsets from ``rng``, its rows integers in [0, len(X)).
 
     Per node: stop with a leaf if the node is pure, smaller than
     min_samples_split, or at the depth limit; otherwise draw a fresh random
@@ -402,9 +385,12 @@ def grow_trees(
             if job is None:
                 break
             rows, rng = job
-            if len(rows) == 0:
+            rows = np.asarray(rows)
+            if rows.size == 0:
                 raise ParameterError("cannot grow a tree on zero rows")
-            tree = _Growth(np.asarray(rows, dtype=np.intp), y, rng)
+            if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
+                raise ParameterError(f"job {len(trees)}: rows must be integers in [0, {n})")
+            tree = _Growth(rows.astype(np.intp, copy=False), y, rng)
             trees.append(tree)
             if tree.advance(params, d, k):
                 waiting.append(tree)
@@ -415,10 +401,9 @@ def grow_trees(
         while waiting and (not step or elements + len(waiting[0].node[0]) * k <= _STEP_BUDGET):
             elements += len(waiting[0].node[0]) * k
             step.append(waiting.popleft())
-        nodes = [tree.node for tree in step]
-        found = _best_splits(X, y, ranks, n_ranks, [(rows, c1, f) for rows, _, c1, f in nodes])
-        for tree, split, children in zip(step, found, _partition(X, [rows for rows, *_ in nodes], found)):
-            tree.split(split, children)
+        found = _best_splits(X, y, ranks, n_ranks, [(rows, c1, f) for rows, _, c1, f in (t.node for t in step)])
+        for tree, split in zip(step, found):
+            tree.split(split)
             if tree.advance(params, d, k):
                 waiting.append(tree)
             else:
@@ -622,9 +607,9 @@ def trees_from_json(docs: Sequence, path: str = "trees") -> Trees:
         threshold[splits] = _column(thresholds, splits, where, "threshold", float, -_FLOAT_MAX, _FLOAT_MAX)
         count_0[leaves] = _column(counts_0, leaves, where, "count_0", int, 0, 2**53)
         count_1[leaves] = _column(counts_1, leaves, where, "count_1", int, 0, 2**53)
+        empty = np.flatnonzero(count_0[leaves] + count_1[leaves] < 1)
+        if len(empty):
+            raise ModelFormatError(f"{where(leaves[empty[0]])} is a leaf with no rows")
+        return Trees(feature, threshold, np.array(right, dtype=np.intp), count_0, count_1, root)
     except ParameterError as exc:
         raise ModelFormatError(str(exc)) from None
-    empty = np.flatnonzero(count_0[leaves] + count_1[leaves] < 1)
-    if len(empty):
-        raise ModelFormatError(f"{where(leaves[empty[0]])} is a leaf with no rows")
-    return Trees(feature, threshold, np.array(right, dtype=np.intp), count_0, count_1, root)

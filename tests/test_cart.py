@@ -243,6 +243,63 @@ def test_grow_validates_inputs():
         grow_trees(np.zeros((3, 2)), np.array([0, 1, 0]), [], TreeParams())
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [-1, -2, 0, 1],  # would wrap round to rows 5 and 4
+        [0, 6],  # one past the last row
+        [0.5, 1],  # would be truncated to row 0
+    ],
+)
+def test_grow_rejects_job_rows_outside_the_matrix(rows):
+    X, y = np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 1, 1, 0])
+    jobs = [(np.arange(6), substream(0, 0)), (np.array(rows), substream(0, 1))]
+    with pytest.raises(ParameterError, match=r"^job 1: rows must be integers in \[0, 6\)$"):
+        grow_trees(X, y, jobs, TreeParams())
+
+
+def test_a_table_needs_at_least_one_tree():
+    empty = np.zeros(0, dtype=np.intp)
+    with pytest.raises(ParameterError, match="^a forest table needs at least one tree$"):
+        cart.Trees(empty, np.zeros(0), empty, empty, empty, empty)
+    with pytest.raises(ModelFormatError, match="^a forest table needs at least one tree$"):
+        trees_from_json([])
+
+
+def table_bytes(trees):
+    """Every array of a table, bit for bit (the sign of a zero included)."""
+    arrays = (trees.feature, trees.threshold, trees.right, trees.count_0, trees.count_1, trees.roots, trees.value)
+    return [(a.dtype, a.tobytes()) for a in arrays]
+
+
+def test_growth_does_not_depend_on_the_order_of_a_jobs_rows():
+    # a step's children come out of its search in rank order, not in their
+    # parent's order; reversing or shuffling every job's rows, bootstrap
+    # repeats included, must give the same table bit for bit, on values
+    # that tie, zeros of both signs, the smallest subnormals and adjacent
+    # floats, where a midpoint falls back to its left value
+    values = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), -2.5, 3.0])
+    rng = np.random.default_rng(15)
+    fallbacks = 0
+    for trial in range(12):
+        n, d = int(rng.integers(20, 120)), int(rng.integers(1, 5))
+        X = rng.choice(values, size=(n, d))
+        y = rng.integers(0, 2, size=n)
+        rows = [rng.integers(0, n, size=n) if t % 2 else np.arange(n) for t in range(4)]
+        params = TreeParams(features_per_split=int(rng.integers(1, d + 1)), max_depth=[None, 3][trial % 2])
+
+        def grown(order):
+            return grow_trees(X, y, [(order(r), substream(trial, t)) for t, r in enumerate(rows)], params)
+
+        table = grown(lambda r: r)
+        shuffle = np.random.default_rng(trial)
+        for order in (lambda r: r[::-1], shuffle.permutation):
+            assert table_bytes(grown(order)) == table_bytes(table), f"trial {trial}"
+        # the midpoint of 1 - 2**-53 and 1 rounds onto 1 and falls back
+        fallbacks += int((table.threshold == np.nextafter(1.0, 0.0)).sum())
+    assert fallbacks > 0
+
+
 def test_training_accuracy_perfect_on_distinct_rows():
     rng = np.random.default_rng(77)
     X = rng.normal(size=(60, 4))
