@@ -2,10 +2,11 @@
 
 Conventions, fixed so independent reimplementations agree node for node:
 gini impurity, candidate thresholds at midpoints between consecutive
-distinct sorted values, routing rule value <= threshold goes left, ties
-broken by lowest feature index then lowest threshold, and a split is
-accepted only when it strictly reduces the size-weighted mean child
-impurity.
+distinct sorted values (lo / 2 + hi / 2 where lo + hi overflows, and lo
+where the midpoint rounds onto hi), routing rule value <= threshold goes
+left, ties broken by lowest feature index then lowest threshold, and a
+split is accepted only when it strictly reduces the size-weighted mean
+child impurity.
 
 Split scoring is exact. With left counts (a, b) and right counts (c, d),
 minimizing the weighted child gini is equivalent to maximizing
@@ -51,18 +52,24 @@ at ``threshold[i]``, its left child is i + 1 and its right child
 ``right[i]``, an index into the whole table. A leaf has feature -1 and
 holds the label tallies ``count_0[i]`` and ``count_1[i]`` of the training
 rows that reached it, and its class-1 fraction ``value[i]``, computed
-once when the table is built; a split holds zero counts. Growth and the
-JSON reader fill the table in pre-order, each recording a split's right
-index when it reaches that child. The reader checks every value of every
-tree at once when the walk is done, and growth rejects non-finite
-features up front, so both build only valid tables. ``tree_importances``
-folds over the table in reverse pre-order, where both children of a
-split are done before it. ``tree_to_json_text`` writes one tree's nested
-JSON document in one pre-order pass with a stack of the text each open
-split still owes, so no node becomes a dict; it refuses a tree deeper
-than the JSON parser can read back. Prediction is one level-synchronous
-walk: ``leaf_values`` advances every (row, tree) pair one depth level per
-step, dropping pairs as they reach a leaf. No walk recurses.
+once when the table is built; a split holds zero counts. Growth fills
+the table in pre-order, recording a split's right index when it reaches
+that child, and rejects non-finite features up front, so it builds only
+valid tables. ``tree_importances`` folds over the table in reverse
+pre-order, where both children of a split are done before it.
+
+A model file stores the table as four columns in table order
+(``trees_to_json``): ``feature`` of every node, ``threshold`` of every
+split and ``count_0`` and ``count_1`` of every leaf. In pre-order the
+leaf flags alone fix the shape: the count of subtrees still owed,
+1 + sum(2 * is_split - 1), stays positive until a tree's last node and
+reaches 0 there. ``trees_from_json`` reads the tree spans and every
+split's right child off that running count with array operations, so a
+file holds no pointer to get wrong and a tree of any depth reads back;
+it then checks every value of every tree at once. Prediction is one
+level-synchronous walk: ``leaf_values`` advances every (row, tree) pair
+one depth level per step, dropping pairs as they reach a leaf. No walk
+recurses.
 """
 
 from __future__ import annotations
@@ -83,9 +90,10 @@ from .serialize import from_json_value
 @dataclass(frozen=True, eq=False)
 class Trees:
     """A forest's trees as the one node table of the module docstring,
-    made read-only; ``len()`` is the tree count, at least 1. A leaf's
-    ``value`` is count_1 / (count_0 + count_1) rounded once, as Python
-    divides ints (0 at a split). Compared and hashed by identity."""
+    made read-only; ``len()`` is the tree count, at least 1, and every
+    threshold is finite. A leaf's ``value`` is count_1 / (count_0 +
+    count_1) rounded once, as Python divides ints (0 at a split).
+    Compared and hashed by identity."""
 
     feature: np.ndarray  # intp, -1 at a leaf
     threshold: np.ndarray  # float, 0.0 at a leaf
@@ -98,6 +106,8 @@ class Trees:
     def __post_init__(self):
         if len(self.roots) == 0:
             raise ParameterError("a forest table needs at least one tree")
+        if not np.isfinite(self.threshold).all():
+            raise ParameterError("a forest table's thresholds must be finite")
         n = self.count_0 + self.count_1  # 0 at splits
         value = self.count_1 / np.maximum(n, 1)
         for i in np.flatnonzero(n > 2**53).tolist():  # a float64 above 2**53 may have rounded
@@ -222,6 +232,9 @@ def _best_splits(X, y, ranks, n_ranks, nodes) -> list:
         if t * n <= ((n - n_1) ** 2 + n_1 * n_1) * d:  # exact: S <= parent impurity score
             continue
         threshold = (lo + hi) / 2.0
+        if math.isinf(threshold):
+            # lo + hi overflowed; halving first is exact at such magnitudes
+            threshold = lo / 2 + hi / 2
         if threshold == hi:
             # adjacent floats can round the midpoint up onto the right
             # value; fall back to the left value so routing by
@@ -464,13 +477,15 @@ def tree_importances(trees: Trees) -> np.ndarray:
     (n_trees, 6) array, from leaf counts alone: one fold over the table in
     reverse pre-order, so retraining and reloading give equal floats.
     Counts stay Python ints, so the gini expressions 1 - (c0^2 + c1^2)/n^2
-    round as the grower's exact arithmetic would."""
-    feature, right, count_0, count_1 = (a.tolist() for a in (trees.feature, trees.right, trees.count_0, trees.count_1))
+    round as the grower's exact arithmetic would. Only one tree's nodes
+    are Python lists at a time."""
     acc = [[0.0] * len(FEATURE_COLUMNS) for _ in range(len(trees))]
     for t, row in enumerate(acc):
         start, stop = trees.span(t)
-        root_total = sum(count_0[start:stop]) + sum(count_1[start:stop])
-        for i in reversed(range(start, stop)):
+        feature, count_0, count_1 = (a[start:stop].tolist() for a in (trees.feature, trees.count_0, trees.count_1))
+        right = (trees.right[start:stop] - start).tolist()
+        root_total = sum(count_0) + sum(count_1)
+        for i in reversed(range(stop - start)):
             if feature[i] < 0:
                 continue
             l0, l1, r0, r1 = count_0[i + 1], count_1[i + 1], count_0[right[i]], count_1[right[i]]
@@ -486,62 +501,22 @@ def tree_importances(trees: Trees) -> np.ndarray:
     return np.array(acc)
 
 
-# The deepest tree the writer takes. ``json``'s parser recurses once per
-# nesting level, so ``load_model`` reads a tree only as deep as the
-# caller's recursion limit allows (about 990 levels from a top-level
-# call); this bound leaves room for a caller hundreds of frames deep, so
-# no saved file is one that loading cannot read back.
-_MAX_WRITE_DEPTH = 512
-
-
-def tree_to_json_text(trees: Trees, t: int) -> str:
-    """The JSON text of tree ``t``'s nested document, byte for byte as
-    ``json.dumps(doc, sort_keys=True, indent=2)`` writes it at indent level
-    0, rendered from the node arrays in one pre-order pass. A split's keys
-    sort as feature, left, right, threshold, so its text is an opening
-    part, the left subtree, a middle part, the right subtree and a closing
-    part. ``pending`` holds the parts still owed, innermost last: each
-    open split's closing part and, until its left subtree is done, None
-    for its middle part, which depends only on the level. Numbers are
-    written by ``repr``, as ``json`` writes ints and finite floats. A tree
-    deeper than ``_MAX_WRITE_DEPTH`` raises ModelFormatError."""
-    start, stop = trees.span(t)
-    feature, threshold, count_0, count_1 = (
-        a[start:stop].tolist() for a in (trees.feature, trees.threshold, trees.count_0, trees.count_1)
-    )
-    nl = ["\n", "\n  "]  # a newline and the indentation of each level reached
-    out = []
-    pending: list = []
-    level = 0  # of the node about to be written
-    for i, f in enumerate(feature):
-        inner = nl[level + 1]
-        if f >= 0:
-            if level == _MAX_WRITE_DEPTH:
-                raise ModelFormatError(f"a tree nests too deeply to read back as JSON (more than {_MAX_WRITE_DEPTH} levels)")
-            out.append(f'{{{inner}"feature": {f},{inner}"left": ')
-            pending.append(f',{inner}"threshold": {threshold[i]!r}{nl[level]}}}')
-            pending.append(None)
-            level += 1
-            if level + 1 == len(nl):
-                nl.append(nl[-1] + "  ")
-            continue
-        out.append(f'{{{inner}"count_0": {count_0[i]},{inner}"count_1": {count_1[i]}{nl[level]}}}')
-        while pending:
-            part = pending.pop()
-            if part is None:
-                out.append(f',{nl[level]}"right": ')
-                break
-            out.append(part)
-            level -= 1
-    return "".join(out)
+def trees_to_json(trees: Trees) -> dict[str, list]:
+    """The model-file columns of a table, as JSON-ready lists."""
+    split = trees.feature >= 0
+    return {
+        "feature": trees.feature.tolist(),
+        "threshold": trees.threshold[split].tolist(),
+        "count_0": trees.count_0[~split].tolist(),
+        "count_1": trees.count_1[~split].tolist(),
+    }
 
 
 _FLOAT_MAX = sys.float_info.max
-_LEAF_KEYS = frozenset(("count_0", "count_1"))
-_SPLIT_KEYS = frozenset(("feature", "threshold", "left", "right"))
+_COLUMNS = ("count_0", "count_1", "feature", "threshold")
 
 
-def _column(values: list, nodes: list, where, name: str, tp: type, low, high) -> np.ndarray:
+def _column(values: list, nodes: Sequence[int], where, name: str, tp: type, low, high) -> np.ndarray:
     """The field ``name`` of ``nodes``, read from ``values`` as an array;
     each value must be a JSON ``tp`` (by the ``serialize`` rules) in
     [low, high]. The values are checked all at once, and one by one only
@@ -560,56 +535,58 @@ def _column(values: list, nodes: list, where, name: str, tp: type, low, high) ->
     return np.array(values, dtype=np.int64 if tp is int else float)
 
 
-def trees_from_json(docs: Sequence, path: str = "trees") -> Trees:
-    """Read the tree documents at ``path`` in their model file into one
-    table. The walk only checks each node's keys and lists the nodes in
-    pre-order; then every value of every tree is checked: features are
-    indices in [0, 6), thresholds finite, and leaf counts integers in
-    [0, 2**53] (larger counts lose precision as floats), at least one row
-    per leaf. An error names ``path[t]`` and the node's index in tree t."""
-    splits, features, thresholds, leaves, counts_0, counts_1 = [], [], [], [], [], []
-    right: list = []
-    roots: list = []
-    for t, doc in enumerate(docs):
-        roots.append(len(right))
-        stack = [(doc, -1)]
-        while stack:
-            d, parent = stack.pop()
-            i = len(right)
-            if parent >= 0:
-                right[parent] = i
-            right.append(-1)
-            if not isinstance(d, dict):
-                raise ModelFormatError(f"{path}[{t}]: a tree node must be an object, got {type(d).__name__}")
-            keys = d.keys()
-            if keys == _LEAF_KEYS:
-                leaves.append(i)
-                counts_0.append(d["count_0"])
-                counts_1.append(d["count_1"])
-            elif keys == _SPLIT_KEYS:
-                splits.append(i)
-                features.append(d["feature"])
-                thresholds.append(d["threshold"])
-                stack.append((d["right"], i))
-                stack.append((d["left"], -1))
-            else:
-                raise ModelFormatError(f"{path}[{t}]: unrecognized tree node fields {sorted(keys)}")
-    root = np.array(roots, dtype=np.intp)
+def trees_from_json(doc: dict, path: str = "trees") -> Trees:
+    """Read the columns of ``trees_to_json`` at ``path`` in their model file
+    into one table. The shape comes first, from the feature column alone:
+    a node is a split unless its feature is -1, a tree ends where the
+    running leaf-minus-split count first reaches a new maximum, and a last
+    tree that never ends is truncated. Then every value of every tree is
+    checked: features are indices in [0, 6) or -1, thresholds finite, and
+    leaf counts integers in [0, 2**53] (larger counts lose precision as
+    floats), at least one row per leaf, and each column holds one value
+    per node it describes. An error names ``path[t]`` and the node's index
+    in tree t."""
+    if not isinstance(doc, dict) or doc.keys() != set(_COLUMNS):
+        raise ModelFormatError(f"{path} must be an object of exactly the arrays {', '.join(_COLUMNS)}")
+    for name in _COLUMNS:
+        if not isinstance(doc[name], list):
+            raise ModelFormatError(f"{path}.{name} must be a JSON array")
+    features = doc["feature"]
+    n = len(features)
+    split = np.array([f != -1 for f in features], dtype=bool)
+    # leaves minus splits so far: tree t still owes t + 1 - closed subtrees
+    closed = np.cumsum(np.where(split, -1, 1))
+    ends = np.flatnonzero(closed > np.maximum.accumulate(np.concatenate(([0], closed))[:-1]))
+    starts = np.concatenate(([0], ends + 1))
+    roots = starts[starts < n].astype(np.intp)
 
     def where(i: int) -> str:
-        t = int(np.searchsorted(root, i, side="right")) - 1
+        t = int(np.searchsorted(roots, i, side="right")) - 1
         return f"{path}[{t}]: node {i - roots[t]}"
 
-    feature, threshold = np.full(len(right), -1, dtype=np.intp), np.zeros(len(right))
-    count_0, count_1 = np.zeros(len(right), dtype=np.int64), np.zeros(len(right), dtype=np.int64)
+    splits, leaves = np.flatnonzero(split), np.flatnonzero(~split)
     try:
-        feature[splits] = _column(features, splits, where, "feature", int, 0, len(FEATURE_COLUMNS) - 1)
-        threshold[splits] = _column(thresholds, splits, where, "threshold", float, -_FLOAT_MAX, _FLOAT_MAX)
-        count_0[leaves] = _column(counts_0, leaves, where, "count_0", int, 0, 2**53)
-        count_1[leaves] = _column(counts_1, leaves, where, "count_1", int, 0, 2**53)
+        feature = _column(features, range(n), where, "feature", int, -1, len(FEATURE_COLUMNS) - 1).astype(np.intp)
+        if len(roots) > len(ends):
+            t = len(ends)
+            raise ModelFormatError(f"{path}[{t}] is truncated: it lacks {t + 1 - closed[-1]} subtree(s)")
+        threshold, count_0, count_1 = np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        for column, name, nodes, kind, tp, low, high in (
+            (threshold, "threshold", splits, "splits", float, -_FLOAT_MAX, _FLOAT_MAX),
+            (count_0, "count_0", leaves, "leaves", int, 0, 2**53),
+            (count_1, "count_1", leaves, "leaves", int, 0, 2**53),
+        ):
+            if len(doc[name]) != len(nodes):
+                raise ModelFormatError(f"{path}.{name} holds {len(doc[name])} values for {len(nodes)} {kind}")
+            column[nodes] = _column(doc[name], nodes, where, name, tp, low, high)
         empty = np.flatnonzero(count_0[leaves] + count_1[leaves] < 1)
         if len(empty):
             raise ModelFormatError(f"{where(leaves[empty[0]])} is a leaf with no rows")
-        return Trees(feature, threshold, np.array(right, dtype=np.intp), count_0, count_1, root)
+        # split i's left subtree ends at the first node after it where the
+        # count gains one on its value at i; its right child comes next
+        key = np.sort(closed * (n + 1) + np.arange(n))
+        right = np.full(n, -1, dtype=np.intp)
+        right[splits] = key[np.searchsorted(key, (closed[splits] + 1) * (n + 1) + splits)] % (n + 1) + 1
+        return Trees(feature, threshold, right, count_0, count_1, roots)
     except ParameterError as exc:
         raise ModelFormatError(str(exc)) from None

@@ -202,7 +202,7 @@ def render_report(report: ComparisonReport, format: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # model_type -> (model class, file writer, body reader); the writer
 # renders the envelope it is given and the model's body as one text
@@ -242,13 +242,8 @@ def model_from_json_document(doc: dict) -> Union[LogisticModel, ForestModel]:
 
 
 def save_model(model: Union[LogisticModel, ForestModel], path: str | Path) -> None:
-    """Write a model as a versioned JSON document. A tree too deep for
-    ``load_model`` to read back raises ModelFormatError and writes nothing."""
-    try:
-        text = model_to_json_text(model)
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"cannot save {path}: {exc}") from None
-    Path(path).write_text(text, encoding="utf-8")
+    """Write a model as a versioned JSON document."""
+    Path(path).write_text(model_to_json_text(model), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> Union[LogisticModel, ForestModel]:

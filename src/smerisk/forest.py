@@ -18,10 +18,11 @@ walks the book through the table in blocks of a fixed budget of
 (row, tree) pairs, so its memory grows with neither the book nor the
 tree count. Labels are left to ``logit.to_labels``. Importances are
 computed from leaf counts when asked for, so a reloaded model gives them
-bit for bit and a model loaded only to score never computes them. A
-forest file is written as text: its other keys go through the
-``serialize`` codec, and each tree's text comes straight from the table
-(``cart.tree_to_json_text``), spliced in as ``trees``.
+bit for bit and a model loaded only to score never computes them; a
+forest file does not store them. In the file, ``trees`` holds the
+table's four node columns (``cart.trees_to_json``), each written on one
+line and spliced into the text the ``serialize`` codec writes for the
+other keys.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ from .cart import (
     grow_trees,
     leaf_values,
     tree_importances,
-    tree_to_json_text,
     trees_from_json,
+    trees_to_json,
 )
 from .dataset import Dataset, FEATURE_COLUMNS
 from .errors import DegenerateLabelsError, ParameterError
 from .seeding import substream
-from .serialize import dumps_with_rendered_array, from_json_dict, to_json_dict
+from .serialize import dumps_with_one_line_members, from_json_dict, to_json_dict
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,11 @@ def feature_importances(model: ForestModel) -> tuple[np.ndarray, bool]:
 
 @dataclass(frozen=True)
 class _ForestBody:
-    """A forest file's body. Its importances are checked on loading, not
-    kept: a loaded model computes its own when asked."""
+    """A forest file's body; ``trees`` is read by ``cart.trees_from_json``."""
 
     params: ForestParams
     feature_names: tuple[str, ...]
-    trees: tuple[dict, ...]
-    importances: tuple[float, float, float, float, float, float]
+    trees: dict
 
     def __post_init__(self):
         if self.feature_names != FEATURE_COLUMNS:
@@ -151,14 +150,11 @@ class _ForestBody:
 
 
 def forest_to_json_text(model: ForestModel, envelope: dict) -> str:
-    """The forest file's text: ``envelope`` and the body, with the trees
-    rendered from their node arrays and spliced in as ``trees``, the key
-    that sorts last."""
-    values, _ = feature_importances(model)
-    head = to_json_dict(_ForestBody(model.params, model.feature_names, (), tuple(values.tolist())))
+    """The forest file's text: ``envelope`` and the body, with the node
+    columns spliced in as ``trees``, the key that sorts last."""
+    head = to_json_dict(_ForestBody(model.params, model.feature_names, {}))
     del head["trees"]
-    texts = [tree_to_json_text(model.trees, t) for t in range(len(model.trees))]
-    return dumps_with_rendered_array({**envelope, **head}, "trees", texts)
+    return dumps_with_one_line_members({**envelope, **head}, "trees", trees_to_json(model.trees))
 
 
 def forest_from_json_document(doc: dict) -> ForestModel:

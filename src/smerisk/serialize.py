@@ -3,9 +3,9 @@
 All documents are emitted with sorted keys, two-space indentation and a
 trailing newline, and floats rendered by repr (shortest round-trip form),
 so equal in-memory objects serialize to byte-identical text.
-``dumps_with_rendered_array`` writes the same text for a document whose
-last key holds values rendered elsewhere, such as trees written from
-their node arrays, without building them as JSON objects first.
+``dumps_with_one_line_members`` writes the same layout for a document
+whose last key holds an object of long arrays, such as a forest's node
+columns, except that each member's value takes one line.
 
 ``to_json_dict`` and ``from_json_dict`` are the one codec between the
 package's dataclasses (configs, both model bodies, the comparison report)
@@ -35,17 +35,18 @@ def dumps_deterministic(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def dumps_with_rendered_array(doc: dict, key: str, items: list[str]) -> str:
-    """``dumps_deterministic`` of ``doc`` with ``key`` added, its value an
-    array of ``items``, which holds at least one. Each item is already
-    rendered as ``dumps_deterministic`` renders a value at indent level 0,
-    without the newline at the end; ``key`` must sort after every key of
-    the non-empty ``doc``. A level-0 text becomes its level-2 text when every newline in
-    it gains four spaces, which is exact because a JSON text holds raw
-    newlines only as layout: a string escapes its own."""
+def dumps_with_one_line_members(doc: dict, key: str, members: dict) -> str:
+    """``dumps_deterministic`` of ``doc`` with ``key`` added, its value the
+    object ``members``, except that each member's value is written on one
+    line, as unindented ``json.dumps`` writes it. Indented, every number
+    of an array would take a line of its own, and ``json`` would encode in
+    pure Python instead of C. ``key`` must sort after every key of the
+    non-empty ``doc``."""
     head = dumps_deterministic(doc)[: -len("\n}\n")]
-    body = ",\n".join(items).replace("\n", "\n    ")
-    return f"{head},\n  {json.dumps(key)}: [\n    {body}\n  ]\n}}\n"
+    lines = ",\n".join(
+        f"    {json.dumps(name)}: {json.dumps(value, allow_nan=False)}" for name, value in sorted(members.items())
+    )
+    return f"{head},\n  {json.dumps(key)}: {{\n{lines}\n  }}\n}}\n"
 
 
 def _reject_constant(name: str):

@@ -6,15 +6,15 @@ in exact Fraction arithmetic, so there is no shared code (and no shared
 rounding) with the package's vectorized integer-score search. Trees are
 compared in the oracle's nested-tuple shape, which ``tree_as_tuple``
 reads off one tree of the package's node table and ``trees_from_tuples``
-turns back into a table through the model-file reader. The prediction oracle walks
+turns back into a table through the model-file reader, from the node
+columns ``tuples_to_columns`` lists. The prediction oracle walks
 those tuples one row at a time in plain Python, sharing nothing with the
-package's flat (row, tree) walk. ``tree_to_json_dict`` builds a tree's
-nested model-file document one dict per node, for ``json.dumps`` to
-render as the reference for the package's tree text writer. The metrics
+package's flat (row, tree) walk. The metrics
 oracle likewise works in rational arithmetic end to end. Finite
 differences for the gradient live in the logit tests themselves.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -33,8 +33,9 @@ def oracle_best_split(rows, labels, features):
     """Exhaustive exact-arithmetic split search.
 
     Same conventions the package promises: midpoints between consecutive
-    distinct sorted values (falling back to the left value if the float
-    midpoint rounds up onto the right one), minimize size-weighted child
+    distinct sorted values (summing halves where the sum overflows, and
+    falling back to the left value if the float midpoint rounds up onto
+    the right one), minimize size-weighted child
     gini, strict improvement required, ties to the lowest feature index
     then the lowest threshold.
     """
@@ -45,6 +46,8 @@ def oracle_best_split(rows, labels, features):
         values = sorted(set(r[f] for r in rows))
         for a, b in zip(values, values[1:]):
             threshold = (a + b) / 2.0
+            if math.isinf(threshold):
+                threshold = a / 2 + b / 2
             if threshold == b:
                 threshold = a
             left = [lab for r, lab in zip(rows, labels) if r[f] <= threshold]
@@ -111,31 +114,30 @@ def trees_as_tuples(trees):
     return [tree_as_tuple(trees, t) for t in range(len(trees))]
 
 
-def tree_to_json_dict(trees, t=0):
-    """Tree ``t`` of a package table -> its nested model-file document,
-    built from the leaves up: the reference the tree text writer is
-    checked against."""
-    feature, threshold, right, count_0, count_1 = _tree_columns(trees, t)
-    docs = [None] * len(feature)
-    for i in reversed(range(len(feature))):
-        if feature[i] < 0:
-            docs[i] = {"count_0": count_0[i], "count_1": count_1[i]}
-        else:
-            docs[i] = {"feature": feature[i], "threshold": threshold[i], "left": docs[i + 1], "right": docs[right[i]]}
-    return docs[0]
+def tuples_to_columns(shapes):
+    """The oracle's tuple shapes -> the model file's four node columns,
+    listing each tree's nodes in pre-order with an explicit stack."""
+    columns = {"feature": [], "threshold": [], "count_0": [], "count_1": []}
+    for shape in shapes:
+        stack = [shape]
+        while stack:
+            node = stack.pop()
+            if node[0] == "leaf":
+                columns["feature"].append(-1)
+                columns["count_0"].append(node[1])
+                columns["count_1"].append(node[2])
+            else:
+                _, feature, threshold, left, right = node
+                columns["feature"].append(feature)
+                columns["threshold"].append(threshold)
+                stack += [right, left]
+    return columns
 
 
 def trees_from_tuples(shapes):
     """The oracle's tuple shapes -> one package table, read as a model
-    file's tree documents, so every value is checked as a loaded one is."""
-
-    def doc(node):
-        if node[0] == "leaf":
-            return {"count_0": node[1], "count_1": node[2]}
-        _, feature, threshold, left, right = node
-        return {"feature": feature, "threshold": threshold, "left": doc(left), "right": doc(right)}
-
-    return trees_from_json([doc(shape) for shape in shapes])
+    file's node columns, so every value is checked as a loaded one is."""
+    return trees_from_json(tuples_to_columns(shapes))
 
 
 def tree_from_tuple(shape):

@@ -15,7 +15,7 @@ import pytest
 
 from fractions import Fraction
 
-from oracles import leaf, oracle_gini, oracle_grow, split, tree_as_tuple, tree_from_tuple, tree_to_json_dict
+from oracles import leaf, oracle_gini, oracle_grow, split, tree_as_tuple, tree_from_tuple
 from smerisk import cart
 from smerisk.cart import (
     TreeParams,
@@ -23,10 +23,12 @@ from smerisk.cart import (
     grow_tree_arrays,
     grow_trees,
     leaf_values,
-    tree_to_json_text,
     trees_from_json,
+    trees_to_json,
 )
 from smerisk.errors import ModelFormatError, ParameterError
+from smerisk.experiment import load_model, save_model
+from smerisk.forest import ForestModel, ForestParams
 from smerisk.logit import to_labels
 from smerisk.seeding import substream
 from smerisk.serialize import from_json_dict, to_json_dict
@@ -216,6 +218,21 @@ def test_grow_splits_adjacent_floats_at_the_left_value():
     assert grow_shape([[b], [a], [b], [a]], [1, 0, 1, 0]) == split(0, a, leaf(2, 0), leaf(0, 2))
 
 
+def test_a_midpoint_past_the_float_range_stays_finite(tmp_path):
+    # 1e308 + 1.7e308 overflows to inf; the halves sum to a finite
+    # threshold between the two values, so the class-1 rows go right
+    X = np.array([[1e308], [1.7e308], [1e308], [1.7e308]])
+    y = np.array([0, 1, 0, 1])
+    tree = grow(X, y)
+    assert np.isfinite(tree.threshold).all()
+    assert tree_as_tuple(tree) == split(0, 1e308 / 2 + 1.7e308 / 2, leaf(2, 0), leaf(0, 2))
+    assert tree_as_tuple(tree) == oracle_grow([tuple(r) for r in X.tolist()], y.tolist())
+    assert predict(tree, X).tolist() == [0.0, 1.0, 0.0, 1.0]
+    path = tmp_path / "forest.json"
+    save_model(ForestModel(tree, ForestParams(n_trees=1)), path)
+    assert table_bytes(load_model(path).trees) == table_bytes(tree)
+
+
 def test_grow_min_samples_split_stops():
     assert grow_shape([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1], min_samples_split=5) == leaf(2, 2)
 
@@ -263,7 +280,10 @@ def test_a_table_needs_at_least_one_tree():
     with pytest.raises(ParameterError, match="^a forest table needs at least one tree$"):
         cart.Trees(empty, np.zeros(0), empty, empty, empty, empty)
     with pytest.raises(ModelFormatError, match="^a forest table needs at least one tree$"):
-        trees_from_json([])
+        trees_from_json({"feature": [], "threshold": [], "count_0": [], "count_1": []})
+    with pytest.raises(ParameterError, match="^a forest table's thresholds must be finite$"):
+        cart.Trees(np.array([0, -1, -1]), np.array([np.inf, 0.0, 0.0]), np.array([2, -1, -1]),
+                   np.array([0, 1, 0]), np.array([0, 0, 1]), np.array([0]))
 
 
 def table_bytes(trees):
@@ -592,82 +612,97 @@ def test_tree_json_round_trip():
     X = rng.normal(size=(50, 4))
     y = rng.integers(0, 2, size=50).astype(np.int64)
     node = grow(X, y)
-    doc = tree_to_json_dict(node)
-    assert tree_to_json_text(node, 0) == json.dumps(doc, sort_keys=True, indent=2)
-    back = trees_from_json([doc])
+    back = trees_from_json(json.loads(json.dumps(trees_to_json(node))))
     assert tree_as_tuple(back) == tree_as_tuple(node)
-    for name in ("feature", "threshold", "right", "count_0", "count_1", "roots", "value"):
-        grown, read = getattr(node, name), getattr(back, name)
-        assert grown.dtype == read.dtype and np.array_equal(grown, read), name
+    assert table_bytes(back) == table_bytes(node)
 
 
 def test_tree_json_shapes():
-    node = tree_from_tuple(split(1, 0.5, leaf(2, 0), leaf(1, 4)))
-    doc = tree_to_json_dict(node)
-    assert doc == {
-        "feature": 1,
-        "threshold": 0.5,
-        "left": {"count_0": 2, "count_1": 0},
-        "right": {"count_0": 1, "count_1": 4},
+    node = tree_from_tuple(split(1, 0.5, leaf(2, 0), split(0, -1.5, leaf(1, 4), leaf(0, 3))))
+    assert trees_to_json(node) == {
+        "feature": [1, -1, 0, -1, -1],
+        "threshold": [0.5, -1.5],
+        "count_0": [2, 1, 0],
+        "count_1": [0, 4, 3],
     }
+
+
+def columns(**edits):
+    """A one-split tree's node columns, with columns replaced or added by
+    ``edits``; None drops a key."""
+    doc = {"feature": [0, -1, -1], "threshold": [0.5], "count_0": [1, 0], "count_1": [0, 1], **edits}
+    return {key: value for key, value in doc.items() if value is not None}
 
 
 @pytest.mark.parametrize(
     "doc",
     [
-        {"count_0": 1},
-        {"feature": 0, "threshold": 0.5, "left": {"count_0": 1, "count_1": 0}},
-        {"feature": 0, "threshold": 0.5, "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}, "extra": 1},
-        {"count_0": 1, "count_1": 0, "stray": 2},
+        columns(feature=[-1], threshold=[], count_0=[1], count_1=[]),  # a leaf without count_1
+        columns(feature=[0, -1], count_0=[1], count_1=[0]),  # a split without its right child
+        columns(extra=1),
+        columns(count_1=None),
         "not a node",
-        {"feature": 6, "threshold": 0.5, "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
-        {"feature": -1, "threshold": 0.5, "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
-        {"feature": 0, "threshold": float("nan"), "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
-        {"count_0": 2.7, "count_1": 1},
-        {"count_0": 1, "count_1": True},
-        {"count_0": 2.0, "count_1": 1},
-        {"count_0": "1", "count_1": 1},
-        {"count_0": 2**53 + 1, "count_1": 1},
-        {"feature": 0, "threshold": "0.5", "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
-        {"feature": 0, "threshold": True, "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
-        {"feature": 0, "threshold": None, "left": {"count_0": 1, "count_1": 0}, "right": {"count_0": 1, "count_1": 0}},
+        columns(feature=[6, -1, -1]),
+        columns(feature=[-1, -1, -1]),  # a leaf where a split is needed
+        columns(threshold=[float("nan")]),
+        columns(count_0=[2.7, 0]),
+        columns(count_1=[0, True]),
+        columns(count_0=[2.0, 0]),
+        columns(count_0=["1", 0]),
+        columns(count_0=[2**53 + 1, 0]),
+        columns(threshold=["0.5"]),
+        columns(threshold=[True]),
+        columns(threshold=[None]),
+        columns(feature=[0, 0, -1, -1], count_0=[1, 1], count_1=[0, 1]),  # a split where a leaf is needed
+        columns(feature="not a column"),
+        columns(threshold={"0": 0.5}),
+        columns(feature=[True, -1, -1]),
+        columns(threshold=[0.5, 0.5]),
+        columns(count_0=[1, 0, 0]),
     ],
 )
 def test_tree_json_malformed(doc):
-    with pytest.raises(ModelFormatError):
-        trees_from_json([doc])
+    with pytest.raises(ModelFormatError) as info:
+        trees_from_json(doc)
+    assert "\n" not in str(info.value)
+    assert trees_from_json(columns()).feature.tolist() == [0, -1, -1]
 
 
-def two_tree_docs():
+def two_tree_columns():
     """A bare leaf, then a tree whose node 3 is the leaf (2, 1)."""
-    inner = {"feature": 1, "threshold": 0.0, "left": {"count_0": 2, "count_1": 1}, "right": {"count_0": 0, "count_1": 3}}
-    return [{"count_0": 1, "count_1": 2}, {"feature": 0, "threshold": 0.5, "left": {"count_0": 1, "count_1": 0}, "right": inner}]
+    return {"feature": [-1, 0, -1, 1, -1, -1], "threshold": [0.5, 0.0], "count_0": [1, 1, 2, 0], "count_1": [2, 0, 1, 3]}
 
 
 def test_trees_read_into_one_table():
-    trees = trees_from_json(two_tree_docs())
+    trees = trees_from_json(two_tree_columns())
     assert len(trees) == 2 and trees.roots.tolist() == [0, 1]
     assert trees.feature.tolist() == [-1, 0, -1, 1, -1, -1]
     assert trees.right.tolist() == [-1, 3, -1, 5, -1, -1]  # indices into the whole table
     assert trees.value.tolist() == [2 / 3, 0.0, 0.0, 0.0, 1 / 3, 1.0]
     assert [trees.span(t) for t in range(2)] == [(0, 1), (1, 6)]
     assert tree_as_tuple(trees, 1) == split(0, 0.5, leaf(1, 0), split(1, 0.0, leaf(2, 1), leaf(0, 3)))
-    assert predict(trees_from_json(two_tree_docs()[1:]), np.array([[1.0, -1.0]])).tolist() == [1 / 3]
+    assert predict(tree_from_tuple(tree_as_tuple(trees, 1)), np.array([[1.0, -1.0]])).tolist() == [1 / 3]
 
 
 @pytest.mark.parametrize(
     "value, message",
     [
-        ({"count_0": -1, "count_1": 1}, "trees[1]: node 3 count_0 must be in [0, "),
-        ({"count_0": 1, "count_1": 1.5}, "trees[1]: node 3 count_1 must be "),
-        ({"count_0": 0, "count_1": 0}, "trees[1]: node 3 is a leaf with no rows"),
-        ({"count_0": 1}, "trees[1]: unrecognized tree node fields"),
-        ([], "trees[1]: a tree node must be an object"),
+        ({"count_0": (2, -1)}, "trees[1]: node 3 count_0 must be in [0, "),
+        ({"count_1": (2, 1.5)}, "trees[1]: node 3 count_1 must be "),
+        ({"count_0": (2, 0), "count_1": (2, 0)}, "trees[1]: node 3 is a leaf with no rows"),
+        ({"threshold": (1, math.inf)}, "trees[1]: node 2 threshold must be "),
+        ({"feature": (4, 7)}, "trees[1]: node 3 feature must be in [-1, 5]"),
+        ({"feature": (4, "x")}, "trees[1]: node 3 feature must be a JSON integer"),
+        ({"feature": (6, 0), "threshold": (2, 0.5)}, "trees[2] is truncated: it lacks 2 subtree(s)"),
+        ({"threshold": (2, 0.5)}, "trees.threshold holds 3 values for 2 splits"),
+        ({"count_1": (4, 1)}, "trees.count_1 holds 5 values for 4 leaves"),
     ],
 )
 def test_tree_read_errors_name_the_tree_and_its_node(value, message):
-    docs = two_tree_docs()
-    docs[1]["right"]["left"] = value
+    # value: column -> (index, new entry); an index one past the end appends
+    doc = two_tree_columns()
+    for name, (i, entry) in value.items():
+        doc[name][i : i + 1] = [entry]
     with pytest.raises(ModelFormatError) as info:
-        trees_from_json(docs)
+        trees_from_json(doc)
     assert str(info.value).startswith(message)

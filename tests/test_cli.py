@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import smerisk
-from smerisk import cart
 from smerisk.cli import main
 from smerisk.dataset import ALL_COLUMNS, Dataset, load_csv, write_csv
 from smerisk.experiment import ExperimentConfig, model_to_json_text
@@ -341,18 +340,6 @@ def test_train_score_round_trip(small_csv, tmp_path, capsys):
         assert label in ("0", "1")
 
 
-def test_train_refuses_a_forest_too_deep_to_load_back(small_csv, tmp_path, capsys, monkeypatch):
-    # grown trees are far shallower than the writer's bound, so lower it
-    monkeypatch.setattr(cart, "_MAX_WRITE_DEPTH", 2)
-    model_path = tmp_path / "forest.json"
-    code, _, stderr = run_cli(
-        capsys, "train", "--model", "forest", "--data", str(small_csv), "--out", str(model_path)
-    )
-    assert code == 3
-    assert "too deeply" in stderr and stderr.count("\n") == 1
-    assert not model_path.exists()
-
-
 def test_train_logistic_and_score_unlabeled(small_csv, tmp_path, capsys):
     model_path = tmp_path / "logit.json"
     assert run_cli(
@@ -424,39 +411,60 @@ def model_documents():
     }
 
 
-def _first_split(doc):
-    return next(tree for tree in doc["trees"] if "feature" in tree)
+def _first_split(doc, feature):
+    """Set the feature of a forest document's first split."""
+    column = doc["trees"]["feature"]
+    column[next(i for i, f in enumerate(column) if f >= 0)] = feature
 
 
-def _first_leaf(doc):
-    node = doc["trees"][0]
-    while "feature" in node:
-        node = node["left"]
-    return node
+def _set(column, value, i=0):
+    """An edit setting entry ``i`` of a forest document's node column."""
+    return lambda doc: doc["trees"][column].__setitem__(i, value)
+
+
+def _split_to_leaf(doc):
+    """Make the first tree's root a leaf, its threshold gone and its counts
+    listed, so that every column still holds one value per node it
+    describes while its subtrees become trees of their own."""
+    trees = doc["trees"]
+    trees["feature"][0] = -1
+    del trees["threshold"][0]
+    trees["count_0"].insert(0, 1)
+    trees["count_1"].insert(0, 1)
+
+
+def _truncate_last_tree(doc):
+    for column in ("feature", "count_0", "count_1"):  # the last node is a leaf
+        doc["trees"][column].pop()
+
+
+def _add_trailing_leaf(doc):
+    for column, value in (("feature", -1), ("count_0", 1), ("count_1", 0)):
+        doc["trees"][column].append(value)
 
 
 # name -> (model kind, in-place edit of its JSON document)
 MODEL_MUTATIONS = {
-    "feature_99": ("forest", lambda doc: _first_split(doc).update(feature=99)),
-    "feature_minus_1": ("forest", lambda doc: _first_split(doc).update(feature=-1)),
-    "fractional_feature": ("forest", lambda doc: _first_split(doc).update(feature=2.5)),
-    "nan_threshold": ("forest", lambda doc: _first_split(doc).update(threshold=float("nan"))),
-    "string_threshold": ("forest", lambda doc: _first_split(doc).update(threshold="0.5")),
-    "huge_integer_threshold": ("forest", lambda doc: _first_split(doc).update(threshold=10**400)),
-    "fractional_leaf_count": ("forest", lambda doc: _first_leaf(doc).update(count_0=2.7)),
-    "boolean_leaf_count": ("forest", lambda doc: _first_leaf(doc).update(count_1=True)),
-    "huge_integer_leaf_count": ("forest", lambda doc: _first_leaf(doc).update(count_0=10**400)),
-    "leaf_count_above_2_53": ("forest", lambda doc: _first_leaf(doc).update(count_1=2**53 + 1)),
-    "negative_leaf_count": ("forest", lambda doc: _first_leaf(doc).update(count_0=-1)),
-    "empty_leaf": ("forest", lambda doc: _first_leaf(doc).update(count_0=0, count_1=0)),
-    "feature_6": ("forest", lambda doc: _first_split(doc).update(feature=6)),
-    "boolean_feature": ("forest", lambda doc: _first_split(doc).update(feature=True)),
+    "feature_99": ("forest", lambda doc: _first_split(doc, 99)),
+    "feature_minus_1": ("forest", lambda doc: _first_split(doc, -1)),  # a leaf where a split is needed
+    "fractional_feature": ("forest", lambda doc: _first_split(doc, 2.5)),
+    "nan_threshold": ("forest", _set("threshold", float("nan"))),
+    "string_threshold": ("forest", _set("threshold", "0.5")),
+    "huge_integer_threshold": ("forest", _set("threshold", 10**400)),
+    "fractional_leaf_count": ("forest", _set("count_0", 2.7)),
+    "boolean_leaf_count": ("forest", _set("count_1", True)),
+    "huge_integer_leaf_count": ("forest", _set("count_0", 10**400)),
+    "leaf_count_above_2_53": ("forest", _set("count_1", 2**53 + 1)),
+    "negative_leaf_count": ("forest", _set("count_0", -1)),
+    "empty_leaf": ("forest", lambda doc: (_set("count_0", 0)(doc), _set("count_1", 0)(doc))),
+    "feature_6": ("forest", lambda doc: _first_split(doc, 6)),
+    "boolean_feature": ("forest", lambda doc: _first_split(doc, True)),
     "string_bootstrap": ("forest", lambda doc: doc["params"].update(bootstrap="false")),
     "fractional_max_depth": ("forest", lambda doc: doc["params"]["tree_params"].update(max_depth=2.9)),
     "huge_integer_weight": ("logistic", lambda doc: doc["weights"].__setitem__(0, 10**400)),
-    "infinite_threshold": ("forest", lambda doc: _first_split(doc).update(threshold=float("inf"))),
+    "infinite_threshold": ("forest", _set("threshold", float("inf"))),
     "three_feature_names": ("forest", lambda doc: doc.update(feature_names=doc["feature_names"][:3])),
-    "n_trees_mismatch": ("forest", lambda doc: doc["trees"].pop()),
+    "n_trees_mismatch": ("forest", lambda doc: doc["params"].update(n_trees=4)),
     "nan_mean": ("logistic", lambda doc: doc["standardization"]["means"].__setitem__(0, float("nan"))),
     "string_bias": ("logistic", lambda doc: doc.update(bias="0.5")),
     "boolean_weight": ("logistic", lambda doc: doc["weights"].__setitem__(0, True)),
@@ -467,8 +475,20 @@ MODEL_MUTATIONS = {
     "negative_iterations": ("logistic", lambda doc: doc["training_meta"].update(iterations=-5)),
     "string_final_loss": ("logistic", lambda doc: doc["training_meta"].update(final_loss="0.5")),
     "forest_unknown_key": ("forest", lambda doc: doc.update(extra=1)),
+    # the node columns fix the shape: each of these breaks it
+    "truncated_last_tree": ("forest", _truncate_last_tree),
+    "extra_trailing_node": ("forest", _add_trailing_leaf),
+    "leaf_where_a_split_is_needed": ("forest", _split_to_leaf),
+    "threshold_one_short": ("forest", lambda doc: doc["trees"]["threshold"].pop()),
+    "count_0_one_long": ("forest", lambda doc: doc["trees"]["count_0"].append(1)),
+    "missing_trees_key": ("forest", lambda doc: doc["trees"].pop("count_1")),
+    "extra_trees_key": ("forest", lambda doc: doc["trees"].update(right=[-1] * len(doc["trees"]["feature"]))),
+    "trees_not_an_object": ("forest", lambda doc: doc.update(trees=[doc["trees"]])),
+    # format 1 stored importances; they are recomputed, so any such key is unknown
     "string_importances": ("forest", lambda doc: doc.update(importances="junk")),
-    "three_importances": ("forest", lambda doc: doc.update(importances=doc["importances"][:3])),
+    "three_importances": ("forest", lambda doc: doc.update(importances=[1 / 3] * 3)),
+    "version_1_forest": ("forest", lambda doc: doc.update(format_version=1)),
+    "version_1_logistic": ("logistic", lambda doc: doc.update(format_version=1)),
 }
 
 
@@ -521,13 +541,25 @@ def test_score_rejects_deeply_nested_model(small_csv, tmp_path, capsys):
 def test_score_tampered_model_version(small_csv, tmp_path, capsys):
     model_path = tmp_path / "logit.json"
     run_cli(capsys, "train", "--model", "logistic", "--data", str(small_csv), "--out", str(model_path))
-    text = model_path.read_text().replace('"format_version": 1', '"format_version": "999"')
+    text = model_path.read_text().replace('"format_version": 2', '"format_version": "999"')
     model_path.write_text(text)
     code, _, stderr = run_cli(
         capsys, "score", "--model", str(model_path), "--data", str(small_csv), "--out", str(tmp_path / "s.csv")
     )
     assert code == 3
     assert "error:" in stderr
+
+
+@pytest.mark.parametrize("kind", ["forest", "logistic"])
+def test_a_version_1_model_file_exits_3(kind, model_documents, small_csv, tmp_path, capsys):
+    # no reader of format 1 is kept: retraining rebuilds the model exactly
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(dict(model_documents[kind], format_version=1)))
+    code, _, stderr = run_cli(
+        capsys, "score", "--model", str(model_path), "--data", str(small_csv), "--out", str(tmp_path / "s.csv")
+    )
+    assert code == 3
+    assert stderr == "error: unsupported format_version 1; this build reads version 2\n"
 
 
 def test_unknown_subcommand_exits():

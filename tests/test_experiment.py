@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzing import key_paths, mutate_one_value
-from smerisk.cart import trees_from_json
 from smerisk.dataset import Dataset, split_train_test, write_csv
 from smerisk.errors import (
     DataError,
@@ -302,20 +301,6 @@ def test_save_load_both_model_kinds(tmp_path, strong_split):
     assert np.array_equal(predict_forest_dataset(forest, test), predict_forest_dataset(forest_back, test))
 
 
-def test_save_model_rejects_a_tree_too_deep_to_write(tmp_path):
-    # a 1,500-level chain reads and predicts, but the nested document is
-    # too deep for the JSON writer
-    doc = {"count_0": 1, "count_1": 0}
-    for depth in range(1500):
-        doc = {"feature": 0, "threshold": float(depth), "left": {"count_0": 1, "count_1": 0}, "right": doc}
-    tree = trees_from_json([doc])
-    path = tmp_path / "deep.json"
-    with pytest.raises(ModelFormatError, match="too deeply") as info:
-        save_model(ForestModel(tree, ForestParams(n_trees=1)), path)
-    assert "\n" not in str(info.value)
-    assert not path.exists()
-
-
 def test_save_model_rejects_other_objects(tmp_path):
     with pytest.raises(ParameterError):
         save_model(object(), tmp_path / "x.json")
@@ -326,7 +311,7 @@ def test_load_model_rejects_tampered_version(tmp_path, strong_split):
     path = tmp_path / "logit.json"
     save_model(train_logistic(train, LogitHyperparams(max_iterations=50)), path)
     doc = path.read_text()
-    path.write_text(doc.replace('"format_version": 1', '"format_version": "999"'))
+    path.write_text(doc.replace('"format_version": 2', '"format_version": "999"'))
     with pytest.raises(ModelFormatError):
         load_model(path)
 
@@ -337,12 +322,13 @@ def test_model_envelope_check(model_fuzz_bases):
     assert isinstance(model_from_json_document(docs["forest"]), ForestModel)
     bad_envelopes = [
         {"format_version": "999", "model_type": "logistic"},
-        {"format_version": 2, "model_type": "logistic"},
-        {"format_version": 1, "model_type": "gradient_boosting"},
+        {"format_version": 1, "model_type": "logistic"},
+        {"format_version": 3, "model_type": "logistic"},
+        {"format_version": 2, "model_type": "gradient_boosting"},
         {"model_type": "logistic"},
     ]
-    # equal to 1 in Python, but not the JSON integer 1
-    bad_envelopes += [{"format_version": version, "model_type": "logistic"} for version in (True, 1.0, "1")]
+    # equal to 2 in Python, but not the JSON integer 2
+    bad_envelopes += [{"format_version": version, "model_type": "logistic"} for version in (2.0, "2")]
     for envelope in bad_envelopes:
         doc = {k: v for k, v in docs["logistic"].items() if k not in ("format_version", "model_type")}
         with pytest.raises(ModelFormatError, match="format_version|model_type"):

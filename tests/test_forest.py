@@ -18,9 +18,9 @@ from oracles import (
     split,
     tree_as_tuple,
     tree_from_tuple,
-    tree_to_json_dict,
     trees_as_tuples,
     trees_from_tuples,
+    tuples_to_columns,
 )
 from smerisk import cart
 from smerisk.cart import (
@@ -29,7 +29,6 @@ from smerisk.cart import (
     grow_trees,
     leaf_values,
     tree_importances,
-    trees_from_json,
 )
 from smerisk.dataset import FEATURE_COLUMNS, Dataset
 from smerisk.errors import DegenerateLabelsError, ModelFormatError, ParameterError
@@ -346,12 +345,12 @@ def test_chain_tree_5000_levels_deep():
     # margin (odd i) at i + 0.5; its right child is a leaf with counts
     # (i, 1), its left child the node below.
     depth = 5000
-    doc = {"count_0": 1, "count_1": 0}
+    shape = leaf(1, 0)
     for i in range(depth):
-        doc = {"feature": (0, 3)[i % 2], "threshold": i + 0.5, "left": doc, "right": {"count_0": i, "count_1": 1}}
-    tree = trees_from_json([doc])
+        shape = split((0, 3)[i % 2], i + 0.5, shape, leaf(i, 1))
+    tree = tree_from_tuple(shape)
     assert hash(tree) == hash(tree) and tree == tree
-    assert tree != trees_from_json([doc])
+    assert tree != tree_from_tuple(shape)
     model = ForestModel(tree, ForestParams(n_trees=1, bootstrap=False))
     X = np.array([[v, 0.0, 0.0, v, 0.0, 0.0] for v in (0.0, 10.0, 1e9)])
     assert predict_forest_dataset(model, Dataset(X)).tolist() == [0.0, 1 / 10, 1 / depth]
@@ -562,6 +561,7 @@ def test_forest_json_round_trip(small_forest, strong_split):
     doc = json.loads(model_to_json_text(small_forest))
     assert doc["model_type"] == "random_forest"
     assert doc["feature_names"] == list(FEATURE_COLUMNS)
+    assert "importances" not in doc and sorted(doc["trees"]) == ["count_0", "count_1", "feature", "threshold"]
     back = model_from_json_document(doc)
     assert np.array_equal(predict_forest_dataset(small_forest, test), predict_forest_dataset(back, test))
 
@@ -573,14 +573,20 @@ def test_forest_json_importances_recomputed_exactly(small_forest):
     assert model_to_json_text(back) == text
 
 
-def test_grown_and_reloaded_tables_are_array_equal(small_forest, tmp_path):
-    path = tmp_path / "forest.json"
-    save_model(small_forest, path)
+def assert_saved_and_loaded_array_equal(model, path):
+    """Save and load ``model``; every array of the table comes back with
+    its dtype and values."""
+    save_model(model, path)
     back = load_model(path)
-    assert len(small_forest.trees) == len(back.trees) == small_forest.params.n_trees == 15
     for name in ("feature", "threshold", "right", "count_0", "count_1", "roots", "value"):
-        grown, read = getattr(small_forest.trees, name), getattr(back.trees, name)
+        grown, read = getattr(model.trees, name), getattr(back.trees, name)
         assert grown.dtype == read.dtype and np.array_equal(grown, read), name
+    return back
+
+
+def test_grown_and_reloaded_tables_are_array_equal(small_forest, tmp_path):
+    back = assert_saved_and_loaded_array_equal(small_forest, tmp_path / "forest.json")
+    assert len(small_forest.trees) == len(back.trees) == small_forest.params.n_trees == 15
     # a split's right child lies after it in its own tree, indexed in the whole table
     trees = back.trees
     assert trees.roots[0] == 0 and (np.diff(trees.roots) > 0).all()
@@ -591,19 +597,25 @@ def test_grown_and_reloaded_tables_are_array_equal(small_forest, tmp_path):
         assert ((right > np.arange(start, stop)) & (right < stop) == split).all(), t
 
 
+def test_a_zero_signal_forest_reloads_array_equal(zero_signal_book, tmp_path):
+    model = train_forest(zero_signal_book, ForestParams(n_trees=10))
+    assert_saved_and_loaded_array_equal(model, tmp_path / "forest.json")
+
+
 def oracle_forest_text(model):
-    """The forest file as ``json.dumps`` writes it from the oracle's
-    nested tree documents."""
-    values, _ = feature_importances(model)
+    """The forest file as ``json.dumps`` writes it, with ``trees`` the node
+    columns of the oracle's tuple shapes, each on one line."""
     doc = {
         "feature_names": list(FEATURE_COLUMNS),
-        "format_version": 1,
-        "importances": values.tolist(),
+        "format_version": 2,
         "model_type": "random_forest",
         "params": to_json_dict(model.params),
-        "trees": [tree_to_json_dict(model.trees, t) for t in range(len(model.trees))],
+        "trees": "TREES",
     }
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    columns = tuples_to_columns(trees_as_tuples(model.trees))
+    members = ",\n".join(f'    "{name}": {json.dumps(columns[name])}' for name in sorted(columns))
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return text.replace('"TREES"', "{\n" + members + "\n  }")
 
 
 def forest_of(shapes):
@@ -652,30 +664,24 @@ def test_saved_forest_matches_json_dumps_of_the_oracle_documents(case, tmp_path)
     assert trees_as_tuples(back.trees) == WRITER_CASES[case]
 
 
-def chain_tree(depth):
-    """A tree whose ``depth`` splits lie on one root-to-leaf path."""
-    doc = {"count_0": 1, "count_1": 0}
-    for d in range(depth):
-        doc = {"feature": d % 6, "threshold": float(d), "left": {"count_0": d, "count_1": 1}, "right": doc}
-    return trees_from_json([doc])
-
-
 def test_a_tree_at_the_depth_bound_saves_and_loads_back(tmp_path):
-    tree = chain_tree(cart._MAX_WRITE_DEPTH)
-    path = tmp_path / "deep.json"
-    save_model(ForestModel(tree, ForestParams(n_trees=1)), path)
-    back = load_model(path).trees
-    for name in ("feature", "threshold", "right", "count_0", "count_1", "roots"):
-        assert np.array_equal(getattr(back, name), getattr(tree, name)), name
+    # 512 levels, the deepest tree format 1 could save; format 2 has no bound
+    shape = leaf(1, 0)
+    for d in range(512):
+        shape = split(d % 6, float(d), leaf(d, 1), shape)
+    model = ForestModel(tree_from_tuple(shape), ForestParams(n_trees=1))
+    back = assert_saved_and_loaded_array_equal(model, tmp_path / "deep.json")
+    assert trees_as_tuples(back.trees) == [shape]
 
 
-def test_a_tree_one_level_past_the_depth_bound_is_refused(tmp_path):
-    path = tmp_path / "deep.json"
-    model = ForestModel(chain_tree(cart._MAX_WRITE_DEPTH + 1), ForestParams(n_trees=1))
-    with pytest.raises(ModelFormatError, match="too deeply") as info:
-        save_model(model, path)
-    assert "\n" not in str(info.value)
-    assert not path.exists()
+def test_a_5000_level_chain_saves_and_loads_back(tmp_path):
+    # a file stores flat columns, so no tree is too deep to save or load
+    shape = leaf(1, 0)
+    for d in range(5000):
+        shape = split(d % 6, float(d), leaf(d, 1), shape)
+    model = ForestModel(tree_from_tuple(shape), ForestParams(n_trees=1))
+    back = assert_saved_and_loaded_array_equal(model, tmp_path / "deep.json")
+    assert back.trees.right[:-1:2].tolist() == list(range(2, 10001, 2))
 
 
 def test_forest_json_absent_params_take_defaults(small_forest, strong_split):
@@ -704,4 +710,4 @@ def test_forest_json_rejects_bad_documents(small_forest):
     with pytest.raises(ModelFormatError):
         model_from_json_document(dict(doc, feature_names=list(FEATURE_COLUMNS[:3])))
     with pytest.raises(ModelFormatError):
-        model_from_json_document(dict(doc, trees=doc["trees"][:-1]))  # params say 15 trees
+        model_from_json_document(dict(doc, params=dict(doc["params"], n_trees=14)))  # the file holds 15 trees

@@ -1,6 +1,7 @@
 """JSON document plumbing tests: deterministic rendering, file parsing
 errors, and the dataclass codec."""
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -10,7 +11,7 @@ import pytest
 from smerisk.errors import ParameterError, ParseError
 from smerisk.serialize import (
     dumps_deterministic,
-    dumps_with_rendered_array,
+    dumps_with_one_line_members,
     from_json_dict,
     parse_json_file,
     to_json_dict,
@@ -36,10 +37,19 @@ def test_dumps_rejects_nan():
 
 
 def test_rendered_array_splice_matches_dumps():
-    items = [{"s": "line\nbreak", "k": [1, {"x": -0.0}], "e": {}}, [], "plain", 2.5]
+    # the splice is dumps_deterministic's text with each member's value on
+    # one line, as unindented json.dumps writes it
+    members = {"s": "line\nbreak", "k": [1, {"x": -0.0}, 2.5, 1e308], "e": {}, "a": [], "n": None}
     doc = {"b": [1, 2], "a": {"y": None, "x": True}}
-    rendered = [dumps_deterministic(item)[:-1] for item in items]
-    assert dumps_with_rendered_array(doc, "z", rendered) == dumps_deterministic(dict(doc, z=items))
+    text = dumps_with_one_line_members(doc, "z", members)
+    expected = dumps_deterministic(dict(doc, z=dict.fromkeys(members, "MEMBER")))
+    for name in sorted(members):
+        expected = expected.replace('"MEMBER"', json.dumps(members[name]), 1)
+    assert text == expected
+    assert json.loads(text) == dict(doc, z=members)
+    assert text.count("\n") == dumps_deterministic(doc).count("\n") + len(members) + 2
+    with pytest.raises(ValueError):
+        dumps_with_one_line_members(doc, "z", {"k": [math.nan]})
 
 
 def test_write_parse_round_trip(tmp_path):
