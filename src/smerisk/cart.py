@@ -14,10 +14,13 @@ minimizing the weighted child gini is equivalent to maximizing
     S = (a^2 + b^2)/nL + (c^2 + d^2)/nR = T / D,
     T = (a^2 + b^2) * nR + (c^2 + d^2) * nL,   D = nL * nR,
 
-where T and D are integers. A single correctly rounded division per
-candidate keeps the comparison order exact for any node that fits in
-int64 arithmetic (n below about two million rows), and the final
-strict-improvement test against the parent is done in unbounded integers.
+where T and D are integers and T <= n^3 / 4 for a node of n rows. While
+T < 2^53 (n up to 330,280 rows) T and D convert to float64 exactly, so
+S is one correctly rounded division: a larger ratio never reads smaller,
+though two distinct ratios may round to one double and then tie. T is
+computed in int64, so ``grow_trees`` rejects a job of more than
+3,329,021 rows, where it could overflow. The final strict-improvement
+test against the parent is done in unbounded integers.
 
 Growth is one path. ``grow_trees`` grows every tree of a forest in
 lockstep: each step takes one splittable node from each of several trees,
@@ -66,10 +69,18 @@ leaf flags alone fix the shape: the count of subtrees still owed,
 reaches 0 there. ``trees_from_json`` reads the tree spans and every
 split's right child off that running count with array operations, so a
 file holds no pointer to get wrong and a tree of any depth reads back;
-it then checks every value of every tree at once. Prediction is one
-level-synchronous walk: ``leaf_values`` advances every (row, tree) pair
-one depth level per step, dropping pairs as they reach a leaf. No walk
-recurses.
+it then checks every value of every tree at once.
+
+Prediction is one level-synchronous walk over ``Trees.walk_table``, a
+copy of the table built on the first walk, kept with the table and never
+written to a file: the nodes reordered by (tree, depth, pre-order
+index), so a split's two children sit side by side, and every leaf made
+its own child, with threshold +inf (the predicated walk of Asadi, Lin &
+de Vries 2014). A level is then the same three lookups for every
+(row, tree) pair, the left child plus one where the value exceeds the
+threshold, and a pair that reached its leaf stays there; ``leaf_values``
+drops such pairs only every few levels and stops at the forest's depth.
+No walk recurses.
 """
 
 from __future__ import annotations
@@ -78,6 +89,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -124,6 +136,39 @@ class Trees:
         stop = self.roots[t + 1] if t + 1 < len(self.roots) else len(self.feature)
         return int(self.roots[t]), int(stop)
 
+    @cached_property
+    def walk_table(self) -> tuple:
+        """The walk table of the module docstring, as (child, feature,
+        threshold, value, depth). Each tree keeps its span and root; a
+        split's children are ``child[i]`` and ``child[i] + 1``, as in
+        pre-order only deeper nodes lie between them; ``depth`` is the
+        deepest leaf's, the levels a walk takes."""
+        n = len(self.feature)
+        depth = np.empty(n, dtype=np.intp)
+        level, d = self.roots, -1
+        while len(level):
+            d += 1
+            depth[level] = d
+            inner = level[self.feature.take(level) >= 0]
+            level = np.concatenate((inner + 1, self.right.take(inner)))
+        tree = np.repeat(np.arange(len(self.roots)), np.diff(self.roots, append=n))
+        order = np.lexsort((depth, tree))  # stable, so pre-order breaks ties
+        position = np.empty(n, dtype=np.intp)
+        position[order] = np.arange(n)
+        leaf = self.feature < 0
+        split = np.flatnonzero(~leaf)
+        child = position.copy()
+        child[split] = position.take(split + 1)
+        table = (
+            child.take(order),
+            np.where(leaf, 0, self.feature).take(order),
+            np.where(leaf, np.inf, self.threshold).take(order),
+            self.value.take(order),
+        )
+        for array in table:
+            array.flags.writeable = False
+        return table + (d,)
+
 
 @dataclass(frozen=True)
 class TreeParams:
@@ -154,8 +199,16 @@ class TreeParams:
 # feature) elements per step, and rows of the trees growing at once.
 _STEP_BUDGET = 2**12
 _ROW_BUDGET = 2**17
+# the most rows a job may hold: the largest n with n^3 / 4 (the bound of
+# a split's T) below 2**63
+_MAX_ROWS = 3_329_021
 # the 32-bit words a feature-subset replay draws at a time
 _WORD_BLOCK = 256
+# levels walked between drops of the pairs at leaves. Scoring a
+# 10,000-row book, the default 100-tree model (depth 19) and a 20-tree
+# zero-signal one (depth 32) walked fastest dropping every 4 or 5 levels,
+# with 3 and 6 within 5%
+_COMPACT_EVERY = 4
 
 
 def _dense_ranks(X: np.ndarray) -> tuple[np.ndarray, int]:
@@ -194,7 +247,9 @@ def _best_splits(X, y, ranks, n_ranks, nodes) -> list:
     segment = np.repeat(np.arange(m) * k, sizes) + np.arange(k)[:, None]
     key = (segment * n_ranks + ranks.take(feature * len(X) + rows)).ravel()
     # the element breaks ties, so sorting the values gives the stable
-    # order; the product fits in int64 for nodes below two million rows
+    # order. The product is below 2**24 * n_ranks for a step of several
+    # nodes and k * k * n * n_ranks for one node of n rows: within int64 at
+    # six features for any job the row guard admits on up to 7e10 rows
     key, element = np.divmod(np.sort(key * len(key) + np.arange(len(key))), len(key))
     row = rows.take(element % len(rows))
     left_1 = np.concatenate(([0], np.cumsum(y.take(row))))
@@ -260,6 +315,8 @@ def best_split(
     n = len(y)
     if n == 0 or len(candidate_features) == 0:
         raise ParameterError("best_split needs rows and at least one candidate feature")
+    if not np.isfinite(X).all():
+        raise ParameterError("feature values may not be NaN or infinite")
     features = np.array(sorted(int(f) for f in candidate_features))
     ranks, n_ranks = _dense_ranks(X)
     [found] = _best_splits(X, y, ranks, n_ranks, [(np.arange(n), int(y.sum()), features)])
@@ -399,6 +456,8 @@ def grow_trees(
                 break
             rows, rng = job
             rows = np.asarray(rows)
+            if rows.size > _MAX_ROWS:
+                raise ParameterError(f"job {len(trees)}: {rows.size} rows exceed the {_MAX_ROWS} a tree may hold")
             if rows.size == 0:
                 raise ParameterError("cannot grow a tree on zero rows")
             if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
@@ -443,9 +502,13 @@ def leaf_values(trees: Trees, X: np.ndarray) -> np.ndarray:
     """The C-contiguous (rows, trees) matrix of the class-1 fraction of the
     leaf each row of ``X`` reaches in each tree.
 
-    Every (row, tree) pair walks at once, one depth level per step, with
-    pair r * n_trees + t in row-major order; a step advances only the
-    pairs still at internal nodes. NaN compares false, so it goes right.
+    Every (row, tree) pair walks the walk table at once, pair r * n_trees
+    + t in row-major order, one depth level per step: the pair's node
+    becomes its left child, plus one if its value exceeds the threshold.
+    NaN is read as +inf, so it goes right at a split, as NaN <= t being
+    false sends it, and stays at a leaf. A pair at a leaf loops there, so
+    finished pairs are dropped only every ``_COMPACT_EVERY`` levels, and
+    the walk ends at the forest's depth.
     """
     X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2:
@@ -454,21 +517,24 @@ def leaf_values(trees: Trees, X: np.ndarray) -> np.ndarray:
     n_trees = len(trees)
     if trees.feature.max() >= n_cols:
         raise ParameterError(f"a tree splits on feature {trees.feature.max()} but X has {n_cols} columns")
-    x = X.ravel()
+    child, feature, threshold, value, depth = trees.walk_table
+    x = np.where(np.isnan(X), np.inf, X).ravel()
     out = np.empty(n_rows * n_trees)
     pair = np.arange(n_rows * n_trees)
     offset = np.repeat(np.arange(n_rows) * n_cols, n_trees)  # row start in x
     node = np.tile(trees.roots, n_rows)
-    while len(pair):
-        feature = trees.feature.take(node)
-        at_leaf = feature < 0
-        if at_leaf.any():
-            done = np.flatnonzero(at_leaf)
-            out[pair.take(done)] = trees.value.take(node.take(done))
-            keep = np.flatnonzero(~at_leaf)
-            pair, offset, node, feature = (a.take(keep) for a in (pair, offset, node, feature))
-        goes_left = x.take(offset + feature) <= trees.threshold.take(node)
-        node = np.where(goes_left, node + 1, trees.right.take(node))
+    for level in range(1, depth + 1):
+        at = feature.take(node)
+        at += offset
+        goes_right = x.take(at) > threshold.take(node)
+        node = child.take(node)
+        node += goes_right
+        if level % _COMPACT_EVERY == 0 and level < depth:
+            keep = np.flatnonzero(child.take(node) != node)
+            if len(keep) < len(node):
+                out[pair] = value.take(node)  # pairs kept are written again later
+                pair, offset, node = (a.take(keep) for a in (pair, offset, node))
+    out[pair] = value.take(node)
     return out.reshape(n_rows, n_trees)
 
 

@@ -11,11 +11,13 @@ draws each tree's bootstrap only when the grower's row budget lets that
 tree start, so its memory does not grow with the tree count; a one-job
 ``grow_trees`` call on ``_tree_job`` of an index grows that tree alone.
 
-A model holds its trees in one ``cart.Trees`` node table, which every
-step reads as it is. ``predict_forest_dataset`` is the one prediction
-path: a soft vote (the mean of the trees' leaf class-1 fractions). It
-walks the book through the table in blocks of a fixed budget of
-(row, tree) pairs, so its memory grows with neither the book nor the
+A model holds its trees in one ``cart.Trees`` node table, which growth
+builds and importances and the model file read as it is.
+``predict_forest_dataset`` is the one prediction path: a soft vote (the
+mean of the trees' leaf class-1 fractions). It walks the book through
+``Trees.walk_table``, a few arrays of one entry per node built on the
+model's first score and kept with its table, in blocks of a fixed budget
+of (row, tree) pairs, so its memory grows with neither the book nor the
 tree count. Labels are left to ``logit.to_labels``. Importances are
 computed from leaf counts when asked for, so a reloaded model gives them
 bit for bit and a model loaded only to score never computes them; a
@@ -104,9 +106,10 @@ def train_forest(train: Dataset, params: ForestParams) -> ForestModel:
     return ForestModel(grow_trees(X, y, jobs, params.tree_params), params)
 
 
-# (row, tree) pairs walked at once: smaller blocks pay the walk's per-step
-# numpy overhead more often, larger ones hold bigger pair arrays. A block
-# holds at least one row.
+# (row, tree) pairs walked at once: smaller blocks pay the walk's per-level
+# numpy overhead more often, larger ones hold bigger pair arrays. Scoring a
+# 10,000-row book with the default model, 2**15 and 2**16 walked no faster
+# than 2**14 and 2**12 about a third slower. A block holds at least one row.
 _PAIR_BUDGET = 2**14
 
 

@@ -12,10 +12,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fractions import Fraction
 
-from oracles import leaf, oracle_gini, oracle_grow, split, tree_as_tuple, tree_from_tuple
+from oracles import leaf, oracle_gini, oracle_grow, split, tree_as_tuple, tree_from_tuple, trees_from_tuples
 from smerisk import cart
 from smerisk.cart import (
     TreeParams,
@@ -180,13 +182,25 @@ def test_midpoint_never_lands_on_right_value(a, b):
 
 
 @pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)])
-def test_signed_zeros_tie_and_the_last_in_row_order_sets_the_sign(zeros):
-    # -0.0 and 0.0 are one value; the midpoint up to +inf rounds onto inf,
-    # so the threshold falls back to the last zero in the rows' order
-    X = np.array([[zeros[0]], [zeros[1]], [np.inf]])
-    feature, threshold, _ = best_split(X, np.array([0, 0, 1]), np.array([0]))
-    assert (feature, threshold) == (0, 0.0)
-    assert math.copysign(1.0, threshold) == math.copysign(1.0, zeros[1])
+def test_signed_zeros_are_one_value(zeros):
+    # -0.0 and 0.0 share a rank, so no threshold separates them: the one
+    # candidate is the midpoint up to 1.0, whichever zero comes first
+    X = np.array([[zeros[0]], [zeros[1]], [1.0]])
+    assert best_split(X, np.array([0, 1, 1]), np.array([0]))[:2] == (0, 0.5)
+    assert grow_shape(X, [0, 1, 1]) == split(0, 0.5, leaf(1, 1), leaf(0, 1))
+
+
+@pytest.mark.parametrize(
+    "X, y",
+    [
+        ([[-np.inf], [np.inf]], [0, 1]),  # the midpoint is NaN
+        ([[np.nan], [1.0], [2.0]], [0, 1, 1]),  # NaN sorts last, so a threshold falls next to it
+        ([[-np.inf], [1.0]], [0, 1]),  # the midpoint is -inf
+    ],
+)
+def test_best_split_rejects_non_finite_features(X, y):
+    with pytest.raises(ParameterError, match=r"^feature values may not be NaN or infinite$"):
+        best_split(np.array(X), np.array(y), [0])
 
 
 # growth and stopping rules
@@ -273,6 +287,25 @@ def test_grow_rejects_job_rows_outside_the_matrix(rows):
     jobs = [(np.arange(6), substream(0, 0)), (np.array(rows), substream(0, 1))]
     with pytest.raises(ParameterError, match=r"^job 1: rows must be integers in \[0, 6\)$"):
         grow_trees(X, y, jobs, TreeParams())
+
+
+def test_grow_rejects_a_job_past_the_int64_bound(monkeypatch):
+    # a split's T reaches n^3 / 4 in a node of n rows; the bound is the
+    # largest n that keeps it below 2**63
+    n = cart._MAX_ROWS
+    assert n * (n * n // 4) < 2**63 <= (n + 1) * ((n + 1) ** 2 // 4)
+    X, y = np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 1, 1, 0])
+    # zero-stride views allocate nothing; row -1 shows the count is checked
+    # before any row is read
+    for fill in (0, -1):
+        jobs = [(np.arange(6), substream(0, 0)), (np.broadcast_to(np.intp(fill), (n + 1,)), substream(0, 1))]
+        with pytest.raises(ParameterError, match=rf"^job 1: {n + 1} rows exceed the {n} a tree may hold$"):
+            grow_trees(X, y, jobs, TreeParams())
+    # at the bound itself a job grows
+    monkeypatch.setattr(cart, "_MAX_ROWS", 6)
+    assert len(grow_trees(X, y, [(np.arange(6), substream(0, 0))], TreeParams())) == 1
+    with pytest.raises(ParameterError, match="^job 0: 7 rows exceed the 6 a tree may hold$"):
+        grow_trees(X, y, [(np.arange(7) % 6, substream(0, 0))], TreeParams())
 
 
 def test_a_table_needs_at_least_one_tree():
@@ -493,6 +526,63 @@ def test_lockstep_trees_match_bruteforce_oracle():
             assert tree_as_tuple(trees, t) == expected, f"trial {trial}, tree {t}"
 
 
+# values at the edges of the float64 range: the largest, subnormals and
+# signed zeros, beside which hypothesis draws any finite float
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, 1.7e308, -1.7e308, 1.7976931348623157e308]
+
+
+@st.composite
+def _growth_cases(draw):
+    """(X, y, features_per_split, jobs' rows) with X's values drawn from a
+    few finite floats and their float neighbours, so values tie and sit
+    side by side; a job is every row, or draws with repeats as a
+    bootstrap makes."""
+    values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_VALUES)
+    base = draw(st.lists(values, min_size=1, max_size=4))
+    pool = [w for v in base for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)) if math.isfinite(w)]
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(st.sampled_from(pool), min_size=n * d, max_size=n * d))).reshape(n, d).tolist()
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    rows = st.just(list(range(n))) | st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)
+    return X, y, draw(st.integers(1, d)), draw(st.lists(rows, min_size=1, max_size=3))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_growth_cases())
+@example(([[1e308], [1.7e308], [1e308], [1.7e308]], [0, 1, 0, 1], 1, [[0, 1, 2, 3]]))  # lo + hi overflows
+def test_growth_routes_every_row_to_the_leaf_that_tallies_it(case):
+    # Routing each job row through its tree by x <= threshold reaches each
+    # node with exactly the labels growth counted there: at a leaf, its
+    # count_0 and count_1; at a split's left child, the split's rows with
+    # x <= threshold. Every threshold is finite, and with every feature a
+    # candidate the tree is the oracle's.
+    X, y, k, jobs = case
+    job_rows = [(np.array(rows), substream(0, t)) for t, rows in enumerate(jobs)]
+    trees = grow_trees(np.array(X), np.array(y), job_rows, TreeParams(features_per_split=k))
+    assert np.isfinite(trees.threshold).all()
+    feature, threshold, right, count_0, count_1 = (
+        a.tolist() for a in (trees.feature, trees.threshold, trees.right, trees.count_0, trees.count_1)
+    )
+    for t, rows in enumerate(jobs):
+        start, stop = trees.span(t)
+        routed = {i: [0, 0] for i in range(start, stop)}
+        for r in rows:
+            i = start
+            routed[i][y[r]] += 1
+            while feature[i] >= 0:
+                i = i + 1 if X[r][feature[i]] <= threshold[i] else right[i]
+                routed[i][y[r]] += 1
+        grown = {}
+        for i in reversed(range(start, stop)):
+            if feature[i] < 0:
+                grown[i] = [count_0[i], count_1[i]]
+            else:
+                grown[i] = [a + b for a, b in zip(grown[i + 1], grown[right[i]])]
+        assert routed == grown
+        if k == len(X[0]):
+            assert tree_as_tuple(trees, t) == oracle_grow([tuple(X[r]) for r in rows], [y[r] for r in rows])
+
+
 def test_grow_rejects_nan_features():
     with pytest.raises(ParameterError, match="NaN"):
         grow([[1.0], [np.nan], [3.0]], [0, 1, 1])
@@ -545,6 +635,37 @@ def test_predict_rejects_a_split_feature_outside_the_matrix():
     for X in (np.zeros((2, 1)), np.zeros((0, 1))):
         with pytest.raises(ParameterError, match="feature 1 but X has 1 columns"):
             predict(node, X)
+
+
+def test_the_walk_table_holds_the_trees_with_siblings_side_by_side():
+    # rebuilt from the walk table alone, each split's children at child[i]
+    # and child[i] + 1 and each leaf its own child, every tree comes back
+    # whole from its root, with each leaf's value in place of its counts
+    shapes = [
+        leaf(3, 1),
+        split(0, 1.5, split(1, -2.25, leaf(5, 1), leaf(1, 5)), leaf(0, 3)),
+        split(2, 0.0, leaf(2, 0), split(4, 7.0, split(5, 1e-9, leaf(1, 1), leaf(4, 0)), leaf(0, 9))),
+    ]
+    trees = trees_from_tuples(shapes)
+    assert trees.walk_table is trees.walk_table  # built once
+    *columns, depth = trees.walk_table
+    child, feature, threshold, value = (a.tolist() for a in columns)
+    assert depth == 3
+    done = [None] * len(child)
+    for i in reversed(range(len(child))):
+        if child[i] == i:
+            assert (feature[i], threshold[i]) == (0, math.inf)
+            done[i] = value[i]
+        else:
+            assert child[i] > i
+            done[i] = ("node", feature[i], threshold[i], done[child[i]], done[child[i] + 1])
+
+    def values(shape):
+        if shape[0] == "leaf":
+            return shape[2] / (shape[1] + shape[2])
+        return ("node", shape[1], shape[2], values(shape[3]), values(shape[4]))
+
+    assert [done[root] for root in trees.roots.tolist()] == [values(shape) for shape in shapes]
 
 
 def test_predict_nan_goes_right_at_every_split():

@@ -3,13 +3,15 @@ thread-order independence, prediction against the per-row oracle walk,
 scoring memory, importances, and serialization."""
 
 import json
+import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -639,6 +641,51 @@ def test_forest_text_matches_json_dumps_of_the_oracle_documents(shapes):
     assert model_to_json_text(model) == oracle_forest_text(model)
 
 
+def chain(depth):
+    """A tree ``depth`` levels deep: each split's left child is a leaf and
+    its right child the next split."""
+    shape = leaf(1, 0)
+    for d in range(depth):
+        shape = split(d % 6, float(d), leaf(d, 1), shape)
+    return shape
+
+
+# rows as indices into ``assert_walk_matches_oracle``'s pool of values;
+# the explicit picks give each of up to 60 values to every feature at once,
+# then mix them across the features
+_PICKS = st.lists(st.lists(st.integers(0, 2**16), min_size=6, max_size=6), max_size=24)
+_EVERY_VALUE = [[i] * 6 for i in range(60)] + [[i, i + 7, i + 1, i + 5, i + 2, i + 3] for i in range(60)]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(_shapes, min_size=1, max_size=4), _PICKS)
+@example([chain(cart._COMPACT_EVERY + 1), chain(2), leaf(2, 3)], _EVERY_VALUE)  # a depth between two drops
+@example([chain(3), chain(2 * cart._COMPACT_EVERY + 3)], _EVERY_VALUE)
+@example([leaf(1, 0), leaf(0, 3), leaf(2, 2)], _EVERY_VALUE)  # depth 0: no level is walked
+def test_walk_matches_oracle_on_random_tables(shapes, picks):
+    assert_walk_matches_oracle(shapes, picks)
+
+
+def test_walk_matches_oracle_on_a_1500_level_chain():
+    # the explicit example hypothesis cannot take: it prints each example's
+    # arguments, and a 1,500-level tuple nests past its recursion limit
+    assert_walk_matches_oracle([chain(1500)], [[i] * 6 for i in (0, 1, 2, 5, 6, 7, 100, 2000, 4499, 4504)])
+
+
+def assert_walk_matches_oracle(shapes, picks):
+    """The forest of ``shapes`` scores rows as the oracle does. Row values
+    are picked by index from every split's threshold and its float
+    neighbours, signed zeros, +-inf and NaN; a Dataset holds only
+    schema-valid values, so the book is a bare matrix."""
+    model = forest_of(shapes)
+    thresholds = model.trees.threshold[model.trees.feature >= 0].tolist()
+    pool = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    pool += [w for v in thresholds for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+    X = np.array([[pool[i % len(pool)] for i in row] for row in picks]).reshape(-1, 6)
+    book = SimpleNamespace(feature_matrix=lambda: X)
+    assert predict_forest_dataset(model, book).tolist() == oracle_soft_vote(model.trees, X)
+
+
 WRITER_CASES = {
     "bare leaf root": [leaf(3, 4)],
     "negative zero threshold": [split(0, -0.0, leaf(1, 0), leaf(0, 1))],
@@ -666,9 +713,7 @@ def test_saved_forest_matches_json_dumps_of_the_oracle_documents(case, tmp_path)
 
 def test_a_tree_at_the_depth_bound_saves_and_loads_back(tmp_path):
     # 512 levels, the deepest tree format 1 could save; format 2 has no bound
-    shape = leaf(1, 0)
-    for d in range(512):
-        shape = split(d % 6, float(d), leaf(d, 1), shape)
+    shape = chain(512)
     model = ForestModel(tree_from_tuple(shape), ForestParams(n_trees=1))
     back = assert_saved_and_loaded_array_equal(model, tmp_path / "deep.json")
     assert trees_as_tuples(back.trees) == [shape]
@@ -676,10 +721,7 @@ def test_a_tree_at_the_depth_bound_saves_and_loads_back(tmp_path):
 
 def test_a_5000_level_chain_saves_and_loads_back(tmp_path):
     # a file stores flat columns, so no tree is too deep to save or load
-    shape = leaf(1, 0)
-    for d in range(5000):
-        shape = split(d % 6, float(d), leaf(d, 1), shape)
-    model = ForestModel(tree_from_tuple(shape), ForestParams(n_trees=1))
+    model = ForestModel(tree_from_tuple(chain(5000)), ForestParams(n_trees=1))
     back = assert_saved_and_loaded_array_equal(model, tmp_path / "deep.json")
     assert back.trees.right[:-1:2].tolist() == list(range(2, 10001, 2))
 
