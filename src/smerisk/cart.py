@@ -48,39 +48,37 @@ makes the same subsets as ``choice`` and leaves the rng further along,
 which nothing notices: a tree's rng is not drawn from after its growth.
 Wider, ``choice`` switches algorithm, and the replay stays uniform.
 
-A forest is one node table, ``Trees``, in scikit-learn's ``Tree``
-layout: the read-only pre-order node arrays of every tree, tree after
-tree, with tree t's root at ``roots[t]``. Node i splits on ``feature[i]``
-at ``threshold[i]``, its left child is i + 1 and its right child
-``right[i]``, an index into the whole table. A leaf has feature -1 and
-holds the label tallies ``count_0[i]`` and ``count_1[i]`` of the training
-rows that reached it, and its class-1 fraction ``value[i]``, computed
-once when the table is built; a split holds zero counts. Growth fills
-the table in pre-order, recording a split's right index when it reaches
-that child, and rejects non-finite features up front, so it builds only
-valid tables. ``tree_importances`` folds over the table in reverse
-pre-order, where both children of a split are done before it.
+A forest is one node table, ``Trees``: the read-only node arrays of
+every tree in level order, tree after tree, each tree depth by depth and
+left to right within a depth. Node i splits on ``feature[i]`` at
+``threshold[i]``; a leaf has feature -1 and threshold +inf, and holds the
+label tallies ``count_0[i]`` and ``count_1[i]`` of the training rows that
+reached it, and its class-1 fraction ``value[i]``; a split holds zero
+counts. In level order the leaf flags alone fix the shape: the count of
+subtrees still owed, 1 + sum(2 * is_split - 1), stays positive until a
+tree's last node and reaches 0 there, and the j-th split of the tree
+rooted at r has its children at r + 2j + 1 and r + 2j + 2. The table
+derives its roots, each split's left child ``child[i]`` (a leaf is its
+own child) and the forest's depth from those flags when it is built, so
+no builder hands it a pointer to get wrong. Growth lists each tree's
+nodes in pre-order, the order its rng draws subsets, and sorts them by
+depth once the tree is done; it rejects non-finite features up front, so
+it builds only valid tables. ``tree_importances`` folds each tree's splits
+in reverse pre-order: children before parents, in one fixed summing order.
 
 A model file stores the table as four columns in table order
 (``trees_to_json``): ``feature`` of every node, ``threshold`` of every
-split and ``count_0`` and ``count_1`` of every leaf. In pre-order the
-leaf flags alone fix the shape: the count of subtrees still owed,
-1 + sum(2 * is_split - 1), stays positive until a tree's last node and
-reaches 0 there. ``trees_from_json`` reads the tree spans and every
-split's right child off that running count with array operations, so a
-file holds no pointer to get wrong and a tree of any depth reads back;
-it then checks every value of every tree at once.
+split and ``count_0`` and ``count_1`` of every leaf. A file holds no
+pointer, and a tree of any depth reads back; ``trees_from_json`` checks
+every value of every tree at once.
 
-Prediction is one level-synchronous walk over ``Trees.walk_table``, a
-copy of the table built on the first walk, kept with the table and never
-written to a file: the nodes reordered by (tree, depth, pre-order
-index), so a split's two children sit side by side, and every leaf made
-its own child, with threshold +inf (the predicated walk of Asadi, Lin &
-de Vries 2014). A level is then the same three lookups for every
-(row, tree) pair, the left child plus one where the value exceeds the
-threshold, and a pair that reached its leaf stays there; ``leaf_values``
-drops such pairs only every few levels and stops at the forest's depth.
-No walk recurses.
+Prediction is one level-synchronous walk over the table itself (the
+predicated walk of Asadi, Lin & de Vries 2014): a split's two children
+sit side by side and a leaf is its own child with threshold +inf, so a
+level is the same three lookups for every (row, tree) pair, the left
+child plus one where the value exceeds the threshold, and a pair that
+reached its leaf stays there; ``leaf_values`` drops such pairs only every
+few levels and stops at the forest's depth. No walk recurses.
 """
 
 from __future__ import annotations
@@ -89,7 +87,6 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -102,30 +99,52 @@ from .serialize import from_json_value
 @dataclass(frozen=True, eq=False)
 class Trees:
     """A forest's trees as the one node table of the module docstring,
-    made read-only; ``len()`` is the tree count, at least 1, and every
-    threshold is finite. A leaf's ``value`` is count_1 / (count_0 +
-    count_1) rounded once, as Python divides ints (0 at a split).
-    Compared and hashed by identity."""
+    made read-only, from its four node columns; ``len()`` is the tree
+    count, at least 1, the last tree is whole, and a threshold is finite
+    at a split and +inf at a leaf. Derived when built: ``roots[t]``, tree
+    t's first node; ``child``; a leaf's ``value``, count_1 / (count_0 +
+    count_1) rounded once, as Python divides ints (0 at a split); and
+    ``depth``, the deepest leaf's, the levels a walk takes. Compared and
+    hashed by identity."""
 
     feature: np.ndarray  # intp, -1 at a leaf
-    threshold: np.ndarray  # float, 0.0 at a leaf
-    right: np.ndarray  # intp into the whole table, -1 at a leaf
+    threshold: np.ndarray  # float, +inf at a leaf
     count_0: np.ndarray  # int64, 0 at a split
     count_1: np.ndarray  # int64, 0 at a split
-    roots: np.ndarray  # intp, tree t's first node
+    roots: np.ndarray = field(init=False, repr=False)
+    child: np.ndarray = field(init=False, repr=False)  # a split's left child; its right is child + 1
     value: np.ndarray = field(init=False, repr=False)
+    depth: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.roots) == 0:
+        n, split = len(self.feature), self.feature >= 0
+        # leaves minus splits so far: tree t still owes t + 1 - closed
+        # subtrees, and ends where closed first reaches t + 1
+        closed = np.cumsum(np.where(split, -1, 1))
+        ends = np.flatnonzero(closed > np.maximum.accumulate(np.concatenate(([0], closed))[:-1]))
+        roots = np.concatenate(([0], ends + 1))
+        roots = roots[roots < n].astype(np.intp)
+        if len(roots) == 0:
             raise ParameterError("a forest table needs at least one tree")
-        if not np.isfinite(self.threshold).all():
-            raise ParameterError("a forest table's thresholds must be finite")
-        n = self.count_0 + self.count_1  # 0 at splits
-        value = self.count_1 / np.maximum(n, 1)
-        for i in np.flatnonzero(n > 2**53).tolist():  # a float64 above 2**53 may have rounded
-            value[i] = int(self.count_1[i]) / int(n[i])
-        object.__setattr__(self, "value", value)
-        for array in (self.feature, self.threshold, self.right, self.count_0, self.count_1, self.roots, value):
+        if len(roots) > len(ends):
+            t = len(ends)
+            raise ParameterError(f"trees[{t}] is truncated: it lacks {t + 1 - closed[-1]} subtree(s)")
+        if not np.where(split, np.isfinite(self.threshold), self.threshold == np.inf).all():
+            raise ParameterError("a forest table's thresholds must be finite at splits and +inf at leaves")
+        before = np.cumsum(split) - split  # splits ahead of each node: j + before[r]
+        base = np.repeat(roots + 1 - 2 * before.take(roots), np.diff(roots, append=n))
+        child = np.where(split, base + 2 * before, np.arange(n)).astype(np.intp)
+        depth, level = -1, roots
+        while len(level):
+            depth, left = depth + 1, child.take(level[split.take(level)])
+            level = np.concatenate((left, left + 1))
+        total = self.count_0 + self.count_1  # 0 at splits
+        value = self.count_1 / np.maximum(total, 1)
+        for i in np.flatnonzero(total > 2**53).tolist():  # a float64 above 2**53 may have rounded
+            value[i] = int(self.count_1[i]) / int(total[i])
+        for name, array in (("roots", roots), ("child", child), ("value", value), ("depth", depth)):
+            object.__setattr__(self, name, array)
+        for array in (self.feature, self.threshold, self.count_0, self.count_1, roots, child, value):
             array.flags.writeable = False
 
     def __len__(self) -> int:
@@ -135,39 +154,6 @@ class Trees:
         """The table rows [start, stop) of tree ``t``."""
         stop = self.roots[t + 1] if t + 1 < len(self.roots) else len(self.feature)
         return int(self.roots[t]), int(stop)
-
-    @cached_property
-    def walk_table(self) -> tuple:
-        """The walk table of the module docstring, as (child, feature,
-        threshold, value, depth). Each tree keeps its span and root; a
-        split's children are ``child[i]`` and ``child[i] + 1``, as in
-        pre-order only deeper nodes lie between them; ``depth`` is the
-        deepest leaf's, the levels a walk takes."""
-        n = len(self.feature)
-        depth = np.empty(n, dtype=np.intp)
-        level, d = self.roots, -1
-        while len(level):
-            d += 1
-            depth[level] = d
-            inner = level[self.feature.take(level) >= 0]
-            level = np.concatenate((inner + 1, self.right.take(inner)))
-        tree = np.repeat(np.arange(len(self.roots)), np.diff(self.roots, append=n))
-        order = np.lexsort((depth, tree))  # stable, so pre-order breaks ties
-        position = np.empty(n, dtype=np.intp)
-        position[order] = np.arange(n)
-        leaf = self.feature < 0
-        split = np.flatnonzero(~leaf)
-        child = position.copy()
-        child[split] = position.take(split + 1)
-        table = (
-            child.take(order),
-            np.where(leaf, 0, self.feature).take(order),
-            np.where(leaf, np.inf, self.threshold).take(order),
-            self.value.take(order),
-        )
-        for array in table:
-            array.flags.writeable = False
-        return table + (d,)
 
 
 @dataclass(frozen=True)
@@ -328,12 +314,10 @@ def best_split(
 
 class _Growth:
     """One tree being grown: its pre-order nodes as [feature, threshold,
-    skip, count_0, count_1] rows, where a split's right child is ``skip``
-    rows after it (-1 at a leaf), turned into one array per column once
-    the tree is done, a LIFO stack of (row ids, depth,
-    class-1 count, parent) still to grow, where parent is the split whose
-    right child the entry is (-1 for a left child or the root), ``node``,
-    the splittable node it waits to have scored, with its sorted candidate
+    depth, count_0, count_1] rows, turned into the table's four columns in
+    level order (stably sorted by depth) once the tree is done, a LIFO
+    stack of (row ids, depth, class-1 count) still to grow, ``node``, the
+    splittable node it waits to have scored, with its sorted candidate
     features, and ``words``, the unused 32-bit words of its rng's last
     block, next word last."""
 
@@ -341,7 +325,7 @@ class _Growth:
 
     def __init__(self, rows: np.ndarray, y: np.ndarray, rng: np.random.Generator):
         self.nodes: list = []
-        self.stack = [(rows, 0, int(y[rows].sum()), -1)]
+        self.stack = [(rows, 0, int(y[rows].sum()))]
         self.rng = rng
         self.n_rows = len(rows)
         self.node = None
@@ -378,22 +362,21 @@ class _Growth:
     def advance(self, params: TreeParams, d: int, k: int) -> bool:
         """Move to the next splittable node in pre-order, listing the leaves
         on the way and drawing the node's feature subset; False once the
-        tree is done and its node columns are built. A node's index is the
-        node count when it is popped, as nothing is listed before it."""
+        tree is done and its node columns are built."""
         while self.stack:
-            rows, depth, c1, parent = self.stack.pop()
-            if parent >= 0:
-                self.nodes[parent][2] = len(self.nodes) - parent
+            rows, depth, c1 = self.stack.pop()
             c0 = len(rows) - c1
             at_depth_limit = params.max_depth is not None and depth >= params.max_depth
             if c0 == 0 or c1 == 0 or len(rows) < params.min_samples_split or at_depth_limit:
-                self.nodes.append([-1, 0.0, -1, c0, c1])
+                self.nodes.append([-1, math.inf, depth, c0, c1])
                 continue
             self.node = (rows, depth, c1, self._subset(d, k))
             return True
         # done: a finished tree holds no rows, words or per-node objects
-        columns = zip(*self.nodes)
-        self.nodes = [np.array(c, dtype=t) for c, t in zip(columns, (np.intp, float, np.intp, np.int64, np.int64))]
+        feature, threshold, depth, count_0, count_1 = zip(*self.nodes)
+        order = np.argsort(depth, kind="stable")
+        columns = zip((feature, threshold, count_0, count_1), (np.intp, float, np.int64, np.int64))
+        self.nodes = [np.array(c, dtype=t).take(order) for c, t in columns]
         self.node = self.words = None
         return False
 
@@ -403,12 +386,12 @@ class _Growth:
         (pre-order)."""
         rows, depth, c1, _ = self.node
         if found is None:
-            self.nodes.append([-1, 0.0, -1, len(rows) - c1, c1])
+            self.nodes.append([-1, math.inf, depth, len(rows) - c1, c1])
             return
         feature, threshold, _, c1_left, left, right = found
-        self.stack.append((right, depth + 1, c1 - c1_left, len(self.nodes)))
-        self.stack.append((left, depth + 1, c1_left, -1))
-        self.nodes.append([feature, threshold, -1, 0, 0])
+        self.stack.append((right, depth + 1, c1 - c1_left))
+        self.stack.append((left, depth + 1, c1_left))
+        self.nodes.append([feature, threshold, depth, 0, 0])
 
 
 def grow_trees(
@@ -482,9 +465,7 @@ def grow_trees(
                 held -= tree.n_rows
     if not trees:
         raise ParameterError("grow_trees needs at least one job")
-    feature, threshold, skip, count_0, count_1 = (np.concatenate(c) for c in zip(*(tree.nodes for tree in trees)))
-    roots = np.cumsum([0] + [len(tree.nodes[0]) for tree in trees[:-1]], dtype=np.intp)
-    return Trees(feature, threshold, np.where(feature < 0, -1, skip + np.arange(len(skip))), count_0, count_1, roots)
+    return Trees(*(np.concatenate(c) for c in zip(*(tree.nodes for tree in trees))))
 
 
 def grow_tree_arrays(
@@ -502,9 +483,9 @@ def leaf_values(trees: Trees, X: np.ndarray) -> np.ndarray:
     """The C-contiguous (rows, trees) matrix of the class-1 fraction of the
     leaf each row of ``X`` reaches in each tree.
 
-    Every (row, tree) pair walks the walk table at once, pair r * n_trees
-    + t in row-major order, one depth level per step: the pair's node
-    becomes its left child, plus one if its value exceeds the threshold.
+    Every (row, tree) pair walks the table at once, pair r * n_trees + t
+    in row-major order, one depth level per step: the pair's node becomes
+    its child, plus one if its value exceeds the threshold.
     NaN is read as +inf, so it goes right at a split, as NaN <= t being
     false sends it, and stays at a leaf. A pair at a leaf loops there, so
     finished pairs are dropped only every ``_COMPACT_EVERY`` levels, and
@@ -517,19 +498,21 @@ def leaf_values(trees: Trees, X: np.ndarray) -> np.ndarray:
     n_trees = len(trees)
     if trees.feature.max() >= n_cols:
         raise ParameterError(f"a tree splits on feature {trees.feature.max()} but X has {n_cols} columns")
-    child, feature, threshold, value, depth = trees.walk_table
+    child, feature, threshold, value = trees.child, trees.feature, trees.threshold, trees.value
     x = np.where(np.isnan(X), np.inf, X).ravel()
     out = np.empty(n_rows * n_trees)
     pair = np.arange(n_rows * n_trees)
     offset = np.repeat(np.arange(n_rows) * n_cols, n_trees)  # row start in x
     node = np.tile(trees.roots, n_rows)
-    for level in range(1, depth + 1):
+    for level in range(1, trees.depth + 1):
+        # at a leaf, feature -1 reads x at offset - 1, an index numpy's take
+        # wraps into range, and the +inf threshold never sends the pair on
         at = feature.take(node)
         at += offset
         goes_right = x.take(at) > threshold.take(node)
         node = child.take(node)
         node += goes_right
-        if level % _COMPACT_EVERY == 0 and level < depth:
+        if level % _COMPACT_EVERY == 0 and level < trees.depth:
             keep = np.flatnonzero(child.take(node) != node)
             if len(keep) < len(node):
                 out[pair] = value.take(node)  # pairs kept are written again later
@@ -540,8 +523,9 @@ def leaf_values(trees: Trees, X: np.ndarray) -> np.ndarray:
 
 def tree_importances(trees: Trees) -> np.ndarray:
     """Each tree's total weighted impurity decrease per feature, as an
-    (n_trees, 6) array, from leaf counts alone: one fold over the table in
-    reverse pre-order, so retraining and reloading give equal floats.
+    (n_trees, 6) array, from leaf counts alone: one fold over each tree's
+    splits in reverse pre-order, listed by a depth-first walk over
+    ``child``, so retraining and reloading give equal floats.
     Counts stay Python ints, so the gini expressions 1 - (c0^2 + c1^2)/n^2
     round as the grower's exact arithmetic would. Only one tree's nodes
     are Python lists at a time."""
@@ -549,12 +533,17 @@ def tree_importances(trees: Trees) -> np.ndarray:
     for t, row in enumerate(acc):
         start, stop = trees.span(t)
         feature, count_0, count_1 = (a[start:stop].tolist() for a in (trees.feature, trees.count_0, trees.count_1))
-        right = (trees.right[start:stop] - start).tolist()
+        child = (trees.child[start:stop] - start).tolist()
         root_total = sum(count_0) + sum(count_1)
-        for i in reversed(range(stop - start)):
-            if feature[i] < 0:
-                continue
-            l0, l1, r0, r1 = count_0[i + 1], count_1[i + 1], count_0[right[i]], count_1[right[i]]
+        splits, stack = [], [0]
+        while stack:
+            i = stack.pop()
+            if feature[i] >= 0:
+                splits.append(i)
+                stack += (child[i] + 1, child[i])
+        for i in reversed(splits):
+            left, right = child[i], child[i] + 1
+            l0, l1, r0, r1 = count_0[left], count_1[left], count_0[right], count_1[right]
             c0, c1 = count_0[i], count_1[i] = l0 + r0, l1 + r1  # a split's counts become its subtree's
             n_node, n_left, n_right = c0 + c1, l0 + l1, r0 + r1
             gini_left = 1.0 - (l0 * l0 + l1 * l1) / (n_left * n_left)
@@ -601,58 +590,45 @@ def _column(values: list, nodes: Sequence[int], where, name: str, tp: type, low,
     return np.array(values, dtype=np.int64 if tp is int else float)
 
 
-def trees_from_json(doc: dict, path: str = "trees") -> Trees:
-    """Read the columns of ``trees_to_json`` at ``path`` in their model file
-    into one table. The shape comes first, from the feature column alone:
-    a node is a split unless its feature is -1, a tree ends where the
-    running leaf-minus-split count first reaches a new maximum, and a last
-    tree that never ends is truncated. Then every value of every tree is
-    checked: features are indices in [0, 6) or -1, thresholds finite, and
-    leaf counts integers in [0, 2**53] (larger counts lose precision as
-    floats), at least one row per leaf, and each column holds one value
-    per node it describes. An error names ``path[t]`` and the node's index
-    in tree t."""
+def trees_from_json(doc: dict) -> Trees:
+    """Read the columns of ``trees_to_json`` into one table. Every value of
+    every tree is checked: features are indices in [0, 6) or -1,
+    thresholds finite, and leaf counts integers in [0, 2**53] (larger
+    counts lose precision as floats), at least one row per leaf, and each
+    column holds one value per node it describes; ``Trees`` then checks
+    the shape. An error names ``trees[t]`` and the node's index in tree
+    t."""
     if not isinstance(doc, dict) or doc.keys() != set(_COLUMNS):
-        raise ModelFormatError(f"{path} must be an object of exactly the arrays {', '.join(_COLUMNS)}")
+        raise ModelFormatError(f"trees must be an object of exactly the arrays {', '.join(_COLUMNS)}")
     for name in _COLUMNS:
         if not isinstance(doc[name], list):
-            raise ModelFormatError(f"{path}.{name} must be a JSON array")
+            raise ModelFormatError(f"trees.{name} must be a JSON array")
     features = doc["feature"]
     n = len(features)
     split = np.array([f != -1 for f in features], dtype=bool)
-    # leaves minus splits so far: tree t still owes t + 1 - closed subtrees
-    closed = np.cumsum(np.where(split, -1, 1))
-    ends = np.flatnonzero(closed > np.maximum.accumulate(np.concatenate(([0], closed))[:-1]))
-    starts = np.concatenate(([0], ends + 1))
-    roots = starts[starts < n].astype(np.intp)
 
     def where(i: int) -> str:
-        t = int(np.searchsorted(roots, i, side="right")) - 1
-        return f"{path}[{t}]: node {i - roots[t]}"
+        # tree t ends where the leaves-minus-splits count first reaches t + 1
+        closed = np.cumsum(np.where(split[:i], -1, 1))
+        t = int(closed.max(initial=0))
+        root = int(np.argmax(closed == t)) + 1 if t else 0
+        return f"trees[{t}]: node {i - root}"
 
     splits, leaves = np.flatnonzero(split), np.flatnonzero(~split)
     try:
         feature = _column(features, range(n), where, "feature", int, -1, len(FEATURE_COLUMNS) - 1).astype(np.intp)
-        if len(roots) > len(ends):
-            t = len(ends)
-            raise ModelFormatError(f"{path}[{t}] is truncated: it lacks {t + 1 - closed[-1]} subtree(s)")
-        threshold, count_0, count_1 = np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        threshold, count_0, count_1 = np.full(n, np.inf), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         for column, name, nodes, kind, tp, low, high in (
             (threshold, "threshold", splits, "splits", float, -_FLOAT_MAX, _FLOAT_MAX),
             (count_0, "count_0", leaves, "leaves", int, 0, 2**53),
             (count_1, "count_1", leaves, "leaves", int, 0, 2**53),
         ):
             if len(doc[name]) != len(nodes):
-                raise ModelFormatError(f"{path}.{name} holds {len(doc[name])} values for {len(nodes)} {kind}")
+                raise ModelFormatError(f"trees.{name} holds {len(doc[name])} values for {len(nodes)} {kind}")
             column[nodes] = _column(doc[name], nodes, where, name, tp, low, high)
         empty = np.flatnonzero(count_0[leaves] + count_1[leaves] < 1)
         if len(empty):
             raise ModelFormatError(f"{where(leaves[empty[0]])} is a leaf with no rows")
-        # split i's left subtree ends at the first node after it where the
-        # count gains one on its value at i; its right child comes next
-        key = np.sort(closed * (n + 1) + np.arange(n))
-        right = np.full(n, -1, dtype=np.intp)
-        right[splits] = key[np.searchsorted(key, (closed[splits] + 1) * (n + 1) + splits)] % (n + 1) + 1
-        return Trees(feature, threshold, right, count_0, count_1, roots)
+        return Trees(feature, threshold, count_0, count_1)
     except ParameterError as exc:
         raise ModelFormatError(str(exc)) from None

@@ -202,7 +202,7 @@ def render_report(report: ComparisonReport, format: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 # model_type -> (model class, file writer, body reader); the writer
 # renders the envelope it is given and the model's body as one text
@@ -225,8 +225,9 @@ def model_to_json_text(model: Union[LogisticModel, ForestModel]) -> str:
 
 
 def model_from_json_document(doc: dict) -> Union[LogisticModel, ForestModel]:
-    """Read a model document by its model_type; raises ModelFormatError.
-    An unknown key in the body (every key but these two) is an error."""
+    """Read a model document by its model_type; raises ModelFormatError,
+    whose message names the model type for any error in the body. An
+    unknown key in the body (every key but these two) is an error."""
     version, model_type = doc.get("format_version"), doc.get("model_type")
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
@@ -237,7 +238,7 @@ def model_from_json_document(doc: dict) -> Union[LogisticModel, ForestModel]:
     body = {key: value for key, value in doc.items() if key not in ("format_version", "model_type")}
     try:
         return _MODEL_CODECS[model_type][2](body)
-    except ParameterError as exc:
+    except (ParameterError, ModelFormatError) as exc:
         raise ModelFormatError(f"malformed {model_type} document: {exc}") from None
 
 

@@ -13,9 +13,11 @@ raw features can represent it, and it carries most of the gap between
 the best linear model and the generator's own probabilities.
 
 The intercept b0 is calibrated once, when the config is built, by a
-safeguarded Newton iteration on a large fixed-seed probe sample, so the
-marginal default rate stays at base_default_rate no matter how strong the
-signal is.
+safeguarded Newton iteration on a large fixed-seed probe sample, inside a
+bracket the probe's own scores prove to hold the root, so the probe's
+default rate is base_default_rate however strong the signal is. A signal
+so strong that its scaled scores reach half the float range, where
+b0 + signal_strength * g could overflow, is rejected.
 
 Randomness: every column draws from its own substream derived from the
 master seed (streams 0-4 for the continuous features in canonical order,
@@ -41,7 +43,6 @@ MAX_SAMPLES = 10**6
 
 _PROBE_SEED = 0x5CA1AB1E
 _PROBE_SIZE = 100_000
-_B0_BRACKET = 40.0
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if type(self.n_samples) is not int or not 1 <= self.n_samples <= MAX_SAMPLES:
             raise ParameterError(f"n_samples must be an integer in [1, {MAX_SAMPLES}], got {self.n_samples!r}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:  # mix64 reads 64 bits
+            raise ParameterError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}")
         if not 0.0 < self.base_default_rate < 1.0:
             raise ParameterError(f"base_default_rate must lie in (0, 1), got {self.base_default_rate!r}")
         if not (math.isfinite(self.signal_strength) and self.signal_strength >= 0):
@@ -141,20 +142,26 @@ def _calibrate_intercept(config: GeneratorConfig) -> float:
     """b0 with mean(sigmoid(b0 + s*g)) = base_default_rate on the probe.
 
     Newton on f(b0) = mean(sigmoid(b0 + s*g)) - r, with f' = mean(p(1 - p))
-    taken from the same sigmoid evaluation, started at the zero-signal
-    intercept. Every evaluation of f narrows the bracket [-40, 40] around
-    the root, and a step that would leave it lands on its midpoint instead.
-    It stops on an exact zero of f or a step of at most 1e-12, the
-    resolution of a bisection on the same bracket. With signal_strength = 0
-    the rate is sigmoid(b0) itself, so the exact analytic intercept is used
-    and no probe is drawn.
+    taken from the same sigmoid evaluation. The root lies in
+    [logit(r) - max(s*g), logit(r) - min(s*g)], as at either end every
+    probe row's probability lies on one side of r. Newton starts at the
+    zero-signal intercept logit(r), moved into that bracket, and every
+    evaluation of f narrows the bracket around the root; a step that would
+    leave it lands on its midpoint instead. It stops on an exact zero of f
+    or a step of at most 1e-12. With signal_strength = 0 the rate is
+    sigmoid(b0) itself, so the exact analytic intercept is used and no
+    probe is drawn.
     """
     r = config.base_default_rate
+    logit = math.log(r / (1.0 - r))
     if config.signal_strength == 0:
-        return math.log(r / (1.0 - r))
-    g = config.signal_strength * _risk_score(config.coefficients, _draw_features(config, _PROBE_SIZE, _PROBE_SEED))
-    lo, hi = -_B0_BRACKET, _B0_BRACKET
-    b0 = min(max(math.log(r / (1.0 - r)), lo), hi)
+        return logit
+    g = _risk_score(config.coefficients, _draw_features(config, _PROBE_SIZE, _PROBE_SEED))
+    if math.isinf(2.0 * config.signal_strength * max(float(g.max()), -float(g.min()))):
+        raise ParameterError(f"signal_strength {config.signal_strength!r} is so large the risk score overflows")
+    g *= config.signal_strength  # in place: the probe holds one score array
+    lo, hi = logit - float(g.max()), logit - float(g.min())
+    b0 = min(max(logit, lo), hi)
     while True:
         p = sigmoid(b0 + g)
         residual = float(np.mean(p)) - r
@@ -167,7 +174,7 @@ def _calibrate_intercept(config: GeneratorConfig) -> float:
         slope = float(np.mean(p * (1.0 - p)))
         new_b0 = b0 - residual / slope if slope > 0.0 else math.nan
         if not lo < new_b0 < hi:  # NaN too: the slope underflowed to 0
-            new_b0 = 0.5 * (lo + hi)
+            new_b0 = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
         if abs(new_b0 - b0) <= 1e-12:
             return new_b0
         b0 = new_b0

@@ -15,6 +15,7 @@ differences for the gradient live in the logit tests themselves.
 """
 
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -86,27 +87,22 @@ def oracle_grow(rows, labels, depth=0, max_depth=None, min_samples_split=2):
     )
 
 
-def _tree_columns(trees, t):
-    """Tree ``t``'s node arrays as lists, with ``right`` counted from its
-    root."""
-    start, stop = trees.span(t)
-    feature, threshold, right, count_0, count_1 = (
-        a[start:stop].tolist() for a in (trees.feature, trees.threshold, trees.right, trees.count_0, trees.count_1)
-    )
-    return feature, threshold, [r - start for r in right], count_0, count_1
-
-
 def tree_as_tuple(trees, t=0):
     """Tree ``t`` of a package table -> the oracle's tuple shape, for
-    structural equality. Built from the leaves up: node i's left child is
-    i + 1, its right child ``right[i]``, and a leaf has feature -1."""
-    feature, threshold, right, count_0, count_1 = _tree_columns(trees, t)
+    structural equality. Built from the leaves up, as every child lies
+    after its parent: split i's children are ``child[i]`` and
+    ``child[i] + 1``, and a leaf has feature -1."""
+    start, stop = trees.span(t)
+    feature, threshold, count_0, count_1 = (
+        a[start:stop].tolist() for a in (trees.feature, trees.threshold, trees.count_0, trees.count_1)
+    )
+    child = (trees.child[start:stop] - start).tolist()
     done = [None] * len(feature)
     for i in reversed(range(len(feature))):
         if feature[i] < 0:
             done[i] = ("leaf", count_0[i], count_1[i])
         else:
-            done[i] = ("node", feature[i], threshold[i], done[i + 1], done[right[i]])
+            done[i] = ("node", feature[i], threshold[i], done[child[i]], done[child[i] + 1])
     return done[0]
 
 
@@ -116,12 +112,12 @@ def trees_as_tuples(trees):
 
 def tuples_to_columns(shapes):
     """The oracle's tuple shapes -> the model file's four node columns,
-    listing each tree's nodes in pre-order with an explicit stack."""
+    listing each tree's nodes in level order with a queue."""
     columns = {"feature": [], "threshold": [], "count_0": [], "count_1": []}
     for shape in shapes:
-        stack = [shape]
-        while stack:
-            node = stack.pop()
+        queue = deque([shape])
+        while queue:
+            node = queue.popleft()
             if node[0] == "leaf":
                 columns["feature"].append(-1)
                 columns["count_0"].append(node[1])
@@ -130,7 +126,7 @@ def tuples_to_columns(shapes):
                 _, feature, threshold, left, right = node
                 columns["feature"].append(feature)
                 columns["threshold"].append(threshold)
-                stack += [right, left]
+                queue += [left, right]
     return columns
 
 

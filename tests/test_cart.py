@@ -9,6 +9,7 @@ semantics, and serialization.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -213,14 +214,15 @@ def test_grow_pure_leaf():
 def test_grow_separable_tree_shape():
     tree = grow([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
     assert tree_as_tuple(tree) == split(0, 2.5, leaf(2, 0), leaf(0, 2))
-    # the node arrays themselves: left child i + 1, a leaf has feature -1
-    # and threshold 0, a split zero counts
+    # the node arrays themselves, in level order: a split's children at
+    # child[i] and child[i] + 1, a leaf has feature -1, threshold +inf and
+    # itself as child, a split zero counts
     assert tree.feature.tolist() == [0, -1, -1]
-    assert tree.threshold.tolist() == [2.5, 0.0, 0.0]
-    assert tree.right.tolist() == [2, -1, -1]
+    assert tree.threshold.tolist() == [2.5, math.inf, math.inf]
+    assert tree.child.tolist() == [1, 1, 2]
     assert (tree.count_0.tolist(), tree.count_1.tolist()) == ([0, 2, 0], [0, 0, 2])
-    assert (len(tree), tree.roots.tolist(), tree.value.tolist()) == (1, [0], [0.0, 0.0, 1.0])
-    for name in ("feature", "threshold", "right", "count_0", "count_1", "roots", "value"):
+    assert (len(tree), tree.roots.tolist(), tree.value.tolist(), tree.depth) == (1, [0], [0.0, 0.0, 1.0], 1)
+    for name in ("feature", "threshold", "child", "count_0", "count_1", "roots", "value"):
         with pytest.raises(ValueError):
             getattr(tree, name)[0] = 1  # read-only
 
@@ -238,7 +240,7 @@ def test_a_midpoint_past_the_float_range_stays_finite(tmp_path):
     X = np.array([[1e308], [1.7e308], [1e308], [1.7e308]])
     y = np.array([0, 1, 0, 1])
     tree = grow(X, y)
-    assert np.isfinite(tree.threshold).all()
+    assert np.isfinite(tree.threshold[tree.feature >= 0]).all()
     assert tree_as_tuple(tree) == split(0, 1e308 / 2 + 1.7e308 / 2, leaf(2, 0), leaf(0, 2))
     assert tree_as_tuple(tree) == oracle_grow([tuple(r) for r in X.tolist()], y.tolist())
     assert predict(tree, X).tolist() == [0.0, 1.0, 0.0, 1.0]
@@ -311,18 +313,60 @@ def test_grow_rejects_a_job_past_the_int64_bound(monkeypatch):
 def test_a_table_needs_at_least_one_tree():
     empty = np.zeros(0, dtype=np.intp)
     with pytest.raises(ParameterError, match="^a forest table needs at least one tree$"):
-        cart.Trees(empty, np.zeros(0), empty, empty, empty, empty)
+        cart.Trees(empty, np.zeros(0), empty, empty)
     with pytest.raises(ModelFormatError, match="^a forest table needs at least one tree$"):
         trees_from_json({"feature": [], "threshold": [], "count_0": [], "count_1": []})
-    with pytest.raises(ParameterError, match="^a forest table's thresholds must be finite$"):
-        cart.Trees(np.array([0, -1, -1]), np.array([np.inf, 0.0, 0.0]), np.array([2, -1, -1]),
-                   np.array([0, 1, 0]), np.array([0, 0, 1]), np.array([0]))
+    message = "^a forest table's thresholds must be finite at splits and \\+inf at leaves$"
+    for threshold in ([np.inf, np.inf, np.inf], [np.nan, np.inf, np.inf], [0.5, 0.0, np.inf], [0.5, np.inf, -np.inf]):
+        with pytest.raises(ParameterError, match=message):
+            cart.Trees(np.array([0, -1, -1]), np.array(threshold), np.array([0, 1, 0]), np.array([0, 0, 1]))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.booleans(), max_size=40))
+@example([True, True, False, True, False, False, False, False, False])  # a tree, then two bare leaves
+def test_any_leaf_flags_give_whole_trees_in_level_order_or_a_one_line_error(flags):
+    # flags: True at a split. The sequence is whole trees, one after the
+    # other, exactly when the subtrees owed return to 0 at its end
+    owed = 0
+    for is_split in flags:
+        owed = (owed or 1) + (1 if is_split else -1)
+    split = np.array(flags, dtype=bool)
+    n = len(split)
+    columns = (
+        np.where(split, np.arange(n) % 6, -1).astype(np.intp),
+        np.where(split, np.arange(n) * 0.25, np.inf),
+        np.where(split, 0, np.arange(n) % 3).astype(np.int64),
+        np.where(split, 0, 1).astype(np.int64),
+    )
+    if n == 0 or owed:
+        with pytest.raises(ParameterError) as info:
+            cart.Trees(*columns)
+        refusals = r"a forest table needs at least one tree|trees\[\d+\] is truncated: it lacks \d+ subtree\(s\)"
+        assert re.fullmatch(refusals, str(info.value))
+        return
+    trees = cart.Trees(*columns)
+    child = trees.child.tolist()
+    for t in range(len(trees)):
+        start, stop = trees.span(t)
+        # a split's children lie after it inside its tree, a leaf is its own
+        # child, and a walk by levels from the root meets the nodes in order
+        level, order = [start], []
+        while level:
+            order += level
+            assert all(child[i] > i and child[i] + 1 < stop for i in level if split[i])
+            assert all(child[i] == i for i in level if not split[i])
+            level = [c for i in level if split[i] for c in (child[i], child[i] + 1)]
+        assert order == list(range(start, stop))
+    back = trees_from_json(json.loads(json.dumps(trees_to_json(trees))))
+    assert table_bytes(back) == table_bytes(trees)
 
 
 def table_bytes(trees):
-    """Every array of a table, bit for bit (the sign of a zero included)."""
-    arrays = (trees.feature, trees.threshold, trees.right, trees.count_0, trees.count_1, trees.roots, trees.value)
-    return [(a.dtype, a.tobytes()) for a in arrays]
+    """Every array of a table, bit for bit (the sign of a zero included),
+    and its depth."""
+    arrays = (trees.feature, trees.threshold, trees.child, trees.count_0, trees.count_1, trees.roots, trees.value)
+    return [(a.dtype, a.tobytes()) for a in arrays] + [trees.depth]
 
 
 def test_growth_does_not_depend_on_the_order_of_a_jobs_rows():
@@ -559,9 +603,9 @@ def test_growth_routes_every_row_to_the_leaf_that_tallies_it(case):
     X, y, k, jobs = case
     job_rows = [(np.array(rows), substream(0, t)) for t, rows in enumerate(jobs)]
     trees = grow_trees(np.array(X), np.array(y), job_rows, TreeParams(features_per_split=k))
-    assert np.isfinite(trees.threshold).all()
-    feature, threshold, right, count_0, count_1 = (
-        a.tolist() for a in (trees.feature, trees.threshold, trees.right, trees.count_0, trees.count_1)
+    assert np.isfinite(trees.threshold[trees.feature >= 0]).all()
+    feature, threshold, child, count_0, count_1 = (
+        a.tolist() for a in (trees.feature, trees.threshold, trees.child, trees.count_0, trees.count_1)
     )
     for t, rows in enumerate(jobs):
         start, stop = trees.span(t)
@@ -570,14 +614,14 @@ def test_growth_routes_every_row_to_the_leaf_that_tallies_it(case):
             i = start
             routed[i][y[r]] += 1
             while feature[i] >= 0:
-                i = i + 1 if X[r][feature[i]] <= threshold[i] else right[i]
+                i = child[i] if X[r][feature[i]] <= threshold[i] else child[i] + 1
                 routed[i][y[r]] += 1
         grown = {}
         for i in reversed(range(start, stop)):
             if feature[i] < 0:
                 grown[i] = [count_0[i], count_1[i]]
             else:
-                grown[i] = [a + b for a, b in zip(grown[i + 1], grown[right[i]])]
+                grown[i] = [a + b for a, b in zip(grown[child[i]], grown[child[i] + 1])]
         assert routed == grown
         if k == len(X[0]):
             assert tree_as_tuple(trees, t) == oracle_grow([tuple(X[r]) for r in rows], [y[r] for r in rows])
@@ -637,24 +681,24 @@ def test_predict_rejects_a_split_feature_outside_the_matrix():
             predict(node, X)
 
 
-def test_the_walk_table_holds_the_trees_with_siblings_side_by_side():
-    # rebuilt from the walk table alone, each split's children at child[i]
-    # and child[i] + 1 and each leaf its own child, every tree comes back
-    # whole from its root, with each leaf's value in place of its counts
+def test_the_table_holds_siblings_side_by_side_and_leaves_as_their_own_children():
+    # rebuilt from the table alone, each split's children at child[i] and
+    # child[i] + 1, each leaf its own child with threshold +inf, every
+    # tree comes back whole from its root, level by level
     shapes = [
         leaf(3, 1),
         split(0, 1.5, split(1, -2.25, leaf(5, 1), leaf(1, 5)), leaf(0, 3)),
         split(2, 0.0, leaf(2, 0), split(4, 7.0, split(5, 1e-9, leaf(1, 1), leaf(4, 0)), leaf(0, 9))),
+        split(0, 1.0, split(1, 2.0, leaf(1, 0), leaf(0, 1)), split(2, 3.0, leaf(2, 0), leaf(0, 2))),
     ]
     trees = trees_from_tuples(shapes)
-    assert trees.walk_table is trees.walk_table  # built once
-    *columns, depth = trees.walk_table
-    child, feature, threshold, value = (a.tolist() for a in columns)
-    assert depth == 3
+    child, feature, threshold, value = (a.tolist() for a in (trees.child, trees.feature, trees.threshold, trees.value))
+    assert trees.roots.tolist() == [0, 1, 6, 13] and trees.depth == 3
+    assert feature == [-1, 0, 1, -1, -1, -1, 2, -1, 4, 5, -1, -1, -1, 0, 1, 2, -1, -1, -1, -1]
     done = [None] * len(child)
     for i in reversed(range(len(child))):
-        if child[i] == i:
-            assert (feature[i], threshold[i]) == (0, math.inf)
+        if feature[i] < 0:
+            assert (child[i], threshold[i]) == (i, math.inf)
             done[i] = value[i]
         else:
             assert child[i] > i
@@ -796,9 +840,10 @@ def two_tree_columns():
 
 def test_trees_read_into_one_table():
     trees = trees_from_json(two_tree_columns())
-    assert len(trees) == 2 and trees.roots.tolist() == [0, 1]
+    assert len(trees) == 2 and trees.roots.tolist() == [0, 1] and trees.depth == 2
     assert trees.feature.tolist() == [-1, 0, -1, 1, -1, -1]
-    assert trees.right.tolist() == [-1, 3, -1, 5, -1, -1]  # indices into the whole table
+    assert trees.threshold.tolist() == [math.inf, 0.5, math.inf, 0.0, math.inf, math.inf]
+    assert trees.child.tolist() == [0, 2, 2, 4, 4, 5]  # indices into the whole table
     assert trees.value.tolist() == [2 / 3, 0.0, 0.0, 0.0, 1 / 3, 1.0]
     assert [trees.span(t) for t in range(2)] == [(0, 1), (1, 6)]
     assert tree_as_tuple(trees, 1) == split(0, 0.5, leaf(1, 0), split(1, 0.0, leaf(2, 1), leaf(0, 3)))

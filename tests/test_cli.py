@@ -76,6 +76,20 @@ def test_generate_rejects_bad_params(tmp_path, capsys):
     assert stderr.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--seed", str(2**64)), "seed must be an integer in [0, 2**64 - 1], got 18446744073709551616"),
+        (("--signal", "1e308"), "signal_strength 1e+308 is so large the risk score overflows"),
+    ],
+)
+def test_generate_rejects_a_seed_or_signal_past_its_range(flags, message, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, stdout, stderr = run_cli(capsys, "generate", "--n", "50", *flags, "--out", str(out))
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", [MAX_SAMPLES + 1, 10**20])
 def test_generate_rejects_n_above_cap(n, tmp_path, capsys):
     out = tmp_path / "x.csv"
@@ -245,6 +259,10 @@ CONFIG_MUTATIONS = {
     # never allocated: the cap is checked before the generator draws anything
     "n_samples_over_cap": (lambda doc: _generator(doc).update(n_samples=MAX_SAMPLES + 1), "data_source.generator"),
     "huge_n_samples": (lambda doc: _generator(doc).update(n_samples=10**20), "data_source.generator"),
+    # seeds are mixed as 64-bit integers: 2**64 would draw what seed 0 draws
+    "generator_seed_past_64_bits": (lambda doc: _generator(doc).update(seed=2**64), "data_source.generator"),
+    "forest_seed_past_64_bits": (lambda doc: doc["forest_params"].update(seed=2**64 + 7), "forest_params"),
+    "signal_past_the_float_range": (lambda doc: _generator(doc).update(signal_strength=1e308), "data_source.generator"),
 }
 
 
@@ -541,7 +559,7 @@ def test_score_rejects_deeply_nested_model(small_csv, tmp_path, capsys):
 def test_score_tampered_model_version(small_csv, tmp_path, capsys):
     model_path = tmp_path / "logit.json"
     run_cli(capsys, "train", "--model", "logistic", "--data", str(small_csv), "--out", str(model_path))
-    text = model_path.read_text().replace('"format_version": 2', '"format_version": "999"')
+    text = model_path.read_text().replace('"format_version": 3', '"format_version": "999"')
     model_path.write_text(text)
     code, _, stderr = run_cli(
         capsys, "score", "--model", str(model_path), "--data", str(small_csv), "--out", str(tmp_path / "s.csv")
@@ -552,14 +570,44 @@ def test_score_tampered_model_version(small_csv, tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["forest", "logistic"])
 def test_a_version_1_model_file_exits_3(kind, model_documents, small_csv, tmp_path, capsys):
-    # no reader of format 1 is kept: retraining rebuilds the model exactly
+    # no reader of formats 1 and 2 is kept: retraining rebuilds the model
+    # exactly. A format 2 forest lists its nodes in pre-order, which would
+    # read as other trees in level order, so it must not be read at all
     model_path = tmp_path / "model.json"
-    model_path.write_text(json.dumps(dict(model_documents[kind], format_version=1)))
+    for version in (1, 2):
+        model_path.write_text(json.dumps(dict(model_documents[kind], format_version=version)))
+        code, _, stderr = run_cli(
+            capsys, "score", "--model", str(model_path), "--data", str(small_csv), "--out", str(tmp_path / "s.csv")
+        )
+        assert code == 3
+        assert stderr == f"error: unsupported format_version {version}; this build reads version 3\n"
+
+
+# name -> (in-place edit of a forest document, the error after the prefix)
+FOREST_BODY_ERRORS = {
+    # node 3 is the first leaf of tree 0 (checked in the test)
+    "negative_count": (_set("count_0", -1), "trees[0]: node 3 count_0 must be in [0, 9007199254740992], got -1\n"),
+    "truncated_tree": (
+        lambda doc: [doc["trees"][name].append(value) for name, value in (("feature", 0), ("threshold", 0.5))],
+        "trees[3] is truncated: it lacks 2 subtree(s)\n",
+    ),
+    "no_trees": (lambda doc: doc["params"].update(n_trees=0), "params: n_trees must be a positive integer, got 0\n"),
+}
+
+
+@pytest.mark.parametrize("error", sorted(FOREST_BODY_ERRORS))
+def test_every_forest_body_error_names_the_document(error, model_documents, small_csv, tmp_path, capsys):
+    mutate, message = FOREST_BODY_ERRORS[error]
+    doc = copy.deepcopy(model_documents["forest"])
+    assert doc["trees"]["feature"].index(-1) == 3
+    mutate(doc)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
     code, _, stderr = run_cli(
         capsys, "score", "--model", str(model_path), "--data", str(small_csv), "--out", str(tmp_path / "s.csv")
     )
     assert code == 3
-    assert stderr == "error: unsupported format_version 1; this build reads version 2\n"
+    assert stderr == "error: malformed random_forest document: " + message
 
 
 def test_unknown_subcommand_exits():

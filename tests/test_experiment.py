@@ -311,7 +311,7 @@ def test_load_model_rejects_tampered_version(tmp_path, strong_split):
     path = tmp_path / "logit.json"
     save_model(train_logistic(train, LogitHyperparams(max_iterations=50)), path)
     doc = path.read_text()
-    path.write_text(doc.replace('"format_version": 2', '"format_version": "999"'))
+    path.write_text(doc.replace('"format_version": 3', '"format_version": "999"'))
     with pytest.raises(ModelFormatError):
         load_model(path)
 
@@ -323,12 +323,13 @@ def test_model_envelope_check(model_fuzz_bases):
     bad_envelopes = [
         {"format_version": "999", "model_type": "logistic"},
         {"format_version": 1, "model_type": "logistic"},
-        {"format_version": 3, "model_type": "logistic"},
-        {"format_version": 2, "model_type": "gradient_boosting"},
+        {"format_version": 2, "model_type": "logistic"},
+        {"format_version": 4, "model_type": "logistic"},
+        {"format_version": 3, "model_type": "gradient_boosting"},
         {"model_type": "logistic"},
     ]
-    # equal to 2 in Python, but not the JSON integer 2
-    bad_envelopes += [{"format_version": version, "model_type": "logistic"} for version in (2.0, "2")]
+    # equal to 3 in Python, but not the JSON integer 3
+    bad_envelopes += [{"format_version": version, "model_type": "logistic"} for version in (3.0, "3")]
     for envelope in bad_envelopes:
         doc = {k: v for k, v in docs["logistic"].items() if k not in ("format_version", "model_type")}
         with pytest.raises(ModelFormatError, match="format_version|model_type"):

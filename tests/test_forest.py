@@ -76,7 +76,7 @@ def leaf_only_model(leaves, n_trees):
 
 
 def split_pairs(trees, t=0):
-    """(feature, threshold) of every split of tree ``t``, in pre-order."""
+    """(feature, threshold) of every split of tree ``t``, in table order."""
     start, stop = trees.span(t)
     at = start + np.flatnonzero(trees.feature[start:stop] >= 0)
     return list(zip(trees.feature[at].tolist(), trees.threshold[at].tolist()))
@@ -101,6 +101,15 @@ def test_forest_params_validation():
         ForestParams(n_trees=0)
     with pytest.raises(ParameterError):
         ForestParams(seed=-1)
+
+
+def test_forest_params_reject_a_seed_past_64_bits(strong_split):
+    # the seed is mixed as a 64-bit integer, so 1 + 2**64 would grow what 1 grows
+    message = r"^seed must be an integer in \[0, 2\*\*64 - 1\], got 18446744073709551617$"
+    with pytest.raises(ParameterError, match=message):
+        ForestParams(seed=1 + 2**64)
+    train, _ = strong_split
+    assert len(train_forest(train, ForestParams(n_trees=2, seed=2**64 - 1)).trees) == 2
 
 
 @pytest.mark.parametrize(
@@ -426,6 +435,16 @@ def test_leaf_fractions_and_importances_are_exact_near_2_53():
     assert float_gini != [reference_gini(*pair) for pair in BIG_COUNTS]
 
 
+def test_importances_add_each_trees_splits_in_reverse_pre_order(small_forest, zero_signal_book):
+    # float sums depend on their order: the table holds each tree level by
+    # level, but its splits are added in reverse pre-order, as the
+    # reference adds them
+    for model in (small_forest, train_forest(zero_signal_book, ForestParams(n_trees=10))):
+        importances = tree_importances(model.trees)
+        for t in range(len(model.trees)):
+            assert np.array_equal(importances[t], reference_importances(tree_as_tuple(model.trees, t))), t
+
+
 # the flat walk against the per-row oracle
 
 
@@ -580,23 +599,26 @@ def assert_saved_and_loaded_array_equal(model, path):
     its dtype and values."""
     save_model(model, path)
     back = load_model(path)
-    for name in ("feature", "threshold", "right", "count_0", "count_1", "roots", "value"):
+    for name in ("feature", "threshold", "child", "count_0", "count_1", "roots", "value"):
         grown, read = getattr(model.trees, name), getattr(back.trees, name)
         assert grown.dtype == read.dtype and np.array_equal(grown, read), name
+    assert back.trees.depth == model.trees.depth
     return back
 
 
 def test_grown_and_reloaded_tables_are_array_equal(small_forest, tmp_path):
     back = assert_saved_and_loaded_array_equal(small_forest, tmp_path / "forest.json")
     assert len(small_forest.trees) == len(back.trees) == small_forest.params.n_trees == 15
-    # a split's right child lies after it in its own tree, indexed in the whole table
+    # a split's children lie after it in its own tree, indexed in the whole
+    # table, and a leaf is its own child
     trees = back.trees
     assert trees.roots[0] == 0 and (np.diff(trees.roots) > 0).all()
     for t in range(len(trees)):
         start, stop = trees.span(t)
-        right = trees.right[start:stop]
+        child, node = trees.child[start:stop], np.arange(start, stop)
         split = trees.feature[start:stop] >= 0
-        assert ((right > np.arange(start, stop)) & (right < stop) == split).all(), t
+        assert ((child > node) & (child + 1 < stop) == split).all(), t
+        assert (child[~split] == node[~split]).all(), t
 
 
 def test_a_zero_signal_forest_reloads_array_equal(zero_signal_book, tmp_path):
@@ -609,7 +631,7 @@ def oracle_forest_text(model):
     columns of the oracle's tuple shapes, each on one line."""
     doc = {
         "feature_names": list(FEATURE_COLUMNS),
-        "format_version": 2,
+        "format_version": 3,
         "model_type": "random_forest",
         "params": to_json_dict(model.params),
         "trees": "TREES",
@@ -712,7 +734,7 @@ def test_saved_forest_matches_json_dumps_of_the_oracle_documents(case, tmp_path)
 
 
 def test_a_tree_at_the_depth_bound_saves_and_loads_back(tmp_path):
-    # 512 levels, the deepest tree format 1 could save; format 2 has no bound
+    # 512 levels, the deepest tree format 1 could save; later formats have no bound
     shape = chain(512)
     model = ForestModel(tree_from_tuple(shape), ForestParams(n_trees=1))
     back = assert_saved_and_loaded_array_equal(model, tmp_path / "deep.json")
@@ -723,7 +745,9 @@ def test_a_5000_level_chain_saves_and_loads_back(tmp_path):
     # a file stores flat columns, so no tree is too deep to save or load
     model = ForestModel(tree_from_tuple(chain(5000)), ForestParams(n_trees=1))
     back = assert_saved_and_loaded_array_equal(model, tmp_path / "deep.json")
-    assert back.trees.right[:-1:2].tolist() == list(range(2, 10001, 2))
+    # level d holds the leaf (d, 1) and the split below, so split 2d's
+    # children are 2d + 1 and 2d + 2
+    assert back.trees.child[:-1:2].tolist() == list(range(1, 10000, 2)) and back.trees.depth == 5000
 
 
 def test_forest_json_absent_params_take_defaults(small_forest, strong_split):

@@ -54,13 +54,13 @@ GOLDEN_SHA256 = {
     "book.csv": "2ea45811cdb99740e5a64a5d94a7602a01e53db32d2216799ba5b03578b70691",
     "compare_config.out": "32970552becbbae30567e3d17c0ac0eadc1b17a7608a8ae30ff1d60c701db65d",
     "compare_data.out": "0d264152459f0707990ecea1399141559d7ed67d2e54437ce9a2d9f389bb7649",
-    "forest.json": "1266a6348dabe290966a5f74d5a7a0141ebd0cccdeaa95c6086eb4478bcdc376",
+    "forest.json": "5baab666ebf1454f362c96dcf858422405c2b4f17f1ee4f0a022ae0fe2503bf2",
     "generate_book.out": "848e30f5398bee6203b80a011c353c53aaf25b9619dfcdfbd3f470922271e0ca",
     "generate_train.out": "420e521396554261fe371d80d609395e6683abee2928edf9eab29bb1eadddafd",
     "generate_zero.out": "0cb9436bbc9a306e1b16e17c1e861d4dbaa3a232da6cd0274e658e0bc24b5c84",
     "importance.out": "dd034246b97ee0c9d3bda9a70fdaa2d6f8b2766b06a559a60fc43244f0c49cd1",
     "importance_zero.out": "e1b45c101f33d6405d9d8d5422701ee6d8e1093593002c20a587aebb1110a610",
-    "logit.json": "d09e3eba1d5b0a7bb28b17ba65c4afdb7a13422fdd89d8c16bfe54f077f92668",
+    "logit.json": "8feff4b1ae6e9c20cf6194b0b27e8101b0bc26bd258c9d114b23af51db549e82",
     "report.json": "b1f230fa510c2a464213841364252657d408fc02ddf52551c8bb974199163f3a",
     "score_forest.out": "5390b0100e551be88b3bf783720a6ed8d7edb30dbf7918cacb7603005ffe8198",
     "score_logistic.out": "f5b406705665af60248189f288524cfe2bcebdcec2dd5e4760ea3dd6ee68fda9",
@@ -73,7 +73,7 @@ GOLDEN_SHA256 = {
     "train_logistic.out": "2747670e62bd070c6abca3d811c1d30a0995b943f24f12f1e6749844b206ced4",
     "train_zero.out": "f59639f193e2592e4606d24b7e86c5da8717e9a58fd21308aa14e93f1fc6a087",
     "zero.csv": "a14a20e61b0659c068d0572683d3d71beb9edce3b6a98ec2a664306e1846650d",
-    "zero_forest.json": "6e4194138c1f76b21cb262ff09c123386718957aa03b421e6a6ebbc91dc60589",
+    "zero_forest.json": "178bf44f42f8807d34bc12e9a433ca91a6beeac1cb1fe0a54e9a656a7e5074fc",
 }
 
 

@@ -157,11 +157,20 @@ def test_latent_probabilities_beat_best_linear_model():
     assert bayes_accuracy - logit_accuracy >= 0.02
 
 
+def _probe_rate(cfg, b0):
+    """The default rate intercept ``b0`` gives on the calibration probe."""
+    features = synthgen._draw_features(cfg, synthgen._PROBE_SIZE, synthgen._PROBE_SEED)
+    return float(np.mean(sigmoid(b0 + cfg.signal_strength * synthgen._risk_score(cfg.coefficients, features))))
+
+
 def _bisection_intercept(cfg):
-    """The reference b0: bisection to width 1e-12 on the calibration probe."""
+    """The reference b0: bisection to width 1e-12 on the calibration probe,
+    from a bracket doubled until it holds the root."""
     features = synthgen._draw_features(cfg, synthgen._PROBE_SIZE, synthgen._PROBE_SEED)
     g = cfg.signal_strength * synthgen._risk_score(cfg.coefficients, features)
-    lo, hi = -synthgen._B0_BRACKET, synthgen._B0_BRACKET
+    lo, hi = -1.0, 1.0
+    while not float(np.mean(sigmoid(lo + g))) < cfg.base_default_rate <= float(np.mean(sigmoid(hi + g))):
+        lo, hi = 2 * lo, 2 * hi
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if float(np.mean(sigmoid(mid + g))) < cfg.base_default_rate:
@@ -178,6 +187,9 @@ def _bisection_intercept(cfg):
         {"base_default_rate": 0.01, "signal_strength": 5.0},
         {"base_default_rate": 0.99, "signal_strength": 0.1},
         {"seed": 9, "signal_strength": 1.5},
+        # strong enough that b0 lies past -40
+        {"signal_strength": 20.0},
+        {"signal_strength": 50.0},
     ],
 )
 def test_calibration_matches_bisection_oracle(kwargs):
@@ -190,6 +202,29 @@ def test_calibration_matches_bisection_oracle(kwargs):
         g = cfg.signal_strength * synthgen._risk_score(cfg.coefficients, data.feature_matrix())
         u = substream(cfg.seed, 6).random(n)
         assert np.array_equal(data.labels(), (u < sigmoid(b0_ref + g)).astype(np.int64))
+
+
+@pytest.mark.parametrize("signal", [20.0, 100.0, 1e300])
+def test_any_signal_strength_keeps_the_probe_at_the_base_rate(signal):
+    cfg = GeneratorConfig(n_samples=2000, signal_strength=signal)
+    assert abs(_probe_rate(cfg, cfg.b0) - cfg.base_default_rate) <= 1e-9
+    assert generate(cfg).labels().sum() > 0  # no overflow warning on the way
+
+
+@pytest.mark.parametrize("signal", [1e308, 8e307, 1.7976931348623157e308])
+def test_a_signal_whose_scaled_score_overflows_is_rejected(signal):
+    # b0 + s*g must stay finite for every b0 the calibration may try
+    with pytest.raises(ParameterError, match=r"^signal_strength \S+ is so large the risk score overflows$"):
+        GeneratorConfig(signal_strength=signal)
+
+
+def test_a_seed_past_64_bits_is_rejected_rather_than_aliased():
+    # the seed is mixed as a 64-bit integer, so 3 + 2**64 would draw what 3 draws
+    message = r"^seed must be an integer in \[0, 2\*\*64 - 1\], got 18446744073709551619$"
+    with pytest.raises(ParameterError, match=message):
+        GeneratorConfig(seed=3 + 2**64)
+    top = generate(GeneratorConfig(n_samples=50, seed=2**64 - 1))
+    assert not np.array_equal(top.feature_matrix(), generate(GeneratorConfig(n_samples=50, seed=0)).feature_matrix())
 
 
 def test_higher_rate_config_shifts_rate():
