@@ -38,15 +38,20 @@ the order of a node's rows. ``grow_tree_arrays`` is its one-tree case
 and ``best_split`` the one-node case of its search.
 
 A node's feature subset is ``np.sort(rng.choice(d, k, replace=False))``
-for its tree's rng, replayed in plain integer arithmetic rather than
-called. Up to 10,000 features numpy draws that subset by Floyd's
-sampling (Bentley & Floyd 1987), each draw Lemire's bounded integer on
-one 32-bit word (Lemire 2019), then shuffles it with k - 1 more bounded
-draws. The replay takes the same words from blocks of
-``rng.integers(0, 2**32, dtype=np.uint32)``, so up to 10,000 features it
-makes the same subsets as ``choice`` and leaves the rng further along,
-which nothing notices: a tree's rng is not drawn from after its growth.
-Wider, ``choice`` switches algorithm, and the replay stays uniform.
+for its tree's rng, replayed rather than called. Up to 10,000 features
+numpy draws that subset by Floyd's sampling (Bentley & Floyd 1987), each
+draw Lemire's bounded integer on one 32-bit word (Lemire 2019), then
+shuffles it with k - 1 more bounded draws. The replay takes the same
+words ``_WORD_BLOCK`` at a time from ``rng.integers(0, 2**32,
+dtype=np.uint32)`` and turns a whole block into subsets in one numpy
+pass: Lemire's multiply-shift and rejection test on every word, Floyd's
+k steps as k column passes and a row sort. A rejected word cuts the pass,
+which goes on from the next word at the same draw, and the words of an
+unfinished subset wait for the next block. Each tree keeps the subsets
+it drew ahead. So up to 10,000 features the replay makes the same
+subsets as ``choice`` and leaves the rng further along, which nothing
+notices: a tree's rng is not drawn from after its growth. Wider,
+``choice`` switches algorithm, and the replay stays uniform.
 
 A forest is one node table, ``Trees``: the read-only node arrays of
 every tree in level order, tree after tree, each tree depth by depth and
@@ -118,6 +123,9 @@ class Trees:
 
     def __post_init__(self):
         n, split = len(self.feature), self.feature >= 0
+        for name in ("threshold", "count_0", "count_1"):
+            if len(getattr(self, name)) != n:
+                raise ParameterError(f"a forest table's {name} holds {len(getattr(self, name))} values for {n} nodes")
         # leaves minus splits so far: tree t still owes t + 1 - closed
         # subtrees, and ends where closed first reaches t + 1
         closed = np.cumsum(np.where(split, -1, 1))
@@ -183,7 +191,12 @@ class TreeParams:
 
 # The growth memory budgets of the module docstring: (row, candidate
 # feature) elements per step, and rows of the trees growing at once.
-_STEP_BUDGET = 2**12
+# Small steps pay mostly fixed numpy cost: the default 100-tree fit took
+# 266, 145, 106 and 96 steps at 2**12 to 2**15 elements, with medians of
+# 152, 139, 132 and 136 ms (15 alternating repeats, 2-core x86-64). At
+# 2**16 the training-memory test's 40 trees peaked 1.24 MiB above its 4,
+# against 0.56 MiB up to 2**15.
+_STEP_BUDGET = 2**14
 _ROW_BUDGET = 2**17
 # the most rows a job may hold: the largest n with n^3 / 4 (the bound of
 # a split's T) below 2**63
@@ -233,9 +246,9 @@ def _best_splits(X, y, ranks, n_ranks, nodes) -> list:
     segment = np.repeat(np.arange(m) * k, sizes) + np.arange(k)[:, None]
     key = (segment * n_ranks + ranks.take(feature * len(X) + rows)).ravel()
     # the element breaks ties, so sorting the values gives the stable
-    # order. The product is below 2**24 * n_ranks for a step of several
+    # order. The product is below 2**28 * n_ranks for a step of several
     # nodes and k * k * n * n_ranks for one node of n rows: within int64 at
-    # six features for any job the row guard admits on up to 7e10 rows
+    # six features for any job the row guard admits on up to 3e10 rows
     key, element = np.divmod(np.sort(key * len(key) + np.arange(len(key))), len(key))
     row = rows.take(element % len(rows))
     left_1 = np.concatenate(([0], np.cumsum(y.take(row))))
@@ -318,46 +331,59 @@ class _Growth:
     level order (stably sorted by depth) once the tree is done, a LIFO
     stack of (row ids, depth, class-1 count) still to grow, ``node``, the
     splittable node it waits to have scored, with its sorted candidate
-    features, and ``words``, the unused 32-bit words of its rng's last
-    block, next word last."""
+    features, and the subsets it drew ahead: ``pool``, sorted k-subsets
+    of range(d) for ``shape`` (d, k), next subset last, read from
+    ``words``, 32-bit words of its rng, and ``starts``, where in ``words``
+    each pooled subset starts, next subset last, after where the words no
+    subset used start; so ``starts[-1]`` is the first unused word."""
 
-    __slots__ = ("nodes", "stack", "rng", "n_rows", "node", "words")
+    __slots__ = ("nodes", "stack", "rng", "n_rows", "node", "shape", "words", "starts", "pool")
 
     def __init__(self, rows: np.ndarray, y: np.ndarray, rng: np.random.Generator):
         self.nodes: list = []
         self.stack = [(rows, 0, int(y[rows].sum()))]
         self.rng = rng
         self.n_rows = len(rows)
-        self.node = None
-        self.words: list = []
-
-    def _bounded(self, j: int) -> int:
-        """An integer in [0, j], 0 < j < 2**32 - 1, drawn as numpy draws
-        one: Lemire's multiply-shift of a word, redrawing while the low
-        half of the product falls below (2**32 - 1 - j) mod (j + 1)."""
-        words = self.words
-        reject = (0xFFFFFFFF - j) % (j + 1)
-        while True:
-            if not words:
-                words.extend(reversed(self.rng.integers(0, 2**32, size=_WORD_BLOCK, dtype=np.uint32).tolist()))
-            m = words.pop() * (j + 1)
-            if m & 0xFFFFFFFF >= reject:
-                return m >> 32
+        self.node = self.shape = None
+        self.words = np.empty(0, dtype=np.uint64)
+        self.starts: list = [0]
+        self.pool: list = []
 
     def _subset(self, d: int, k: int) -> list:
         """A sorted uniform k-subset of range(d), d < 2**32, by Floyd's
         sampling; up to 10,000 features it is
         ``np.sort(rng.choice(d, k, replace=False)).tolist()``, with the same
-        draws. All features draw nothing."""
+        draws. All features draw nothing. An empty pool is filled with
+        every whole subset that the unused words and one more block make,
+        adding blocks until there is one. A subset is k Floyd draws in [0,
+        j] for j = d - k ... d - 1, then k - 1 shuffle draws in [0, i] for
+        i = k - 1 ... 1, as numpy makes them: each is the high half of one
+        word times j + 1, and a word is rejected where the low half falls
+        below 2**32 mod (j + 1)."""
         if k == d:
             return list(range(d))
-        taken: set = set()
-        for j in range(d - k, d):
-            v = self._bounded(j)
-            taken.add(j if v in taken else v)
-        for i in range(k - 1, 0, -1):  # choice's shuffle: the order is dropped, the draws are not
-            self._bounded(i)
-        return sorted(taken)
+        if len(self.starts) == 1 or self.shape != (d, k):
+            size = np.array([*range(d - k + 1, d + 1), *range(k, 1, -1)], dtype=np.uint64)  # j + 1 of each draw
+            low = 2**32 % size
+            words, kept = self.words[self.starts[-1] :], np.empty(0, dtype=np.intp)
+            while len(kept) < len(size):
+                words = np.concatenate((words, self.rng.integers(0, 2**32, size=_WORD_BLOCK, dtype=np.uint32)))
+                kept, at = kept[:0], 0  # the words of the draws made, from the first unused word
+                while at < len(words):  # cut at a rejected word; the next one makes the same draw
+                    draw = (len(kept) + np.arange(len(words) - at)) % len(size)
+                    reject = (words[at:] * size[draw]) & 0xFFFFFFFF < low[draw]
+                    cut = int(np.append(reject, True).argmax())
+                    kept, at = np.concatenate((kept, np.arange(at, at + cut))), at + cut + 1
+            kept = kept[: len(kept) // len(size) * len(size)].reshape(-1, len(size))
+            subsets = ((words[kept] * size) >> 32)[:, :k]
+            for t in range(1, k):  # Floyd: a value already taken takes j instead
+                taken = (subsets[:, :t] == subsets[:, t : t + 1]).any(axis=1)
+                subsets[:, t] = np.where(taken, d - k + t, subsets[:, t])
+            self.shape, self.words = (d, k), words
+            self.pool = np.sort(subsets, axis=1)[::-1].tolist()
+            self.starts = np.concatenate(([0], kept[:, -1] + 1))[::-1].tolist()
+        self.starts.pop()
+        return self.pool.pop()
 
     def advance(self, params: TreeParams, d: int, k: int) -> bool:
         """Move to the next splittable node in pre-order, listing the leaves
@@ -372,12 +398,12 @@ class _Growth:
                 continue
             self.node = (rows, depth, c1, self._subset(d, k))
             return True
-        # done: a finished tree holds no rows, words or per-node objects
+        # done: a finished tree holds no rows, subsets, words or per-node objects
         feature, threshold, depth, count_0, count_1 = zip(*self.nodes)
         order = np.argsort(depth, kind="stable")
         columns = zip((feature, threshold, count_0, count_1), (np.intp, float, np.int64, np.int64))
         self.nodes = [np.array(c, dtype=t).take(order) for c, t in columns]
-        self.node = self.words = None
+        self.node = self.words = self.starts = self.pool = None
         return False
 
     def split(self, found) -> None:

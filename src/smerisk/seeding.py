@@ -10,6 +10,8 @@ changes the trees already trained.
 
 import numpy as np
 
+from .errors import ParameterError
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
@@ -25,10 +27,13 @@ def splitmix64(x: int) -> int:
 
 
 def mix64(master_seed: int, stream_index: int) -> int:
-    """Seed of substream ``stream_index`` under ``master_seed``."""
-    if master_seed < 0 or stream_index < 0:
-        raise ValueError("seed and stream index must be non-negative")
-    return splitmix64(splitmix64(master_seed & _MASK64) ^ ((stream_index * _GOLDEN) & _MASK64))
+    """Seed of substream ``stream_index`` under ``master_seed``, both
+    Python ints in [0, 2**64): a wider one would alias one 2**64 apart, and
+    numpy integers would wrap or overflow in the mixing."""
+    for name, v in (("seed", master_seed), ("stream index", stream_index)):
+        if type(v) is not int or not 0 <= v < 2**64:
+            raise ParameterError(f"{name} must be an integer in [0, 2**64 - 1], got {v!r}")
+    return splitmix64(splitmix64(master_seed) ^ ((stream_index * _GOLDEN) & _MASK64))
 
 
 def substream(master_seed: int, stream_index: int) -> np.random.Generator:

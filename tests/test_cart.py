@@ -322,6 +322,18 @@ def test_a_table_needs_at_least_one_tree():
             cart.Trees(np.array([0, -1, -1]), np.array(threshold), np.array([0, 1, 0]), np.array([0, 0, 1]))
 
 
+def test_a_table_needs_one_value_per_node_in_every_column():
+    # a short column would broadcast into a table of other trees
+    two_leaves = (np.array([-1, -1]), np.array([np.inf, np.inf]), np.array([1, 1]), np.array([2, 2]))
+    for c, name in enumerate(("threshold", "count_0", "count_1"), start=1):
+        columns = list(two_leaves)
+        columns[c] = columns[c][:1]
+        with pytest.raises(ParameterError, match=f"^a forest table's {name} holds 1 values for 2 nodes$"):
+            cart.Trees(*columns)
+    with pytest.raises(ParameterError, match="^a forest table's threshold holds 1 values for 2 nodes$"):
+        cart.Trees(np.array([-1, -1]), np.array([np.inf]), np.array([1]), np.array([2]))
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.lists(st.booleans(), max_size=40))
 @example([True, True, False, True, False, False, False, False, False])  # a tree, then two bare leaves
@@ -517,9 +529,61 @@ def test_subset_replay_redraws_a_rejected_word():
     assert np.random.Generator(words).integers(0, 2**32, size=3, dtype=np.uint32).tolist() == [0, 0, 7]
     growth = replay(rng)
     assert growth._subset(5, 1) == np.sort(oracle.choice(5, 1, replace=False)).tolist() == [0]
-    assert len(growth.words) == cart._WORD_BLOCK - 3
+    assert len(growth.words) - growth.starts[-1] == cart._WORD_BLOCK - 3  # the words left unused
     for _ in range(20):
         assert growth._subset(5, 2) == np.sort(oracle.choice(5, 2, replace=False)).tolist()
+
+
+def mt19937_words(words):
+    """An MT19937 state whose next outputs are ``words`` (at most 624)."""
+    key = np.arange(624, dtype=np.uint32)
+    key[: len(words)] = [untemper(w) for w in words]
+    return {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
+
+
+def words_rejecting_at(d, k, rejections, n_words):
+    """The first ``n_words`` words of a stream of k-subsets of range(d)
+    that puts ``count`` words 0 before the word of each (subset, draw):
+    count in ``rejections`` and accepts every other word. Lemire's draw in
+    [0, j] rejects 0 unless j + 1 is a power of two. A subset is k Floyd
+    draws, then k - 1 shuffle draws."""
+    sizes = [*range(d - k + 1, d + 1), *range(k, 1, -1)]
+    source = np.random.default_rng(0)
+    words, made = [], 0
+    while len(words) < n_words:
+        size = sizes[made % len(sizes)]
+        count = rejections.get(divmod(made, len(sizes)), 0)
+        assert count == 0 or 2**32 % size, size  # 0 is rejected
+        words += [0] * count
+        while (word := int(source.integers(2**32))) * size % 2**32 < 2**32 % size:
+            pass
+        words.append(word)
+        made += 1
+    return words[:n_words]
+
+
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_subset_replay_redraws_rejected_words_anywhere(monkeypatch, block):
+    # d = 10, k = 4: Floyd draws in [0, 6] ... [0, 9], then shuffle draws
+    # in [0, 3], [0, 2], [0, 1]; 7 words a subset when none is rejected
+    if block is not None:
+        monkeypatch.setattr(cart, "_WORD_BLOCK", block)
+    rejections = {
+        (0, 0): 1,  # the first draw of the first subset
+        (1, 0): 1,  # the first draw of a later subset
+        (2, 2): 1,  # a later Floyd draw
+        (3, 5): 1,  # a shuffle draw
+        (4, 3): 2,  # two in a row
+        (35, 3): 3,  # words 254, 255 and 256, across the default block's end
+    }
+    state = mt19937_words(words_rejecting_at(10, 4, rejections, 624))
+    oracle, rng = np.random.MT19937(), np.random.MT19937()
+    oracle.state = rng.state = state
+    growth, oracle = replay(np.random.Generator(rng)), np.random.Generator(oracle)
+    for i in range(60):
+        assert growth._subset(10, 4) == np.sort(oracle.choice(10, 4, replace=False)).tolist(), i
+    # numpy read every rejected word, so the test placed them where it meant to
+    assert oracle.bit_generator.state["state"]["pos"] == 60 * 7 + 9
 
 
 def test_subset_of_all_features_draws_nothing():

@@ -5,6 +5,7 @@ rely on."""
 import numpy as np
 import pytest
 
+from smerisk.errors import ParameterError
 from smerisk.seeding import mix64, splitmix64, substream
 
 
@@ -43,6 +44,18 @@ def test_mix64_rejects_negative_inputs():
         mix64(-1, 0)
     with pytest.raises(ValueError):
         mix64(0, -3)
+
+
+def test_mix64_rejects_seeds_that_would_alias_or_wrap():
+    # a seed 2**64 apart from another would draw the same stream
+    for seed, index in ((2**64 + 3, 0), (3, 2**64)):
+        with pytest.raises(ParameterError, match=r"must be an integer in \[0, 2\*\*64 - 1\], got 1844674407370955"):
+            substream(seed, index)
+    assert 0 <= mix64(2**64 - 1, 2**64 - 1) < 2**64  # the largest seed and index are taken
+    # numpy's uint64 3 wrapped in the mixing to another stream than 3's
+    for seed in (np.uint64(3), np.int64(3), 3.0):
+        with pytest.raises(ParameterError, match=r"^seed must be an integer in \[0, 2\*\*64 - 1\], got "):
+            substream(seed, 0)
 
 
 def test_substream_reproducible():
