@@ -11,15 +11,20 @@ the arrays, and ``records`` derives plain row tuples on demand for
 equality checks.
 
 CSV files carry exactly the canonical columns, in this order, with the
-label column optional for unlabeled scoring data.
+label column optional for unlabeled scoring data. Lines end in CRLF, LF
+or a bare CR. The reader checks every data line with one regular
+expression and parses them all with one ``np.loadtxt`` call, so no Python
+code runs per row; the csv module reads the header and the first bad line.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import re
 from dataclasses import dataclass
+from itertools import compress, count, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -164,46 +169,54 @@ class Dataset:
 
 
 # A cell is a JSON number, which every write_csv output is: no sign '+',
-# padding, digit separators, bare '.5' or '1.', or non-ASCII digits.
+# padding, digit separators, bare '.5' or '1.', or non-ASCII digits. A
+# data line is such cells, each bare or in double quotes, as in "0.3".
 _NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 _CELL = re.compile(_NUMBER)
+_LINE_CELL = re.compile(f'{_NUMBER}|"{_NUMBER}"')
+# one line and its end, split where a file opened with newline="" splits
+# it: at \r\n, \n and \r only
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 
 def load_csv(path: str | Path) -> Dataset:
     """Read a canonical CSV file into a Dataset.
 
     The header must match the canonical columns exactly (label column
-    optional). Raises SchemaError for header drift, RowParseError with the
-    offending data-row index for bad or out-of-range cells, EmptyInputError
-    for a file with no data rows.
+    optional). Lines end in CRLF, LF or a bare CR. Each data line must be
+    one row of JSON numbers, bare or in double quotes; the first line that
+    is not is read as the csv module reads it and described. Raises
+    SchemaError for header drift, RowParseError with the offending
+    data-row index for bad or out-of-range cells, EmptyInputError for a
+    file with no data rows, and ParseError for text that is not UTF-8 or
+    that the csv module refuses, such as a cell over its field size limit.
     """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh)]
+            text = fh.read()
+        if not text:
+            raise EmptyInputError(f"{path} is empty")
+        records = csv.reader(m.group() for m in _LINE.finditer(text))
+        header = tuple(next(records))
+        if header not in (ALL_COLUMNS, FEATURE_COLUMNS):
+            raise SchemaError(_describe_header_mismatch(header))
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if not lines[-1]:
+            lines.pop()  # the empty text after the last line end
+        body = lines[records.line_num :]
+        if not body:
+            raise EmptyInputError(f"{path} has a header but no data rows")
+        i = _leading_number_rows(body, len(header))
+        if i < len(body):
+            # each line before it is one whole record, so the csv reader's
+            # record after those is the one line i starts
+            raise _describe_row(i, next(islice(records, i, None)), body[i], header)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     except (csv.Error, UnicodeDecodeError) as exc:  # e.g. a cell over the csv field size limit
         raise ParseError(f"{path} is not a readable UTF-8 CSV: {exc}") from None
-    if not rows:
-        raise EmptyInputError(f"{path} is empty")
-    header = tuple(rows[0])
-    if header not in (ALL_COLUMNS, FEATURE_COLUMNS):
-        raise SchemaError(_describe_header_mismatch(header))
-    body = rows[1:]
-    if not body:
-        raise EmptyInputError(f"{path} has a header but no data rows")
-
-    # one match per row; a cell holding a quoted comma adds a field, so the
-    # joined row cannot match
-    row_pattern = re.compile(",".join([_NUMBER] * len(header)))
-    for i, row in enumerate(body):
-        if len(row) != len(header):
-            raise RowParseError(i, f"expected {len(header)} cells, got {len(row)}")
-        if not row_pattern.fullmatch(",".join(row)):
-            cell, col = next((cell, col) for cell, col in zip(row, header) if not _CELL.fullmatch(cell))
-            raise RowParseError(i, f"non-numeric value {cell!r} in column {col}")
-    table = np.array(body, dtype=float)
+    table = np.loadtxt(body, delimiter=",", quotechar='"', ndmin=2, comments=None)
     X = table[:, : len(FEATURE_COLUMNS)]
     y = table[:, len(FEATURE_COLUMNS)] if header == ALL_COLUMNS else None
     # checked before Dataset does, so the error is a row-indexed RowParseError
@@ -211,6 +224,34 @@ def load_csv(path: str | Path) -> Dataset:
     if bad is not None:
         raise RowParseError(*bad)
     return Dataset(X, y)
+
+
+def _leading_number_rows(lines: list[str], width: int) -> int:
+    """How many lines, from the first, are rows of ``width`` cells that the
+    csv module reads as they stand: each a JSON number, bare or in double
+    quotes, and none longer than the csv field size limit."""
+    row = re.compile(",".join([f"(?:{_LINE_CELL.pattern})"] * width))
+    n = next(compress(count(), map(operator.not_, map(row.fullmatch, lines))), len(lines))
+    # only a line longer than the limit can hold a cell longer than it
+    limit = csv.field_size_limit()
+    if max(map(len, lines)) > limit:
+        too_long = (i for i, line in enumerate(lines[:n]) if max(len(c.strip('"')) for c in line.split(",")) > limit)
+        n = next(too_long, n)
+    return n
+
+
+def _describe_row(i: int, record: list[str], line: str, header: tuple[str, ...]) -> RowParseError:
+    """The error for data row ``i``, which the csv module reads as
+    ``record`` from the text that starts with ``line``: its cell count, or
+    its first cell that is not a number."""
+    if len(record) != len(header):
+        return RowParseError(i, f"expected {len(header)} cells, got {len(record)}")
+    pattern = _CELL
+    if all(map(pattern.fullmatch, record)):
+        # the line quotes part of a cell, as in "0."1: name it as written
+        record, pattern = line.split(","), _LINE_CELL
+    cell, col = next((cell, col) for cell, col in zip(record, header) if not pattern.fullmatch(cell))
+    return RowParseError(i, f"non-numeric value {cell!r} in column {col}")
 
 
 def _describe_header_mismatch(header: tuple[str, ...]) -> str:

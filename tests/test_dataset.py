@@ -263,14 +263,147 @@ def test_load_csv_accepts_json_numbers(tmp_path):
 
 
 def test_load_csv_unreadable_text(tmp_path):
-    # a cell over the csv module's 128 KiB field limit, then a non-UTF-8 byte
+    # cells over the csv module's 128 KiB field limit, a finite one among
+    # them, then a non-UTF-8 byte
     path = tmp_path / "wide.csv"
-    path.write_text(",".join(ALL_COLUMNS) + "\n" + "9" * 200_000 + ",0.3,1.0,0.1,0.8,1,0\n")
-    with pytest.raises(ParseError):
-        load_csv(path)
+    for cell in ["9" * 200_000, "0." + "1" * 200_000]:
+        path.write_text(",".join(ALL_COLUMNS) + "\n" + cell + ",0.3,1.0,0.1,0.8,1,0\n")
+        with pytest.raises(ParseError, match=r"field larger than field limit \(131072\)$"):
+            load_csv(path)
     path.write_bytes(",".join(ALL_COLUMNS).encode() + b"\n0.1,\xff,1.0,0.1,0.8,1,0\n")
     with pytest.raises(ParseError):
         load_csv(path)
+
+
+HEADER = ",".join(ALL_COLUMNS)
+ROW = "0.1,0.3,1.0,0.1,0.8,1,0"
+ROW2 = "-0.5,0.25,2.0,0,-1,0,1"
+ROW_RECORDS = ((0.1, 0.3, 1.0, 0.1, 0.8, 1.0, 0), (-0.5, 0.25, 2.0, 0.0, -1.0, 0.0, 1))
+
+
+def cell_count_error(row, got):
+    return RowParseError, f"row {row}: expected 7 cells, got {got}"
+
+
+def cell_error(row, cell, column="Cash_Flow_Variability"):
+    return RowParseError, f"row {row}: non-numeric value {cell!r} in column {column}"
+
+
+# What load_csv returns or raises for each file text: its records, or the
+# error's class and message ({path} stands for the file's path).
+READER_OUTCOMES = [
+    pytest.param(f"{HEADER}\n{ROW}\n{ROW2}\n", ROW_RECORDS, id="lf"),
+    pytest.param(f"{HEADER}\r\n{ROW}\r\n{ROW2}\r\n", ROW_RECORDS, id="crlf"),
+    pytest.param(f"{HEADER}\r{ROW}\r{ROW2}\r", ROW_RECORDS, id="bare-cr"),
+    pytest.param(f"{HEADER}\r\n{ROW}\r{ROW2}\n{ROW}\r\n", ROW_RECORDS + ROW_RECORDS[:1], id="mixed-line-ends"),
+    pytest.param(f"{HEADER}\n{ROW}\n{ROW2}", ROW_RECORDS, id="no-final-line-end"),
+    pytest.param(f"{HEADER}\n{ROW}\n\n{ROW2}\n", cell_count_error(1, 0), id="blank-line-in-the-middle"),
+    pytest.param(f"{HEADER}\n{ROW}\n{ROW2}\n\n", cell_count_error(2, 0), id="blank-line-at-the-end"),
+    pytest.param(f"{HEADER}\r\n{ROW}\r\n\r\n", cell_count_error(1, 0), id="blank-crlf-line-at-the-end"),
+    pytest.param(f"{HEADER}\n\n", cell_count_error(0, 0), id="header-then-blank-line"),
+    pytest.param(f'{HEADER}\n{ROW}\n"-0.5","0.25",2.0,0,-1,"0","1"\n', ROW_RECORDS, id="quoted-number"),
+    pytest.param(f'{HEADER}\n{ROW}\n0.1,"0,3",1.0,0.1,0.8,1,0\n', cell_error(1, "0,3"), id="quoted-comma"),
+    pytest.param(
+        f'{HEADER}\n{ROW}\n0.1,"0.\n3",1.0,0.1,0.8,1,0\n{ROW}\n', cell_error(1, "0.\n3"), id="quoted-line-break"
+    ),
+    pytest.param(f'{HEADER}\r{ROW}\r0.1,"0.\r3",1.0,0.1,0.8,1,0\r', cell_error(1, "0.\r3"), id="quoted-bare-cr"),
+    pytest.param(
+        f'{HEADER}\n{ROW}\n"0""1",0.3,1.0,0.1,0.8,1,0\n', cell_error(1, '0"1', "Revenue_Growth"), id="doubled-quote"
+    ),
+    pytest.param(f"{HEADER}\n{ROW}\n0.1,0.3\x00,1.0,0.1,0.8,1,0\n", cell_error(1, "0.3\x00"), id="nul-byte"),
+    pytest.param(f'{HEADER}\n{ROW}\n0.1,"0.3,1.0,0.1,0.8,1,0\n{ROW}\n', cell_count_error(1, 2), id="unterminated-quote"),
+    pytest.param(
+        f'{HEADER}\n{ROW}\n0.1,0.3,1.0,0.1,0.8,1,"0\n', cell_error(1, "0\n", "Default_Status"), id="unterminated-last-cell"
+    ),
+    pytest.param(f"{HEADER}\n{ROW},\n", cell_count_error(0, 8), id="trailing-comma"),
+    pytest.param(f"{HEADER}\n{ROW}\n   \n{ROW2}\n", cell_count_error(1, 1), id="whitespace-only-line"),
+    pytest.param(f"{HEADER}\n{ROW}\n0.1,0.3\x0c,1.0,0.1,0.8,1,0\n", cell_error(1, "0.3\x0c"), id="form-feed-in-a-cell"),
+    pytest.param(
+        f"{HEADER}\n{ROW}\n0.1,0.3\u2028,1.0,0.1,0.8,1,0\n", cell_error(1, "0.3\u2028"), id="line-separator-in-a-cell"
+    ),
+    pytest.param(
+        f"{HEADER}\n0.{'1' * 100_000},0.{'1' * 100_000},1.0,0.1,0.8,1,0\n",
+        ((0.1111111111111111, 0.1111111111111111, 1.0, 0.1, 0.8, 1.0, 0),),
+        id="line-over-the-field-limit",
+    ),
+    pytest.param(
+        f'{HEADER}\n"0.{"1" * 131_070}",0.3,1.0,0.1,0.8,1,0\n',
+        ((0.1111111111111111, 0.3, 1.0, 0.1, 0.8, 1.0, 0),),
+        id="quoted-cell-at-the-field-limit",
+    ),
+    pytest.param(
+        ",".join(f'"{column}"' for column in ALL_COLUMNS) + f"\n{ROW}\n", ROW_RECORDS[:1], id="quoted-header"
+    ),
+    pytest.param(
+        f'"Revenue_\nGrowth"{HEADER[len("Revenue_Growth"):]}\n{ROW}\n',
+        (SchemaError, "unknown column 'Revenue_\\nGrowth' where 'Revenue_Growth' was expected"),
+        id="header-with-a-line-break",
+    ),
+    pytest.param(
+        ",".join(FEATURE_COLUMNS) + f"\n{ROW[:-2]}\n", ((0.1, 0.3, 1.0, 0.1, 0.8, 1.0, None),), id="unlabeled"
+    ),
+    pytest.param(f"{HEADER}\n", (EmptyInputError, "{path} has a header but no data rows"), id="header-only"),
+    pytest.param(HEADER, (EmptyInputError, "{path} has a header but no data rows"), id="header-only-no-line-end"),
+    pytest.param("", (EmptyInputError, "{path} is empty"), id="empty"),
+    pytest.param("\n", (SchemaError, "missing column 'Revenue_Growth'"), id="only-a-line-end"),
+]
+
+
+@pytest.mark.parametrize("text, outcome", READER_OUTCOMES)
+def test_load_csv_outcome_on_line_ends_quotes_and_stray_characters(tmp_path, text, outcome):
+    path = tmp_path / "case.csv"
+    path.write_bytes(text.encode())
+    if isinstance(outcome[0], type):
+        with pytest.raises(outcome[0]) as err:
+            load_csv(path)
+        assert type(err.value) is outcome[0]
+        assert str(err.value) == outcome[1].format(path=path)
+    else:
+        assert load_csv(path).records == outcome
+
+
+@pytest.mark.parametrize("cell", ['"0."1', '""0.1', '"0.1"0'])
+def test_load_csv_refuses_a_partly_quoted_cell(tmp_path, cell):
+    # the csv module reads each of these as a number when not strict
+    path = tmp_path / "partly.csv"
+    path.write_text(f"{HEADER}\n{ROW}\n{cell},0.3,1.0,0.1,0.8,1,0\n")
+    with pytest.raises(RowParseError) as err:
+        load_csv(path)
+    assert str(err.value) == f"row 1: non-numeric value {cell!r} in column Revenue_Growth"
+
+
+def load_first_column(path, cells):
+    """load_csv's Revenue_Growth column of a file holding one row per cell."""
+    path.write_text("\n".join([HEADER] + [f"{cell},0.3,1.0,0.1,0.8,1,0" for cell in cells]) + "\n")
+    return load_csv(path).X[:, 0]
+
+
+def assert_parsed_exactly(path, cells):
+    expected = np.array([float(cell) for cell in cells])
+    assert np.array_equal(load_first_column(path, cells).view(np.int64), expected.view(np.int64))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+def test_load_csv_parses_any_json_number_exactly(tmp_path_factory, values):
+    """The shortest repr write_csv writes, 26 and 17 significant digits:
+    each cell loads to the float64 that float() reads, bit for bit."""
+    cells = [text for v in values for text in (repr(v), f"{v:.25e}", f"{v:.17g}")]
+    assert_parsed_exactly(tmp_path_factory.getbasetemp() / "numbers.csv", cells)
+
+
+def test_load_csv_rounds_hard_cells_as_float_does(tmp_path):
+    # strings just either side of a halfway point between two float64s
+    subnormal_pair = ["2.4703282292062327e-324", "2.4703282292062328e-324"]
+    one_pair = ["1.0000000000000001110223024625156540423631668090820312", "1.0000000000000001110223024625156540423631668090820313"]
+    for low, high in (subnormal_pair, one_pair):
+        assert float(low) != float(high)
+    long_cell = "0." + ("1234567890" * 50)[:498]
+    assert len(long_cell) == 500
+    assert_parsed_exactly(tmp_path / "hard.csv", subnormal_pair + one_pair + [long_cell, "-0", "1e-400"])
+    with pytest.raises(RowParseError) as err:
+        load_first_column(tmp_path / "overflow.csv", ["1e400"])
+    assert str(err.value) == "row 0: Revenue_Growth must be a finite number, got inf"
 
 
 CELL_TEXTS = (
