@@ -64,12 +64,16 @@ subtrees still owed, 1 + sum(2 * is_split - 1), stays positive until a
 tree's last node and reaches 0 there, and the j-th split of the tree
 rooted at r has its children at r + 2j + 1 and r + 2j + 2. The table
 derives its roots, each split's left child ``child[i]`` (a leaf is its
-own child) and the forest's depth from those flags when it is built, so
-no builder hands it a pointer to get wrong. Growth lists each tree's
-nodes in pre-order, the order its rng draws subsets, and sorts them by
-depth once the tree is done; it rejects non-finite features up front, so
-it builds only valid tables. ``tree_importances`` folds each tree's splits
-in reverse pre-order: children before parents, in one fixed summing order.
+own child) and each depth's splits ``levels`` from those flags when it
+is built, so no builder hands it a pointer to get wrong. Growth lists
+each tree's nodes in pre-order, the order its rng draws subsets, and
+sorts them by depth once the tree is done; it rejects non-finite
+features up front, so it builds only valid tables. ``tree_importances``
+sweeps ``levels`` up for each split's subtree counts and down for each
+node's pre-order place, and adds each tree's splits in reverse
+pre-order: children before parents, in one fixed summing order. Its
+gini expressions run on int64, which numpy divides as Python divides
+ints while every tree's rows n have n^2 < 2**53, and past that on ints.
 
 A model file stores the table as four columns in table order
 (``trees_to_json``): ``feature`` of every node, ``threshold`` of every
@@ -108,9 +112,9 @@ class Trees:
     count, at least 1, the last tree is whole, and a threshold is finite
     at a split and +inf at a leaf. Derived when built: ``roots[t]``, tree
     t's first node; ``child``; a leaf's ``value``, count_1 / (count_0 +
-    count_1) rounded once, as Python divides ints (0 at a split); and
-    ``depth``, the deepest leaf's, the levels a walk takes. Compared and
-    hashed by identity."""
+    count_1) rounded once, as Python divides ints (0 at a split);
+    ``levels[d]``, the splits at depth d, up to ``depth``, the deepest
+    leaf's, the levels a walk takes. Compared and hashed by identity."""
 
     feature: np.ndarray  # intp, -1 at a leaf
     threshold: np.ndarray  # float, +inf at a leaf
@@ -119,6 +123,7 @@ class Trees:
     roots: np.ndarray = field(init=False, repr=False)
     child: np.ndarray = field(init=False, repr=False)  # a split's left child; its right is child + 1
     value: np.ndarray = field(init=False, repr=False)
+    levels: tuple = field(init=False, repr=False)
     depth: int = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -126,42 +131,43 @@ class Trees:
         for name in ("threshold", "count_0", "count_1"):
             if len(getattr(self, name)) != n:
                 raise ParameterError(f"a forest table's {name} holds {len(getattr(self, name))} values for {n} nodes")
-        # leaves minus splits so far: tree t still owes t + 1 - closed
-        # subtrees, and ends where closed first reaches t + 1
-        closed = np.cumsum(np.where(split, -1, 1))
-        ends = np.flatnonzero(closed > np.maximum.accumulate(np.concatenate(([0], closed))[:-1]))
-        roots = np.concatenate(([0], ends + 1))
-        roots = roots[roots < n].astype(np.intp)
+        roots, owed = _roots(split)
         if len(roots) == 0:
             raise ParameterError("a forest table needs at least one tree")
-        if len(roots) > len(ends):
-            t = len(ends)
-            raise ParameterError(f"trees[{t}] is truncated: it lacks {t + 1 - closed[-1]} subtree(s)")
+        if owed:
+            raise ParameterError(f"trees[{len(roots) - 1}] is truncated: it lacks {owed} subtree(s)")
         if not np.where(split, np.isfinite(self.threshold), self.threshold == np.inf).all():
             raise ParameterError("a forest table's thresholds must be finite at splits and +inf at leaves")
         before = np.cumsum(split) - split  # splits ahead of each node: j + before[r]
         base = np.repeat(roots + 1 - 2 * before.take(roots), np.diff(roots, append=n))
         child = np.where(split, base + 2 * before, np.arange(n)).astype(np.intp)
-        depth, level = -1, roots
+        levels, level = [], roots
         while len(level):
-            depth, left = depth + 1, child.take(level[split.take(level)])
+            levels.append(level[split.take(level)])  # none at the last level
+            left = child.take(levels[-1])
             level = np.concatenate((left, left + 1))
         total = self.count_0 + self.count_1  # 0 at splits
         value = self.count_1 / np.maximum(total, 1)
         for i in np.flatnonzero(total > 2**53).tolist():  # a float64 above 2**53 may have rounded
             value[i] = int(self.count_1[i]) / int(total[i])
-        for name, array in (("roots", roots), ("child", child), ("value", value), ("depth", depth)):
+        derived = {"roots": roots, "child": child, "value": value, "levels": tuple(levels), "depth": len(levels) - 1}
+        for name, array in derived.items():
             object.__setattr__(self, name, array)
-        for array in (self.feature, self.threshold, self.count_0, self.count_1, roots, child, value):
+        for array in (self.feature, self.threshold, self.count_0, self.count_1, roots, child, value, *levels):
             array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.roots)
 
-    def span(self, t: int) -> tuple[int, int]:
-        """The table rows [start, stop) of tree ``t``."""
-        stop = self.roots[t + 1] if t + 1 < len(self.roots) else len(self.feature)
-        return int(self.roots[t]), int(stop)
+
+def _roots(split: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each tree's first node in a level-order table, the last perhaps
+    truncated, and the subtrees it owes: leaves minus splits so far first
+    reach t + 1 where tree t ends."""
+    closed = np.cumsum(np.where(split, -1, 1))
+    end = closed > np.maximum.accumulate(np.concatenate(([0], closed))[:-1])
+    roots = np.flatnonzero(np.concatenate(([True], end))[:-1])
+    return roots, len(roots) - int(closed[-1]) if len(split) else 0
 
 
 @dataclass(frozen=True)
@@ -549,37 +555,32 @@ def leaf_values(trees: Trees, X: np.ndarray) -> np.ndarray:
 
 def tree_importances(trees: Trees) -> np.ndarray:
     """Each tree's total weighted impurity decrease per feature, as an
-    (n_trees, 6) array, from leaf counts alone: one fold over each tree's
-    splits in reverse pre-order, listed by a depth-first walk over
-    ``child``, so retraining and reloading give equal floats.
-    Counts stay Python ints, so the gini expressions 1 - (c0^2 + c1^2)/n^2
-    round as the grower's exact arithmetic would. Only one tree's nodes
-    are Python lists at a time."""
-    acc = [[0.0] * len(FEATURE_COLUMNS) for _ in range(len(trees))]
-    for t, row in enumerate(acc):
-        start, stop = trees.span(t)
-        feature, count_0, count_1 = (a[start:stop].tolist() for a in (trees.feature, trees.count_0, trees.count_1))
-        child = (trees.child[start:stop] - start).tolist()
-        root_total = sum(count_0) + sum(count_1)
-        splits, stack = [], [0]
-        while stack:
-            i = stack.pop()
-            if feature[i] >= 0:
-                splits.append(i)
-                stack += (child[i] + 1, child[i])
-        for i in reversed(splits):
-            left, right = child[i], child[i] + 1
-            l0, l1, r0, r1 = count_0[left], count_1[left], count_0[right], count_1[right]
-            c0, c1 = count_0[i], count_1[i] = l0 + r0, l1 + r1  # a split's counts become its subtree's
-            n_node, n_left, n_right = c0 + c1, l0 + l1, r0 + r1
-            gini_left = 1.0 - (l0 * l0 + l1 * l1) / (n_left * n_left)
-            gini_right = 1.0 - (r0 * r0 + r1 * r1) / (n_right * n_right)
-            gini_node = 1.0 - (c0 * c0 + c1 * c1) / (n_node * n_node)
-            decrease = (n_node / root_total) * (gini_node - (n_left * gini_left + n_right * gini_right) / n_node)
-            # accepted splits decrease impurity exactly; the clamp only guards
-            # float rounding of near-tie splits at extreme node sizes
-            row[feature[i]] += max(0.0, decrease)
-    return np.array(acc)
+    (n_trees, 6) array, from leaf counts alone by the level sweep of the
+    module docstring, so retraining and reloading give equal floats."""
+    split, child, roots = trees.feature >= 0, trees.child, trees.roots
+    rows = np.add.reduceat(trees.count_0 + trees.count_1.astype(float), roots)  # an int64 sum may wrap
+    up = np.column_stack((trees.count_0, trees.count_1, ~split)).astype(np.int64 if rows.max() ** 2 < 2**53 else object)
+    for level in reversed(trees.levels):  # a split's counts and leaf count become its subtree's
+        up[level] = up[child.take(level)] + up[child.take(level) + 1]
+    pre, leaves = np.arange(len(split)), up[:, 2].astype(np.intp)  # pre-order on a tree's rows: a root's is its row
+    for level in trees.levels:  # a left subtree of L leaves holds 2L - 1 nodes
+        left = child.take(level)
+        pre[left] = pre.take(level) + 1
+        pre[left + 1] = pre.take(level) + 2 * leaves.take(left)
+    node = np.flatnonzero(split)[np.argsort(-pre[split])]  # the splits in reverse pre-order
+    (c0, c1, _), (l0, l1, _), (r0, r1, _) = up[node].T, up[child.take(node)].T, up[child.take(node) + 1].T
+    n_node, n_left, n_right = c0 + c1, l0 + l1, r0 + r1
+    gini_left = 1.0 - (l0 * l0 + l1 * l1) / (n_left * n_left)
+    gini_right = 1.0 - (r0 * r0 + r1 * r1) / (n_right * n_right)
+    gini_node = 1.0 - (c0 * c0 + c1 * c1) / (n_node * n_node)
+    tree = np.searchsorted(roots, node, side="right") - 1
+    root_total = (up[roots, 0] + up[roots, 1]).take(tree)
+    decrease = (n_node / root_total) * (gini_node - (n_left * gini_left + n_right * gini_right) / n_node)
+    # accepted splits decrease impurity exactly; the clamp only guards
+    # float rounding of near-tie splits at extreme node sizes
+    acc = np.zeros((len(trees), len(FEATURE_COLUMNS)))
+    np.add.at(acc, (tree, trees.feature.take(node)), np.where(decrease > 0.0, decrease, 0.0).astype(float))
+    return acc
 
 
 def trees_to_json(trees: Trees) -> dict[str, list]:
@@ -632,13 +633,11 @@ def trees_from_json(doc: dict) -> Trees:
     features = doc["feature"]
     n = len(features)
     split = np.array([f != -1 for f in features], dtype=bool)
+    roots, _ = _roots(split)
 
     def where(i: int) -> str:
-        # tree t ends where the leaves-minus-splits count first reaches t + 1
-        closed = np.cumsum(np.where(split[:i], -1, 1))
-        t = int(closed.max(initial=0))
-        root = int(np.argmax(closed == t)) + 1 if t else 0
-        return f"trees[{t}]: node {i - root}"
+        t = int(np.searchsorted(roots, i, side="right")) - 1
+        return f"trees[{t}]: node {i - roots[t]}"
 
     splits, leaves = np.flatnonzero(split), np.flatnonzero(~split)
     try:

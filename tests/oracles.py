@@ -87,12 +87,18 @@ def oracle_grow(rows, labels, depth=0, max_depth=None, min_samples_split=2):
     )
 
 
+def span(trees, t):
+    """The table rows [start, stop) of tree ``t``."""
+    stop = trees.roots[t + 1] if t + 1 < len(trees) else len(trees.feature)
+    return int(trees.roots[t]), int(stop)
+
+
 def tree_as_tuple(trees, t=0):
     """Tree ``t`` of a package table -> the oracle's tuple shape, for
     structural equality. Built from the leaves up, as every child lies
     after its parent: split i's children are ``child[i]`` and
     ``child[i] + 1``, and a leaf has feature -1."""
-    start, stop = trees.span(t)
+    start, stop = span(trees, t)
     feature, threshold, count_0, count_1 = (
         a[start:stop].tolist() for a in (trees.feature, trees.threshold, trees.count_0, trees.count_1)
     )

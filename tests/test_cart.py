@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from fractions import Fraction
 
-from oracles import leaf, oracle_gini, oracle_grow, split, tree_as_tuple, tree_from_tuple, trees_from_tuples
+from oracles import leaf, oracle_gini, oracle_grow, span, split, tree_as_tuple, tree_from_tuple, trees_from_tuples
 from smerisk import cart
 from smerisk.cart import (
     TreeParams,
@@ -360,7 +360,7 @@ def test_any_leaf_flags_give_whole_trees_in_level_order_or_a_one_line_error(flag
     trees = cart.Trees(*columns)
     child = trees.child.tolist()
     for t in range(len(trees)):
-        start, stop = trees.span(t)
+        start, stop = span(trees, t)
         # a split's children lie after it inside its tree, a leaf is its own
         # child, and a walk by levels from the root meets the nodes in order
         level, order = [start], []
@@ -672,7 +672,7 @@ def test_growth_routes_every_row_to_the_leaf_that_tallies_it(case):
         a.tolist() for a in (trees.feature, trees.threshold, trees.child, trees.count_0, trees.count_1)
     )
     for t, rows in enumerate(jobs):
-        start, stop = trees.span(t)
+        start, stop = span(trees, t)
         routed = {i: [0, 0] for i in range(start, stop)}
         for r in rows:
             i = start
@@ -909,7 +909,6 @@ def test_trees_read_into_one_table():
     assert trees.threshold.tolist() == [math.inf, 0.5, math.inf, 0.0, math.inf, math.inf]
     assert trees.child.tolist() == [0, 2, 2, 4, 4, 5]  # indices into the whole table
     assert trees.value.tolist() == [2 / 3, 0.0, 0.0, 0.0, 1 / 3, 1.0]
-    assert [trees.span(t) for t in range(2)] == [(0, 1), (1, 6)]
     assert tree_as_tuple(trees, 1) == split(0, 0.5, leaf(1, 0), split(1, 0.0, leaf(2, 1), leaf(0, 3)))
     assert predict(tree_from_tuple(tree_as_tuple(trees, 1)), np.array([[1.0, -1.0]])).tolist() == [1 / 3]
 

@@ -2,6 +2,7 @@
 thread-order independence, prediction against the per-row oracle walk,
 scoring memory, importances, and serialization."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from oracles import (
     leaf,
     oracle_soft_vote,
+    span,
     split,
     tree_as_tuple,
     tree_from_tuple,
@@ -77,7 +79,7 @@ def leaf_only_model(leaves, n_trees):
 
 def split_pairs(trees, t=0):
     """(feature, threshold) of every split of tree ``t``, in table order."""
-    start, stop = trees.span(t)
+    start, stop = span(trees, t)
     at = start + np.flatnonzero(trees.feature[start:stop] >= 0)
     return list(zip(trees.feature[at].tolist(), trees.threshold[at].tolist()))
 
@@ -614,7 +616,7 @@ def test_grown_and_reloaded_tables_are_array_equal(small_forest, tmp_path):
     trees = back.trees
     assert trees.roots[0] == 0 and (np.diff(trees.roots) > 0).all()
     for t in range(len(trees)):
-        start, stop = trees.span(t)
+        start, stop = span(trees, t)
         child, node = trees.child[start:stop], np.arange(start, stop)
         split = trees.feature[start:stop] >= 0
         assert ((child > node) & (child + 1 < stop) == split).all(), t
@@ -670,6 +672,56 @@ def chain(depth):
     for d in range(depth):
         shape = split(d % 6, float(d), leaf(d, 1), shape)
     return shape
+
+
+def balanced(depth, leaves):
+    """A full tree ``depth`` levels deep whose 2**depth leaves take the
+    (count_0, count_1) pairs of ``leaves`` in turn."""
+    level = [leaf(*leaves[i % len(leaves)]) for i in range(2**depth)]
+    for d in reversed(range(depth)):
+        level = [split(d % 6, float(d), level[i], level[i + 1]) for i in range(0, len(level), 2)]
+    return level[0]
+
+
+# a tree of 94,906,265 rows, the most whose square stays below 2**53, and
+# one of a row more
+_EDGE_ROWS = [split(0, 0.0, leaf(47453132, 1), leaf(1, 47453131)), split(1, 0.0, leaf(47453132, 1), leaf(1, 47453132))]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(_shapes, min_size=1, max_size=4))
+@example([chain(7), split(3, 0.5, leaf(5, 2), split(1, -1.0, leaf(0, 4), leaf(3, 3))), leaf(2, 2)])  # small counts
+@example([balanced(4, [(1, 0), (2, 3), (0, 5)]), chain(12)])
+@example(_EDGE_ROWS[:1])
+@example(_EDGE_ROWS)
+# 2,048 leaves of about 2**53 rows each: summed in int64, the tree's rows
+# wrap to -14,336
+@example([balanced(11, [(2**53, 2**53 - 7), (2**53 - 7, 2**53)])])
+def test_importances_match_the_reference_bit_for_bit_on_random_tables(shapes):
+    importances = tree_importances(forest_of(shapes).trees)
+    for t, shape in enumerate(shapes):
+        assert np.array_equal(importances[t].view(np.int64), reference_importances(shape).view(np.int64)), t
+
+
+# each table's depth and the sha256 of its importances' bytes, as the
+# per-node depth-first fold computed them: ``reference_importances``
+# recurses, so it cannot take 1,500 levels
+DEEP_IMPORTANCES = {
+    "chain(1500)": (1500, "e9ffce964b8f2f94941a12fba43b5787998e875f27aeb512a1a24d4e4a680745"),
+    "zero signal, 20 trees": (31, "ccc0da9bbb1c4a5eca6bbf3a9a98dc9c8844bc66a19a24a3ad8dde3bea1fea64"),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_IMPORTANCES)
+def test_importances_of_deep_tables_are_pinned(case):
+    if case == "chain(1500)":
+        trees = tree_from_tuple(chain(1500))
+    else:
+        book = generate(GeneratorConfig(n_samples=1000, seed=5, signal_strength=0.0))
+        trees = train_forest(book, ForestParams(n_trees=20)).trees
+    depth, digest = DEEP_IMPORTANCES[case]
+    assert trees.depth == depth
+    assert hashlib.sha256(tree_importances(trees).tobytes()).hexdigest() == digest
 
 
 # rows as indices into ``assert_walk_matches_oracle``'s pool of values;
