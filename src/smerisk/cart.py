@@ -22,10 +22,12 @@ computed in int64, so ``grow_trees`` rejects a job of more than
 3,329,021 rows, where it could overflow. The final strict-improvement
 test against the parent is done in unbounded integers.
 
-Growth is one path. ``grow_trees`` grows every tree of a forest in
-lockstep: each step takes one splittable node from each of several trees,
-every tree in its own pre-order, so each tree draws its feature subsets
-in the order it would alone, and scores all of them in one exact
+Growth is one path. Each tree is a ``_grow`` generator that walks it in
+pre-order, yields each splittable node with a feature subset from the
+tree's ``_subsets`` stream, and is sent the node's best split.
+``grow_trees`` grows every tree of a forest in lockstep: each step takes
+the waiting node of each of several trees, so each tree draws its
+subsets in the order it would alone, and scores all of them in one exact
 segmented search over per-column dense ranks computed once (one sort of
 (node, feature, rank) keys, a segmented cumsum and a first argmax per
 node). Two private budgets bound its memory: a step holds at most
@@ -41,17 +43,17 @@ A node's feature subset is ``np.sort(rng.choice(d, k, replace=False))``
 for its tree's rng, replayed rather than called. Up to 10,000 features
 numpy draws that subset by Floyd's sampling (Bentley & Floyd 1987), each
 draw Lemire's bounded integer on one 32-bit word (Lemire 2019), then
-shuffles it with k - 1 more bounded draws. The replay takes the same
+shuffles it with k - 1 more bounded draws. ``_subsets`` takes the same
 words ``_WORD_BLOCK`` at a time from ``rng.integers(0, 2**32,
-dtype=np.uint32)`` and turns a whole block into subsets in one numpy
-pass: Lemire's multiply-shift and rejection test on every word, Floyd's
-k steps as k column passes and a row sort. A rejected word cuts the pass,
-which goes on from the next word at the same draw, and the words of an
-unfinished subset wait for the next block. Each tree keeps the subsets
-it drew ahead. So up to 10,000 features the replay makes the same
-subsets as ``choice`` and leaves the rng further along, which nothing
-notices: a tree's rng is not drawn from after its growth. Wider,
-``choice`` switches algorithm, and the replay stays uniform.
+dtype=np.uint32)``, turns a whole block into subsets in one numpy pass
+(``_floyd``) and yields them one by one. The pass runs Lemire's
+multiply-shift and rejection test on every word, Floyd's k steps as k
+column passes and a row sort. A rejected word cuts the pass, which goes
+on from the next word at the same draw, and the words of an unfinished
+subset wait for the next block. So up to 10,000 features the replay
+makes the same subsets as ``choice`` and leaves the rng further along,
+which nothing notices: a tree's rng is not drawn from after its growth.
+Wider, ``choice`` switches algorithm, and the replay stays uniform.
 
 A forest is one node table, ``Trees``: the read-only node arrays of
 every tree in level order, tree after tree, each tree depth by depth and
@@ -109,12 +111,13 @@ from .serialize import from_json_value
 class Trees:
     """A forest's trees as the one node table of the module docstring,
     made read-only, from its four node columns; ``len()`` is the tree
-    count, at least 1, the last tree is whole, and a threshold is finite
-    at a split and +inf at a leaf. Derived when built: ``roots[t]``, tree
-    t's first node; ``child``; a leaf's ``value``, count_1 / (count_0 +
-    count_1) rounded once, as Python divides ints (0 at a split);
-    ``levels[d]``, the splits at depth d, up to ``depth``, the deepest
-    leaf's, the levels a walk takes. Compared and hashed by identity."""
+    count, at least 1, every leaf holds a row, the last tree is whole, and
+    a threshold is finite at a split and +inf at a leaf. Derived when
+    built: ``roots[t]``, tree t's first node; ``child``; a leaf's
+    ``value``, count_1 / (count_0 + count_1) rounded once, as Python
+    divides ints (0 at a split); ``levels[d]``, the splits at depth d, up
+    to ``depth``, the deepest leaf's, the levels a walk takes. Compared and
+    hashed by identity."""
 
     feature: np.ndarray  # intp, -1 at a leaf
     threshold: np.ndarray  # float, +inf at a leaf
@@ -134,6 +137,9 @@ class Trees:
         roots, owed = _roots(split)
         if len(roots) == 0:
             raise ParameterError("a forest table needs at least one tree")
+        empty = np.flatnonzero(~split & (self.count_0 + self.count_1 < 1))
+        if len(empty):
+            raise ParameterError(f"{_node_name(roots, empty[0])} is a leaf with no rows")
         if owed:
             raise ParameterError(f"trees[{len(roots) - 1}] is truncated: it lacks {owed} subtree(s)")
         if not np.where(split, np.isfinite(self.threshold), self.threshold == np.inf).all():
@@ -168,6 +174,12 @@ def _roots(split: np.ndarray) -> tuple[np.ndarray, int]:
     end = closed > np.maximum.accumulate(np.concatenate(([0], closed))[:-1])
     roots = np.flatnonzero(np.concatenate(([True], end))[:-1])
     return roots, len(roots) - int(closed[-1]) if len(split) else 0
+
+
+def _node_name(roots: np.ndarray, i: int) -> str:
+    """Node ``i`` of a table named by its tree and its place there."""
+    t = int(np.searchsorted(roots, i, side="right")) - 1
+    return f"trees[{t}]: node {i - roots[t]}"
 
 
 @dataclass(frozen=True)
@@ -331,99 +343,66 @@ def best_split(
     return feature, threshold, 1.0 - S / n
 
 
-class _Growth:
-    """One tree being grown: its pre-order nodes as [feature, threshold,
-    depth, count_0, count_1] rows, turned into the table's four columns in
-    level order (stably sorted by depth) once the tree is done, a LIFO
-    stack of (row ids, depth, class-1 count) still to grow, ``node``, the
-    splittable node it waits to have scored, with its sorted candidate
-    features, and the subsets it drew ahead: ``pool``, sorted k-subsets
-    of range(d) for ``shape`` (d, k), next subset last, read from
-    ``words``, 32-bit words of its rng, and ``starts``, where in ``words``
-    each pooled subset starts, next subset last, after where the words no
-    subset used start; so ``starts[-1]`` is the first unused word."""
+def _subsets(rng: np.random.Generator, d: int, k: int):
+    """Sorted uniform k-subsets of range(d), d < 2**32, one per ``next``,
+    by the block replay of the module docstring: up to 10,000 features
+    each is ``np.sort(rng.choice(d, k, replace=False)).tolist()``, with the
+    same draws. All features draw nothing."""
+    if k == d:
+        while True:
+            yield list(range(d))
+    words = np.empty(0, dtype=np.uint64)
+    while True:
+        words = np.concatenate((words, rng.integers(0, 2**32, size=_WORD_BLOCK, dtype=np.uint32)))
+        subsets, words = _floyd(words, d, k)
+        while subsets:  # popped, so a used subset is not held
+            yield subsets.pop()
 
-    __slots__ = ("nodes", "stack", "rng", "n_rows", "node", "shape", "words", "starts", "pool")
 
-    def __init__(self, rows: np.ndarray, y: np.ndarray, rng: np.random.Generator):
-        self.nodes: list = []
-        self.stack = [(rows, 0, int(y[rows].sum()))]
-        self.rng = rng
-        self.n_rows = len(rows)
-        self.node = self.shape = None
-        self.words = np.empty(0, dtype=np.uint64)
-        self.starts: list = [0]
-        self.pool: list = []
+def _floyd(words: np.ndarray, d: int, k: int) -> tuple[list, np.ndarray]:
+    """The whole sorted k-subsets of range(d) that ``words`` make, as lists,
+    last first, and the words they leave unused. A subset is k Floyd draws
+    in [0, j] for j = d - k ... d - 1, then k - 1 shuffle draws in [0, i]
+    for i = k - 1 ... 1, as numpy makes them: each is the high half of one
+    word times j + 1, and a word is rejected where the low half falls below
+    2**32 mod (j + 1)."""
+    size = np.array([*range(d - k + 1, d + 1), *range(k, 1, -1)], dtype=np.uint64)  # j + 1 of each draw
+    low = 2**32 % size
+    kept, at = np.empty(0, dtype=np.intp), 0  # the words of the draws made
+    while at < len(words):  # cut at a rejected word; the next one makes the same draw
+        draw = (len(kept) + np.arange(len(words) - at)) % len(size)
+        reject = (words[at:] * size[draw]) & 0xFFFFFFFF < low[draw]
+        cut = int(np.append(reject, True).argmax())
+        kept, at = np.concatenate((kept, np.arange(at, at + cut))), at + cut + 1
+    kept = kept[: len(kept) // len(size) * len(size)].reshape(-1, len(size))
+    subsets = ((words[kept] * size) >> 32)[:, :k]
+    for t in range(1, k):  # Floyd: a value already taken takes j instead
+        taken = (subsets[:, :t] == subsets[:, t : t + 1]).any(axis=1)
+        subsets[:, t] = np.where(taken, d - k + t, subsets[:, t])
+    return np.sort(subsets, axis=1)[::-1].tolist(), words[kept[-1, -1] + 1 :] if len(kept) else words
 
-    def _subset(self, d: int, k: int) -> list:
-        """A sorted uniform k-subset of range(d), d < 2**32, by Floyd's
-        sampling; up to 10,000 features it is
-        ``np.sort(rng.choice(d, k, replace=False)).tolist()``, with the same
-        draws. All features draw nothing. An empty pool is filled with
-        every whole subset that the unused words and one more block make,
-        adding blocks until there is one. A subset is k Floyd draws in [0,
-        j] for j = d - k ... d - 1, then k - 1 shuffle draws in [0, i] for
-        i = k - 1 ... 1, as numpy makes them: each is the high half of one
-        word times j + 1, and a word is rejected where the low half falls
-        below 2**32 mod (j + 1)."""
-        if k == d:
-            return list(range(d))
-        if len(self.starts) == 1 or self.shape != (d, k):
-            size = np.array([*range(d - k + 1, d + 1), *range(k, 1, -1)], dtype=np.uint64)  # j + 1 of each draw
-            low = 2**32 % size
-            words, kept = self.words[self.starts[-1] :], np.empty(0, dtype=np.intp)
-            while len(kept) < len(size):
-                words = np.concatenate((words, self.rng.integers(0, 2**32, size=_WORD_BLOCK, dtype=np.uint32)))
-                kept, at = kept[:0], 0  # the words of the draws made, from the first unused word
-                while at < len(words):  # cut at a rejected word; the next one makes the same draw
-                    draw = (len(kept) + np.arange(len(words) - at)) % len(size)
-                    reject = (words[at:] * size[draw]) & 0xFFFFFFFF < low[draw]
-                    cut = int(np.append(reject, True).argmax())
-                    kept, at = np.concatenate((kept, np.arange(at, at + cut))), at + cut + 1
-            kept = kept[: len(kept) // len(size) * len(size)].reshape(-1, len(size))
-            subsets = ((words[kept] * size) >> 32)[:, :k]
-            for t in range(1, k):  # Floyd: a value already taken takes j instead
-                taken = (subsets[:, :t] == subsets[:, t : t + 1]).any(axis=1)
-                subsets[:, t] = np.where(taken, d - k + t, subsets[:, t])
-            self.shape, self.words = (d, k), words
-            self.pool = np.sort(subsets, axis=1)[::-1].tolist()
-            self.starts = np.concatenate(([0], kept[:, -1] + 1))[::-1].tolist()
-        self.starts.pop()
-        return self.pool.pop()
 
-    def advance(self, params: TreeParams, d: int, k: int) -> bool:
-        """Move to the next splittable node in pre-order, listing the leaves
-        on the way and drawing the node's feature subset; False once the
-        tree is done and its node columns are built."""
-        while self.stack:
-            rows, depth, c1 = self.stack.pop()
-            c0 = len(rows) - c1
-            at_depth_limit = params.max_depth is not None and depth >= params.max_depth
-            if c0 == 0 or c1 == 0 or len(rows) < params.min_samples_split or at_depth_limit:
-                self.nodes.append([-1, math.inf, depth, c0, c1])
-                continue
-            self.node = (rows, depth, c1, self._subset(d, k))
-            return True
-        # done: a finished tree holds no rows, subsets, words or per-node objects
-        feature, threshold, depth, count_0, count_1 = zip(*self.nodes)
-        order = np.argsort(depth, kind="stable")
-        columns = zip((feature, threshold, count_0, count_1), (np.intp, float, np.int64, np.int64))
-        self.nodes = [np.array(c, dtype=t).take(order) for c, t in columns]
-        self.node = self.words = self.starts = self.pool = None
-        return False
-
-    def split(self, found) -> None:
-        """Record the node as ``found`` by the search, children included.
-        The right child is pushed first, so the left is grown next
-        (pre-order)."""
-        rows, depth, c1, _ = self.node
+def _grow(rows: np.ndarray, y: np.ndarray, subsets, params: TreeParams):
+    """One tree's growth on ``rows`` in pre-order: yields each splittable
+    node as (row ids, class-1 count, features from ``subsets``) and is sent
+    its best split; a split's left child is grown next. Returns the tree's
+    four node columns, its pre-order nodes stably sorted by depth."""
+    nodes, stack = [], [(rows, 0, int(y[rows].sum()))]
+    while stack:
+        rows, depth, c1 = stack.pop()
+        c0 = len(rows) - c1
+        stop = c0 == 0 or c1 == 0 or len(rows) < params.min_samples_split or depth == params.max_depth
+        found = None if stop else (yield rows, c1, next(subsets))
         if found is None:
-            self.nodes.append([-1, math.inf, depth, len(rows) - c1, c1])
-            return
-        feature, threshold, _, c1_left, left, right = found
-        self.stack.append((right, depth + 1, c1 - c1_left))
-        self.stack.append((left, depth + 1, c1_left))
-        self.nodes.append([feature, threshold, depth, 0, 0])
+            nodes.append((-1, math.inf, depth, c0, c1))
+        else:
+            feature, threshold, _, c1_left, left, right = found
+            stack += [(right, depth + 1, c1 - c1_left), (left, depth + 1, c1_left)]
+            nodes.append((feature, threshold, depth, 0, 0))
+    feature, threshold, depth, count_0, count_1 = zip(*nodes)
+    order = np.argsort(depth, kind="stable")
+    columns = zip((feature, threshold, count_0, count_1), (np.intp, float, np.int64, np.int64))
+    return [np.array(c, dtype=t).take(order) for c, t in columns]
 
 
 def grow_trees(
@@ -439,10 +418,11 @@ def grow_trees(
     Per node: stop with a leaf if the node is pure, smaller than
     min_samples_split, or at the depth limit; otherwise draw a fresh random
     feature subset and split, stopping if the search finds no strict
-    improvement. The trees grow in lockstep: each step takes one waiting
-    node from each of as many trees as the step budget admits (round
-    robin), scores them all in one search, and moves each of those trees
-    on to its next splittable node in its own pre-order. A tree's rng is
+    improvement. Each tree is a ``_grow`` generator fed by a ``_subsets``
+    stream of its rng. The trees grow in lockstep: each step takes the
+    waiting node of as many trees as the step budget admits (round robin),
+    scores them all in one search, and sends each tree its node's result,
+    which moves it on to its next splittable node. A tree's rng is
     therefore drawn in the order one-tree growth draws it, and jobs are
     taken from ``jobs`` only when the row budget lets a tree start.
     """
@@ -460,9 +440,19 @@ def grow_trees(
     k = params.resolve_features_per_split(d)
     ranks, n_ranks = _dense_ranks(X)
 
-    trees: list[_Growth] = []
-    waiting: deque[_Growth] = deque()
+    columns: list = []  # each tree's node columns, None while it grows
+    waiting: deque = deque()  # (tree index, generator, rows held, waiting node)
     held = 0  # rows of the trees growing
+
+    def resume(t: int, tree, n_rows: int, found) -> None:
+        """Send tree t its node's split; it waits with its next node or is done."""
+        nonlocal held
+        try:
+            waiting.append((t, tree, n_rows, tree.send(found)))
+        except StopIteration as done:
+            columns[t] = done.value
+            held -= n_rows
+
     jobs = iter(jobs)
     while True:
         while held < _ROW_BUDGET or not waiting:
@@ -472,32 +462,27 @@ def grow_trees(
             rows, rng = job
             rows = np.asarray(rows)
             if rows.size > _MAX_ROWS:
-                raise ParameterError(f"job {len(trees)}: {rows.size} rows exceed the {_MAX_ROWS} a tree may hold")
+                raise ParameterError(f"job {len(columns)}: {rows.size} rows exceed the {_MAX_ROWS} a tree may hold")
             if rows.size == 0:
                 raise ParameterError("cannot grow a tree on zero rows")
             if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
-                raise ParameterError(f"job {len(trees)}: rows must be integers in [0, {n})")
-            tree = _Growth(rows.astype(np.intp, copy=False), y, rng)
-            trees.append(tree)
-            if tree.advance(params, d, k):
-                waiting.append(tree)
-                held += tree.n_rows
+                raise ParameterError(f"job {len(columns)}: rows must be integers in [0, {n})")
+            rows = rows.astype(np.intp, copy=False)
+            columns.append(None)
+            held += len(rows)
+            resume(len(columns) - 1, _grow(rows, y, _subsets(rng, d, k), params), len(rows), None)
         if not waiting:
             break
-        step, elements = [], 0
-        while waiting and (not step or elements + len(waiting[0].node[0]) * k <= _STEP_BUDGET):
-            elements += len(waiting[0].node[0]) * k
+        step, elements = [], 0  # a waiting node scores its rows on k features
+        while waiting and (not step or elements + len(waiting[0][3][0]) * k <= _STEP_BUDGET):
+            elements += len(waiting[0][3][0]) * k
             step.append(waiting.popleft())
-        found = _best_splits(X, y, ranks, n_ranks, [(rows, c1, f) for rows, _, c1, f in (t.node for t in step)])
-        for tree, split in zip(step, found):
-            tree.split(split)
-            if tree.advance(params, d, k):
-                waiting.append(tree)
-            else:
-                held -= tree.n_rows
-    if not trees:
+        found = _best_splits(X, y, ranks, n_ranks, [node for *_, node in step])
+        for (t, tree, n_rows, _), split in zip(step, found):
+            resume(t, tree, n_rows, split)
+    if not columns:
         raise ParameterError("grow_trees needs at least one job")
-    return Trees(*(np.concatenate(c) for c in zip(*(tree.nodes for tree in trees))))
+    return Trees(*(np.concatenate(c) for c in zip(*columns)))
 
 
 def grow_tree_arrays(
@@ -598,11 +583,11 @@ _FLOAT_MAX = sys.float_info.max
 _COLUMNS = ("count_0", "count_1", "feature", "threshold")
 
 
-def _column(values: list, nodes: Sequence[int], where, name: str, tp: type, low, high) -> np.ndarray:
+def _column(values: list, nodes: Sequence[int], roots: np.ndarray, name: str, tp: type, low, high) -> np.ndarray:
     """The field ``name`` of ``nodes``, read from ``values`` as an array;
     each value must be a JSON ``tp`` (by the ``serialize`` rules) in
     [low, high]. The values are checked all at once, and one by one only
-    to name a bad one, as ``where(node)``."""
+    to name a bad one, by its tree of ``roots`` and its place there."""
     try:
         if set(map(type, values)) <= ({int} if tp is int else {int, float}):
             column = np.array(values, dtype=np.int64 if tp is int else float)
@@ -611,9 +596,9 @@ def _column(values: list, nodes: Sequence[int], where, name: str, tp: type, low,
     except OverflowError:  # an integer beyond int64 or float
         pass
     for node, value in zip(nodes, values):
-        value = from_json_value(tp, value, f"{where(node)} {name}")
+        value = from_json_value(tp, value, f"{_node_name(roots, node)} {name}")
         if not low <= value <= high:
-            raise ParameterError(f"{where(node)} {name} must be in [{low}, {high}], got {value!r}")
+            raise ParameterError(f"{_node_name(roots, node)} {name} must be in [{low}, {high}], got {value!r}")
     return np.array(values, dtype=np.int64 if tp is int else float)
 
 
@@ -621,10 +606,9 @@ def trees_from_json(doc: dict) -> Trees:
     """Read the columns of ``trees_to_json`` into one table. Every value of
     every tree is checked: features are indices in [0, 6) or -1,
     thresholds finite, and leaf counts integers in [0, 2**53] (larger
-    counts lose precision as floats), at least one row per leaf, and each
-    column holds one value per node it describes; ``Trees`` then checks
-    the shape. An error names ``trees[t]`` and the node's index in tree
-    t."""
+    counts lose precision as floats), and each column holds one value per
+    node it describes; ``Trees`` then checks the rows and the shape. An
+    error names ``trees[t]`` and the node's index in tree t."""
     if not isinstance(doc, dict) or doc.keys() != set(_COLUMNS):
         raise ModelFormatError(f"trees must be an object of exactly the arrays {', '.join(_COLUMNS)}")
     for name in _COLUMNS:
@@ -634,14 +618,9 @@ def trees_from_json(doc: dict) -> Trees:
     n = len(features)
     split = np.array([f != -1 for f in features], dtype=bool)
     roots, _ = _roots(split)
-
-    def where(i: int) -> str:
-        t = int(np.searchsorted(roots, i, side="right")) - 1
-        return f"trees[{t}]: node {i - roots[t]}"
-
     splits, leaves = np.flatnonzero(split), np.flatnonzero(~split)
     try:
-        feature = _column(features, range(n), where, "feature", int, -1, len(FEATURE_COLUMNS) - 1).astype(np.intp)
+        feature = _column(features, range(n), roots, "feature", int, -1, len(FEATURE_COLUMNS) - 1).astype(np.intp)
         threshold, count_0, count_1 = np.full(n, np.inf), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         for column, name, nodes, kind, tp, low, high in (
             (threshold, "threshold", splits, "splits", float, -_FLOAT_MAX, _FLOAT_MAX),
@@ -650,10 +629,7 @@ def trees_from_json(doc: dict) -> Trees:
         ):
             if len(doc[name]) != len(nodes):
                 raise ModelFormatError(f"trees.{name} holds {len(doc[name])} values for {len(nodes)} {kind}")
-            column[nodes] = _column(doc[name], nodes, where, name, tp, low, high)
-        empty = np.flatnonzero(count_0[leaves] + count_1[leaves] < 1)
-        if len(empty):
-            raise ModelFormatError(f"{where(leaves[empty[0]])} is a leaf with no rows")
+            column[nodes] = _column(doc[name], nodes, roots, name, tp, low, high)
         return Trees(feature, threshold, count_0, count_1)
     except ParameterError as exc:
         raise ModelFormatError(str(exc)) from None

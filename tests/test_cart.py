@@ -272,7 +272,7 @@ def test_grow_validates_inputs():
         grow_tree_arrays(np.zeros((3, 2)), np.array([0, 1, 2]), TreeParams(), rng)
     with pytest.raises(ParameterError):
         grow_tree_arrays(np.zeros((3, 2)), np.array([0, 1]), TreeParams(), rng)
-    with pytest.raises(ParameterError, match="at least one job"):
+    with pytest.raises(ParameterError, match="^grow_trees needs at least one job$"):
         grow_trees(np.zeros((3, 2)), np.array([0, 1, 0]), [], TreeParams())
 
 
@@ -320,6 +320,15 @@ def test_a_table_needs_at_least_one_tree():
     for threshold in ([np.inf, np.inf, np.inf], [np.nan, np.inf, np.inf], [0.5, 0.0, np.inf], [0.5, np.inf, -np.inf]):
         with pytest.raises(ParameterError, match=message):
             cart.Trees(np.array([0, -1, -1]), np.array(threshold), np.array([0, 1, 0]), np.array([0, 0, 1]))
+
+
+def test_a_table_refuses_a_leaf_with_no_rows():
+    # its class-1 fraction and its share of an impurity decrease would be 0 / 0
+    with pytest.raises(ParameterError, match=r"^trees\[0\]: node 1 is a leaf with no rows$"):
+        cart.Trees(np.array([0, -1, -1]), np.array([0.5, np.inf, np.inf]), np.array([0, 0, 2]), np.array([0, 0, 1]))
+    # checked before the shape, as the model reader checks counts first
+    with pytest.raises(ParameterError, match=r"^trees\[1\]: node 1 is a leaf with no rows$"):
+        cart.Trees(np.array([-1, 0, -1]), np.array([np.inf, 0.5, np.inf]), np.array([1, 0, 0]), np.array([0, 0, 0]))
 
 
 def test_a_table_needs_one_value_per_node_in_every_column():
@@ -479,10 +488,6 @@ def test_grow_tree_from_dataset(strong_split):
 # replace=False)) on the rng's 32-bit words, and numpy is the oracle
 
 
-def replay(rng):
-    return cart._Growth(np.arange(1), np.zeros(1, dtype=np.int64), rng)
-
-
 @pytest.mark.parametrize("block", [1, 3])
 def test_subset_replay_matches_rng_choice(monkeypatch, block):
     # blocks smaller than one subset needs; the bootstrap-sized draw of 7
@@ -495,10 +500,19 @@ def test_subset_replay_matches_rng_choice(monkeypatch, block):
                 rng = np.random.Generator(np.random.PCG64([seed, d, k]))
                 oracle.integers(0, 7, size=7)
                 rng.integers(0, 7, size=7)
-                growth = replay(rng)
+                stream = cart._subsets(rng, d, k)
                 for i in range(20):
                     expected = np.sort(oracle.choice(d, k, replace=False)).tolist()
-                    assert growth._subset(d, k) == expected, (seed, d, k, i)
+                    assert next(stream) == expected, (seed, d, k, i)
+
+
+@pytest.mark.parametrize("k", [1, 2, 100])
+def test_subset_replay_matches_rng_choice_at_ten_thousand_features(k):
+    # the widest d at which choice still samples by Floyd's algorithm
+    oracle, rng = np.random.default_rng([7, k]), np.random.default_rng([7, k])
+    stream = cart._subsets(rng, 10_000, k)
+    for i in range(20):
+        assert next(stream) == np.sort(oracle.choice(10_000, k, replace=False)).tolist(), i
 
 
 def untemper(y):
@@ -521,17 +535,33 @@ def test_subset_replay_redraws_a_rejected_word():
     key = np.arange(624, dtype=np.uint32)
     key[:3] = [untemper(0), untemper(0), untemper(7)]
     state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
-    oracle, rng = np.random.MT19937(), np.random.MT19937()
-    oracle.state = rng.state = state
-    oracle, rng = np.random.Generator(oracle), np.random.Generator(rng)
+
+    def generators():
+        """An oracle and a replayed rng, both at ``state``."""
+        oracle, rng = np.random.MT19937(), np.random.MT19937()
+        oracle.state = rng.state = state
+        return np.random.Generator(oracle), np.random.Generator(rng)
+
     words = np.random.MT19937()
     words.state = state
     assert np.random.Generator(words).integers(0, 2**32, size=3, dtype=np.uint32).tolist() == [0, 0, 7]
-    growth = replay(rng)
-    assert growth._subset(5, 1) == np.sort(oracle.choice(5, 1, replace=False)).tolist() == [0]
-    assert len(growth.words) - growth.starts[-1] == cart._WORD_BLOCK - 3  # the words left unused
+    oracle, rng = generators()
+    stream = cart._subsets(rng, 5, 1)
+    assert next(stream) == np.sort(oracle.choice(5, 1, replace=False)).tolist() == [0]
+    reference = np.random.MT19937()
+    reference.state = state
+    reference.random_raw(cart._WORD_BLOCK)
+    # one block drawn, the subset's 3 words among them
+    after, expected = rng.bit_generator.state["state"], reference.state["state"]
+    assert after["pos"] == expected["pos"] and np.array_equal(after["key"], expected["key"])
     for _ in range(20):
-        assert growth._subset(5, 2) == np.sort(oracle.choice(5, 2, replace=False)).tolist()
+        assert next(stream) == np.sort(oracle.choice(5, 1, replace=False)).tolist()
+    # (5, 2) draws in [0, 3] first, which takes word 0, then in [0, 4], which
+    # rejects the second word 0
+    oracle, rng = generators()
+    stream = cart._subsets(rng, 5, 2)
+    for _ in range(20):
+        assert next(stream) == np.sort(oracle.choice(5, 2, replace=False)).tolist()
 
 
 def mt19937_words(words):
@@ -579,9 +609,9 @@ def test_subset_replay_redraws_rejected_words_anywhere(monkeypatch, block):
     state = mt19937_words(words_rejecting_at(10, 4, rejections, 624))
     oracle, rng = np.random.MT19937(), np.random.MT19937()
     oracle.state = rng.state = state
-    growth, oracle = replay(np.random.Generator(rng)), np.random.Generator(oracle)
+    stream, oracle = cart._subsets(np.random.Generator(rng), 10, 4), np.random.Generator(oracle)
     for i in range(60):
-        assert growth._subset(10, 4) == np.sort(oracle.choice(10, 4, replace=False)).tolist(), i
+        assert next(stream) == np.sort(oracle.choice(10, 4, replace=False)).tolist(), i
     # numpy read every rejected word, so the test placed them where it meant to
     assert oracle.bit_generator.state["state"]["pos"] == 60 * 7 + 9
 
@@ -589,7 +619,8 @@ def test_subset_replay_redraws_rejected_words_anywhere(monkeypatch, block):
 def test_subset_of_all_features_draws_nothing():
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
-    assert replay(rng)._subset(4, 4) == [0, 1, 2, 3]
+    stream = cart._subsets(rng, 4, 4)
+    assert next(stream) == next(stream) == [0, 1, 2, 3]
     assert rng.bit_generator.state == before
 
 
@@ -632,6 +663,26 @@ def test_lockstep_trees_match_bruteforce_oracle():
         for t, (X, y) in enumerate(instances):
             expected = oracle_grow([tuple(r) for r in X], [int(v) for v in y])
             assert tree_as_tuple(trees, t) == expected, f"trial {trial}, tree {t}"
+
+
+@pytest.mark.parametrize("budget", ["default", "one tree at a time"])
+def test_lockstep_trees_whose_roots_stop_at_once_keep_their_places(monkeypatch, budget):
+    # roots that are leaves at once (pure, one row) or whose search finds no
+    # split (tied values) finish on the first or second send, between jobs
+    # that grow; each tree still equals its one-job growth, in job order
+    if budget == "one tree at a time":
+        monkeypatch.setattr(cart, "_ROW_BUDGET", 1)
+    rng = np.random.default_rng(22)
+    X = np.vstack((rng.normal(size=(60, 3)), np.zeros((4, 3))))
+    y = np.concatenate((rng.integers(0, 2, size=60), [0, 1, 0, 1])).astype(np.int64)
+    zeros, ones = np.flatnonzero(y[:60] == 0), np.flatnonzero(y[:60] == 1)
+    rows = [zeros, np.arange(60), ones[:1], np.arange(60, 64), ones, np.arange(30), zeros[::2], np.arange(60, 64)]
+    params = TreeParams(features_per_split=2)
+    trees = grow_trees(X, y, [(r, substream(9, t)) for t, r in enumerate(rows)], params)
+    assert len(trees) == len(rows)
+    assert [int(trees.feature[r]) >= 0 for r in trees.roots] == [False, True, False, False, False, True, False, False]
+    for t, r in enumerate(rows):
+        assert tree_as_tuple(trees, t) == tree_as_tuple(grow_trees(X, y, [(r, substream(9, t))], params)), t
 
 
 # values at the edges of the float64 range: the largest, subnormals and
