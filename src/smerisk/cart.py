@@ -29,15 +29,21 @@ tree's ``_subsets`` stream, and is sent the node's best split.
 the waiting node of each of several trees, so each tree draws its
 subsets in the order it would alone, and scores all of them in one exact
 segmented search over per-column dense ranks computed once (one sort of
-(node, feature, rank) keys, a segmented cumsum and a first argmax per
-node). Two private budgets bound its memory: a step holds at most
-``_STEP_BUDGET`` (row, candidate feature) elements and trees start only
-while the growing ones hold fewer than ``_ROW_BUDGET`` rows; at least one
-node and one tree always go ahead. That sort is the step's only one: it
-lists each winning feature's rows in rank order, so a split node's
-children are the rows either side of its boundary. Nothing depends on
-the order of a node's rows. ``grow_tree_arrays`` is its one-tree case
-and ``best_split`` the one-node case of its search.
+int64 keys, a segmented cumsum and a first argmax per node). A key packs
+three bit fields, high to low: the segment (node, candidate feature),
+the element's rank on that feature and its row's place in the step, so
+shifts and masks read each back and distinct keys sort in the stable
+order. For m nodes on k candidates over R rows a key takes
+bits(m k - 1) + bits(n_ranks - 1) + bits(R - 1) bits, and ``grow_trees``
+refuses a job that could make a step need more than 63. Two private
+budgets bound its memory: a step holds at most ``_STEP_BUDGET`` (row,
+candidate feature) elements and trees start only while the growing ones
+hold fewer than ``_ROW_BUDGET`` rows; at least one node and one tree
+always go ahead. That sort is the step's only one: it lists each winning
+feature's rows in rank order, so a split node's children are the rows
+either side of its boundary. Nothing depends on the order of a node's
+rows. ``grow_tree_arrays`` is its one-tree case and ``best_split`` the
+one-node case of its search.
 
 A node's feature subset is ``np.sort(rng.choice(d, k, replace=False))``
 for its tree's rng, replayed rather than called. Up to 10,000 features
@@ -46,14 +52,19 @@ draw Lemire's bounded integer on one 32-bit word (Lemire 2019), then
 shuffles it with k - 1 more bounded draws. ``_subsets`` takes the same
 words ``_WORD_BLOCK`` at a time from ``rng.integers(0, 2**32,
 dtype=np.uint32)``, turns a whole block into subsets in one numpy pass
-(``_floyd``) and yields them one by one. The pass runs Lemire's
-multiply-shift and rejection test on every word, Floyd's k steps as k
-column passes and a row sort. A rejected word cuts the pass, which goes
-on from the next word at the same draw, and the words of an unfinished
-subset wait for the next block. So up to 10,000 features the replay
-makes the same subsets as ``choice`` and leaves the rng further along,
-which nothing notices: a tree's rng is not drawn from after its growth.
-Wider, ``choice`` switches algorithm, and the replay stays uniform.
+(``_floyd``) and yields them one by one. The trees that ``grow_trees``
+starts in one round draw their first blocks together, one ``integers``
+call per tree, and one ``_floyd`` pass replays that (trees x words)
+matrix. The pass runs Lemire's multiply-shift and rejection test on every
+word, Floyd's k steps as k column passes and a row sort. A rejected word
+is dropped, and the next word of its row makes the same draw; each
+rejection loop pass drops the first rejected word of every row that has
+one. The words of an unfinished subset wait for the row's next block. So
+up to 10,000 features the replay makes the same subsets as ``choice``
+and leaves the rng further along, which nothing notices: a tree's rng is
+not drawn from after its growth, and a tree whose root is a leaf draws a
+block it never uses. Wider, ``choice`` switches algorithm, and the
+replay stays uniform.
 
 A forest is one node table, ``Trees``: the read-only node arrays of
 every tree in level order, tree after tree, each tree depth by depth and
@@ -228,6 +239,12 @@ _WORD_BLOCK = 256
 _COMPACT_EVERY = 4
 
 
+def _key_bits(segments: int, n_ranks: int, n_rows: int) -> int:
+    """The bits of a split-search key (``_best_splits``) in a step of
+    ``segments`` (node, candidate) pairs and ``n_rows`` rows."""
+    return sum((v - 1).bit_length() for v in (segments, n_ranks, n_rows))
+
+
 def _dense_ranks(X: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense ranks of each column of ``X``, column after column (the rank
     of ``X[i, f]`` is at ``f * len(X) + i``), and one more than the
@@ -246,43 +263,44 @@ def _best_splits(X, y, ranks, n_ranks, nodes) -> list:
 
     A node is (row ids, class-1 count, sorted candidate features), and
     every node holds the same number of candidates. All nodes are scored
-    by one search: a segment is one (node, candidate) pair, one stable
-    sort orders the elements by (segment, rank), and a boundary is a rank
-    change inside a segment. Boundaries come out in (node, feature,
-    threshold) order, so the first maximal S of a node is both the lowest
-    threshold within a feature and the lowest feature across features.
-    The children are the winning segment's rows before and after its
-    boundary, copied so a child held on a stack does not keep the step's.
+    by one search: a segment is one (node, candidate) pair, one sort of
+    distinct (segment, rank, row place) keys orders the elements by
+    (segment, rank) stably, and a boundary is a rank change inside a
+    segment. Boundaries come out in (node, feature, threshold) order, so
+    the first maximal S of a node is both the lowest threshold within a
+    feature and the lowest feature across features. The children are the
+    winning segment's rows before and after its boundary, copied so a
+    child held on a stack does not keep the step's.
     """
     sizes = [len(rows) for rows, _, _ in nodes]
     counts_1 = [c1 for _, c1, _ in nodes]
     features = np.array([f for _, _, f in nodes])
     rows = np.concatenate([rows for rows, _, _ in nodes])
     m, k = features.shape
-    # element j * len(rows) + r: row rows[r] on its node's j-th candidate
-    feature = np.repeat(features, sizes, axis=0).T
-    segment = np.repeat(np.arange(m) * k, sizes) + np.arange(k)[:, None]
-    key = (segment * n_ranks + ranks.take(feature * len(X) + rows)).ravel()
-    # the element breaks ties, so sorting the values gives the stable
-    # order. The product is below 2**28 * n_ranks for a step of several
-    # nodes and k * k * n * n_ranks for one node of n rows: within int64 at
-    # six features for any job the row guard admits on up to 3e10 rows
-    key, element = np.divmod(np.sort(key * len(key) + np.arange(len(key))), len(key))
-    row = rows.take(element % len(rows))
+    # the key of row rows[r] on its node's j-th candidate packs segment
+    # node * k + j, the rank and r in bit fields, high to low. Keys are
+    # distinct, so sorting them gives the stable order; one takes
+    # _key_bits(m * k, n_ranks, len(rows)) bits, at most 63 in grow_trees
+    rank_shift = (len(rows) - 1).bit_length()
+    segment_shift = rank_shift + (n_ranks - 1).bit_length()
+    rank_at = np.repeat(features * len(X), sizes, axis=0).T + rows  # where _dense_ranks holds each rank
+    segment = np.repeat(np.arange(0, m * k, k) << segment_shift, sizes) + (np.arange(k) << segment_shift)[:, None]
+    key = np.sort((segment | (ranks.take(rank_at) << rank_shift) | np.arange(len(rows))).ravel())
+    row = rows.take(key & ((1 << rank_shift) - 1))
     left_1 = np.concatenate(([0], np.cumsum(y.take(row))))
     seg_size = np.repeat(sizes, k)
     seg_start = np.cumsum(seg_size) - seg_size
-    segment = key // n_ranks
-    b = np.flatnonzero((key[:-1] < key[1:]) & (segment[:-1] == segment[1:]))
+    place, segment = key >> rank_shift, key >> segment_shift  # place: segment and rank
+    b = np.flatnonzero((place[:-1] < place[1:]) & (segment[:-1] == segment[1:]))
     found = [None] * m
     if len(b) == 0:
         return found
     seg = segment.take(b)
-    node = seg // k
+    node, start = seg // k, seg_start.take(seg)
     n_node = np.take(sizes, node)
-    n_left = b + 1 - seg_start.take(seg)
+    n_left = b + 1 - start
     n_right = n_node - n_left
-    c1_left = left_1.take(b + 1) - left_1.take(seg_start.take(seg))
+    c1_left = left_1.take(b + 1) - left_1.take(start)
     c0_left = n_left - c1_left
     c1_right = np.take(counts_1, node) - c1_left
     c0_right = n_right - c1_right
@@ -294,11 +312,11 @@ def _best_splits(X, y, ranks, n_ranks, nodes) -> list:
     hit = np.flatnonzero(S == np.maximum.reduceat(S, first)[group])
     win = hit[np.concatenate(([True], group[hit][1:] != group[hit][:-1]))]
     at = b.take(win)
-    win_feature = feature.ravel().take(element.take(at))
+    win_feature = features.ravel().take(seg.take(win))
     lo = X[row.take(at), win_feature]  # the values either side of the boundary
     hi = X[row.take(at + 1), win_feature]
     columns = (node.take(win), win_feature, lo, hi, S.take(win), T.take(win), D.take(win), c1_left.take(win))
-    columns += (seg_start.take(seg.take(win)), at)
+    columns += (start.take(win), at)
     for i, f, lo, hi, s, t, d, c1, start, at in zip(*(column.tolist() for column in columns)):
         n, n_1 = sizes[i], counts_1[i]
         if t * n <= ((n - n_1) ** 2 + n_1 * n_1) * d:  # exact: S <= parent impurity score
@@ -343,43 +361,64 @@ def best_split(
     return feature, threshold, 1.0 - S / n
 
 
-def _subsets(rng: np.random.Generator, d: int, k: int):
+def _subsets(rng: np.random.Generator, d: int, k: int, first: tuple | None = None):
     """Sorted uniform k-subsets of range(d), d < 2**32, one per ``next``,
     by the block replay of the module docstring: up to 10,000 features
     each is ``np.sort(rng.choice(d, k, replace=False)).tolist()``, with the
-    same draws. All features draw nothing."""
+    same draws. ``first`` is the rng's first block as ``_subset_streams``
+    turns it into (subsets, unused words), drawn here when not given. All
+    features draw nothing."""
     if k == d:
         while True:
             yield list(range(d))
-    words = np.empty(0, dtype=np.uint64)
+    subsets, words = first or ([], np.empty(0, dtype=np.uint32))
     while True:
-        words = np.concatenate((words, rng.integers(0, 2**32, size=_WORD_BLOCK, dtype=np.uint32)))
-        subsets, words = _floyd(words, d, k)
         while subsets:  # popped, so a used subset is not held
             yield subsets.pop()
+        block = rng.integers(0, 2**32, size=_WORD_BLOCK, dtype=np.uint32)
+        [(subsets, words)] = _floyd(np.concatenate((words, block))[None], d, k)
 
 
-def _floyd(words: np.ndarray, d: int, k: int) -> tuple[list, np.ndarray]:
-    """The whole sorted k-subsets of range(d) that ``words`` make, as lists,
-    last first, and the words they leave unused. A subset is k Floyd draws
-    in [0, j] for j = d - k ... d - 1, then k - 1 shuffle draws in [0, i]
-    for i = k - 1 ... 1, as numpy makes them: each is the high half of one
-    word times j + 1, and a word is rejected where the low half falls below
+def _subset_streams(rngs: list, d: int, k: int) -> list:
+    """A ``_subsets`` stream of each rng, the first blocks of all of them
+    drawn (one ``integers`` call per rng) and replayed in one ``_floyd``
+    pass."""
+    if k == d or not rngs:
+        return [_subsets(rng, d, k) for rng in rngs]
+    words = np.array([rng.integers(0, 2**32, size=_WORD_BLOCK, dtype=np.uint32) for rng in rngs])
+    return [_subsets(rng, d, k, first) for rng, first in zip(rngs, _floyd(words, d, k))]
+
+
+def _floyd(words: np.ndarray, d: int, k: int) -> list:
+    """For each row of the word matrix ``words``, the whole sorted
+    k-subsets of range(d) it makes, as lists, last first, and the words it
+    leaves unused. A subset is k Floyd draws in [0, j] for
+    j = d - k ... d - 1, then k - 1 shuffle draws in [0, i] for
+    i = k - 1 ... 1, as numpy makes them: each is the high half of one word
+    times j + 1, and a word is rejected where the low half falls below
     2**32 mod (j + 1)."""
-    size = np.array([*range(d - k + 1, d + 1), *range(k, 1, -1)], dtype=np.uint64)  # j + 1 of each draw
-    low = 2**32 % size
-    kept, at = np.empty(0, dtype=np.intp), 0  # the words of the draws made
-    while at < len(words):  # cut at a rejected word; the next one makes the same draw
-        draw = (len(kept) + np.arange(len(words) - at)) % len(size)
-        reject = (words[at:] * size[draw]) & 0xFFFFFFFF < low[draw]
-        cut = int(np.append(reject, True).argmax())
-        kept, at = np.concatenate((kept, np.arange(at, at + cut))), at + cut + 1
-    kept = kept[: len(kept) // len(size) * len(size)].reshape(-1, len(size))
-    subsets = ((words[kept] * size) >> 32)[:, :k]
+    size = np.array([*range(d - k + 1, d + 1), *range(k, 1, -1)], dtype=np.uint32)  # j + 1 of each draw
+    low = -size % size  # 2**32 mod (j + 1)
+    kept = np.ones(words.shape, dtype=bool)  # the words of the draws made
+    while True:  # each pass drops each row's first rejected word; the next one makes the same draw
+        made = np.cumsum(kept, axis=1, dtype=np.int32)
+        draw = (made - 1) % len(size)
+        reject = kept & (words * size[draw] < low[draw])  # uint32 keeps the product's low half
+        if not reject.any():
+            break
+        rows = np.flatnonzero(reject.any(axis=1))
+        kept[rows, reject[rows].argmax(axis=1)] = False
+    need = made[:, -1] // len(size) * len(size)  # the words of each row's whole subsets
+    subsets = ((words[kept & (made <= need[:, None])].reshape(-1, len(size)) * size.astype(np.uint64)) >> 32)[:, :k]
     for t in range(1, k):  # Floyd: a value already taken takes j instead
         taken = (subsets[:, :t] == subsets[:, t : t + 1]).any(axis=1)
         subsets[:, t] = np.where(taken, d - k + t, subsets[:, t])
-    return np.sort(subsets, axis=1)[::-1].tolist(), words[kept[-1, -1] + 1 :] if len(kept) else words
+    whole, unused = need // len(size), (made < need[:, None]).sum(axis=1) + (need > 0)  # past each row's last kept word
+    subsets, out, start = np.sort(subsets, axis=1).tolist(), [], 0
+    for row, n, u in zip(words, whole.tolist(), unused.tolist()):
+        out.append((subsets[start : start + n][::-1], row[u:].copy()))
+        start += n
+    return out
 
 
 def _grow(rows: np.ndarray, y: np.ndarray, subsets, params: TreeParams):
@@ -423,8 +462,9 @@ def grow_trees(
     waiting node of as many trees as the step budget admits (round robin),
     scores them all in one search, and sends each tree its node's result,
     which moves it on to its next splittable node. A tree's rng is
-    therefore drawn in the order one-tree growth draws it, and jobs are
-    taken from ``jobs`` only when the row budget lets a tree start.
+    therefore drawn in the order one-tree growth draws it. Jobs are taken
+    from ``jobs`` in rounds, only while the row budget lets a tree start,
+    and the trees of a round draw their first subset blocks together.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -453,26 +493,37 @@ def grow_trees(
             columns[t] = done.value
             held -= n_rows
 
-    jobs = iter(jobs)
-    while True:
-        while held < _ROW_BUDGET or not waiting:
+    jobs, more = iter(jobs), True
+    while more or waiting:
+        started = []  # (tree index, rows, rng) of the trees this round starts
+        while more and (held < _ROW_BUDGET or not (waiting or started)):
             job = next(jobs, None)
             if job is None:
+                more = False
                 break
             rows, rng = job
             rows = np.asarray(rows)
             if rows.size > _MAX_ROWS:
                 raise ParameterError(f"job {len(columns)}: {rows.size} rows exceed the {_MAX_ROWS} a tree may hold")
+            # a step of one node holds k segments and at most this job's
+            # rows; one of several holds at most _STEP_BUDGET elements and
+            # the rows of the trees then growing
+            rows_held = held + rows.size
+            segments, step_rows = max(k, min(k * rows_held, _STEP_BUDGET)), max(rows.size, min(rows_held, _STEP_BUDGET))
+            bits = _key_bits(segments, n_ranks, step_rows)
+            if bits > 63:
+                raise ParameterError(f"job {len(columns)}: its split search needs {bits}-bit keys, past int64's 63")
             if rows.size == 0:
                 raise ParameterError("cannot grow a tree on zero rows")
             if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
                 raise ParameterError(f"job {len(columns)}: rows must be integers in [0, {n})")
-            rows = rows.astype(np.intp, copy=False)
+            started.append((len(columns), rows.astype(np.intp, copy=False), rng))
             columns.append(None)
             held += len(rows)
-            resume(len(columns) - 1, _grow(rows, y, _subsets(rng, d, k), params), len(rows), None)
+        for (t, rows, _), subsets in zip(started, _subset_streams([rng for *_, rng in started], d, k)):
+            resume(t, _grow(rows, y, subsets, params), len(rows), None)
         if not waiting:
-            break
+            continue  # every tree this round started was done at once
         step, elements = [], 0  # a waiting node scores its rows on k features
         while waiting and (not step or elements + len(waiting[0][3][0]) * k <= _STEP_BUDGET):
             elements += len(waiting[0][3][0]) * k
@@ -538,10 +589,11 @@ def leaf_values(trees: Trees, X: np.ndarray) -> np.ndarray:
     return out.reshape(n_rows, n_trees)
 
 
-def tree_importances(trees: Trees) -> np.ndarray:
+def tree_importances(trees: Trees, n_features: int) -> np.ndarray:
     """Each tree's total weighted impurity decrease per feature, as an
-    (n_trees, 6) array, from leaf counts alone by the level sweep of the
-    module docstring, so retraining and reloading give equal floats."""
+    (n_trees, n_features) array for a table grown on ``n_features``
+    columns, from leaf counts alone by the level sweep of the module
+    docstring, so retraining and reloading give equal floats."""
     split, child, roots = trees.feature >= 0, trees.child, trees.roots
     rows = np.add.reduceat(trees.count_0 + trees.count_1.astype(float), roots)  # an int64 sum may wrap
     up = np.column_stack((trees.count_0, trees.count_1, ~split)).astype(np.int64 if rows.max() ** 2 < 2**53 else object)
@@ -563,7 +615,7 @@ def tree_importances(trees: Trees) -> np.ndarray:
     decrease = (n_node / root_total) * (gini_node - (n_left * gini_left + n_right * gini_right) / n_node)
     # accepted splits decrease impurity exactly; the clamp only guards
     # float rounding of near-tie splits at extreme node sizes
-    acc = np.zeros((len(trees), len(FEATURE_COLUMNS)))
+    acc = np.zeros((len(trees), n_features))
     np.add.at(acc, (tree, trees.feature.take(node)), np.where(decrease > 0.0, decrease, 0.0).astype(float))
     return acc
 

@@ -131,7 +131,7 @@ def feature_importances(model: ForestModel) -> tuple[np.ndarray, bool]:
     The flag is set (and the vector is all zeros) only when every tree is a
     bare leaf, so no split ever reduced impurity.
     """
-    raw = tree_importances(model.trees).mean(axis=0)
+    raw = tree_importances(model.trees, len(model.feature_names)).mean(axis=0)
     total = float(raw.sum())
     if total == 0.0:
         return np.zeros(len(model.feature_names)), True

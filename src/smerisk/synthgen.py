@@ -128,10 +128,10 @@ def _risk_score(c: SignalCoefficients, X: np.ndarray) -> np.ndarray:
     )
 
 
-def _draw_features(config: GeneratorConfig, n: int, master_seed: int) -> np.ndarray:
-    """The (n, 6) feature matrix: the ranges' columns in field order, then
-    the sector."""
-    X = np.empty((n, len(FEATURE_COLUMNS)))
+def _draw_features(config: GeneratorConfig, n: int, master_seed: int, order: str = "C") -> np.ndarray:
+    """The (n, 6) feature matrix in numpy memory ``order``: the ranges'
+    columns in field order, then the sector."""
+    X = np.empty((n, len(FEATURE_COLUMNS)), order=order)
     for k, f in enumerate(fields(FeatureRanges)):
         X[:, k] = substream(master_seed, k).uniform(*getattr(config.ranges, f.name), n)
     X[:, 5] = substream(master_seed, 5).integers(0, 2, n)
@@ -156,7 +156,8 @@ def _calibrate_intercept(config: GeneratorConfig) -> float:
     logit = math.log(r / (1.0 - r))
     if config.signal_strength == 0:
         return logit
-    g = _risk_score(config.coefficients, _draw_features(config, _PROBE_SIZE, _PROBE_SEED))
+    # column-major, so the risk score reads each column contiguously
+    g = _risk_score(config.coefficients, _draw_features(config, _PROBE_SIZE, _PROBE_SEED, order="F"))
     if math.isinf(2.0 * config.signal_strength * max(float(g.max()), -float(g.min()))):
         raise ParameterError(f"signal_strength {config.signal_strength!r} is so large the risk score overflows")
     g *= config.signal_strength  # in place: the probe holds one score array

@@ -310,6 +310,33 @@ def test_grow_rejects_a_job_past_the_int64_bound(monkeypatch):
         grow_trees(X, y, [(np.arange(7) % 6, substream(0, 0))], TreeParams())
 
 
+def test_grow_rejects_a_job_past_the_sort_key_bound(monkeypatch):
+    # a step's sort key packs (segment, rank, row) bit fields in int64: a
+    # job of 2**47 rows takes 47 bits of row, 14 of segment beside it in a
+    # step of several nodes, and 3 of rank on this 6-value column
+    monkeypatch.setattr(cart, "_MAX_ROWS", 2**62)
+    X, y = np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 1, 1, 0])
+    jobs = [(np.arange(6), substream(0, 0)), (np.broadcast_to(np.intp(-1), (2**47,)), substream(0, 1))]
+    with pytest.raises(ParameterError, match="^job 1: its split search needs 64-bit keys, past int64's 63$"):
+        grow_trees(X, y, jobs, TreeParams())
+
+
+def test_the_search_keys_fields_keep_their_order_at_63_bits():
+    # a rank field widened until the key takes all 63 bits finds the
+    # splits the narrow one finds
+    rng = np.random.default_rng(63)
+    X, y = np.round(rng.normal(size=(40, 3)), 1), rng.integers(0, 2, size=40)
+    ranks, n_ranks = cart._dense_ranks(X)
+    nodes = [(rng.integers(0, 40, size=20), 0, np.array([0, 2])), (np.arange(40), 0, np.array([1, 2]))]
+    nodes = [(rows, int(y[rows].sum()), features) for rows, _, features in nodes]
+    wide = 2 ** (63 - cart._key_bits(4, 1, 60))
+    assert cart._key_bits(4, wide, 60) == 63
+    narrow, widened = cart._best_splits(X, y, ranks, n_ranks, nodes), cart._best_splits(X, y, ranks, wide, nodes)
+    assert all(found is not None for found in narrow)
+    for a, b in zip(narrow, widened):
+        assert a[:4] == b[:4] and all(np.array_equal(u, v) for u, v in zip(a[4:], b[4:]))
+
+
 def test_a_table_needs_at_least_one_tree():
     empty = np.zeros(0, dtype=np.intp)
     with pytest.raises(ParameterError, match="^a forest table needs at least one tree$"):
@@ -614,6 +641,40 @@ def test_subset_replay_redraws_rejected_words_anywhere(monkeypatch, block):
         assert next(stream) == np.sort(oracle.choice(10, 4, replace=False)).tolist(), i
     # numpy read every rejected word, so the test placed them where it meant to
     assert oracle.bit_generator.state["state"]["pos"] == 60 * 7 + 9
+
+
+def test_one_round_replays_the_first_blocks_of_all_its_trees_at_once():
+    # one round's first blocks make one word matrix; rows whose words hold
+    # rejected words sit between plain PCG64 rows, so their cuts differ
+    for d, k in [(d, k) for d in range(2, 17) for k in range(1, d)] + [(10_000, 1), (10_000, 2), (10_000, 100)]:
+        sizes = [*range(d - k + 1, d + 1), *range(k, 1, -1)]
+        rejectable = [i for i, size in enumerate(sizes) if 2**32 % size]  # 0 is rejected unless size is 2**j
+        states = []
+        for spread in range(3):
+            if rejectable:
+                places = [(s, rejectable[(s + spread) % len(rejectable)]) for s in range(0, 4 + spread, 1 + spread)]
+                states.append(mt19937_words(words_rejecting_at(d, k, {at: 1 + at[0] % 3 for at in places}, 624)))
+            states.append(np.random.PCG64([d, k, spread]).state)
+        bit_generators = {"MT19937": (np.random.MT19937, 1), "PCG64": (np.random.PCG64, 2)}  # and 32-bit words a raw
+
+        def generators():
+            """One fresh generator at each state."""
+            out = []
+            for state in states:
+                bit_generator = bit_generators[state["bit_generator"]][0]()
+                bit_generator.state = state
+                out.append(np.random.Generator(bit_generator))
+            return out
+
+        rngs, oracles, references = generators(), generators(), generators()
+        streams = cart._subset_streams(rngs, d, k)
+        for rng, state, reference in zip(rngs, states, references):
+            reference.bit_generator.random_raw(cart._WORD_BLOCK // bit_generators[state["bit_generator"]][1])
+            after, expected = rng.bit_generator.state["state"], reference.bit_generator.state["state"]
+            assert all(np.array_equal(after[name], expected[name]) for name in expected), (d, k)
+        for t, (stream, oracle) in enumerate(zip(streams, oracles)):
+            for i in range(20):
+                assert next(stream) == np.sort(oracle.choice(d, k, replace=False)).tolist(), (d, k, t, i)
 
 
 def test_subset_of_all_features_draws_nothing():

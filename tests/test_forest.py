@@ -2,6 +2,7 @@
 thread-order independence, prediction against the per-row oracle walk,
 scoring memory, importances, and serialization."""
 
+import gc
 import hashlib
 import json
 import math
@@ -171,8 +172,8 @@ def test_bootstrap_unique_fraction():
 def test_train_forest_shape(small_forest):
     assert len(small_forest.trees) == 15
     assert small_forest.feature_names == FEATURE_COLUMNS
-    assert tree_importances(small_forest.trees).shape == (15, 6)
-    assert np.all(tree_importances(small_forest.trees) >= 0.0)
+    assert tree_importances(small_forest.trees, 6).shape == (15, 6)
+    assert np.all(tree_importances(small_forest.trees, 6) >= 0.0)
 
 
 def test_forest_beats_coin_flip(small_forest, strong_split):
@@ -297,6 +298,22 @@ def test_training_memory_does_not_grow_with_the_tree_count():
     few, many = peak(4), peak(40)
     assert many - few <= 2 * 2**20, (few, many)
 
+
+def test_training_memory_of_a_forest_whose_trees_all_grow_at_once():
+    # all 100 default trees of a 1,000-row book grow at once, so memory
+    # that each growing tree holds adds up a hundredfold: a subset stream
+    # that kept its block's used subsets peaked 0.23 MiB higher, at 4.0 MiB
+    book = generate(GeneratorConfig(n_samples=1000, seed=42))
+    train_forest(book, ForestParams(n_trees=1, tree_params=TreeParams(max_depth=1)))  # one-time allocations
+    gc.collect()  # garbage of earlier tests is not freed inside the traced fit
+    tracemalloc.start()
+    try:
+        train_forest(book, ForestParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.875 * 2**20, peak
+
 # prediction
 
 
@@ -389,12 +406,12 @@ def reference_gini(c0, c1):
     return 1.0 - float(Fraction(c0 * c0 + c1 * c1, (c0 + c1) ** 2))
 
 
-def reference_importances(shape):
+def reference_importances(shape, n_features=len(FEATURE_COLUMNS)):
     """Each split's weighted impurity decrease by the per-node expressions
     of ``cart.tree_importances``, on Python ints and Fractions over the
     tuple shape, added in reverse pre-order (right subtree, left subtree,
     node)."""
-    acc = [0.0] * len(FEATURE_COLUMNS)
+    acc = [0.0] * n_features
     root_total = 0
 
     def total(node):
@@ -432,7 +449,7 @@ def test_leaf_fractions_and_importances_are_exact_near_2_53():
     values, degenerate = feature_importances(model)
     assert not degenerate
     assert values.tolist() == (raw / raw.sum()).tolist()
-    assert np.array_equal(tree_importances(model.trees)[0], raw)
+    assert np.array_equal(tree_importances(model.trees, 6)[0], raw)
     float_gini = [1.0 - (a * a + b * b) / (a + b) ** 2 for a, b in (map(float, pair) for pair in BIG_COUNTS)]
     assert float_gini != [reference_gini(*pair) for pair in BIG_COUNTS]
 
@@ -442,9 +459,22 @@ def test_importances_add_each_trees_splits_in_reverse_pre_order(small_forest, ze
     # level, but its splits are added in reverse pre-order, as the
     # reference adds them
     for model in (small_forest, train_forest(zero_signal_book, ForestParams(n_trees=10))):
-        importances = tree_importances(model.trees)
+        importances = tree_importances(model.trees, 6)
         for t in range(len(model.trees)):
             assert np.array_equal(importances[t], reference_importances(tree_as_tuple(model.trees, t))), t
+
+
+def test_importances_take_the_width_of_the_book_the_table_grew_on():
+    # growth takes any width, so importances are sized by the caller: a
+    # random 50 x 8 book whose trees split on its last column
+    rng = np.random.default_rng(8)
+    X, y = rng.normal(size=(50, 8)), rng.integers(0, 2, size=50)
+    trees = grow_trees(X, y, [(rng.integers(0, 50, size=50), substream(8, t)) for t in range(10)], TreeParams())
+    assert (trees.feature == 7).any()
+    importances = tree_importances(trees, 8)
+    assert importances.shape == (10, 8)
+    for t in range(len(trees)):
+        assert np.array_equal(importances[t], reference_importances(tree_as_tuple(trees, t), 8)), t
 
 
 # the flat walk against the per-row oracle
@@ -592,7 +622,7 @@ def test_forest_json_round_trip(small_forest, strong_split):
 def test_forest_json_importances_recomputed_exactly(small_forest):
     text = model_to_json_text(small_forest)
     back = model_from_json_document(json.loads(text))
-    assert np.array_equal(tree_importances(back.trees), tree_importances(small_forest.trees))
+    assert np.array_equal(tree_importances(back.trees, 6), tree_importances(small_forest.trees, 6))
     assert model_to_json_text(back) == text
 
 
@@ -698,7 +728,7 @@ _EDGE_ROWS = [split(0, 0.0, leaf(47453132, 1), leaf(1, 47453131)), split(1, 0.0,
 # wrap to -14,336
 @example([balanced(11, [(2**53, 2**53 - 7), (2**53 - 7, 2**53)])])
 def test_importances_match_the_reference_bit_for_bit_on_random_tables(shapes):
-    importances = tree_importances(forest_of(shapes).trees)
+    importances = tree_importances(forest_of(shapes).trees, 6)
     for t, shape in enumerate(shapes):
         assert np.array_equal(importances[t].view(np.int64), reference_importances(shape).view(np.int64)), t
 
@@ -721,7 +751,7 @@ def test_importances_of_deep_tables_are_pinned(case):
         trees = train_forest(book, ForestParams(n_trees=20)).trees
     depth, digest = DEEP_IMPORTANCES[case]
     assert trees.depth == depth
-    assert hashlib.sha256(tree_importances(trees).tobytes()).hexdigest() == digest
+    assert hashlib.sha256(tree_importances(trees, 6).tobytes()).hexdigest() == digest
 
 
 # rows as indices into ``assert_walk_matches_oracle``'s pool of values;
