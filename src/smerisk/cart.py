@@ -23,8 +23,8 @@ computed in int64, so ``grow_trees`` rejects a job of more than
 test against the parent is done in unbounded integers.
 
 Growth is one path. Each tree is a ``_grow`` generator that walks it in
-pre-order, yields each splittable node with a feature subset from the
-tree's ``_subsets`` stream, and is sent the node's best split.
+pre-order, yields each splittable node with a feature subset popped
+from the tree's subset supply, and is sent the node's best split.
 ``grow_trees`` grows every tree of a forest in lockstep: each step takes
 the waiting node of each of several trees, so each tree draws its
 subsets in the order it would alone, and scores all of them in one exact
@@ -49,21 +49,24 @@ A node's feature subset is ``np.sort(rng.choice(d, k, replace=False))``
 for its tree's rng, replayed rather than called. Up to 10,000 features
 numpy draws that subset by Floyd's sampling (Bentley & Floyd 1987), each
 draw Lemire's bounded integer on one 32-bit word (Lemire 2019), then
-shuffles it with k - 1 more bounded draws. ``_subsets`` takes the same
-words ``_WORD_BLOCK`` at a time from ``rng.integers(0, 2**32,
-dtype=np.uint32)``, turns a whole block into subsets in one numpy pass
-(``_floyd``) and yields them one by one. The trees that ``grow_trees``
-starts in one round draw their first blocks together, one ``integers``
-call per tree, and one ``_floyd`` pass replays that (trees x words)
-matrix. The pass runs Lemire's multiply-shift and rejection test on every
-word, Floyd's k steps as k column passes and a row sort. A rejected word
-is dropped, and the next word of its row makes the same draw; each
-rejection loop pass drops the first rejected word of every row that has
-one. The words of an unfinished subset wait for the row's next block. So
-up to 10,000 features the replay makes the same subsets as ``choice``
-and leaves the rng further along, which nothing notices: a tree's rng is
-not drawn from after its growth, and a tree whose root is a leaf draws a
-block it never uses. Wider, ``choice`` switches algorithm, and the
+shuffles it with k - 1 more bounded draws. A tree's supply holds its
+rng, its whole subsets and the words of an unfinished one. ``_refill``
+gives each supply that has run dry its rng's next ``_WORD_BLOCK`` words
+(``rng.integers(0, 2**32, dtype=np.uint32)``) after its unused ones, and
+one numpy pass (``_floyd``) turns all those rows, of unequal lengths,
+into subsets. ``grow_trees`` refills the trees it starts together, and
+after each step those the step emptied. The pass runs Lemire's
+multiply-shift and rejection test on every word, Floyd's k steps as k
+column passes and a row sort. A rejected word is dropped, and the next
+word of its row makes the same draw; each rejection loop pass drops the
+first rejected word of every row that has one. The words of an
+unfinished subset wait for the row's next block. So up to 10,000
+features the replay makes the same subsets as ``choice`` and leaves the
+rng further along, which nothing notices: a tree's rng is not drawn
+from after its growth. Refilled as soon as it runs dry, a tree may draw
+a block it never uses (one whose root is a leaf draws one), so it ends
+up to a block and a subset's words past its last subset. All features
+(k = d) draw nothing. Wider, ``choice`` switches algorithm, and the
 replay stays uniform.
 
 A forest is one node table, ``Trees``: the read-only node arrays of
@@ -361,77 +364,68 @@ def best_split(
     return feature, threshold, 1.0 - S / n
 
 
-def _subsets(rng: np.random.Generator, d: int, k: int, first: tuple | None = None):
-    """Sorted uniform k-subsets of range(d), d < 2**32, one per ``next``,
-    by the block replay of the module docstring: up to 10,000 features
-    each is ``np.sort(rng.choice(d, k, replace=False)).tolist()``, with the
-    same draws. ``first`` is the rng's first block as ``_subset_streams``
-    turns it into (subsets, unused words), drawn here when not given. All
-    features draw nothing."""
-    if k == d:
-        while True:
-            yield list(range(d))
-    subsets, words = first or ([], np.empty(0, dtype=np.uint32))
-    while True:
-        while subsets:  # popped, so a used subset is not held
-            yield subsets.pop()
-        block = rng.integers(0, 2**32, size=_WORD_BLOCK, dtype=np.uint32)
-        [(subsets, words)] = _floyd(np.concatenate((words, block))[None], d, k)
+def _refill(supplies: list, d: int, k: int) -> None:
+    """Refill each of ``supplies`` that has run dry, by one ``_floyd`` pass
+    over all of them, again while any is still dry. A supply is a tree's
+    [rng, subsets, unused words], its subsets sorted k-subsets of range(d),
+    d < 2**32; up to 10,000 features the ones it pops are
+    ``np.sort(rng.choice(d, k, replace=False)).tolist()`` in turn."""
+    while dry := [supply for supply in supplies if not supply[1]]:
+        if k == d:
+            for _, subsets, _ in dry:
+                subsets.append(list(range(d)))
+            continue
+        blocks = (rng.integers(0, 2**32, size=_WORD_BLOCK, dtype=np.uint32) for rng, _, _ in dry)
+        rows = [np.concatenate((unused, block)) for (_, _, unused), block in zip(dry, blocks)]
+        for supply, (subsets, unused) in zip(dry, _floyd(rows, d, k)):
+            supply[1] += subsets
+            supply[2] = unused
 
 
-def _subset_streams(rngs: list, d: int, k: int) -> list:
-    """A ``_subsets`` stream of each rng, the first blocks of all of them
-    drawn (one ``integers`` call per rng) and replayed in one ``_floyd``
-    pass."""
-    if k == d or not rngs:
-        return [_subsets(rng, d, k) for rng in rngs]
-    words = np.array([rng.integers(0, 2**32, size=_WORD_BLOCK, dtype=np.uint32) for rng in rngs])
-    return [_subsets(rng, d, k, first) for rng, first in zip(rngs, _floyd(words, d, k))]
-
-
-def _floyd(words: np.ndarray, d: int, k: int) -> list:
-    """For each row of the word matrix ``words``, the whole sorted
-    k-subsets of range(d) it makes, as lists, last first, and the words it
-    leaves unused. A subset is k Floyd draws in [0, j] for
-    j = d - k ... d - 1, then k - 1 shuffle draws in [0, i] for
-    i = k - 1 ... 1, as numpy makes them: each is the high half of one word
-    times j + 1, and a word is rejected where the low half falls below
-    2**32 mod (j + 1)."""
+def _floyd(rows: list, d: int, k: int) -> list:
+    """For each uint32 word row in ``rows``, the whole sorted k-subsets of
+    range(d) it makes, as lists, last first, and the words it leaves
+    unused. A subset is k Floyd draws in [0, j] for j = d - k ... d - 1,
+    then k - 1 shuffle draws in [0, i] for i = k - 1 ... 1, as numpy makes
+    them: each is the high half of one word times j + 1, and a word is
+    rejected where the low half falls below 2**32 mod (j + 1). Rows may
+    differ in length: they are padded to one matrix, and padding is never
+    a kept word."""
     size = np.array([*range(d - k + 1, d + 1), *range(k, 1, -1)], dtype=np.uint32)  # j + 1 of each draw
     low = -size % size  # 2**32 mod (j + 1)
-    kept = np.ones(words.shape, dtype=bool)  # the words of the draws made
+    kept = np.arange(max(map(len, rows))) < np.array([len(row) for row in rows])[:, None]  # the words of the draws made
+    words = np.zeros(kept.shape, dtype=np.uint32)
+    words[kept] = np.concatenate(rows)
     while True:  # each pass drops each row's first rejected word; the next one makes the same draw
         made = np.cumsum(kept, axis=1, dtype=np.int32)
         draw = (made - 1) % len(size)
         reject = kept & (words * size[draw] < low[draw])  # uint32 keeps the product's low half
         if not reject.any():
             break
-        rows = np.flatnonzero(reject.any(axis=1))
-        kept[rows, reject[rows].argmax(axis=1)] = False
+        hit = np.flatnonzero(reject.any(axis=1))
+        kept[hit, reject[hit].argmax(axis=1)] = False
     need = made[:, -1] // len(size) * len(size)  # the words of each row's whole subsets
     subsets = ((words[kept & (made <= need[:, None])].reshape(-1, len(size)) * size.astype(np.uint64)) >> 32)[:, :k]
     for t in range(1, k):  # Floyd: a value already taken takes j instead
         taken = (subsets[:, :t] == subsets[:, t : t + 1]).any(axis=1)
         subsets[:, t] = np.where(taken, d - k + t, subsets[:, t])
     whole, unused = need // len(size), (made < need[:, None]).sum(axis=1) + (need > 0)  # past each row's last kept word
-    subsets, out, start = np.sort(subsets, axis=1).tolist(), [], 0
-    for row, n, u in zip(words, whole.tolist(), unused.tolist()):
-        out.append((subsets[start : start + n][::-1], row[u:].copy()))
-        start += n
-    return out
+    subsets, end = np.sort(subsets, axis=1).tolist(), np.cumsum(whole)
+    spans = zip((end - whole).tolist(), end.tolist())
+    return [(subsets[start:stop][::-1], row[u:].copy()) for row, (start, stop), u in zip(rows, spans, unused.tolist())]
 
 
-def _grow(rows: np.ndarray, y: np.ndarray, subsets, params: TreeParams):
+def _grow(rows: np.ndarray, y: np.ndarray, subsets: list, params: TreeParams):
     """One tree's growth on ``rows`` in pre-order: yields each splittable
-    node as (row ids, class-1 count, features from ``subsets``) and is sent
-    its best split; a split's left child is grown next. Returns the tree's
-    four node columns, its pre-order nodes stably sorted by depth."""
+    node as (row ids, class-1 count, features popped from ``subsets``) and
+    is sent its best split; a split's left child is grown next. Returns the
+    tree's four node columns, its pre-order nodes stably sorted by depth."""
     nodes, stack = [], [(rows, 0, int(y[rows].sum()))]
     while stack:
         rows, depth, c1 = stack.pop()
         c0 = len(rows) - c1
         stop = c0 == 0 or c1 == 0 or len(rows) < params.min_samples_split or depth == params.max_depth
-        found = None if stop else (yield rows, c1, next(subsets))
+        found = None if stop else (yield rows, c1, subsets.pop())
         if found is None:
             nodes.append((-1, math.inf, depth, c0, c1))
         else:
@@ -457,14 +451,15 @@ def grow_trees(
     Per node: stop with a leaf if the node is pure, smaller than
     min_samples_split, or at the depth limit; otherwise draw a fresh random
     feature subset and split, stopping if the search finds no strict
-    improvement. Each tree is a ``_grow`` generator fed by a ``_subsets``
-    stream of its rng. The trees grow in lockstep: each step takes the
+    improvement. Each tree is a ``_grow`` generator that pops its subsets
+    from its rng's supply. The trees grow in lockstep: each step takes the
     waiting node of as many trees as the step budget admits (round robin),
-    scores them all in one search, and sends each tree its node's result,
-    which moves it on to its next splittable node. A tree's rng is
-    therefore drawn in the order one-tree growth draws it. Jobs are taken
-    from ``jobs`` in rounds, only while the row budget lets a tree start,
-    and the trees of a round draw their first subset blocks together.
+    scores them all in one search, refills the supplies it emptied in one
+    ``_refill``, and sends each tree its node's result, which moves it on
+    to its next splittable node. A tree's rng is therefore drawn in the
+    order one-tree growth draws it. Jobs are taken from ``jobs`` in rounds,
+    only while the row budget lets a tree start, and the trees of a round
+    are refilled together.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -481,21 +476,21 @@ def grow_trees(
     ranks, n_ranks = _dense_ranks(X)
 
     columns: list = []  # each tree's node columns, None while it grows
-    waiting: deque = deque()  # (tree index, generator, rows held, waiting node)
+    waiting: deque = deque()  # (tree index, generator, rows held, subset supply, waiting node)
     held = 0  # rows of the trees growing
 
-    def resume(t: int, tree, n_rows: int, found) -> None:
+    def resume(t: int, tree, n_rows: int, supply: list, found) -> None:
         """Send tree t its node's split; it waits with its next node or is done."""
         nonlocal held
         try:
-            waiting.append((t, tree, n_rows, tree.send(found)))
+            waiting.append((t, tree, n_rows, supply, tree.send(found)))
         except StopIteration as done:
             columns[t] = done.value
             held -= n_rows
 
     jobs, more = iter(jobs), True
     while more or waiting:
-        started = []  # (tree index, rows, rng) of the trees this round starts
+        started = []  # (tree index, rows, subset supply) of the trees this round starts
         while more and (held < _ROW_BUDGET or not (waiting or started)):
             job = next(jobs, None)
             if job is None:
@@ -517,20 +512,22 @@ def grow_trees(
                 raise ParameterError("cannot grow a tree on zero rows")
             if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
                 raise ParameterError(f"job {len(columns)}: rows must be integers in [0, {n})")
-            started.append((len(columns), rows.astype(np.intp, copy=False), rng))
+            started.append((len(columns), rows.astype(np.intp, copy=False), [rng, [], np.empty(0, dtype=np.uint32)]))
             columns.append(None)
             held += len(rows)
-        for (t, rows, _), subsets in zip(started, _subset_streams([rng for *_, rng in started], d, k)):
-            resume(t, _grow(rows, y, subsets, params), len(rows), None)
+        _refill([supply for *_, supply in started], d, k)
+        for t, rows, supply in started:
+            resume(t, _grow(rows, y, supply[1], params), len(rows), supply, None)
         if not waiting:
             continue  # every tree this round started was done at once
         step, elements = [], 0  # a waiting node scores its rows on k features
-        while waiting and (not step or elements + len(waiting[0][3][0]) * k <= _STEP_BUDGET):
-            elements += len(waiting[0][3][0]) * k
+        while waiting and (not step or elements + len(waiting[0][4][0]) * k <= _STEP_BUDGET):
+            elements += len(waiting[0][4][0]) * k
             step.append(waiting.popleft())
         found = _best_splits(X, y, ranks, n_ranks, [node for *_, node in step])
-        for (t, tree, n_rows, _), split in zip(step, found):
-            resume(t, tree, n_rows, split)
+        _refill([supply for *_, supply, _ in step], d, k)  # each tree is sent its result with a subset to pop
+        for (t, tree, n_rows, supply, _), split in zip(step, found):
+            resume(t, tree, n_rows, supply, split)
     if not columns:
         raise ParameterError("grow_trees needs at least one job")
     return Trees(*(np.concatenate(c) for c in zip(*columns)))

@@ -159,18 +159,14 @@ def train_logistic(train: Dataset, hyper: LogitHyperparams = LogitHyperparams())
         hessian = (Z.T * (p * (1.0 - p))) @ Z / len(y) + ridge
         direction = np.linalg.lstsq(hessian, grad, rcond=None)[0]
         step = 1.0
-        halvings = 0
-        while True:
+        for _ in range(_MAX_HALVINGS + 1):  # step lengths 1, 1/2, ..., 2**-_MAX_HALVINGS
             new_w = weights - step * direction[:-1]
             new_b = bias - step * direction[-1]
             new_loss, new_grad = loss_and_gradient(new_w, new_b, X, y, hyper.l2_lambda)
             if new_loss <= loss:
                 break
-            halvings += 1
-            if halvings > _MAX_HALVINGS:
-                break
             step /= 2.0
-        if halvings > _MAX_HALVINGS:
+        else:
             # no step this small can decrease the loss; we are at the optimum
             # to within float resolution
             break

@@ -316,7 +316,8 @@ def test_grow_rejects_a_job_past_the_sort_key_bound(monkeypatch):
     # step of several nodes, and 3 of rank on this 6-value column
     monkeypatch.setattr(cart, "_MAX_ROWS", 2**62)
     X, y = np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 1, 1, 0])
-    jobs = [(np.arange(6), substream(0, 0)), (np.broadcast_to(np.intp(-1), (2**47,)), substream(0, 1))]
+    # float rows: past a failed guard the dtype check refuses them at once
+    jobs = [(np.arange(6), substream(0, 0)), (np.broadcast_to(-1.0, (2**47,)), substream(0, 1))]
     with pytest.raises(ParameterError, match="^job 1: its split search needs 64-bit keys, past int64's 63$"):
         grow_trees(X, y, jobs, TreeParams())
 
@@ -515,31 +516,50 @@ def test_grow_tree_from_dataset(strong_split):
 # replace=False)) on the rng's 32-bit words, and numpy is the oracle
 
 
+def supply(rng, unused=()):
+    """A subset supply of ``rng``, as growth holds one, with no subsets and
+    the ``unused`` words."""
+    return [rng, [], np.array(unused, dtype=np.uint32)]
+
+
+def stream(held, d, k):
+    """The subsets growth pops from the supply ``held``, one per ``next``."""
+    while True:
+        cart._refill([held], d, k)
+        yield held[1].pop()
+
+
+def rng_state(rng):
+    """The whole state of a generator's bit generator, as one string."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
 @pytest.mark.parametrize("block", [1, 3])
 def test_subset_replay_matches_rng_choice(monkeypatch, block):
     # blocks smaller than one subset needs; the bootstrap-sized draw of 7
-    # bounded integers leaves half of a PCG64 64-bit word buffered
+    # bounded integers leaves half of a PCG64 64-bit word buffered. Each
+    # refill replays the 12 seeds of one (d, k) together
     monkeypatch.setattr(cart, "_WORD_BLOCK", block)
-    for seed in range(12):
-        for d in range(2, 17):
-            for k in range(1, d):
-                oracle = np.random.Generator(np.random.PCG64([seed, d, k]))
-                rng = np.random.Generator(np.random.PCG64([seed, d, k]))
-                oracle.integers(0, 7, size=7)
+    for d in range(2, 17):
+        for k in range(1, d):
+            oracles = [np.random.Generator(np.random.PCG64([seed, d, k])) for seed in range(12)]
+            supplies = [supply(np.random.Generator(np.random.PCG64([seed, d, k]))) for seed in range(12)]
+            for rng in oracles + [rng for rng, *_ in supplies]:
                 rng.integers(0, 7, size=7)
-                stream = cart._subsets(rng, d, k)
-                for i in range(20):
+            for i in range(20):
+                cart._refill(supplies, d, k)
+                for seed, (oracle, (_, subsets, _)) in enumerate(zip(oracles, supplies)):
                     expected = np.sort(oracle.choice(d, k, replace=False)).tolist()
-                    assert next(stream) == expected, (seed, d, k, i)
+                    assert subsets.pop() == expected, (seed, d, k, i)
 
 
 @pytest.mark.parametrize("k", [1, 2, 100])
 def test_subset_replay_matches_rng_choice_at_ten_thousand_features(k):
     # the widest d at which choice still samples by Floyd's algorithm
     oracle, rng = np.random.default_rng([7, k]), np.random.default_rng([7, k])
-    stream = cart._subsets(rng, 10_000, k)
+    subsets = stream(supply(rng), 10_000, k)
     for i in range(20):
-        assert next(stream) == np.sort(oracle.choice(10_000, k, replace=False)).tolist(), i
+        assert next(subsets) == np.sort(oracle.choice(10_000, k, replace=False)).tolist(), i
 
 
 def untemper(y):
@@ -573,8 +593,8 @@ def test_subset_replay_redraws_a_rejected_word():
     words.state = state
     assert np.random.Generator(words).integers(0, 2**32, size=3, dtype=np.uint32).tolist() == [0, 0, 7]
     oracle, rng = generators()
-    stream = cart._subsets(rng, 5, 1)
-    assert next(stream) == np.sort(oracle.choice(5, 1, replace=False)).tolist() == [0]
+    subsets = stream(supply(rng), 5, 1)
+    assert next(subsets) == np.sort(oracle.choice(5, 1, replace=False)).tolist() == [0]
     reference = np.random.MT19937()
     reference.state = state
     reference.random_raw(cart._WORD_BLOCK)
@@ -582,13 +602,13 @@ def test_subset_replay_redraws_a_rejected_word():
     after, expected = rng.bit_generator.state["state"], reference.state["state"]
     assert after["pos"] == expected["pos"] and np.array_equal(after["key"], expected["key"])
     for _ in range(20):
-        assert next(stream) == np.sort(oracle.choice(5, 1, replace=False)).tolist()
+        assert next(subsets) == np.sort(oracle.choice(5, 1, replace=False)).tolist()
     # (5, 2) draws in [0, 3] first, which takes word 0, then in [0, 4], which
     # rejects the second word 0
     oracle, rng = generators()
-    stream = cart._subsets(rng, 5, 2)
+    subsets = stream(supply(rng), 5, 2)
     for _ in range(20):
-        assert next(stream) == np.sort(oracle.choice(5, 2, replace=False)).tolist()
+        assert next(subsets) == np.sort(oracle.choice(5, 2, replace=False)).tolist()
 
 
 def mt19937_words(words):
@@ -636,9 +656,9 @@ def test_subset_replay_redraws_rejected_words_anywhere(monkeypatch, block):
     state = mt19937_words(words_rejecting_at(10, 4, rejections, 624))
     oracle, rng = np.random.MT19937(), np.random.MT19937()
     oracle.state = rng.state = state
-    stream, oracle = cart._subsets(np.random.Generator(rng), 10, 4), np.random.Generator(oracle)
+    subsets, oracle = stream(supply(np.random.Generator(rng)), 10, 4), np.random.Generator(oracle)
     for i in range(60):
-        assert next(stream) == np.sort(oracle.choice(10, 4, replace=False)).tolist(), i
+        assert next(subsets) == np.sort(oracle.choice(10, 4, replace=False)).tolist(), i
     # numpy read every rejected word, so the test placed them where it meant to
     assert oracle.bit_generator.state["state"]["pos"] == 60 * 7 + 9
 
@@ -667,21 +687,75 @@ def test_one_round_replays_the_first_blocks_of_all_its_trees_at_once():
             return out
 
         rngs, oracles, references = generators(), generators(), generators()
-        streams = cart._subset_streams(rngs, d, k)
+        supplies = [supply(rng) for rng in rngs]
+        cart._refill(supplies, d, k)
         for rng, state, reference in zip(rngs, states, references):
             reference.bit_generator.random_raw(cart._WORD_BLOCK // bit_generators[state["bit_generator"]][1])
             after, expected = rng.bit_generator.state["state"], reference.bit_generator.state["state"]
             assert all(np.array_equal(after[name], expected[name]) for name in expected), (d, k)
-        for t, (stream, oracle) in enumerate(zip(streams, oracles)):
+        for t, (held, oracle) in enumerate(zip(supplies, oracles)):
+            subsets = stream(held, d, k)
             for i in range(20):
-                assert next(stream) == np.sort(oracle.choice(d, k, replace=False)).tolist(), (d, k, t, i)
+                assert next(subsets) == np.sort(oracle.choice(d, k, replace=False)).tolist(), (d, k, t, i)
+
+
+def test_one_refill_replays_rows_of_unequal_length(monkeypatch):
+    # fresh supplies beside ones that hold part of a subset's words, some
+    # with a run of rejected words across their row's block end, all
+    # replayed by one pass; each rng ends one block further on
+    passes = []
+
+    def floyd(rows, d, k, replay=cart._floyd):
+        passes.append(len(rows))
+        return replay(rows, d, k)
+
+    monkeypatch.setattr(cart, "_floyd", floyd)
+    for d, k in [(2, 1), (10, 4), (16, 3), (16, 15), (10_000, 100)]:
+        sizes = [*range(d - k + 1, d + 1), *range(k, 1, -1)]
+        states = []
+        # a supply holds the words of a partial subset; with `short` of them a
+        # row ends one word short of a whole subset, before a draw in [0, 1]
+        # that a padding word 0 would pass
+        short = (-1 - cart._WORD_BLOCK) % len(sizes)
+        for held in sorted({*range(0, len(sizes), max(1, len(sizes) // 3)), short}):
+            states.append((np.random.PCG64([d, k, held]).state, held))
+            end = held + cart._WORD_BLOCK  # the first word past the row's block
+            start = next((p for p in range(end - 1, end - 1 - len(sizes), -1) if 2**32 % sizes[p % len(sizes)]), None)
+            if start is not None:  # rejected words from start to end, with no rejection earlier
+                words = words_rejecting_at(d, k, {divmod(start, len(sizes)): end - start + 1}, 624)
+                assert words[end - 1] == words[end] == 0, (d, k, held)
+                states.append((mt19937_words(words), held))
+
+        def generator(state, drawn):
+            """A generator at ``state``, and the ``drawn`` words it gave."""
+            bit_generator = getattr(np.random, state["bit_generator"])()
+            bit_generator.state = state
+            rng = np.random.Generator(bit_generator)
+            return rng, rng.integers(0, 2**32, size=drawn, dtype=np.uint32)
+
+        supplies = [supply(*generator(state, held)) for state, held in states]
+        passes.clear()
+        cart._refill(supplies, d, k)
+        assert passes == [len(states)], (d, k)
+        for (state, held), (rng, *_) in zip(states, supplies):
+            assert rng_state(rng) == rng_state(generator(state, held + cart._WORD_BLOCK)[0]), (d, k, held)
+        for t, ((state, _), tree) in enumerate(zip(states, supplies)):
+            oracle, subsets = generator(state, 0)[0], stream(tree, d, k)
+            for i in range(20):
+                assert next(subsets) == np.sort(oracle.choice(d, k, replace=False)).tolist(), (d, k, t, i)
+    # growth refills every tree it starts, so a tree whose root is a leaf
+    # draws one block it never uses
+    rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+    grow_trees(np.arange(6.0).reshape(3, 2), np.ones(3, dtype=np.int64), [(np.arange(3), rng)], TreeParams())
+    reference.integers(0, 2**32, size=cart._WORD_BLOCK, dtype=np.uint32)
+    assert rng_state(rng) == rng_state(reference)
 
 
 def test_subset_of_all_features_draws_nothing():
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
-    stream = cart._subsets(rng, 4, 4)
-    assert next(stream) == next(stream) == [0, 1, 2, 3]
+    subsets = stream(supply(rng), 4, 4)
+    assert next(subsets) == next(subsets) == [0, 1, 2, 3]
     assert rng.bit_generator.state == before
 
 

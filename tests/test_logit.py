@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from smerisk import logit
 from smerisk.dataset import Dataset, apply_standardizer, split_train_test
 from smerisk.errors import DegenerateLabelsError, ModelFormatError, ParameterError
 from smerisk.experiment import model_from_json_document, model_to_json_text
@@ -166,6 +167,23 @@ def test_train_zero_iterations_gives_null_model():
     probs = predict_proba_dataset(model, data)
     assert np.all(probs == 0.5)
     assert np.all(to_labels(probs) == 1)  # ties go to the default class
+
+
+def test_a_step_that_never_lowers_the_loss_ends_the_fit_after_61_lengths(monkeypatch):
+    # every trial step reads a higher loss: lengths 1, 1/2, ..., 2**-60 are
+    # tried, one loss evaluation each after the starting one, and none taken
+    losses = []
+
+    def rising(weights, bias, X, y, l2_lambda):
+        loss, grad = loss_and_gradient(weights, bias, X, y, l2_lambda)
+        losses.append(loss)
+        return loss + (len(losses) > 1), grad
+
+    monkeypatch.setattr(logit, "loss_and_gradient", rising)
+    model = train_logistic(cluster_dataset())
+    assert len(losses) == 62
+    assert model.training_meta == {"iterations": 0, "final_loss": losses[0]}
+    assert np.all(model.weights == 0.0) and model.bias == 0.0
 
 
 def test_final_loss_non_increasing_in_iteration_budget():
