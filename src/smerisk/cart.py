@@ -54,8 +54,8 @@ rng, its whole subsets and the words of an unfinished one. ``_refill``
 gives each supply that has run dry its rng's next ``_WORD_BLOCK`` words
 (``rng.integers(0, 2**32, dtype=np.uint32)``) after its unused ones, and
 one numpy pass (``_floyd``) turns all those rows, of unequal lengths,
-into subsets. ``grow_trees`` refills the trees it starts together, and
-after each step those the step emptied. The pass runs Lemire's
+into subsets. ``grow_trees`` refills in one call all the trees it is
+about to move on, new or just searched. The pass runs Lemire's
 multiply-shift and rejection test on every word, Floyd's k steps as k
 column passes and a row sort. A rejected word is dropped, and the next
 word of its row makes the same draw; each rejection loop pass drops the
@@ -452,14 +452,15 @@ def grow_trees(
     min_samples_split, or at the depth limit; otherwise draw a fresh random
     feature subset and split, stopping if the search finds no strict
     improvement. Each tree is a ``_grow`` generator that pops its subsets
-    from its rng's supply. The trees grow in lockstep: each step takes the
-    waiting node of as many trees as the step budget admits (round robin),
-    scores them all in one search, refills the supplies it emptied in one
-    ``_refill``, and sends each tree its node's result, which moves it on
-    to its next splittable node. A tree's rng is therefore drawn in the
-    order one-tree growth draws it. Jobs are taken from ``jobs`` in rounds,
-    only while the row budget lets a tree start, and the trees of a round
-    are refilled together.
+    from its rng's supply. The trees grow in lockstep, and each pass of the
+    loop moves on one list of trees: it adds a new tree, to be sent
+    nothing, for each job taken from ``jobs`` while the row budget lets a
+    tree start; refills the supplies of the whole list in one ``_refill``;
+    sends each tree its value, so it waits with its next splittable node or
+    is done; and scores the waiting nodes of as many trees as the step
+    budget admits (round robin) in one search, whose trees, each with its
+    node's result, are the next list. A tree's rng is therefore drawn in
+    the order one-tree growth draws it.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -477,21 +478,12 @@ def grow_trees(
 
     columns: list = []  # each tree's node columns, None while it grows
     waiting: deque = deque()  # (tree index, generator, rows held, subset supply, waiting node)
+    send: list = []  # (tree index, generator, rows held, subset supply, value to send)
     held = 0  # rows of the trees growing
 
-    def resume(t: int, tree, n_rows: int, supply: list, found) -> None:
-        """Send tree t its node's split; it waits with its next node or is done."""
-        nonlocal held
-        try:
-            waiting.append((t, tree, n_rows, supply, tree.send(found)))
-        except StopIteration as done:
-            columns[t] = done.value
-            held -= n_rows
-
     jobs, more = iter(jobs), True
-    while more or waiting:
-        started = []  # (tree index, rows, subset supply) of the trees this round starts
-        while more and (held < _ROW_BUDGET or not (waiting or started)):
+    while more or waiting or send:
+        while more and (held < _ROW_BUDGET or not (waiting or send)):
             job = next(jobs, None)
             if job is None:
                 more = False
@@ -509,25 +501,26 @@ def grow_trees(
             if bits > 63:
                 raise ParameterError(f"job {len(columns)}: its split search needs {bits}-bit keys, past int64's 63")
             if rows.size == 0:
-                raise ParameterError("cannot grow a tree on zero rows")
+                raise ParameterError(f"job {len(columns)}: cannot grow a tree on zero rows")
             if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
                 raise ParameterError(f"job {len(columns)}: rows must be integers in [0, {n})")
-            started.append((len(columns), rows.astype(np.intp, copy=False), [rng, [], np.empty(0, dtype=np.uint32)]))
+            rows, supply = rows.astype(np.intp, copy=False), [rng, [], np.empty(0, dtype=np.uint32)]
+            send.append((len(columns), _grow(rows, y, supply[1], params), len(rows), supply, None))
             columns.append(None)
             held += len(rows)
-        _refill([supply for *_, supply in started], d, k)
-        for t, rows, supply in started:
-            resume(t, _grow(rows, y, supply[1], params), len(rows), supply, None)
-        if not waiting:
-            continue  # every tree this round started was done at once
+        _refill([supply for *_, supply, _ in send], d, k)  # each tree is sent its value with a subset to pop
+        for t, tree, n_rows, supply, value in send:  # it waits with its next node or is done
+            try:
+                waiting.append((t, tree, n_rows, supply, tree.send(value)))
+            except StopIteration as done:
+                columns[t] = done.value
+                held -= n_rows
         step, elements = [], 0  # a waiting node scores its rows on k features
         while waiting and (not step or elements + len(waiting[0][4][0]) * k <= _STEP_BUDGET):
             elements += len(waiting[0][4][0]) * k
             step.append(waiting.popleft())
-        found = _best_splits(X, y, ranks, n_ranks, [node for *_, node in step])
-        _refill([supply for *_, supply, _ in step], d, k)  # each tree is sent its result with a subset to pop
-        for (t, tree, n_rows, supply, _), split in zip(step, found):
-            resume(t, tree, n_rows, supply, split)
+        found = _best_splits(X, y, ranks, n_ranks, [node for *_, node in step]) if step else []
+        send = [(*entry, split) for (*entry, _), split in zip(step, found)]
     if not columns:
         raise ParameterError("grow_trees needs at least one job")
     return Trees(*(np.concatenate(c) for c in zip(*columns)))

@@ -157,10 +157,7 @@ def main(argv=None) -> int:
     except DegenerateLabelsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

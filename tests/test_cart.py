@@ -31,7 +31,7 @@ from smerisk.cart import (
 )
 from smerisk.errors import ModelFormatError, ParameterError
 from smerisk.experiment import load_model, save_model
-from smerisk.forest import ForestModel, ForestParams
+from smerisk.forest import ForestModel, ForestParams, train_forest
 from smerisk.logit import to_labels
 from smerisk.seeding import substream
 from smerisk.serialize import from_json_dict, to_json_dict
@@ -266,7 +266,7 @@ def test_grow_xor_single_leaf():
 
 def test_grow_validates_inputs():
     rng = substream(0, 0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^cannot grow a tree on zero rows$"):
         grow_tree_arrays(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), TreeParams(), rng)
     with pytest.raises(ParameterError):
         grow_tree_arrays(np.zeros((3, 2)), np.array([0, 1, 2]), TreeParams(), rng)
@@ -274,6 +274,9 @@ def test_grow_validates_inputs():
         grow_tree_arrays(np.zeros((3, 2)), np.array([0, 1]), TreeParams(), rng)
     with pytest.raises(ParameterError, match="^grow_trees needs at least one job$"):
         grow_trees(np.zeros((3, 2)), np.array([0, 1, 0]), [], TreeParams())
+    jobs = [(np.arange(3), rng), (np.arange(0), substream(0, 1))]
+    with pytest.raises(ParameterError, match="^job 1: cannot grow a tree on zero rows$"):
+        grow_trees(np.zeros((3, 2)), np.array([0, 1, 0]), jobs, TreeParams())
 
 
 @pytest.mark.parametrize(
@@ -749,6 +752,21 @@ def test_one_refill_replays_rows_of_unequal_length(monkeypatch):
     grow_trees(np.arange(6.0).reshape(3, 2), np.ones(3, dtype=np.int64), [(np.arange(3), rng)], TreeParams())
     reference.integers(0, 2**32, size=cart._WORD_BLOCK, dtype=np.uint32)
     assert rng_state(rng) == rng_state(reference)
+
+
+def test_growth_replays_the_first_blocks_of_the_trees_it_starts_together(monkeypatch, default_split):
+    # the default 100-tree fit on the training part of
+    # GeneratorConfig(n_samples=1000, seed=42) starts every tree at once,
+    # so one _floyd pass replays all their first blocks
+    passes = []
+
+    def floyd(rows, d, k, replay=cart._floyd):
+        passes.append(len(rows))
+        return replay(rows, d, k)
+
+    monkeypatch.setattr(cart, "_floyd", floyd)
+    train_forest(default_split[0], ForestParams())
+    assert passes == [100, 1, 3]
 
 
 def test_subset_of_all_features_draws_nothing():
