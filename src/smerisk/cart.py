@@ -23,17 +23,16 @@ computed in int64, so ``grow_trees`` rejects a job of more than
 test against the parent is done in unbounded integers.
 
 Growth is one path. Each tree is a ``_grow`` generator that walks it in
-pre-order, yields each splittable node with a feature subset popped
-from the tree's subset supply, and is sent the node's best split.
-``grow_trees`` grows every tree of a forest in lockstep: each step takes
-the waiting node of each of several trees, so each tree draws its
-subsets in the order it would alone, and scores all of them in one exact
-segmented search over per-column dense ranks computed once (one sort of
-int64 keys, a segmented cumsum and a first argmax per node). A key packs
-three bit fields, high to low: the segment (node, candidate feature),
-the element's rank on that feature and its row's place in the step, so
-shifts and masks read each back and distinct keys sort in the stable
-order. For m nodes on k candidates over R rows a key takes
+pre-order, yields each splittable node with its key, and is sent the
+node's best split with its children's keys. ``grow_trees`` grows every
+tree of a forest in lockstep: each step takes the waiting node of each
+of several trees, draws their feature subsets from their keys, and
+scores all of them in one exact segmented search over per-column dense
+ranks computed once (one sort of int64 keys, a segmented cumsum and a
+first argmax per node). A sort key packs three bit fields, high to low:
+the segment (node, candidate feature), the element's rank on that
+feature and its row's place in the step, so shifts and masks read each
+back and distinct keys sort in the stable order. For m nodes on k candidates over R rows a key takes
 bits(m k - 1) + bits(n_ranks - 1) + bits(R - 1) bits, and ``grow_trees``
 refuses a job that could make a step need more than 63. Two private
 budgets bound its memory: a step holds at most ``_STEP_BUDGET`` (row,
@@ -45,29 +44,16 @@ either side of its boundary. Nothing depends on the order of a node's
 rows. ``grow_tree_arrays`` is its one-tree case and ``best_split`` the
 one-node case of its search.
 
-A node's feature subset is ``np.sort(rng.choice(d, k, replace=False))``
-for its tree's rng, replayed rather than called. Up to 10,000 features
-numpy draws that subset by Floyd's sampling (Bentley & Floyd 1987), each
-draw Lemire's bounded integer on one 32-bit word (Lemire 2019), then
-shuffles it with k - 1 more bounded draws. A tree's supply holds its
-rng, its whole subsets and the words of an unfinished one. ``_refill``
-gives each supply that has run dry its rng's next ``_WORD_BLOCK`` words
-(``rng.integers(0, 2**32, dtype=np.uint32)``) after its unused ones, and
-one numpy pass (``_floyd``) turns all those rows, of unequal lengths,
-into subsets. ``grow_trees`` refills in one call all the trees it is
-about to move on, new or just searched. The pass runs Lemire's
-multiply-shift and rejection test on every word, Floyd's k steps as k
-column passes and a row sort. A rejected word is dropped, and the next
-word of its row makes the same draw; each rejection loop pass drops the
-first rejected word of every row that has one. The words of an
-unfinished subset wait for the row's next block. So up to 10,000
-features the replay makes the same subsets as ``choice`` and leaves the
-rng further along, which nothing notices: a tree's rng is not drawn
-from after its growth. Refilled as soon as it runs dry, a tree may draw
-a block it never uses (one whose root is a leaf draws one), so it ends
-up to a block and a subset's words past its last subset. All features
-(k = d) draw nothing. Wider, ``choice`` switches algorithm, and the
-replay stays uniform.
+A node's random draws come from its key, a 64-bit integer hashed by
+counter (``seeding.counter_hashes``, h(key, i) for counter i). A tree's
+root key is the one value growth draws from its job's rng,
+``rng.integers(2**64, dtype=np.uint64)``, when the tree starts. A split's
+children get the keys h(key, 0) (left) and h(key, 1) (right), and a
+node's subset is the k features f with the smallest h(key, 2 + f), ties
+to the lower f, sorted ascending. So a node's subset is a pure function
+of its key, whatever order the nodes grow in, and a step draws the
+subsets of all its nodes with one hash call and one stable argsort. All
+features (k = d) hash nothing.
 
 A forest is one node table, ``Trees``: the read-only node arrays of
 every tree in level order, tree after tree, each tree depth by depth and
@@ -82,14 +68,14 @@ rooted at r has its children at r + 2j + 1 and r + 2j + 2. The table
 derives its roots, each split's left child ``child[i]`` (a leaf is its
 own child) and each depth's splits ``levels`` from those flags when it
 is built, so no builder hands it a pointer to get wrong. Growth lists
-each tree's nodes in pre-order, the order its rng draws subsets, and
-sorts them by depth once the tree is done; it rejects non-finite
-features up front, so it builds only valid tables. ``tree_importances``
-sweeps ``levels`` up for each split's subtree counts and down for each
-node's pre-order place, and adds each tree's splits in reverse
-pre-order: children before parents, in one fixed summing order. Its
-gini expressions run on int64, which numpy divides as Python divides
-ints while every tree's rows n have n^2 < 2**53, and past that on ints.
+each tree's nodes in pre-order and sorts them by depth once the tree is
+done; it rejects non-finite features up front, so it builds only valid
+tables. ``tree_importances`` sweeps ``levels`` up for each split's
+subtree counts and down for each node's pre-order place, and adds each
+tree's splits in reverse pre-order: children before parents, in one
+fixed summing order. Its gini expressions run on int64, which numpy
+divides as Python divides ints while every tree's rows n have
+n^2 < 2**53, and past that on ints.
 
 A model file stores the table as four columns in table order
 (``trees_to_json``): ``feature`` of every node, ``threshold`` of every
@@ -118,6 +104,7 @@ import numpy as np
 
 from .dataset import FEATURE_COLUMNS
 from .errors import ModelFormatError, ParameterError
+from .seeding import counter_hashes
 from .serialize import from_json_value
 
 
@@ -233,8 +220,6 @@ _ROW_BUDGET = 2**17
 # the most rows a job may hold: the largest n with n^3 / 4 (the bound of
 # a split's T) below 2**63
 _MAX_ROWS = 3_329_021
-# the 32-bit words a feature-subset replay draws at a time
-_WORD_BLOCK = 256
 # levels walked between drops of the pairs at leaves. Scoring a
 # 10,000-row book, the default 100-tree model (depth 19) and a 20-tree
 # zero-signal one (depth 32) walked fastest dropping every 4 or 5 levels,
@@ -259,25 +244,35 @@ def _dense_ranks(X: np.ndarray) -> tuple[np.ndarray, int]:
     return ranks.ravel(), int(ranks.max(initial=0)) + 1
 
 
-def _best_splits(X, y, ranks, n_ranks, nodes) -> list:
+def _key_draws(keys: np.ndarray, d: int, k: int) -> tuple[list, np.ndarray]:
+    """Each node's child keys, as [left, right], and its k candidate
+    features, as one sorted row of a matrix, from its uint64 key by the
+    rules of the module docstring; with k = d nothing is hashed and the
+    child keys are 0, as nothing reads them."""
+    if k == d:
+        return [[0, 0]] * len(keys), np.tile(np.arange(d), (len(keys), 1))
+    h = counter_hashes(keys, d + 2)
+    return h[:, :2].tolist(), np.sort(np.argsort(h[:, 2:], axis=1, kind="stable")[:, :k], axis=1)
+
+
+def _best_splits(X, y, ranks, n_ranks, nodes, features) -> list:
     """The best split of each node, as (feature, threshold, S, left
     class-1 count, left rows, right rows), or None where no candidate
     strictly beats the parent.
 
-    A node is (row ids, class-1 count, sorted candidate features), and
-    every node holds the same number of candidates. All nodes are scored
-    by one search: a segment is one (node, candidate) pair, one sort of
-    distinct (segment, rank, row place) keys orders the elements by
-    (segment, rank) stably, and a boundary is a rank change inside a
-    segment. Boundaries come out in (node, feature, threshold) order, so
-    the first maximal S of a node is both the lowest threshold within a
-    feature and the lowest feature across features. The children are the
-    winning segment's rows before and after its boundary, copied so a
-    child held on a stack does not keep the step's.
+    A node is (row ids, class-1 count, key), its key unread here, and
+    row i of the matrix ``features`` holds node i's sorted candidates. All
+    nodes are scored by one search: a segment is one (node, candidate)
+    pair, one sort of distinct (segment, rank, row place) keys orders the
+    elements by (segment, rank) stably, and a boundary is a rank change
+    inside a segment. Boundaries come out in (node, feature, threshold)
+    order, so the first maximal S of a node is both the lowest threshold
+    within a feature and the lowest feature across features. The children
+    are the winning segment's rows before and after its boundary, copied
+    so a child held on a stack does not keep the step's.
     """
     sizes = [len(rows) for rows, _, _ in nodes]
     counts_1 = [c1 for _, c1, _ in nodes]
-    features = np.array([f for _, _, f in nodes])
     rows = np.concatenate([rows for rows, _, _ in nodes])
     m, k = features.shape
     # the key of row rows[r] on its node's j-th candidate packs segment
@@ -357,80 +352,30 @@ def best_split(
         raise ParameterError("feature values may not be NaN or infinite")
     features = np.array(sorted(int(f) for f in candidate_features))
     ranks, n_ranks = _dense_ranks(X)
-    [found] = _best_splits(X, y, ranks, n_ranks, [(np.arange(n), int(y.sum()), features)])
+    [found] = _best_splits(X, y, ranks, n_ranks, [(np.arange(n), int(y.sum()), None)], features[None])
     if found is None:
         return None
     feature, threshold, S = found[:3]
     return feature, threshold, 1.0 - S / n
 
 
-def _refill(supplies: list, d: int, k: int) -> None:
-    """Refill each of ``supplies`` that has run dry, by one ``_floyd`` pass
-    over all of them, again while any is still dry. A supply is a tree's
-    [rng, subsets, unused words], its subsets sorted k-subsets of range(d),
-    d < 2**32; up to 10,000 features the ones it pops are
-    ``np.sort(rng.choice(d, k, replace=False)).tolist()`` in turn."""
-    while dry := [supply for supply in supplies if not supply[1]]:
-        if k == d:
-            for _, subsets, _ in dry:
-                subsets.append(list(range(d)))
-            continue
-        blocks = (rng.integers(0, 2**32, size=_WORD_BLOCK, dtype=np.uint32) for rng, _, _ in dry)
-        rows = [np.concatenate((unused, block)) for (_, _, unused), block in zip(dry, blocks)]
-        for supply, (subsets, unused) in zip(dry, _floyd(rows, d, k)):
-            supply[1] += subsets
-            supply[2] = unused
-
-
-def _floyd(rows: list, d: int, k: int) -> list:
-    """For each uint32 word row in ``rows``, the whole sorted k-subsets of
-    range(d) it makes, as lists, last first, and the words it leaves
-    unused. A subset is k Floyd draws in [0, j] for j = d - k ... d - 1,
-    then k - 1 shuffle draws in [0, i] for i = k - 1 ... 1, as numpy makes
-    them: each is the high half of one word times j + 1, and a word is
-    rejected where the low half falls below 2**32 mod (j + 1). Rows may
-    differ in length: they are padded to one matrix, and padding is never
-    a kept word."""
-    size = np.array([*range(d - k + 1, d + 1), *range(k, 1, -1)], dtype=np.uint32)  # j + 1 of each draw
-    low = -size % size  # 2**32 mod (j + 1)
-    kept = np.arange(max(map(len, rows))) < np.array([len(row) for row in rows])[:, None]  # the words of the draws made
-    words = np.zeros(kept.shape, dtype=np.uint32)
-    words[kept] = np.concatenate(rows)
-    while True:  # each pass drops each row's first rejected word; the next one makes the same draw
-        made = np.cumsum(kept, axis=1, dtype=np.int32)
-        draw = (made - 1) % len(size)
-        reject = kept & (words * size[draw] < low[draw])  # uint32 keeps the product's low half
-        if not reject.any():
-            break
-        hit = np.flatnonzero(reject.any(axis=1))
-        kept[hit, reject[hit].argmax(axis=1)] = False
-    need = made[:, -1] // len(size) * len(size)  # the words of each row's whole subsets
-    subsets = ((words[kept & (made <= need[:, None])].reshape(-1, len(size)) * size.astype(np.uint64)) >> 32)[:, :k]
-    for t in range(1, k):  # Floyd: a value already taken takes j instead
-        taken = (subsets[:, :t] == subsets[:, t : t + 1]).any(axis=1)
-        subsets[:, t] = np.where(taken, d - k + t, subsets[:, t])
-    whole, unused = need // len(size), (made < need[:, None]).sum(axis=1) + (need > 0)  # past each row's last kept word
-    subsets, end = np.sort(subsets, axis=1).tolist(), np.cumsum(whole)
-    spans = zip((end - whole).tolist(), end.tolist())
-    return [(subsets[start:stop][::-1], row[u:].copy()) for row, (start, stop), u in zip(rows, spans, unused.tolist())]
-
-
-def _grow(rows: np.ndarray, y: np.ndarray, subsets: list, params: TreeParams):
-    """One tree's growth on ``rows`` in pre-order: yields each splittable
-    node as (row ids, class-1 count, features popped from ``subsets``) and
-    is sent its best split; a split's left child is grown next. Returns the
-    tree's four node columns, its pre-order nodes stably sorted by depth."""
-    nodes, stack = [], [(rows, 0, int(y[rows].sum()))]
+def _grow(rows: np.ndarray, y: np.ndarray, key: int, params: TreeParams):
+    """One tree's growth on ``rows`` from its root ``key``, in pre-order:
+    yields each splittable node as (row ids, class-1 count, key) and is
+    sent its best split followed by its children's keys, or None; a split's
+    left child is grown next. Returns the tree's four node columns, its
+    pre-order nodes stably sorted by depth."""
+    nodes, stack = [], [(rows, 0, int(y[rows].sum()), key)]
     while stack:
-        rows, depth, c1 = stack.pop()
+        rows, depth, c1, key = stack.pop()
         c0 = len(rows) - c1
         stop = c0 == 0 or c1 == 0 or len(rows) < params.min_samples_split or depth == params.max_depth
-        found = None if stop else (yield rows, c1, subsets.pop())
+        found = None if stop else (yield rows, c1, key)
         if found is None:
             nodes.append((-1, math.inf, depth, c0, c1))
         else:
-            feature, threshold, _, c1_left, left, right = found
-            stack += [(right, depth + 1, c1 - c1_left), (left, depth + 1, c1_left)]
+            feature, threshold, _, c1_left, left, right, left_key, right_key = found
+            stack += [(right, depth + 1, c1 - c1_left, right_key), (left, depth + 1, c1_left, left_key)]
             nodes.append((feature, threshold, depth, 0, 0))
     feature, threshold, depth, count_0, count_1 = zip(*nodes)
     order = np.argsort(depth, kind="stable")
@@ -445,22 +390,20 @@ def grow_trees(
     params: TreeParams,
 ) -> Trees:
     """Grow one tree per job into one table, in job order. A job is (rows,
-    rng): the tree grown on ``X[rows]``, ``y[rows]`` drawing its feature
-    subsets from ``rng``, its rows integers in [0, len(X)).
+    rng): the tree grown on ``X[rows]``, ``y[rows]`` from the root key it
+    draws from ``rng`` when it starts, its rows integers in [0, len(X)).
 
     Per node: stop with a leaf if the node is pure, smaller than
-    min_samples_split, or at the depth limit; otherwise draw a fresh random
-    feature subset and split, stopping if the search finds no strict
-    improvement. Each tree is a ``_grow`` generator that pops its subsets
-    from its rng's supply. The trees grow in lockstep, and each pass of the
-    loop moves on one list of trees: it adds a new tree, to be sent
-    nothing, for each job taken from ``jobs`` while the row budget lets a
-    tree start; refills the supplies of the whole list in one ``_refill``;
-    sends each tree its value, so it waits with its next splittable node or
-    is done; and scores the waiting nodes of as many trees as the step
-    budget admits (round robin) in one search, whose trees, each with its
-    node's result, are the next list. A tree's rng is therefore drawn in
-    the order one-tree growth draws it.
+    min_samples_split, or at the depth limit; otherwise draw the node's
+    feature subset from its key and split, stopping if the search finds no
+    strict improvement. Each tree is a ``_grow`` generator. The trees grow
+    in lockstep, and each pass of the loop moves on one list of trees: it
+    adds a new tree, to be sent nothing, for each job taken from ``jobs``
+    while the row budget lets a tree start; sends each tree its value, so
+    it waits with its next splittable node or is done; and scores the
+    waiting nodes of as many trees as the step budget admits (round robin)
+    in one search, after one ``_key_draws`` for all of them, whose trees,
+    each with its node's result, are the next list.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -477,8 +420,8 @@ def grow_trees(
     ranks, n_ranks = _dense_ranks(X)
 
     columns: list = []  # each tree's node columns, None while it grows
-    waiting: deque = deque()  # (tree index, generator, rows held, subset supply, waiting node)
-    send: list = []  # (tree index, generator, rows held, subset supply, value to send)
+    waiting: deque = deque()  # (tree index, generator, rows held, waiting node)
+    send: list = []  # (tree index, generator, rows held, value to send)
     held = 0  # rows of the trees growing
 
     jobs, more = iter(jobs), True
@@ -504,23 +447,24 @@ def grow_trees(
                 raise ParameterError(f"job {len(columns)}: cannot grow a tree on zero rows")
             if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
                 raise ParameterError(f"job {len(columns)}: rows must be integers in [0, {n})")
-            rows, supply = rows.astype(np.intp, copy=False), [rng, [], np.empty(0, dtype=np.uint32)]
-            send.append((len(columns), _grow(rows, y, supply[1], params), len(rows), supply, None))
+            rows, key = rows.astype(np.intp, copy=False), int(rng.integers(2**64, dtype=np.uint64))
+            send.append((len(columns), _grow(rows, y, key, params), len(rows), None))
             columns.append(None)
             held += len(rows)
-        _refill([supply for *_, supply, _ in send], d, k)  # each tree is sent its value with a subset to pop
-        for t, tree, n_rows, supply, value in send:  # it waits with its next node or is done
+        for t, tree, n_rows, value in send:  # sent its value, a tree waits with its next node or is done
             try:
-                waiting.append((t, tree, n_rows, supply, tree.send(value)))
+                waiting.append((t, tree, n_rows, tree.send(value)))
             except StopIteration as done:
                 columns[t] = done.value
                 held -= n_rows
         step, elements = [], 0  # a waiting node scores its rows on k features
-        while waiting and (not step or elements + len(waiting[0][4][0]) * k <= _STEP_BUDGET):
-            elements += len(waiting[0][4][0]) * k
+        while waiting and (not step or elements + len(waiting[0][3][0]) * k <= _STEP_BUDGET):
+            elements += len(waiting[0][3][0]) * k
             step.append(waiting.popleft())
-        found = _best_splits(X, y, ranks, n_ranks, [node for *_, node in step]) if step else []
-        send = [(*entry, split) for (*entry, _), split in zip(step, found)]
+        nodes = [node for *_, node in step]
+        children, features = _key_draws(np.array([key for _, _, key in nodes], dtype=np.uint64), d, k)
+        found = _best_splits(X, y, ranks, n_ranks, nodes, features) if step else []
+        send = [(*entry, None if s is None else (*s, *keys)) for (*entry, _), s, keys in zip(step, found, children)]
     if not columns:
         raise ParameterError("grow_trees needs at least one job")
     return Trees(*(np.concatenate(c) for c in zip(*columns)))

@@ -1,15 +1,16 @@
 """Bootstrap-aggregated tree ensemble with impurity-based feature importance.
 
-Each tree draws all of its randomness (bootstrap rows, then per-node
-feature subsets) from its own substream, seeded by mixing the master seed
-with the tree index. A tree is therefore a pure function of
-(training data, params, tree index): trees can be trained in any order or
-concurrently and the model comes out identical, and growing a forest by
-more trees never changes the trees already trained. ``train_forest``
-grows all trees with one ``cart.grow_trees`` call, in lockstep, and
-draws each tree's bootstrap only when the grower's row budget lets that
-tree start, so its memory does not grow with the tree count; a one-job
-``grow_trees`` call on ``_tree_job`` of an index grows that tree alone.
+Each tree draws all of its randomness from its own substream, seeded by
+mixing the master seed with the tree index: its bootstrap rows, then its
+root key, from which growth hashes every node's feature subset. A tree
+is therefore a pure function of (training data, params, tree index):
+trees can be trained in any order or concurrently and the model comes
+out identical, and growing a forest by more trees never changes the
+trees already trained. ``train_forest`` grows all trees with one
+``cart.grow_trees`` call, in lockstep, and draws each tree's bootstrap
+only when the grower's row budget lets that tree start, so its memory
+does not grow with the tree count; a one-job ``grow_trees`` call on
+``_tree_job`` of an index grows that tree alone.
 
 A model holds its trees in one ``cart.Trees`` node table, in level
 order, which growth builds and importances, scoring and the model file
@@ -87,7 +88,7 @@ def bootstrap_indices(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _tree_job(n: int, params: ForestParams, tree_index: int) -> tuple[np.ndarray, np.random.Generator]:
     """Tree ``tree_index``'s training rows, drawn first from its substream
-    when bootstrapping, and the substream it goes on to draw from."""
+    when bootstrapping, and the substream growth draws its root key from."""
     rng = substream(params.seed, tree_index)
     return (bootstrap_indices(n, rng) if params.bootstrap else np.arange(n)), rng
 

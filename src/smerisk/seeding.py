@@ -6,6 +6,12 @@ tree) are derived with the splitmix64 finalizer, so the stream with index
 ``k`` depends only on ``(master_seed, k)``: adding a new column never
 perturbs existing columns, and growing a forest by more trees never
 changes the trees already trained.
+
+Within a tree, a node's draws come from its key, a 64-bit integer, by
+counter-based hashing (the "Random123" construction of Salmon et al.
+2011 on the splitmix64 finalizer): counter i of a key hashes to
+``splitmix64((key + i * 0x9E3779B97F4A7C15) mod 2**64)``, so any counter
+of any node is one hash, in any order.
 """
 
 import numpy as np
@@ -24,6 +30,17 @@ def splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * _MIX_A) & _MASK64
     x = ((x ^ (x >> 27)) * _MIX_B) & _MASK64
     return (x ^ (x >> 31)) & _MASK64
+
+
+def counter_hashes(keys: np.ndarray, n: int) -> np.ndarray:
+    """The (len(keys), n) uint64 matrix of counters 0 .. n - 1 of each key,
+    ``splitmix64((key + i * 0x9E3779B97F4A7C15) mod 2**64)`` at [j, i]."""
+    x = np.asarray(keys, dtype=np.uint64)[:, None] + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    x ^= x >> 30
+    x *= np.uint64(_MIX_A)
+    x ^= x >> 27
+    x *= np.uint64(_MIX_B)
+    return x ^ (x >> 31)
 
 
 def mix64(master_seed: int, stream_index: int) -> int:

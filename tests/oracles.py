@@ -3,7 +3,10 @@
 The tree oracle re-derives greedy CART growth from scratch: it enumerates
 every (feature, midpoint-threshold) candidate at every node and scores it
 in exact Fraction arithmetic, so there is no shared code (and no shared
-rounding) with the package's vectorized integer-score search. Trees are
+rounding) with the package's vectorized integer-score search. Given a
+root key and a subset size, it draws each node's feature subset and its
+children's keys one pure-Python ``splitmix64`` hash at a time, sharing
+nothing with the package's matrix of counter hashes. Trees are
 compared in the oracle's nested-tuple shape, which ``tree_as_tuple``
 reads off one tree of the package's node table and ``trees_from_tuples``
 turns back into a table through the model-file reader, from the node
@@ -21,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from smerisk.cart import trees_from_json
+from smerisk.seeding import splitmix64
 
 
 def oracle_gini(labels) -> Fraction:
@@ -64,27 +68,37 @@ def oracle_best_split(rows, labels, features):
     return best[1], best[2]
 
 
-def oracle_grow(rows, labels, depth=0, max_depth=None, min_samples_split=2):
-    """Recursive greedy growth over all features; returns nested tuples
-    ("leaf", count_0, count_1) / ("node", feature, threshold, left, right)."""
+def oracle_hash(key, i):
+    """Counter ``i`` of a node key."""
+    return splitmix64((key + i * 0x9E3779B97F4A7C15) % 2**64)
+
+
+def oracle_grow(rows, labels, depth=0, max_depth=None, min_samples_split=2, key=None, k=None):
+    """Recursive greedy growth; returns nested tuples ("leaf", count_0,
+    count_1) / ("node", feature, threshold, left, right). Without a root
+    ``key`` every node searches all features; with one, a node searches
+    the k features f with the smallest hash 2 + f of its key, ties to the
+    lower f, and a split's children take its hashes 0 and 1 as keys."""
     c1 = sum(labels)
     c0 = len(labels) - c1
     at_limit = max_depth is not None and depth >= max_depth
     if c0 == 0 or c1 == 0 or len(labels) < min_samples_split or at_limit:
         return ("leaf", c0, c1)
-    found = oracle_best_split(rows, labels, range(len(rows[0])))
+    features = range(len(rows[0]))
+    if key is not None:
+        features = sorted(features, key=lambda f: (oracle_hash(key, 2 + f), f))[:k]
+    found = oracle_best_split(rows, labels, features)
     if found is None:
         return ("leaf", c0, c1)
     f, threshold = found
     left = [(r, lab) for r, lab in zip(rows, labels) if r[f] <= threshold]
     right = [(r, lab) for r, lab in zip(rows, labels) if r[f] > threshold]
-    return (
-        "node",
-        f,
-        threshold,
-        oracle_grow([r for r, _ in left], [lab for _, lab in left], depth + 1, max_depth, min_samples_split),
-        oracle_grow([r for r, _ in right], [lab for _, lab in right], depth + 1, max_depth, min_samples_split),
-    )
+    keys = (None, None) if key is None else (oracle_hash(key, 0), oracle_hash(key, 1))
+    children = [
+        oracle_grow([r for r, _ in part], [lab for _, lab in part], depth + 1, max_depth, min_samples_split, child, k)
+        for part, child in zip((left, right), keys)
+    ]
+    return ("node", f, threshold, *children)
 
 
 def span(trees, t):

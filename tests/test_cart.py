@@ -7,9 +7,11 @@ targeted examples for the split rules, stopping rules, prediction
 semantics, and serialization.
 """
 
+import itertools
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -333,9 +335,11 @@ def test_the_search_keys_fields_keep_their_order_at_63_bits():
     ranks, n_ranks = cart._dense_ranks(X)
     nodes = [(rng.integers(0, 40, size=20), 0, np.array([0, 2])), (np.arange(40), 0, np.array([1, 2]))]
     nodes = [(rows, int(y[rows].sum()), features) for rows, _, features in nodes]
+    features = np.array([f for *_, f in nodes])
     wide = 2 ** (63 - cart._key_bits(4, 1, 60))
     assert cart._key_bits(4, wide, 60) == 63
-    narrow, widened = cart._best_splits(X, y, ranks, n_ranks, nodes), cart._best_splits(X, y, ranks, wide, nodes)
+    narrow = cart._best_splits(X, y, ranks, n_ranks, nodes, features)
+    widened = cart._best_splits(X, y, ranks, wide, nodes, features)
     assert all(found is not None for found in narrow)
     for a, b in zip(narrow, widened):
         assert a[:4] == b[:4] and all(np.array_equal(u, v) for u, v in zip(a[4:], b[4:]))
@@ -432,7 +436,7 @@ def test_growth_does_not_depend_on_the_order_of_a_jobs_rows():
     fallbacks = 0
     for trial in range(12):
         n, d = int(rng.integers(20, 120)), int(rng.integers(1, 5))
-        X = rng.choice(values, size=(n, d))
+        X = values[rng.integers(0, len(values), size=(n, d))]
         y = rng.integers(0, 2, size=n)
         rows = [rng.integers(0, n, size=n) if t % 2 else np.arange(n) for t in range(4)]
         params = TreeParams(features_per_split=int(rng.integers(1, d + 1)), max_depth=[None, 3][trial % 2])
@@ -515,266 +519,31 @@ def test_grow_tree_from_dataset(strong_split):
     assert hits / len(test) > 0.5
 
 
-# feature-subset draws: growth replays np.sort(rng.choice(d, k,
-# replace=False)) on the rng's 32-bit words, and numpy is the oracle
+# node keys: a node's feature subset is a function of its key alone
 
 
-def supply(rng, unused=()):
-    """A subset supply of ``rng``, as growth holds one, with no subsets and
-    the ``unused`` words."""
-    return [rng, [], np.array(unused, dtype=np.uint32)]
+def test_subsets_of_two_of_six_features_are_uniform():
+    # the 15 cells of 15,000 keys hold 1,000 each if uniform; the bound is
+    # chi-square's p = 0.001 at 14 degrees of freedom
+    _, features = cart._key_draws(np.arange(15_000, dtype=np.uint64), 6, 2)
+    cells = Counter(map(tuple, features.tolist()))
+    assert sorted(cells) == list(itertools.combinations(range(6), 2))
+    assert sum((count - 1000) ** 2 / 1000 for count in cells.values()) <= 36.12
 
 
-def stream(held, d, k):
-    """The subsets growth pops from the supply ``held``, one per ``next``."""
-    while True:
-        cart._refill([held], d, k)
-        yield held[1].pop()
+def test_subset_of_all_features_draws_nothing(monkeypatch):
+    # with k = d no key is hashed, and a tree's rng gives its root key alone
+    def unused(*args):
+        raise AssertionError("hashed a key with every feature a candidate")
 
-
-def rng_state(rng):
-    """The whole state of a generator's bit generator, as one string."""
-    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
-
-
-@pytest.mark.parametrize("block", [1, 3])
-def test_subset_replay_matches_rng_choice(monkeypatch, block):
-    # blocks smaller than one subset needs; the bootstrap-sized draw of 7
-    # bounded integers leaves half of a PCG64 64-bit word buffered. Each
-    # refill replays the 12 seeds of one (d, k) together
-    monkeypatch.setattr(cart, "_WORD_BLOCK", block)
-    for d in range(2, 17):
-        for k in range(1, d):
-            oracles = [np.random.Generator(np.random.PCG64([seed, d, k])) for seed in range(12)]
-            supplies = [supply(np.random.Generator(np.random.PCG64([seed, d, k]))) for seed in range(12)]
-            for rng in oracles + [rng for rng, *_ in supplies]:
-                rng.integers(0, 7, size=7)
-            for i in range(20):
-                cart._refill(supplies, d, k)
-                for seed, (oracle, (_, subsets, _)) in enumerate(zip(oracles, supplies)):
-                    expected = np.sort(oracle.choice(d, k, replace=False)).tolist()
-                    assert subsets.pop() == expected, (seed, d, k, i)
-
-
-@pytest.mark.parametrize("k", [1, 2, 100])
-def test_subset_replay_matches_rng_choice_at_ten_thousand_features(k):
-    # the widest d at which choice still samples by Floyd's algorithm
-    oracle, rng = np.random.default_rng([7, k]), np.random.default_rng([7, k])
-    subsets = stream(supply(rng), 10_000, k)
-    for i in range(20):
-        assert next(subsets) == np.sort(oracle.choice(10_000, k, replace=False)).tolist(), i
-
-
-def untemper(y):
-    """The MT19937 state word whose tempered output is ``y``."""
-    y ^= y >> 18
-    y ^= (y << 15) & 0xEFC60000
-    x = y
-    for _ in range(5):
-        x = y ^ ((x << 7) & 0x9D2C5680)
-    x &= 0xFFFFFFFF
-    y = x
-    for _ in range(3):
-        x = y ^ (x >> 11)
-    return x
-
-
-def test_subset_replay_redraws_a_rejected_word():
-    # the words 0, 0, 7 make Lemire's draw in [0, 4] reject twice, as
-    # (2**32 - 5) mod 5 = 1 and the products' low halves are 0, 0 and 35
-    key = np.arange(624, dtype=np.uint32)
-    key[:3] = [untemper(0), untemper(0), untemper(7)]
-    state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
-
-    def generators():
-        """An oracle and a replayed rng, both at ``state``."""
-        oracle, rng = np.random.MT19937(), np.random.MT19937()
-        oracle.state = rng.state = state
-        return np.random.Generator(oracle), np.random.Generator(rng)
-
-    words = np.random.MT19937()
-    words.state = state
-    assert np.random.Generator(words).integers(0, 2**32, size=3, dtype=np.uint32).tolist() == [0, 0, 7]
-    oracle, rng = generators()
-    subsets = stream(supply(rng), 5, 1)
-    assert next(subsets) == np.sort(oracle.choice(5, 1, replace=False)).tolist() == [0]
-    reference = np.random.MT19937()
-    reference.state = state
-    reference.random_raw(cart._WORD_BLOCK)
-    # one block drawn, the subset's 3 words among them
-    after, expected = rng.bit_generator.state["state"], reference.state["state"]
-    assert after["pos"] == expected["pos"] and np.array_equal(after["key"], expected["key"])
-    for _ in range(20):
-        assert next(subsets) == np.sort(oracle.choice(5, 1, replace=False)).tolist()
-    # (5, 2) draws in [0, 3] first, which takes word 0, then in [0, 4], which
-    # rejects the second word 0
-    oracle, rng = generators()
-    subsets = stream(supply(rng), 5, 2)
-    for _ in range(20):
-        assert next(subsets) == np.sort(oracle.choice(5, 2, replace=False)).tolist()
-
-
-def mt19937_words(words):
-    """An MT19937 state whose next outputs are ``words`` (at most 624)."""
-    key = np.arange(624, dtype=np.uint32)
-    key[: len(words)] = [untemper(w) for w in words]
-    return {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
-
-
-def words_rejecting_at(d, k, rejections, n_words):
-    """The first ``n_words`` words of a stream of k-subsets of range(d)
-    that puts ``count`` words 0 before the word of each (subset, draw):
-    count in ``rejections`` and accepts every other word. Lemire's draw in
-    [0, j] rejects 0 unless j + 1 is a power of two. A subset is k Floyd
-    draws, then k - 1 shuffle draws."""
-    sizes = [*range(d - k + 1, d + 1), *range(k, 1, -1)]
-    source = np.random.default_rng(0)
-    words, made = [], 0
-    while len(words) < n_words:
-        size = sizes[made % len(sizes)]
-        count = rejections.get(divmod(made, len(sizes)), 0)
-        assert count == 0 or 2**32 % size, size  # 0 is rejected
-        words += [0] * count
-        while (word := int(source.integers(2**32))) * size % 2**32 < 2**32 % size:
-            pass
-        words.append(word)
-        made += 1
-    return words[:n_words]
-
-
-@pytest.mark.parametrize("block", [1, 3, None])
-def test_subset_replay_redraws_rejected_words_anywhere(monkeypatch, block):
-    # d = 10, k = 4: Floyd draws in [0, 6] ... [0, 9], then shuffle draws
-    # in [0, 3], [0, 2], [0, 1]; 7 words a subset when none is rejected
-    if block is not None:
-        monkeypatch.setattr(cart, "_WORD_BLOCK", block)
-    rejections = {
-        (0, 0): 1,  # the first draw of the first subset
-        (1, 0): 1,  # the first draw of a later subset
-        (2, 2): 1,  # a later Floyd draw
-        (3, 5): 1,  # a shuffle draw
-        (4, 3): 2,  # two in a row
-        (35, 3): 3,  # words 254, 255 and 256, across the default block's end
-    }
-    state = mt19937_words(words_rejecting_at(10, 4, rejections, 624))
-    oracle, rng = np.random.MT19937(), np.random.MT19937()
-    oracle.state = rng.state = state
-    subsets, oracle = stream(supply(np.random.Generator(rng)), 10, 4), np.random.Generator(oracle)
-    for i in range(60):
-        assert next(subsets) == np.sort(oracle.choice(10, 4, replace=False)).tolist(), i
-    # numpy read every rejected word, so the test placed them where it meant to
-    assert oracle.bit_generator.state["state"]["pos"] == 60 * 7 + 9
-
-
-def test_one_round_replays_the_first_blocks_of_all_its_trees_at_once():
-    # one round's first blocks make one word matrix; rows whose words hold
-    # rejected words sit between plain PCG64 rows, so their cuts differ
-    for d, k in [(d, k) for d in range(2, 17) for k in range(1, d)] + [(10_000, 1), (10_000, 2), (10_000, 100)]:
-        sizes = [*range(d - k + 1, d + 1), *range(k, 1, -1)]
-        rejectable = [i for i, size in enumerate(sizes) if 2**32 % size]  # 0 is rejected unless size is 2**j
-        states = []
-        for spread in range(3):
-            if rejectable:
-                places = [(s, rejectable[(s + spread) % len(rejectable)]) for s in range(0, 4 + spread, 1 + spread)]
-                states.append(mt19937_words(words_rejecting_at(d, k, {at: 1 + at[0] % 3 for at in places}, 624)))
-            states.append(np.random.PCG64([d, k, spread]).state)
-        bit_generators = {"MT19937": (np.random.MT19937, 1), "PCG64": (np.random.PCG64, 2)}  # and 32-bit words a raw
-
-        def generators():
-            """One fresh generator at each state."""
-            out = []
-            for state in states:
-                bit_generator = bit_generators[state["bit_generator"]][0]()
-                bit_generator.state = state
-                out.append(np.random.Generator(bit_generator))
-            return out
-
-        rngs, oracles, references = generators(), generators(), generators()
-        supplies = [supply(rng) for rng in rngs]
-        cart._refill(supplies, d, k)
-        for rng, state, reference in zip(rngs, states, references):
-            reference.bit_generator.random_raw(cart._WORD_BLOCK // bit_generators[state["bit_generator"]][1])
-            after, expected = rng.bit_generator.state["state"], reference.bit_generator.state["state"]
-            assert all(np.array_equal(after[name], expected[name]) for name in expected), (d, k)
-        for t, (held, oracle) in enumerate(zip(supplies, oracles)):
-            subsets = stream(held, d, k)
-            for i in range(20):
-                assert next(subsets) == np.sort(oracle.choice(d, k, replace=False)).tolist(), (d, k, t, i)
-
-
-def test_one_refill_replays_rows_of_unequal_length(monkeypatch):
-    # fresh supplies beside ones that hold part of a subset's words, some
-    # with a run of rejected words across their row's block end, all
-    # replayed by one pass; each rng ends one block further on
-    passes = []
-
-    def floyd(rows, d, k, replay=cart._floyd):
-        passes.append(len(rows))
-        return replay(rows, d, k)
-
-    monkeypatch.setattr(cart, "_floyd", floyd)
-    for d, k in [(2, 1), (10, 4), (16, 3), (16, 15), (10_000, 100)]:
-        sizes = [*range(d - k + 1, d + 1), *range(k, 1, -1)]
-        states = []
-        # a supply holds the words of a partial subset; with `short` of them a
-        # row ends one word short of a whole subset, before a draw in [0, 1]
-        # that a padding word 0 would pass
-        short = (-1 - cart._WORD_BLOCK) % len(sizes)
-        for held in sorted({*range(0, len(sizes), max(1, len(sizes) // 3)), short}):
-            states.append((np.random.PCG64([d, k, held]).state, held))
-            end = held + cart._WORD_BLOCK  # the first word past the row's block
-            start = next((p for p in range(end - 1, end - 1 - len(sizes), -1) if 2**32 % sizes[p % len(sizes)]), None)
-            if start is not None:  # rejected words from start to end, with no rejection earlier
-                words = words_rejecting_at(d, k, {divmod(start, len(sizes)): end - start + 1}, 624)
-                assert words[end - 1] == words[end] == 0, (d, k, held)
-                states.append((mt19937_words(words), held))
-
-        def generator(state, drawn):
-            """A generator at ``state``, and the ``drawn`` words it gave."""
-            bit_generator = getattr(np.random, state["bit_generator"])()
-            bit_generator.state = state
-            rng = np.random.Generator(bit_generator)
-            return rng, rng.integers(0, 2**32, size=drawn, dtype=np.uint32)
-
-        supplies = [supply(*generator(state, held)) for state, held in states]
-        passes.clear()
-        cart._refill(supplies, d, k)
-        assert passes == [len(states)], (d, k)
-        for (state, held), (rng, *_) in zip(states, supplies):
-            assert rng_state(rng) == rng_state(generator(state, held + cart._WORD_BLOCK)[0]), (d, k, held)
-        for t, ((state, _), tree) in enumerate(zip(states, supplies)):
-            oracle, subsets = generator(state, 0)[0], stream(tree, d, k)
-            for i in range(20):
-                assert next(subsets) == np.sort(oracle.choice(d, k, replace=False)).tolist(), (d, k, t, i)
-    # growth refills every tree it starts, so a tree whose root is a leaf
-    # draws one block it never uses
-    rng, reference = np.random.default_rng(9), np.random.default_rng(9)
-    grow_trees(np.arange(6.0).reshape(3, 2), np.ones(3, dtype=np.int64), [(np.arange(3), rng)], TreeParams())
-    reference.integers(0, 2**32, size=cart._WORD_BLOCK, dtype=np.uint32)
-    assert rng_state(rng) == rng_state(reference)
-
-
-def test_growth_replays_the_first_blocks_of_the_trees_it_starts_together(monkeypatch, default_split):
-    # the default 100-tree fit on the training part of
-    # GeneratorConfig(n_samples=1000, seed=42) starts every tree at once,
-    # so one _floyd pass replays all their first blocks
-    passes = []
-
-    def floyd(rows, d, k, replay=cart._floyd):
-        passes.append(len(rows))
-        return replay(rows, d, k)
-
-    monkeypatch.setattr(cart, "_floyd", floyd)
-    train_forest(default_split[0], ForestParams())
-    assert passes == [100, 1, 3]
-
-
-def test_subset_of_all_features_draws_nothing():
-    rng = np.random.default_rng(3)
-    before = rng.bit_generator.state
-    subsets = stream(supply(rng), 4, 4)
-    assert next(subsets) == next(subsets) == [0, 1, 2, 3]
-    assert rng.bit_generator.state == before
+    monkeypatch.setattr(cart, "counter_hashes", unused)
+    data = np.random.default_rng(4)
+    X, y = data.normal(size=(40, 4)), data.integers(0, 2, size=40)
+    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+    trees = grow_trees(X, y, [(np.arange(40), rng)], TreeParams(features_per_split=4))
+    assert (trees.feature >= 0).sum() > 1
+    reference.integers(2**64, dtype=np.uint64)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 # oracle loop
@@ -792,6 +561,26 @@ def test_matches_bruteforce_oracle_small_instances():
         expected = oracle_grow([tuple(r) for r in X], [int(v) for v in y])
         assert tree_as_tuple(node) == expected, f"trial {trial}"
 
+
+def test_random_subset_growth_matches_bruteforce_oracle():
+    # two of five features at each node: the oracle draws each subset and
+    # child key from the root key by pure-Python hashes. Some trees must
+    # differ from all-feature growth, or the subsets went unchecked
+    rng = np.random.default_rng(2026)
+    differ = 0
+    for trial in range(40):
+        n = int(rng.integers(4, 51))
+        X = rng.uniform(-2.0, 2.0, size=(n, 5))
+        if trial % 2 == 1:
+            X = np.round(X, 1)  # force duplicate values and threshold ties
+        y = rng.integers(0, 2, size=n).astype(np.int64)
+        node = grow_tree_arrays(X, y, TreeParams(features_per_split=2), substream(1, trial))
+        rows, labels = [tuple(r) for r in X], [int(v) for v in y]
+        key = int(substream(1, trial).integers(2**64, dtype=np.uint64))
+        expected = oracle_grow(rows, labels, key=key, k=2)
+        assert tree_as_tuple(node) == expected, f"trial {trial}"
+        differ += expected != oracle_grow(rows, labels)
+    assert differ > 0
 
 
 def test_lockstep_trees_match_bruteforce_oracle():
@@ -904,7 +693,7 @@ def test_grow_rejects_infinite_features():
     # the midpoint between -inf and its neighbour is -inf, no valid
     # threshold; growth stops before any tree is grown
     rng = np.random.default_rng(8)
-    X = rng.choice([-0.0, 0.0, -np.inf, np.inf], size=(300, 2))
+    X = np.array([-0.0, 0.0, -np.inf, np.inf])[rng.integers(0, 4, size=(300, 2))]
     y = rng.integers(0, 2, size=300)
     with pytest.raises(ParameterError, match="infinite") as info:
         grow(X, y)

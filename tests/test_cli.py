@@ -585,8 +585,8 @@ def test_a_version_1_model_file_exits_3(kind, model_documents, small_csv, tmp_pa
 
 # name -> (in-place edit of a forest document, the error after the prefix)
 FOREST_BODY_ERRORS = {
-    # node 3 is the first leaf of tree 0 (checked in the test)
-    "negative_count": (_set("count_0", -1), "trees[0]: node 3 count_0 must be in [0, 9007199254740992], got -1\n"),
+    # {leaf}, filled in by the test, is the first leaf of tree 0
+    "negative_count": (_set("count_0", -1), "trees[0]: node {leaf} count_0 must be in [0, 9007199254740992], got -1\n"),
     "truncated_tree": (
         lambda doc: [doc["trees"][name].append(value) for name, value in (("feature", 0), ("threshold", 0.5))],
         "trees[3] is truncated: it lacks 2 subtree(s)\n",
@@ -599,7 +599,7 @@ FOREST_BODY_ERRORS = {
 def test_every_forest_body_error_names_the_document(error, model_documents, small_csv, tmp_path, capsys):
     mutate, message = FOREST_BODY_ERRORS[error]
     doc = copy.deepcopy(model_documents["forest"])
-    assert doc["trees"]["feature"].index(-1) == 3
+    message = message.format(leaf=doc["trees"]["feature"].index(-1))  # count_0's first entry is this leaf's
     mutate(doc)
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(doc))

@@ -738,7 +738,7 @@ def test_importances_match_the_reference_bit_for_bit_on_random_tables(shapes):
 # recurses, so it cannot take 1,500 levels
 DEEP_IMPORTANCES = {
     "chain(1500)": (1500, "e9ffce964b8f2f94941a12fba43b5787998e875f27aeb512a1a24d4e4a680745"),
-    "zero signal, 20 trees": (31, "ccc0da9bbb1c4a5eca6bbf3a9a98dc9c8844bc66a19a24a3ad8dde3bea1fea64"),
+    "zero signal, 20 trees": (27, "b4924e75c1f494e03f3b6180a42fa8db1b2ca4058f241e02a27979a293672949"),
 }
 
 

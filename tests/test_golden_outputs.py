@@ -43,7 +43,7 @@ COMMANDS = (
     ("score_forest.out", ("score", "--model", "forest.json", "--data", "book.csv", "--out", "scores_forest.csv")),
     ("score_logistic.out", ("score", "--model", "logit.json", "--data", "book.csv", "--out", "scores_logit.csv")),
     ("importance.out", ("importance", "--model", "forest.json")),
-    # zero signal grows the deepest trees: 21,548 nodes, depth 27
+    # zero signal grows the deepest trees: 21,486 nodes, depth 31
     ("generate_zero.out", ("generate", "--n", "600", "--seed", "5", "--signal", "0.0", "--out", "zero.csv")),
     ("train_zero.out", ("train", "--model", "forest", "--data", "zero.csv", "--out", "zero_forest.json")),
     ("score_zero.out", ("score", "--model", "zero_forest.json", "--data", "book.csv", "--out", "scores_zero.csv")),
@@ -52,28 +52,28 @@ COMMANDS = (
 
 GOLDEN_SHA256 = {
     "book.csv": "2ea45811cdb99740e5a64a5d94a7602a01e53db32d2216799ba5b03578b70691",
-    "compare_config.out": "32970552becbbae30567e3d17c0ac0eadc1b17a7608a8ae30ff1d60c701db65d",
-    "compare_data.out": "0d264152459f0707990ecea1399141559d7ed67d2e54437ce9a2d9f389bb7649",
-    "forest.json": "5baab666ebf1454f362c96dcf858422405c2b4f17f1ee4f0a022ae0fe2503bf2",
+    "compare_config.out": "2e58f178057749f231fe72295769a4d18ae42da244d57315a8ddddc9c0c719e4",
+    "compare_data.out": "bbdf9ab7b47d905d61c4a2d7ed8e99c200f7773fc2b678a1485596c546648002",
+    "forest.json": "babb897067960b1284cd3a980ccabd51d6c739ca6db586510a6c6cccf8623123",
     "generate_book.out": "848e30f5398bee6203b80a011c353c53aaf25b9619dfcdfbd3f470922271e0ca",
     "generate_train.out": "420e521396554261fe371d80d609395e6683abee2928edf9eab29bb1eadddafd",
     "generate_zero.out": "0cb9436bbc9a306e1b16e17c1e861d4dbaa3a232da6cd0274e658e0bc24b5c84",
-    "importance.out": "dd034246b97ee0c9d3bda9a70fdaa2d6f8b2766b06a559a60fc43244f0c49cd1",
-    "importance_zero.out": "e1b45c101f33d6405d9d8d5422701ee6d8e1093593002c20a587aebb1110a610",
+    "importance.out": "5704bc9e569023081e530907870c121985c71468a02bb3e7b05897ae66f3b983",
+    "importance_zero.out": "f49fd059e6b261a68f333b5ca9482ebe93b1f05b0e60e9a25b00eda5be4d885a",
     "logit.json": "8feff4b1ae6e9c20cf6194b0b27e8101b0bc26bd258c9d114b23af51db549e82",
-    "report.json": "b1f230fa510c2a464213841364252657d408fc02ddf52551c8bb974199163f3a",
+    "report.json": "2520a2fccecb0f5d8e28bf0b84b97e910c0ed821f5789ba913612f2650f1c4db",
     "score_forest.out": "5390b0100e551be88b3bf783720a6ed8d7edb30dbf7918cacb7603005ffe8198",
     "score_logistic.out": "f5b406705665af60248189f288524cfe2bcebdcec2dd5e4760ea3dd6ee68fda9",
     "score_zero.out": "d19ba78f16dd8e89a0aacde1651e794f88586063bcccb4e3333962ee235dc0f6",
-    "scores_forest.csv": "58173415e830f17d3c09558304cb2be8d34e99f0e5edcbf716e53a064323d2cb",
+    "scores_forest.csv": "ad24f8936bc54c5e762a8cc740def654ed8c223c0bc53f7caaea411172132034",
     "scores_logit.csv": "2601250c897e81c77e1161f263ea69fc74f85b8c8fdd70c75528a733c25695a5",
-    "scores_zero.csv": "39682fc8e9bc52579e89200ae68e368d27ca149e6e5ac2135cd90b7c6b70c2d6",
+    "scores_zero.csv": "4a52c9f4afa79b8e90c795d99d7958a1658ad80664337ba5caa6f68408887135",
     "train.csv": "a24c7683e9fbb66334044cc59d2ba00a59068d48b060f9021979ba4a7a7f9f59",
     "train_forest.out": "52cb9e6544a88986f03c3da317d347fa6ef80dcba9db8b2f8ea4c68094cac606",
     "train_logistic.out": "2747670e62bd070c6abca3d811c1d30a0995b943f24f12f1e6749844b206ced4",
     "train_zero.out": "f59639f193e2592e4606d24b7e86c5da8717e9a58fd21308aa14e93f1fc6a087",
     "zero.csv": "a14a20e61b0659c068d0572683d3d71beb9edce3b6a98ec2a664306e1846650d",
-    "zero_forest.json": "178bf44f42f8807d34bc12e9a433ca91a6beeac1cb1fe0a54e9a656a7e5074fc",
+    "zero_forest.json": "9efc4862ae27db50093720f7e03bc5b1529ac2724f7f96164e870a1b0b8ba107",
 }
 
 

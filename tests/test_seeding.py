@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smerisk.errors import ParameterError
-from smerisk.seeding import mix64, splitmix64, substream
+from smerisk.seeding import counter_hashes, mix64, splitmix64, substream
 
 
 def test_splitmix64_reference_vector():
@@ -29,6 +29,16 @@ def test_splitmix64_stateful_chain():
 def test_splitmix64_wraps_modulo_2_64():
     assert splitmix64(2**64 - 1) == splitmix64(-1 % 2**64)
     assert 0 <= splitmix64(2**64 - 1) < 2**64
+
+
+def test_counter_hashes_are_splitmix64_of_the_counters():
+    # counter i of a key is splitmix64((key + i * golden) mod 2**64), the
+    # sum wrapping at the largest key
+    golden = 0x9E3779B97F4A7C15
+    keys = [0, 1, 2**64 - 1, 0xD1B54A32D192ED03]
+    hashes = counter_hashes(np.array(keys, dtype=np.uint64), 9)
+    assert hashes.dtype == np.uint64
+    assert hashes.tolist() == [[splitmix64((key + i * golden) % 2**64) for i in range(9)] for key in keys]
 
 
 def test_mix64_deterministic_and_spread():
