@@ -22,17 +22,16 @@ computed in int64, so ``grow_trees`` rejects a job of more than
 3,329,021 rows, where it could overflow. The final strict-improvement
 test against the parent is done in unbounded integers.
 
-Growth is one path. Each tree is a ``_grow`` generator that walks it in
-pre-order, yields each splittable node with its key, and is sent the
-node's best split with its children's keys. ``grow_trees`` grows every
-tree of a forest in lockstep: each step takes the waiting node of each
-of several trees, draws their feature subsets from their keys, and
-scores all of them in one exact segmented search over per-column dense
-ranks computed once (one sort of int64 keys, a segmented cumsum and a
-first argmax per node). A sort key packs three bit fields, high to low:
-the segment (node, candidate feature), the element's rank on that
-feature and its row's place in the step, so shifts and masks read each
-back and distinct keys sort in the stable order. For m nodes on k candidates over R rows a key takes
+Growth is one path. ``grow_trees`` grows every tree of a forest breadth
+first from one queue of open nodes: each step pops the queue's first
+nodes, a level of one or of many trees, draws their feature subsets from
+their keys, and scores all of them in one exact segmented search over
+per-column dense ranks computed once (one sort of int64 keys, a
+segmented cumsum and a first argmax per node). A sort key packs three
+bit fields, high to low: the segment (node, candidate feature), the
+element's rank on that feature and its row's place in the step, so
+shifts and masks read each back and distinct keys sort in the stable
+order. For m nodes on k candidates over R rows a key takes
 bits(m k - 1) + bits(n_ranks - 1) + bits(R - 1) bits, and ``grow_trees``
 refuses a job that could make a step need more than 63. Two private
 budgets bound its memory: a step holds at most ``_STEP_BUDGET`` (row,
@@ -67,13 +66,13 @@ tree's last node and reaches 0 there, and the j-th split of the tree
 rooted at r has its children at r + 2j + 1 and r + 2j + 2. The table
 derives its roots, each split's left child ``child[i]`` (a leaf is its
 own child) and each depth's splits ``levels`` from those flags when it
-is built, so no builder hands it a pointer to get wrong. Growth lists
-each tree's nodes in pre-order and sorts them by depth once the tree is
-done; it rejects non-finite features up front, so it builds only valid
-tables. ``tree_importances`` sweeps ``levels`` up for each split's
-subtree counts and down for each node's pre-order place, and adds each
-tree's splits in reverse pre-order: children before parents, in one
-fixed summing order. Its gini expressions run on int64, which numpy
+is built, so no builder hands it a pointer to get wrong. Growth places
+each tree's nodes in the order it makes them, level order, as its queue
+is first in, first out; it rejects non-finite features up front, so it
+builds only valid tables. ``tree_importances`` sweeps ``levels`` up for
+each split's subtree counts and down for each node's pre-order place,
+and adds each tree's splits in reverse pre-order: children before
+parents, in one fixed summing order. Its gini expressions run on int64, which numpy
 divides as Python divides ints while every tree's rows n have
 n^2 < 2**53, and past that on ints.
 
@@ -211,11 +210,12 @@ class TreeParams:
 # The growth memory budgets of the module docstring: (row, candidate
 # feature) elements per step, and rows of the trees growing at once.
 # Small steps pay mostly fixed numpy cost: the default 100-tree fit took
-# 266, 145, 106 and 96 steps at 2**12 to 2**15 elements, with medians of
-# 152, 139, 132 and 136 ms (15 alternating repeats, 2-core x86-64). At
-# 2**16 the training-memory test's 40 trees peaked 1.24 MiB above its 4,
-# against 0.56 MiB up to 2**15.
-_STEP_BUDGET = 2**14
+# 372, 188, 97 and 53 steps at 2**12 to 2**15 elements, with medians of
+# 169, 152, 146 and 149 ms (15 alternating repeats, 2-core x86-64). Big
+# steps hold many nodes, each with its own child rows: at 2**14 a step of
+# that fit held up to 503 nodes, and its traced peak rose from 2.98 MiB
+# at 2**13 to 4.15 MiB, past the 3.875 MiB its training-memory test allows.
+_STEP_BUDGET = 2**13
 _ROW_BUDGET = 2**17
 # the most rows a job may hold: the largest n with n^3 / 4 (the bound of
 # a split's T) below 2**63
@@ -269,7 +269,7 @@ def _best_splits(X, y, ranks, n_ranks, nodes, features) -> list:
     order, so the first maximal S of a node is both the lowest threshold
     within a feature and the lowest feature across features. The children
     are the winning segment's rows before and after its boundary, copied
-    so a child held on a stack does not keep the step's.
+    so a child held in the queue does not keep the step's.
     """
     sizes = [len(rows) for rows, _, _ in nodes]
     counts_1 = [c1 for _, c1, _ in nodes]
@@ -359,30 +359,6 @@ def best_split(
     return feature, threshold, 1.0 - S / n
 
 
-def _grow(rows: np.ndarray, y: np.ndarray, key: int, params: TreeParams):
-    """One tree's growth on ``rows`` from its root ``key``, in pre-order:
-    yields each splittable node as (row ids, class-1 count, key) and is
-    sent its best split followed by its children's keys, or None; a split's
-    left child is grown next. Returns the tree's four node columns, its
-    pre-order nodes stably sorted by depth."""
-    nodes, stack = [], [(rows, 0, int(y[rows].sum()), key)]
-    while stack:
-        rows, depth, c1, key = stack.pop()
-        c0 = len(rows) - c1
-        stop = c0 == 0 or c1 == 0 or len(rows) < params.min_samples_split or depth == params.max_depth
-        found = None if stop else (yield rows, c1, key)
-        if found is None:
-            nodes.append((-1, math.inf, depth, c0, c1))
-        else:
-            feature, threshold, _, c1_left, left, right, left_key, right_key = found
-            stack += [(right, depth + 1, c1 - c1_left, right_key), (left, depth + 1, c1_left, left_key)]
-            nodes.append((feature, threshold, depth, 0, 0))
-    feature, threshold, depth, count_0, count_1 = zip(*nodes)
-    order = np.argsort(depth, kind="stable")
-    columns = zip((feature, threshold, count_0, count_1), (np.intp, float, np.int64, np.int64))
-    return [np.array(c, dtype=t).take(order) for c, t in columns]
-
-
 def grow_trees(
     X: np.ndarray,
     y: np.ndarray,
@@ -396,14 +372,17 @@ def grow_trees(
     Per node: stop with a leaf if the node is pure, smaller than
     min_samples_split, or at the depth limit; otherwise draw the node's
     feature subset from its key and split, stopping if the search finds no
-    strict improvement. Each tree is a ``_grow`` generator. The trees grow
-    in lockstep, and each pass of the loop moves on one list of trees: it
-    adds a new tree, to be sent nothing, for each job taken from ``jobs``
-    while the row budget lets a tree start; sends each tree its value, so
-    it waits with its next splittable node or is done; and scores the
-    waiting nodes of as many trees as the step budget admits (round robin)
-    in one search, after one ``_key_draws`` for all of them, whose trees,
-    each with its node's result, are the next list.
+    strict improvement. Every tree grows breadth first from one queue of
+    open nodes. A node is checked against the stop rules when it is made
+    and takes its tree's next place, as a leaf; a splittable one also
+    joins the queue. Each pass of the loop starts a tree for each job
+    taken from ``jobs`` while the row budget lets one start, then pops as
+    many of the queue's first nodes as the step budget admits, draws
+    their subsets with one ``_key_draws`` and scores them in one search,
+    and makes each split node's place a split and its children new nodes.
+    The queue is first in, first out, so each tree's places come out in
+    level order. A tree with no open node is done: its rows leave the row
+    budget and its places become its four node columns.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -419,14 +398,30 @@ def grow_trees(
     k = params.resolve_features_per_split(d)
     ranks, n_ranks = _dense_ranks(X)
 
-    columns: list = []  # each tree's node columns, None while it grows
-    waiting: deque = deque()  # (tree index, generator, rows held, waiting node)
-    send: list = []  # (tree index, generator, rows held, value to send)
+    columns: list = []  # each tree's places, (feature, threshold, count_0, count_1), then its node columns
+    growing: list = []  # each tree's [open nodes, rows]
+    queue: deque = deque()  # every open node: (tree index, place, depth, (row ids, class-1 count, key))
     held = 0  # rows of the trees growing
 
+    def add(t: int, rows: np.ndarray, c1: int, depth: int, key: int) -> None:
+        """Give a new node tree t's next place, as a leaf, and queue it if
+        the stop rules let it split."""
+        c0 = len(rows) - c1
+        columns[t].append((-1, math.inf, c0, c1))
+        if c0 and c1 and len(rows) >= params.min_samples_split and depth != params.max_depth:
+            queue.append((t, len(columns[t]) - 1, depth, (rows, c1, key)))
+            growing[t][0] += 1
+
+    def close(t: int) -> None:
+        """Finish tree t if it has no open node."""
+        nonlocal held
+        if not growing[t][0]:
+            columns[t] = [np.array(c, dtype=tp) for c, tp in zip(zip(*columns[t]), (np.intp, float, np.int64, np.int64))]
+            held -= growing[t][1]
+
     jobs, more = iter(jobs), True
-    while more or waiting or send:
-        while more and (held < _ROW_BUDGET or not (waiting or send)):
+    while more or queue:
+        while more and (held < _ROW_BUDGET or not queue):
             job = next(jobs, None)
             if job is None:
                 more = False
@@ -448,23 +443,26 @@ def grow_trees(
             if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
                 raise ParameterError(f"job {len(columns)}: rows must be integers in [0, {n})")
             rows, key = rows.astype(np.intp, copy=False), int(rng.integers(2**64, dtype=np.uint64))
-            send.append((len(columns), _grow(rows, y, key, params), len(rows), None))
-            columns.append(None)
+            columns.append([])
+            growing.append([0, len(rows)])
             held += len(rows)
-        for t, tree, n_rows, value in send:  # sent its value, a tree waits with its next node or is done
-            try:
-                waiting.append((t, tree, n_rows, tree.send(value)))
-            except StopIteration as done:
-                columns[t] = done.value
-                held -= n_rows
-        step, elements = [], 0  # a waiting node scores its rows on k features
-        while waiting and (not step or elements + len(waiting[0][3][0]) * k <= _STEP_BUDGET):
-            elements += len(waiting[0][3][0]) * k
-            step.append(waiting.popleft())
+            add(len(columns) - 1, rows, int(y.take(rows).sum()), 0, key)
+            close(len(columns) - 1)
+        step, elements = [], 0  # an open node scores its rows on k features
+        while queue and (not step or elements + len(queue[0][3][0]) * k <= _STEP_BUDGET):
+            elements += len(queue[0][3][0]) * k
+            step.append(queue.popleft())
         nodes = [node for *_, node in step]
         children, features = _key_draws(np.array([key for _, _, key in nodes], dtype=np.uint64), d, k)
         found = _best_splits(X, y, ranks, n_ranks, nodes, features) if step else []
-        send = [(*entry, None if s is None else (*s, *keys)) for (*entry, _), s, keys in zip(step, found, children)]
+        for (t, place, depth, (_, c1, _)), split, (left_key, right_key) in zip(step, found, children):
+            growing[t][0] -= 1
+            if split is not None:
+                feature, threshold, _, c1_left, left, right = split
+                columns[t][place] = (feature, threshold, 0, 0)
+                add(t, left, c1_left, depth + 1, left_key)
+                add(t, right, c1 - c1_left, depth + 1, right_key)
+            close(t)
     if not columns:
         raise ParameterError("grow_trees needs at least one job")
     return Trees(*(np.concatenate(c) for c in zip(*columns)))

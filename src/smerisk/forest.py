@@ -7,7 +7,7 @@ is therefore a pure function of (training data, params, tree index):
 trees can be trained in any order or concurrently and the model comes
 out identical, and growing a forest by more trees never changes the
 trees already trained. ``train_forest`` grows all trees with one
-``cart.grow_trees`` call, in lockstep, and draws each tree's bootstrap
+``cart.grow_trees`` call, breadth first, and draws each tree's bootstrap
 only when the grower's row budget lets that tree start, so its memory
 does not grow with the tree count; a one-job ``grow_trees`` call on
 ``_tree_job`` of an index grows that tree alone.

@@ -317,12 +317,14 @@ def test_grow_rejects_a_job_past_the_int64_bound(monkeypatch):
 
 def test_grow_rejects_a_job_past_the_sort_key_bound(monkeypatch):
     # a step's sort key packs (segment, rank, row) bit fields in int64: a
-    # job of 2**47 rows takes 47 bits of row, 14 of segment beside it in a
-    # step of several nodes, and 3 of rank on this 6-value column
+    # step of several nodes takes the step budget's bits of segment and 3
+    # of rank on this 6-value column, so a job with rows enough for the
+    # remaining bits and one more needs 64
     monkeypatch.setattr(cart, "_MAX_ROWS", 2**62)
     X, y = np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 1, 1, 0])
+    row_bits = 64 - 3 - (cart._STEP_BUDGET - 1).bit_length()
     # float rows: past a failed guard the dtype check refuses them at once
-    jobs = [(np.arange(6), substream(0, 0)), (np.broadcast_to(-1.0, (2**47,)), substream(0, 1))]
+    jobs = [(np.arange(6), substream(0, 0)), (np.broadcast_to(-1.0, (2**row_bits,)), substream(0, 1))]
     with pytest.raises(ParameterError, match="^job 1: its split search needs 64-bit keys, past int64's 63$"):
         grow_trees(X, y, jobs, TreeParams())
 
@@ -610,8 +612,9 @@ def test_lockstep_trees_match_bruteforce_oracle():
 @pytest.mark.parametrize("budget", ["default", "one tree at a time"])
 def test_lockstep_trees_whose_roots_stop_at_once_keep_their_places(monkeypatch, budget):
     # roots that are leaves at once (pure, one row) or whose search finds no
-    # split (tied values) finish on the first or second send, between jobs
-    # that grow; each tree still equals its one-job growth, in job order
+    # split (tied values) finish when they start or after one search,
+    # between jobs that grow; each tree still equals its one-job growth, in
+    # job order
     if budget == "one tree at a time":
         monkeypatch.setattr(cart, "_ROW_BUDGET", 1)
     rng = np.random.default_rng(22)

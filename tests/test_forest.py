@@ -280,6 +280,21 @@ def test_lockstep_forest_equals_its_trees_grown_alone(strong_split, zero_signal_
         assert tree_as_tuple(forest.trees, t) == tree_as_tuple(grown_alone(X, y, params, t)), f"tree {t}"
 
 
+def test_growth_searches_each_level_of_a_forest_at_once(zero_signal_book, monkeypatch):
+    # with every tree started and no step budget to cut a level, one
+    # search scores the open nodes of one depth in every tree
+    monkeypatch.setattr(cart, "_STEP_BUDGET", 2**30)
+    calls, search = [], cart._best_splits
+
+    def counted(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(cart, "_best_splits", counted)
+    forest = train_forest(zero_signal_book, ForestParams(n_trees=8, seed=8))
+    assert len(calls) <= forest.trees.depth + 1, (len(calls), forest.trees.depth)
+
+
 def test_training_memory_does_not_grow_with_the_tree_count():
     # trees start growing only while the rows they hold stay under a
     # budget, and a step scores a bounded number of elements: 40 trees on
@@ -301,8 +316,9 @@ def test_training_memory_does_not_grow_with_the_tree_count():
 
 def test_training_memory_of_a_forest_whose_trees_all_grow_at_once():
     # all 100 default trees of a 1,000-row book grow at once, so memory
-    # that each growing tree holds adds up a hundredfold: a subset stream
-    # that kept its block's used subsets peaked 0.23 MiB higher, at 4.0 MiB
+    # that each growing tree holds adds up a hundredfold, and a step scores
+    # open nodes of many trees: steps of 2**14 elements, which held up to
+    # 503 nodes, peaked at 4.15 MiB
     book = generate(GeneratorConfig(n_samples=1000, seed=42))
     train_forest(book, ForestParams(n_trees=1, tree_params=TreeParams(max_depth=1)))  # one-time allocations
     gc.collect()  # garbage of earlier tests is not freed inside the traced fit
