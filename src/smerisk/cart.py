@@ -33,15 +33,15 @@ element's rank on that feature and its row's place in the step, so
 shifts and masks read each back and distinct keys sort in the stable
 order. For m nodes on k candidates over R rows a key takes
 bits(m k - 1) + bits(n_ranks - 1) + bits(R - 1) bits, and ``grow_trees``
-refuses a job that could make a step need more than 63. Two private
-budgets bound its memory: a step holds at most ``_STEP_BUDGET`` (row,
-candidate feature) elements and trees start only while the growing ones
-hold fewer than ``_ROW_BUDGET`` rows; at least one node and one tree
-always go ahead. That sort is the step's only one: it lists each winning
-feature's rows in rank order, so a split node's children are the rows
-either side of its boundary. Nothing depends on the order of a node's
-rows. ``grow_tree_arrays`` is its one-tree case and ``best_split`` the
-one-node case of its search.
+refuses a job that could make a step need more than 63. One private
+budget bounds its memory: a step holds at most ``_STEP_BUDGET`` (row,
+candidate feature) elements, or one node, and a tree starts only while
+the queued rows on k candidates each come to fewer, so while the queue
+cannot fill a step. That sort is the step's only one: it lists each
+winning feature's rows in rank order, so a split node's children are the
+rows either side of its boundary. Nothing depends on the order of a
+node's rows. ``grow_tree_arrays`` is its one-tree case and
+``best_split`` the one-node case of its search.
 
 A node's random draws come from its key, a 64-bit integer hashed by
 counter (``seeding.counter_hashes``, h(key, i) for counter i). A tree's
@@ -207,16 +207,15 @@ class TreeParams:
         return k
 
 
-# The growth memory budgets of the module docstring: (row, candidate
-# feature) elements per step, and rows of the trees growing at once.
-# Small steps pay mostly fixed numpy cost: the default 100-tree fit took
-# 372, 188, 97 and 53 steps at 2**12 to 2**15 elements, with medians of
-# 169, 152, 146 and 149 ms (15 alternating repeats, 2-core x86-64). Big
-# steps hold many nodes, each with its own child rows: at 2**14 a step of
-# that fit held up to 503 nodes, and its traced peak rose from 2.98 MiB
-# at 2**13 to 4.15 MiB, past the 3.875 MiB its training-memory test allows.
+# The growth memory budget of the module docstring: (row, candidate
+# feature) elements per step, which also paces the trees' starts. Small
+# steps pay mostly fixed numpy cost: the default 100-tree fit on 1,000
+# rows took 390, 197, 107 and 58 steps at 2**12 to 2**15 elements, with
+# medians of 138, 131, 123 and 114 ms (15 alternating repeats, 2-core
+# x86-64). Big steps hold many nodes, each with its own child rows: up to
+# 40, 69, 124 and 244, and traced peaks of 2.35, 2.39, 2.78 and 4.82 MiB,
+# past its training-memory test's 3.875 MiB at 2**15.
 _STEP_BUDGET = 2**13
-_ROW_BUDGET = 2**17
 # the most rows a job may hold: the largest n with n^3 / 4 (the bound of
 # a split's T) below 2**63
 _MAX_ROWS = 3_329_021
@@ -269,7 +268,7 @@ def _best_splits(X, y, ranks, n_ranks, nodes, features) -> list:
     order, so the first maximal S of a node is both the lowest threshold
     within a feature and the lowest feature across features. The children
     are the winning segment's rows before and after its boundary, copied
-    so a child held in the queue does not keep the step's.
+    so a child waiting in the queue does not keep the step's.
     """
     sizes = [len(rows) for rows, _, _ in nodes]
     counts_1 = [c1 for _, c1, _ in nodes]
@@ -376,13 +375,13 @@ def grow_trees(
     open nodes. A node is checked against the stop rules when it is made
     and takes its tree's next place, as a leaf; a splittable one also
     joins the queue. Each pass of the loop starts a tree for each job
-    taken from ``jobs`` while the row budget lets one start, then pops as
+    taken from ``jobs`` while the queue cannot fill a step, then pops as
     many of the queue's first nodes as the step budget admits, draws
     their subsets with one ``_key_draws`` and scores them in one search,
     and makes each split node's place a split and its children new nodes.
     The queue is first in, first out, so each tree's places come out in
-    level order. A tree with no open node is done: its rows leave the row
-    budget and its places become its four node columns.
+    level order. A tree with no open node is done: its places become its
+    four node columns.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -399,29 +398,29 @@ def grow_trees(
     ranks, n_ranks = _dense_ranks(X)
 
     columns: list = []  # each tree's places, (feature, threshold, count_0, count_1), then its node columns
-    growing: list = []  # each tree's [open nodes, rows]
+    growing: list = []  # each tree's open nodes
     queue: deque = deque()  # every open node: (tree index, place, depth, (row ids, class-1 count, key))
-    held = 0  # rows of the trees growing
+    queued = 0  # rows of the open nodes
 
     def add(t: int, rows: np.ndarray, c1: int, depth: int, key: int) -> None:
         """Give a new node tree t's next place, as a leaf, and queue it if
         the stop rules let it split."""
+        nonlocal queued
         c0 = len(rows) - c1
         columns[t].append((-1, math.inf, c0, c1))
         if c0 and c1 and len(rows) >= params.min_samples_split and depth != params.max_depth:
             queue.append((t, len(columns[t]) - 1, depth, (rows, c1, key)))
-            growing[t][0] += 1
+            growing[t] += 1
+            queued += len(rows)
 
     def close(t: int) -> None:
         """Finish tree t if it has no open node."""
-        nonlocal held
-        if not growing[t][0]:
+        if not growing[t]:
             columns[t] = [np.array(c, dtype=tp) for c, tp in zip(zip(*columns[t]), (np.intp, float, np.int64, np.int64))]
-            held -= growing[t][1]
 
     jobs, more = iter(jobs), True
     while more or queue:
-        while more and (held < _ROW_BUDGET or not queue):
+        while more and queued * k < _STEP_BUDGET:
             job = next(jobs, None)
             if job is None:
                 more = False
@@ -432,8 +431,8 @@ def grow_trees(
                 raise ParameterError(f"job {len(columns)}: {rows.size} rows exceed the {_MAX_ROWS} a tree may hold")
             # a step of one node holds k segments and at most this job's
             # rows; one of several holds at most _STEP_BUDGET elements and
-            # the rows of the trees then growing
-            rows_held = held + rows.size
+            # the rows queued now and this job's, as only a start adds rows
+            rows_held = queued + rows.size
             segments, step_rows = max(k, min(k * rows_held, _STEP_BUDGET)), max(rows.size, min(rows_held, _STEP_BUDGET))
             bits = _key_bits(segments, n_ranks, step_rows)
             if bits > 63:
@@ -444,19 +443,19 @@ def grow_trees(
                 raise ParameterError(f"job {len(columns)}: rows must be integers in [0, {n})")
             rows, key = rows.astype(np.intp, copy=False), int(rng.integers(2**64, dtype=np.uint64))
             columns.append([])
-            growing.append([0, len(rows)])
-            held += len(rows)
+            growing.append(0)
             add(len(columns) - 1, rows, int(y.take(rows).sum()), 0, key)
             close(len(columns) - 1)
         step, elements = [], 0  # an open node scores its rows on k features
         while queue and (not step or elements + len(queue[0][3][0]) * k <= _STEP_BUDGET):
             elements += len(queue[0][3][0]) * k
             step.append(queue.popleft())
+        queued -= elements // k
         nodes = [node for *_, node in step]
         children, features = _key_draws(np.array([key for _, _, key in nodes], dtype=np.uint64), d, k)
         found = _best_splits(X, y, ranks, n_ranks, nodes, features) if step else []
         for (t, place, depth, (_, c1, _)), split, (left_key, right_key) in zip(step, found, children):
-            growing[t][0] -= 1
+            growing[t] -= 1
             if split is not None:
                 feature, threshold, _, c1_left, left, right = split
                 columns[t][place] = (feature, threshold, 0, 0)

@@ -8,9 +8,9 @@ trees can be trained in any order or concurrently and the model comes
 out identical, and growing a forest by more trees never changes the
 trees already trained. ``train_forest`` grows all trees with one
 ``cart.grow_trees`` call, breadth first, and draws each tree's bootstrap
-only when the grower's row budget lets that tree start, so its memory
-does not grow with the tree count; a one-job ``grow_trees`` call on
-``_tree_job`` of an index grows that tree alone.
+only when that tree starts, which waits while the open nodes can fill a
+step, so its memory does not grow with the tree count; a one-job
+``grow_trees`` call on ``_tree_job`` of an index grows that tree alone.
 
 A model holds its trees in one ``cart.Trees`` node table, in level
 order, which growth builds and importances, scoring and the model file

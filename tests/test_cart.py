@@ -616,7 +616,7 @@ def test_lockstep_trees_whose_roots_stop_at_once_keep_their_places(monkeypatch, 
     # between jobs that grow; each tree still equals its one-job growth, in
     # job order
     if budget == "one tree at a time":
-        monkeypatch.setattr(cart, "_ROW_BUDGET", 1)
+        monkeypatch.setattr(cart, "_STEP_BUDGET", 1)
     rng = np.random.default_rng(22)
     X = np.vstack((rng.normal(size=(60, 3)), np.zeros((4, 3))))
     y = np.concatenate((rng.integers(0, 2, size=60), [0, 1, 0, 1])).astype(np.int64)

@@ -256,11 +256,12 @@ def zero_signal_book():
     return generate(GeneratorConfig(n_samples=400, seed=5, signal_strength=0.0))
 
 
-@pytest.mark.parametrize("budget", ["default", "one element", "one root node", "2^30", "one tree at a time"])
+@pytest.mark.parametrize("budget", ["default", "one element", "one root node", "2^30"])
 @pytest.mark.parametrize("case", [*LOCKSTEP_CASES, "zero signal, deep"])
 def test_lockstep_forest_equals_its_trees_grown_alone(strong_split, zero_signal_book, monkeypatch, case, budget):
     # every tree of one lockstep growth equals the tree grown on its own,
-    # however the step and row budgets cut the growth into steps
+    # however the step budget cuts the growth into steps and staggers the
+    # trees' starts; at one element, one tree grows at a time
     if case == "zero signal, deep":
         train, params = zero_signal_book, ForestParams(n_trees=8, seed=8)
     else:
@@ -272,8 +273,6 @@ def test_lockstep_forest_equals_its_trees_grown_alone(strong_split, zero_signal_
         monkeypatch.setattr(cart, "_STEP_BUDGET", len(train) * k)
     elif budget == "2^30":
         monkeypatch.setattr(cart, "_STEP_BUDGET", 2**30)
-    elif budget == "one tree at a time":
-        monkeypatch.setattr(cart, "_ROW_BUDGET", 1)
     forest = train_forest(train, params)
     X, y = train.feature_matrix(), train.labels()
     for t in range(len(forest.trees)):
@@ -295,10 +294,36 @@ def test_growth_searches_each_level_of_a_forest_at_once(zero_signal_book, monkey
     assert len(calls) <= forest.trees.depth + 1, (len(calls), forest.trees.depth)
 
 
+@pytest.mark.parametrize("book", ["default split", "40 rows"])
+def test_trees_start_while_the_open_nodes_cannot_fill_a_step(default_split, monkeypatch, book):
+    # a tree starts only while the queued rows, each scored on k features,
+    # fall short of one step's elements, so ceil(budget / (k * n)) roots
+    # start before the first search: 6 of the 100 default trees on the
+    # 700 training rows, and all 100 on a 40-row book
+    train = default_split[0] if book == "default split" else generate(GeneratorConfig(n_samples=40))
+    params = ForestParams()
+    k = params.tree_params.resolve_features_per_split(6)
+    started, searches, job, search = [], [], _tree_job, cart._best_splits
+
+    def counted_job(*args):
+        started.append(not searches)
+        return job(*args)
+
+    def counted_search(*args):
+        searches.append(1)
+        return search(*args)
+
+    monkeypatch.setattr("smerisk.forest._tree_job", counted_job)
+    monkeypatch.setattr(cart, "_best_splits", counted_search)
+    train_forest(train, params)
+    expected = min(params.n_trees, math.ceil(cart._STEP_BUDGET / (k * len(train))))
+    assert (sum(started), len(started)) == (expected, params.n_trees)
+
+
 def test_training_memory_does_not_grow_with_the_tree_count():
-    # trees start growing only while the rows they hold stay under a
-    # budget, and a step scores a bounded number of elements: 40 trees on
-    # a 20,000-row book peak close to 4 trees
+    # a tree starts only while the open nodes' rows cannot fill a step,
+    # and a step scores a bounded number of elements: 40 trees on a
+    # 20,000-row book peak close to 4 trees
     book = generate(GeneratorConfig(n_samples=20_000, seed=4))
     train_forest(book, ForestParams(n_trees=1, tree_params=TreeParams(max_depth=1)))  # one-time allocations
 
@@ -315,10 +340,10 @@ def test_training_memory_does_not_grow_with_the_tree_count():
 
 
 def test_training_memory_of_a_forest_whose_trees_all_grow_at_once():
-    # all 100 default trees of a 1,000-row book grow at once, so memory
-    # that each growing tree holds adds up a hundredfold, and a step scores
-    # open nodes of many trees: steps of 2**14 elements, which held up to
-    # 503 nodes, peaked at 4.15 MiB
+    # the 100 default trees of a 1,000-row book grow in one call, up to 11
+    # of them at a time, so memory that each growing tree holds adds up,
+    # and a step scores open nodes of many trees: steps of 2**15 elements,
+    # which took up to 244 nodes, peaked at 4.82 MiB
     book = generate(GeneratorConfig(n_samples=1000, seed=42))
     train_forest(book, ForestParams(n_trees=1, tree_params=TreeParams(max_depth=1)))  # one-time allocations
     gc.collect()  # garbage of earlier tests is not freed inside the traced fit
