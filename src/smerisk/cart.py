@@ -39,9 +39,11 @@ candidate feature) elements, or one node, and a tree starts only while
 the queued rows on k candidates each come to fewer, so while the queue
 cannot fill a step. That sort is the step's only one: it lists each
 winning feature's rows in rank order, so a split node's children are the
-rows either side of its boundary. Nothing depends on the order of a
-node's rows. ``grow_tree_arrays`` is its one-tree case and
-``best_split`` the one-node case of its search.
+rows either side of its boundary. The search answers in columns: the
+nodes that split, each with its feature, threshold and left counts, and
+their children's rows, cut from that sort into one array. Nothing
+depends on the order of a node's rows. ``grow_tree_arrays`` is its
+one-tree case and ``best_split`` the one-node case of its search.
 
 A node's random draws come from its key, a 64-bit integer hashed by
 counter (``seeding.counter_hashes``, h(key, i) for counter i). A tree's
@@ -51,8 +53,7 @@ children get the keys h(key, 0) (left) and h(key, 1) (right), and a
 node's subset is the k features f with the smallest h(key, 2 + f), ties
 to the lower f, sorted ascending. So a node's subset is a pure function
 of its key, whatever order the nodes grow in, and a step draws the
-subsets of all its nodes with one hash call and one stable argsort. All
-features (k = d) hash nothing.
+subsets of all its nodes with one hash call and one stable argsort.
 
 A forest is one node table, ``Trees``: the read-only node arrays of
 every tree in level order, tree after tree, each tree depth by depth and
@@ -66,15 +67,18 @@ tree's last node and reaches 0 there, and the j-th split of the tree
 rooted at r has its children at r + 2j + 1 and r + 2j + 2. The table
 derives its roots, each split's left child ``child[i]`` (a leaf is its
 own child) and each depth's splits ``levels`` from those flags when it
-is built, so no builder hands it a pointer to get wrong. Growth places
-each tree's nodes in the order it makes them, level order, as its queue
-is first in, first out; it rejects non-finite features up front, so it
-builds only valid tables. ``tree_importances`` sweeps ``levels`` up for
-each split's subtree counts and down for each node's pre-order place,
-and adds each tree's splits in reverse pre-order: children before
-parents, in one fixed summing order. Its gini expressions run on int64, which numpy
-divides as Python divides ints while every tree's rows n have
-n^2 < 2**53, and past that on ints.
+is built, so no builder hands it a pointer to get wrong. Growth writes
+each node once, as a leaf, to flat columns in the order it makes it, its
+tree's index beside it, and a split overwrites its node's place. As the
+queue is first in, first out, each tree's places come in level order,
+and one stable sort on the tree column gives the table. Growth rejects
+non-finite features up front, so it builds only valid tables.
+``tree_importances`` sweeps ``levels`` up for each split's subtree
+counts and down for each node's pre-order place, and adds each tree's
+splits in reverse pre-order: children before parents, in one fixed
+summing order. Its gini expressions run on int64, which numpy divides as
+Python divides ints while every tree's rows n have n^2 < 2**53, and past
+that on ints.
 
 A model file stores the table as four columns in table order
 (``trees_to_json``): ``feature`` of every node, ``threshold`` of every
@@ -95,6 +99,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -246,33 +251,28 @@ def _dense_ranks(X: np.ndarray) -> tuple[np.ndarray, int]:
 def _key_draws(keys: np.ndarray, d: int, k: int) -> tuple[list, np.ndarray]:
     """Each node's child keys, as [left, right], and its k candidate
     features, as one sorted row of a matrix, from its uint64 key by the
-    rules of the module docstring; with k = d nothing is hashed and the
-    child keys are 0, as nothing reads them."""
-    if k == d:
-        return [[0, 0]] * len(keys), np.tile(np.arange(d), (len(keys), 1))
+    rules of the module docstring."""
     h = counter_hashes(keys, d + 2)
     return h[:, :2].tolist(), np.sort(np.argsort(h[:, 2:], axis=1, kind="stable")[:, :k], axis=1)
 
 
-def _best_splits(X, y, ranks, n_ranks, nodes, features) -> list:
-    """The best split of each node, as (feature, threshold, S, left
-    class-1 count, left rows, right rows), or None where no candidate
-    strictly beats the parent.
+def _best_splits(X, y, ranks, n_ranks, rows, sizes, counts_1, features) -> tuple:
+    """The nodes that split, as the columns (node, feature, threshold, S,
+    left class-1 count, left size), and one array of their children's
+    rows: left, then right, node after node.
 
-    A node is (row ids, class-1 count, key), its key unread here, and
-    row i of the matrix ``features`` holds node i's sorted candidates. All
-    nodes are scored by one search: a segment is one (node, candidate)
-    pair, one sort of distinct (segment, rank, row place) keys orders the
-    elements by (segment, rank) stably, and a boundary is a rank change
-    inside a segment. Boundaries come out in (node, feature, threshold)
-    order, so the first maximal S of a node is both the lowest threshold
-    within a feature and the lowest feature across features. The children
-    are the winning segment's rows before and after its boundary, copied
-    so a child waiting in the queue does not keep the step's.
+    Node i holds the next ``sizes[i]`` of the step's rows ``rows``,
+    ``counts_1[i]`` of them of class 1, and row i of the matrix
+    ``features`` holds its sorted candidates; it splits if one strictly
+    beats the parent. All nodes are scored by one search: a segment is one
+    (node, candidate) pair, one sort of distinct (segment, rank, row place)
+    keys orders the elements by (segment, rank) stably, and a boundary is a
+    rank change inside a segment. Boundaries come out in (node, feature,
+    threshold) order, so the first maximal S of a node is both the lowest
+    threshold within a feature and the lowest feature across features. A
+    split node's children are its winning segment's rows in that sort,
+    left of the boundary, then right.
     """
-    sizes = [len(rows) for rows, _, _ in nodes]
-    counts_1 = [c1 for _, c1, _ in nodes]
-    rows = np.concatenate([rows for rows, _, _ in nodes])
     m, k = features.shape
     # the key of row rows[r] on its node's j-th candidate packs segment
     # node * k + j, the rank and r in bit fields, high to low. Keys are
@@ -289,46 +289,37 @@ def _best_splits(X, y, ranks, n_ranks, nodes, features) -> list:
     seg_start = np.cumsum(seg_size) - seg_size
     place, segment = key >> rank_shift, key >> segment_shift  # place: segment and rank
     b = np.flatnonzero((place[:-1] < place[1:]) & (segment[:-1] == segment[1:]))
-    found = [None] * m
-    if len(b) == 0:
-        return found
     seg = segment.take(b)
     node, start = seg // k, seg_start.take(seg)
-    n_node = np.take(sizes, node)
+    n_node = sizes.take(node)
     n_left = b + 1 - start
     n_right = n_node - n_left
     c1_left = left_1.take(b + 1) - left_1.take(start)
     c0_left = n_left - c1_left
-    c1_right = np.take(counts_1, node) - c1_left
+    c1_right = counts_1.take(node) - c1_left
     c0_right = n_right - c1_right
     T = (c0_left * c0_left + c1_left * c1_left) * n_right + (c0_right * c0_right + c1_right * c1_right) * n_left
     D = n_left * n_right
     S = T / D
-    starts = np.concatenate(([True], node[1:] != node[:-1]))
-    first, group = np.flatnonzero(starts), np.cumsum(starts) - 1
-    hit = np.flatnonzero(S == np.maximum.reduceat(S, first)[group])
-    win = hit[np.concatenate(([True], group[hit][1:] != group[hit][:-1]))]
-    at = b.take(win)
-    win_feature = features.ravel().take(seg.take(win))
-    lo = X[row.take(at), win_feature]  # the values either side of the boundary
-    hi = X[row.take(at + 1), win_feature]
-    columns = (node.take(win), win_feature, lo, hi, S.take(win), T.take(win), D.take(win), c1_left.take(win))
-    columns += (start.take(win), at)
-    for i, f, lo, hi, s, t, d, c1, start, at in zip(*(column.tolist() for column in columns)):
-        n, n_1 = sizes[i], counts_1[i]
-        if t * n <= ((n - n_1) ** 2 + n_1 * n_1) * d:  # exact: S <= parent impurity score
-            continue
-        threshold = (lo + hi) / 2.0
-        if math.isinf(threshold):
-            # lo + hi overflowed; halving first is exact at such magnitudes
-            threshold = lo / 2 + hi / 2
-        if threshold == hi:
-            # adjacent floats can round the midpoint up onto the right
-            # value; fall back to the left value so routing by
-            # x <= threshold reproduces the intended partition
-            threshold = lo
-        found[i] = (f, threshold, s, c1, row[start : at + 1].copy(), row[at + 1 : start + n].copy())
-    return found
+    first = np.ones(len(node), dtype=bool)  # a node's first boundary
+    first[1:] = node[1:] != node[:-1]
+    starts, group = np.flatnonzero(first), np.cumsum(first) - 1
+    hit = np.flatnonzero(S == np.maximum.reduceat(S, starts)[group])
+    win = hit[np.searchsorted(group.take(hit), np.arange(len(starts)))]  # each node's first hit
+    n, n_1 = n_node.take(win), counts_1.take(node.take(win))
+    # exact, in Python ints: S = T / D beats the parent's (n_0^2 + n_1^2) / n
+    win = win[T.take(win).astype(object) * n > ((n - n_1) ** 2 + n_1 * n_1).astype(object) * D.take(win)]
+    at, seg = b.take(win), seg.take(win)
+    feature = features.ravel().take(seg)
+    lo = X[row.take(at), feature]  # the values either side of the boundary
+    hi = X[row.take(at + 1), feature]
+    with np.errstate(over="ignore"):  # where lo + hi overflows, halving first is exact
+        mid = np.where(np.isinf(lo + hi), lo / 2 + hi / 2, (lo + hi) / 2)
+        # where the midpoint rounds up onto hi, lo routes the same rows left
+        threshold = np.where(mid == hi, lo, mid)
+    won = np.bincount(seg, minlength=m * k) > 0  # the winning segments, one per split node
+    children = row[np.repeat(won, seg_size)]
+    return node.take(win), feature, threshold, S.take(win), c1_left.take(win), n_left.take(win), children
 
 
 def best_split(
@@ -351,10 +342,10 @@ def best_split(
         raise ParameterError("feature values may not be NaN or infinite")
     features = np.array(sorted(int(f) for f in candidate_features))
     ranks, n_ranks = _dense_ranks(X)
-    [found] = _best_splits(X, y, ranks, n_ranks, [(np.arange(n), int(y.sum()), None)], features[None])
-    if found is None:
+    found = _best_splits(X, y, ranks, n_ranks, np.arange(n), np.array([n]), np.array([y.sum()]), features[None])
+    if len(found[0]) == 0:
         return None
-    feature, threshold, S = found[:3]
+    feature, threshold, S = (column.item() for column in found[1:4])
     return feature, threshold, 1.0 - S / n
 
 
@@ -373,15 +364,15 @@ def grow_trees(
     feature subset from its key and split, stopping if the search finds no
     strict improvement. Every tree grows breadth first from one queue of
     open nodes. A node is checked against the stop rules when it is made
-    and takes its tree's next place, as a leaf; a splittable one also
-    joins the queue. Each pass of the loop starts a tree for each job
-    taken from ``jobs`` while the queue cannot fill a step, then pops as
-    many of the queue's first nodes as the step budget admits, draws
-    their subsets with one ``_key_draws`` and scores them in one search,
-    and makes each split node's place a split and its children new nodes.
-    The queue is first in, first out, so each tree's places come out in
-    level order. A tree with no open node is done: its places become its
-    four node columns.
+    and written once, as a leaf, to the next place of five flat columns:
+    its tree and its four node columns. A splittable one also joins the
+    queue. Each pass of the loop starts a tree for each job taken from
+    ``jobs`` while the queue cannot fill a step, then pops as many of the
+    queue's first nodes as the step budget admits, draws their subsets
+    with one ``_key_draws`` and scores them in one search, overwrites each
+    split node's place with its split and makes its children new nodes.
+    The queue is first in, first out, so each tree's places come in level
+    order, and one stable sort on the tree column gives the table.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -397,38 +388,39 @@ def grow_trees(
     k = params.resolve_features_per_split(d)
     ranks, n_ranks = _dense_ranks(X)
 
-    columns: list = []  # each tree's places, (feature, threshold, count_0, count_1), then its node columns
-    growing: list = []  # each tree's open nodes
-    queue: deque = deque()  # every open node: (tree index, place, depth, (row ids, class-1 count, key))
+    # one record per node, at its place in the order growth makes it: its
+    # tree and its four node columns, a leaf's until it splits. 32-bit C
+    # ints hold its tree index, its feature and its counts (_MAX_ROWS)
+    nodes = tuple(array(code) for code in "iidii")
+    tree, feature, threshold, count_0, count_1 = nodes
+    queue: deque = deque()  # every open node: (place, depth, row ids, class-1 count, key)
     queued = 0  # rows of the open nodes
 
     def add(t: int, rows: np.ndarray, c1: int, depth: int, key: int) -> None:
-        """Give a new node tree t's next place, as a leaf, and queue it if
-        the stop rules let it split."""
+        """Write a new node of tree t to the next place, as a leaf, and
+        queue it if the stop rules let it split."""
         nonlocal queued
         c0 = len(rows) - c1
-        columns[t].append((-1, math.inf, c0, c1))
+        tree.append(t)
+        feature.append(-1)
+        threshold.append(math.inf)
+        count_0.append(c0)
+        count_1.append(c1)
         if c0 and c1 and len(rows) >= params.min_samples_split and depth != params.max_depth:
-            queue.append((t, len(columns[t]) - 1, depth, (rows, c1, key)))
-            growing[t] += 1
+            queue.append((len(tree) - 1, depth, rows, c1, key))
             queued += len(rows)
 
-    def close(t: int) -> None:
-        """Finish tree t if it has no open node."""
-        if not growing[t]:
-            columns[t] = [np.array(c, dtype=tp) for c, tp in zip(zip(*columns[t]), (np.intp, float, np.int64, np.int64))]
-
-    jobs, more = iter(jobs), True
+    jobs, more = enumerate(jobs), True
     while more or queue:
         while more and queued * k < _STEP_BUDGET:
             job = next(jobs, None)
             if job is None:
                 more = False
                 break
-            rows, rng = job
+            j, (rows, rng) = job
             rows = np.asarray(rows)
             if rows.size > _MAX_ROWS:
-                raise ParameterError(f"job {len(columns)}: {rows.size} rows exceed the {_MAX_ROWS} a tree may hold")
+                raise ParameterError(f"job {j}: {rows.size} rows exceed the {_MAX_ROWS} a tree may hold")
             # a step of one node holds k segments and at most this job's
             # rows; one of several holds at most _STEP_BUDGET elements and
             # the rows queued now and this job's, as only a start adds rows
@@ -436,35 +428,37 @@ def grow_trees(
             segments, step_rows = max(k, min(k * rows_held, _STEP_BUDGET)), max(rows.size, min(rows_held, _STEP_BUDGET))
             bits = _key_bits(segments, n_ranks, step_rows)
             if bits > 63:
-                raise ParameterError(f"job {len(columns)}: its split search needs {bits}-bit keys, past int64's 63")
+                raise ParameterError(f"job {j}: its split search needs {bits}-bit keys, past int64's 63")
             if rows.size == 0:
-                raise ParameterError(f"job {len(columns)}: cannot grow a tree on zero rows")
+                raise ParameterError(f"job {j}: cannot grow a tree on zero rows")
             if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
-                raise ParameterError(f"job {len(columns)}: rows must be integers in [0, {n})")
+                raise ParameterError(f"job {j}: rows must be integers in [0, {n})")
             rows, key = rows.astype(np.intp, copy=False), int(rng.integers(2**64, dtype=np.uint64))
-            columns.append([])
-            growing.append(0)
-            add(len(columns) - 1, rows, int(y.take(rows).sum()), 0, key)
-            close(len(columns) - 1)
+            add(j, rows, int(y.take(rows).sum()), 0, key)
+        if not queue:  # every job taken and every tree done
+            break
         step, elements = [], 0  # an open node scores its rows on k features
-        while queue and (not step or elements + len(queue[0][3][0]) * k <= _STEP_BUDGET):
-            elements += len(queue[0][3][0]) * k
+        while queue and (not step or elements + len(queue[0][2]) * k <= _STEP_BUDGET):
+            elements += len(queue[0][2]) * k
             step.append(queue.popleft())
         queued -= elements // k
-        nodes = [node for *_, node in step]
-        children, features = _key_draws(np.array([key for _, _, key in nodes], dtype=np.uint64), d, k)
-        found = _best_splits(X, y, ranks, n_ranks, nodes, features) if step else []
-        for (t, place, depth, (_, c1, _)), split, (left_key, right_key) in zip(step, found, children):
-            growing[t] -= 1
-            if split is not None:
-                feature, threshold, _, c1_left, left, right = split
-                columns[t][place] = (feature, threshold, 0, 0)
-                add(t, left, c1_left, depth + 1, left_key)
-                add(t, right, c1 - c1_left, depth + 1, right_key)
-            close(t)
-    if not columns:
+        _, _, node_rows, counts_1, keys = zip(*step)
+        child_keys, features = _key_draws(np.array(keys, dtype=np.uint64), d, k)
+        sizes, counts_1 = np.array([len(rows) for rows in node_rows]), np.array(counts_1)
+        *split, children = _best_splits(X, y, ranks, n_ranks, np.concatenate(node_rows), sizes, counts_1, features)
+        end = 0
+        for i, f, thr, _, c1_left, n_left in zip(*(column.tolist() for column in split)):
+            place, depth, rows, c1, _ = step[i]
+            (left_key, right_key), t = child_keys[i], tree[place]
+            start, end = end, end + len(rows)
+            feature[place], threshold[place], count_0[place], count_1[place] = f, thr, 0, 0
+            add(t, children[start : start + n_left], c1_left, depth + 1, left_key)
+            add(t, children[start + n_left : end], c1 - c1_left, depth + 1, right_key)
+    if not tree:
         raise ParameterError("grow_trees needs at least one job")
-    return Trees(*(np.concatenate(c) for c in zip(*columns)))
+    order = np.argsort(np.frombuffer(tree, tree.typecode), kind="stable")
+    types = (np.intp, float, np.int64, np.int64)
+    return Trees(*(np.frombuffer(c, c.typecode).take(order).astype(tp, copy=False) for c, tp in zip(nodes[1:], types)))
 
 
 def grow_tree_arrays(

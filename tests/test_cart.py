@@ -251,6 +251,34 @@ def test_a_midpoint_past_the_float_range_stays_finite(tmp_path):
     assert table_bytes(load_model(path).trees) == table_bytes(tree)
 
 
+@pytest.mark.parametrize(
+    "left, right, splits",
+    [
+        ((1, 49_999), (1, 49_998), True),
+        ((25_000, 25_000), (25_000, 25_000), False),
+        ((0, 60_000), (7_500, 52_500), True),
+    ],
+    ids=["beats the parent by 8e-15", "ties the parent", "int64 would wrap"],
+)
+def test_the_strict_improvement_test_is_exact_past_float_and_int64(left, right, splits):
+    # one two-valued feature with class counts (count_0, count_1) either
+    # side. S = T / D beats the parent's score P / n exactly when
+    # T * n > P * D, products past 2**63 here. In the first two cases S
+    # and P / n round to one double, so floats cannot tell a split that
+    # wins by 8e-15 from a tie; in the third the products lie in different
+    # 2**64 windows, so int64 would compare them wrapped
+    (a, b), (c, d) = left, right
+    n_left, n_right = a + b, c + d
+    T, D = (a * a + b * b) * n_right + (c * c + d * d) * n_left, n_left * n_right
+    P, n = (a + c) ** 2 + (b + d) ** 2, n_left + n_right
+    assert (T * n > P * D) == splits and min(T * n, P * D) >= 2**63
+    windows = {(product + 2**63) >> 64 for product in (T * n, P * D)}
+    assert float(Fraction(T, D)) == float(Fraction(P, n)) or len(windows) == 2
+    X, y = np.repeat([[0.0], [1.0]], [n_left, n_right], axis=0), np.repeat([0, 1, 0, 1], [a, b, c, d])
+    expected = split(0, 0.5, leaf(a, b), leaf(c, d)) if splits else leaf(a + c, b + d)
+    assert tree_as_tuple(grow(X, y)) == expected
+
+
 def test_grow_min_samples_split_stops():
     assert grow_shape([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1], min_samples_split=5) == leaf(2, 2)
 
@@ -335,16 +363,15 @@ def test_the_search_keys_fields_keep_their_order_at_63_bits():
     rng = np.random.default_rng(63)
     X, y = np.round(rng.normal(size=(40, 3)), 1), rng.integers(0, 2, size=40)
     ranks, n_ranks = cart._dense_ranks(X)
-    nodes = [(rng.integers(0, 40, size=20), 0, np.array([0, 2])), (np.arange(40), 0, np.array([1, 2]))]
-    nodes = [(rows, int(y[rows].sum()), features) for rows, _, features in nodes]
-    features = np.array([f for *_, f in nodes])
+    node_rows = [rng.integers(0, 40, size=20), np.arange(40)]
+    rows, sizes = np.concatenate(node_rows), np.array([20, 40])
+    counts_1, features = np.array([y[r].sum() for r in node_rows]), np.array([[0, 2], [1, 2]])
     wide = 2 ** (63 - cart._key_bits(4, 1, 60))
     assert cart._key_bits(4, wide, 60) == 63
-    narrow = cart._best_splits(X, y, ranks, n_ranks, nodes, features)
-    widened = cart._best_splits(X, y, ranks, wide, nodes, features)
-    assert all(found is not None for found in narrow)
-    for a, b in zip(narrow, widened):
-        assert a[:4] == b[:4] and all(np.array_equal(u, v) for u, v in zip(a[4:], b[4:]))
+    narrow = cart._best_splits(X, y, ranks, n_ranks, rows, sizes, counts_1, features)
+    widened = cart._best_splits(X, y, ranks, wide, rows, sizes, counts_1, features)
+    assert narrow[0].tolist() == [0, 1] and len(narrow[-1]) == 60  # both nodes split
+    assert all(np.array_equal(a, b) for a, b in zip(narrow, widened))
 
 
 def test_a_table_needs_at_least_one_tree():
@@ -533,12 +560,9 @@ def test_subsets_of_two_of_six_features_are_uniform():
     assert sum((count - 1000) ** 2 / 1000 for count in cells.values()) <= 36.12
 
 
-def test_subset_of_all_features_draws_nothing(monkeypatch):
-    # with k = d no key is hashed, and a tree's rng gives its root key alone
-    def unused(*args):
-        raise AssertionError("hashed a key with every feature a candidate")
-
-    monkeypatch.setattr(cart, "counter_hashes", unused)
+def test_subset_of_all_features_draws_nothing():
+    # with k = d every subset holds all features, and a tree's rng gives
+    # its root key alone
     data = np.random.default_rng(4)
     X, y = data.normal(size=(40, 4)), data.integers(0, 2, size=40)
     rng, reference = np.random.default_rng(3), np.random.default_rng(3)
