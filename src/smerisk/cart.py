@@ -23,12 +23,12 @@ computed in int64, so ``grow_trees`` rejects a job of more than
 test against the parent is done in unbounded integers.
 
 Growth is one path. ``grow_trees`` grows every tree of a forest breadth
-first from one queue of open nodes: each step pops the queue's first
-nodes, a level of one or of many trees, draws their feature subsets from
-their keys, and scores all of them in one exact segmented search over
-per-column dense ranks computed once (one sort of int64 keys, a
-segmented cumsum and a first argmax per node). A sort key packs three
-bit fields, high to low: the segment (node, candidate feature), the
+first from one queue of open nodes, held as columns: each step takes the
+queue's first nodes, a level of one or of many trees, draws their feature
+subsets from their keys, and scores all of them in one exact segmented
+search over per-column dense ranks computed once (one sort of int64
+keys, a segmented cumsum and a first argmax per node). A sort key packs
+three bit fields, high to low: the segment (node, candidate feature), the
 element's rank on that feature and its row's place in the step, so
 shifts and masks read each back and distinct keys sort in the stable
 order. For m nodes on k candidates over R rows a key takes
@@ -41,7 +41,8 @@ cannot fill a step. That sort is the step's only one: it lists each
 winning feature's rows in rank order, so a split node's children are the
 rows either side of its boundary. The search answers in columns: the
 nodes that split, each with its feature, threshold and left counts, and
-their children's rows, cut from that sort into one array. Nothing
+their children's rows, cut from that sort into one array. The step makes
+all those children in one batch, with no Python per node. Nothing
 depends on the order of a node's rows. ``grow_tree_arrays`` is its
 one-tree case and ``best_split`` the one-node case of its search.
 
@@ -67,9 +68,9 @@ tree's last node and reaches 0 there, and the j-th split of the tree
 rooted at r has its children at r + 2j + 1 and r + 2j + 2. The table
 derives its roots, each split's left child ``child[i]`` (a leaf is its
 own child) and each depth's splits ``levels`` from those flags when it
-is built, so no builder hands it a pointer to get wrong. Growth writes
-each node once, as a leaf, to flat columns in the order it makes it, its
-tree's index beside it, and a split overwrites its node's place. As the
+is built, so no builder hands it a pointer to get wrong. Growth keeps
+each node it makes, as a leaf with its tree, and each split by place,
+the order nodes are made in, in batches applied once at the end. As the
 queue is first in, first out, each tree's places come in level order,
 and one stable sort on the tree column gives the table. Growth rejects
 non-finite features up front, so it builds only valid tables.
@@ -99,8 +100,6 @@ from __future__ import annotations
 
 import math
 import sys
-from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -216,9 +215,9 @@ class TreeParams:
 # feature) elements per step, which also paces the trees' starts. Small
 # steps pay mostly fixed numpy cost: the default 100-tree fit on 1,000
 # rows took 390, 197, 107 and 58 steps at 2**12 to 2**15 elements, with
-# medians of 138, 131, 123 and 114 ms (15 alternating repeats, 2-core
+# medians of 124, 96, 82 and 73 ms (15 alternating repeats, 2-core
 # x86-64). Big steps hold many nodes, each with its own child rows: up to
-# 40, 69, 124 and 244, and traced peaks of 2.35, 2.39, 2.78 and 4.82 MiB,
+# 40, 69, 124 and 244, and traced peaks of 1.75, 1.71, 2.50 and 4.35 MiB,
 # past its training-memory test's 3.875 MiB at 2**15.
 _STEP_BUDGET = 2**13
 # the most rows a job may hold: the largest n with n^3 / 4 (the bound of
@@ -248,12 +247,12 @@ def _dense_ranks(X: np.ndarray) -> tuple[np.ndarray, int]:
     return ranks.ravel(), int(ranks.max(initial=0)) + 1
 
 
-def _key_draws(keys: np.ndarray, d: int, k: int) -> tuple[list, np.ndarray]:
-    """Each node's child keys, as [left, right], and its k candidate
-    features, as one sorted row of a matrix, from its uint64 key by the
-    rules of the module docstring."""
+def _key_draws(keys: np.ndarray, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's child keys, as a uint64 row (left, right) of an (m, 2)
+    matrix, and its k candidate features, as one sorted row of a matrix,
+    from its uint64 key by the rules of the module docstring."""
     h = counter_hashes(keys, d + 2)
-    return h[:, :2].tolist(), np.sort(np.argsort(h[:, 2:], axis=1, kind="stable")[:, :k], axis=1)
+    return h[:, :2], np.sort(np.argsort(h[:, 2:], axis=1, kind="stable")[:, :k], axis=1)
 
 
 def _best_splits(X, y, ranks, n_ranks, rows, sizes, counts_1, features) -> tuple:
@@ -363,16 +362,17 @@ def grow_trees(
     min_samples_split, or at the depth limit; otherwise draw the node's
     feature subset from its key and split, stopping if the search finds no
     strict improvement. Every tree grows breadth first from one queue of
-    open nodes. A node is checked against the stop rules when it is made
-    and written once, as a leaf, to the next place of five flat columns:
-    its tree and its four node columns. A splittable one also joins the
-    queue. Each pass of the loop starts a tree for each job taken from
-    ``jobs`` while the queue cannot fill a step, then pops as many of the
-    queue's first nodes as the step budget admits, draws their subsets
-    with one ``_key_draws`` and scores them in one search, overwrites each
-    split node's place with its split and makes its children new nodes.
-    The queue is first in, first out, so each tree's places come in level
-    order, and one stable sort on the tree column gives the table.
+    open nodes, first in, first out: the columns place, tree, depth, size,
+    class-1 count and key, and the nodes' rows, node after node. Nodes are
+    made in batches, a root when its job starts and a step's children all
+    at once: one mask applies the stop rules, the batch is kept as leaves
+    at the next places and its splittable nodes join the queue. Each pass
+    of the loop starts a tree for each job taken from ``jobs`` while the
+    queue cannot fill a step, then takes as many of the queue's first
+    nodes as the step budget admits, draws their subsets with one
+    ``_key_draws``, scores them in one search, keeps the splits and makes
+    the children. The kept nodes and splits are applied once, at the end,
+    and one stable sort on the tree column gives the table.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -388,30 +388,26 @@ def grow_trees(
     k = params.resolve_features_per_split(d)
     ranks, n_ranks = _dense_ranks(X)
 
-    # one record per node, at its place in the order growth makes it: its
-    # tree and its four node columns, a leaf's until it splits. 32-bit C
-    # ints hold its tree index, its feature and its counts (_MAX_ROWS)
-    nodes = tuple(array(code) for code in "iidii")
-    tree, feature, threshold, count_0, count_1 = nodes
-    queue: deque = deque()  # every open node: (place, depth, row ids, class-1 count, key)
-    queued = 0  # rows of the open nodes
+    # one array per batch: the made nodes' (tree, size, class-1 count) in
+    # 32-bit ints (_MAX_ROWS), the splits' (place, feature, threshold viewed
+    # as int64)
+    made, splits = [], [np.empty((3, 0), np.int64)]
+    # the queue's columns and rows; nodes made since it last took some in wait
+    queue = (*(np.empty(0, np.intp),) * 5, np.empty(0, np.uint64), np.empty(0, np.intp))
+    waiting, n_made, queued = [], 0, 0  # queued: the open nodes' rows
 
-    def add(t: int, rows: np.ndarray, c1: int, depth: int, key: int) -> None:
-        """Write a new node of tree t to the next place, as a leaf, and
-        queue it if the stop rules let it split."""
-        nonlocal queued
-        c0 = len(rows) - c1
-        tree.append(t)
-        feature.append(-1)
-        threshold.append(math.inf)
-        count_0.append(c0)
-        count_1.append(c1)
-        if c0 and c1 and len(rows) >= params.min_samples_split and depth != params.max_depth:
-            queue.append((len(tree) - 1, depth, rows, c1, key))
-            queued += len(rows)
+    def make(tree, depth, size, c1, key, rows) -> None:
+        """Keep new nodes as leaves at the next places; queue the splittable."""
+        nonlocal n_made, queued
+        made.append(np.array((tree, size, c1), dtype=np.int32))
+        opens = (c1 > 0) & (c1 < size) & (size >= params.min_samples_split)
+        opens &= params.max_depth is None or depth < params.max_depth
+        place, rows = np.arange(n_made, n_made + len(size)), rows[np.repeat(opens, size)]
+        waiting.append((*(column[opens] for column in (place, tree, depth, size, c1, key)), rows))
+        n_made, queued = n_made + len(size), queued + len(rows)
 
     jobs, more = enumerate(jobs), True
-    while more or queue:
+    while more or queued:
         while more and queued * k < _STEP_BUDGET:
             job = next(jobs, None)
             if job is None:
@@ -433,32 +429,36 @@ def grow_trees(
                 raise ParameterError(f"job {j}: cannot grow a tree on zero rows")
             if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
                 raise ParameterError(f"job {j}: rows must be integers in [0, {n})")
-            rows, key = rows.astype(np.intp, copy=False), int(rng.integers(2**64, dtype=np.uint64))
-            add(j, rows, int(y.take(rows).sum()), 0, key)
-        if not queue:  # every job taken and every tree done
+            rows, key = rows.astype(np.intp, copy=False), rng.integers(2**64, size=1, dtype=np.uint64)
+            make(np.full(1, j), np.zeros(1, np.intp), np.full(1, rows.size), y.take(rows).sum(keepdims=True), key, rows)
+        if not queued:  # every job taken and every tree done
             break
-        step, elements = [], 0  # an open node scores its rows on k features
-        while queue and (not step or elements + len(queue[0][2]) * k <= _STEP_BUDGET):
-            elements += len(queue[0][2]) * k
-            step.append(queue.popleft())
-        queued -= elements // k
-        _, _, node_rows, counts_1, keys = zip(*step)
-        child_keys, features = _key_draws(np.array(keys, dtype=np.uint64), d, k)
-        sizes, counts_1 = np.array([len(rows) for rows in node_rows]), np.array(counts_1)
-        *split, children = _best_splits(X, y, ranks, n_ranks, np.concatenate(node_rows), sizes, counts_1, features)
-        end = 0
-        for i, f, thr, _, c1_left, n_left in zip(*(column.tolist() for column in split)):
-            place, depth, rows, c1, _ = step[i]
-            (left_key, right_key), t = child_keys[i], tree[place]
-            start, end = end, end + len(rows)
-            feature[place], threshold[place], count_0[place], count_1[place] = f, thr, 0, 0
-            add(t, children[start : start + n_left], c1_left, depth + 1, left_key)
-            add(t, children[start + n_left : end], c1 - c1_left, depth + 1, right_key)
-    if not tree:
+        if len(queue[-1]) * k <= _STEP_BUDGET:  # the queue alone cannot fill a step
+            queue, waiting = tuple(np.concatenate(c) for c in zip(queue, *waiting)), []
+        place, tree, depth, size, c1, key, rows = queue
+        # the first nodes whose rows on k features fit the budget, and at least one
+        m = max(1, int(np.searchsorted(np.cumsum(size[: _STEP_BUDGET // k]), _STEP_BUDGET // k, side="right")))
+        step_rows = int(size[:m].sum())
+        queue, queued = (*(c[m:] for c in queue[:-1]), rows[step_rows:]), queued - step_rows
+        child_keys, features = _key_draws(key[:m], d, k)
+        found = _best_splits(X, y, ranks, n_ranks, rows[:step_rows], size[:m], c1[:m], features)
+        node, f, thr, _, c1_left, n_left, children = found
+        splits.append(np.array((place.take(node), f, thr.view(np.int64))))
+        tree, depth, size, c1 = (column.take(node) for column in (tree, depth, size, c1))
+        sizes, counts_1 = np.column_stack((n_left, size - n_left)), np.column_stack((c1_left, c1 - c1_left))
+        make(tree.repeat(2), depth.repeat(2) + 1, sizes.ravel(), counts_1.ravel(), child_keys[node].ravel(), children)
+    if not made:
         raise ParameterError("grow_trees needs at least one job")
-    order = np.argsort(np.frombuffer(tree, tree.typecode), kind="stable")
-    types = (np.intp, float, np.int64, np.int64)
-    return Trees(*(np.frombuffer(c, c.typecode).take(order).astype(tp, copy=False) for c, tp in zip(nodes[1:], types)))
+    tree, size, c1 = np.concatenate(made, axis=1)
+    place, f, thr = np.concatenate(splits, axis=1)
+    del made[:], splits[:]
+    feature, threshold = np.full(len(tree), -1, np.intp), np.full(len(tree), np.inf)
+    feature[place], threshold[place], size[place], c1[place] = f, thr.view(float), 0, 0
+    order = np.argsort(tree, kind="stable")
+    columns = ((feature, np.intp), (threshold, float), (size - c1, np.int64), (c1, np.int64))
+    columns = [column.take(order).astype(tp, copy=False) for column, tp in columns]
+    del tree, size, c1, place, f, thr, feature, threshold, order  # freed before the table derives its arrays
+    return Trees(*columns)
 
 
 def grow_tree_arrays(

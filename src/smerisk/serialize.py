@@ -53,16 +53,27 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for name, value in pairs:
+        if name in doc:
+            raise ValueError(f"repeated key {json.dumps(name)}")
+        doc[name] = value
+    return doc
+
+
 def parse_json_file(path: str | Path) -> dict:
-    """Parse a JSON object from a file. NaN and Infinity, which the json
-    module would otherwise accept, are rejected like any other bad token,
-    and so is nesting too deep for the parser."""
+    """Parse a JSON object from a file. NaN and Infinity and an object that
+    repeats a key, which the json module would otherwise accept (keeping
+    the last value), are rejected like any other bad token, and so is
+    nesting too deep for the parser."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or a rejected constant
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or a rejected constant or key
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ParseError(f"{path} nests JSON arrays or objects too deeply") from None

@@ -290,6 +290,25 @@ def test_grow_max_depth_stops():
     assert depth(grow_shape([[1.0], [2.0], [3.0], [4.0]], [0, 1, 1, 0])) > 1
 
 
+def test_growth_limits_past_int64():
+    # the stop rules compare a batch's depths and sizes with the limits,
+    # Python ints of any size
+    rng = np.random.default_rng(64)
+    X, y = rng.normal(size=(80, 3)), rng.integers(0, 2, size=80)
+    bootstraps = rng.integers(0, 80, size=(3, 80))
+
+    def grown(**limits):
+        return grow_trees(X, y, [(rows, substream(64, t)) for t, rows in enumerate(bootstraps)], TreeParams(**limits))
+
+    deep, unlimited = grown(max_depth=10**20), grown()
+    assert unlimited.depth > 2
+    for column in ("feature", "threshold", "count_0", "count_1"):
+        assert np.array_equal(getattr(deep, column), getattr(unlimited, column))
+    stopped = grown(min_samples_split=10**20)
+    assert len(stopped) == len(stopped.feature) == 3  # one leaf per tree
+    assert (stopped.count_0 + stopped.count_1).tolist() == [80, 80, 80]
+
+
 def test_grow_xor_single_leaf():
     assert grow_shape([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [0, 1, 1, 0]) == leaf(2, 2)
 
@@ -609,10 +628,12 @@ def test_random_subset_growth_matches_bruteforce_oracle():
     assert differ > 0
 
 
-def test_lockstep_trees_match_bruteforce_oracle():
+@pytest.mark.parametrize("max_depth, min_samples_split", [(None, 2), (2, 2), (None, 6), (3, 5)])
+def test_lockstep_trees_match_bruteforce_oracle(max_depth, min_samples_split):
     # up to 8 small instances stacked into one matrix and grown together,
     # one tree per instance: a step's segments then run across the nodes
-    # of different trees, which one-tree growth never puts side by side
+    # of different trees, which one-tree growth never puts side by side.
+    # The stop rules run on a step's children at once, under each limit
     rng = np.random.default_rng(2025)
     for trial in range(25):
         instances = []
@@ -626,10 +647,11 @@ def test_lockstep_trees_match_bruteforce_oracle():
         jobs = [(np.arange(a, b), substream(trial, t)) for t, (a, b) in enumerate(zip(starts, starts[1:]))]
         X = np.concatenate([X for X, _ in instances])
         y = np.concatenate([y for _, y in instances])
-        trees = grow_trees(X, y, jobs, TreeParams(features_per_split=4))
+        params = TreeParams(max_depth=max_depth, min_samples_split=min_samples_split, features_per_split=4)
+        trees = grow_trees(X, y, jobs, params)
         assert len(trees) == len(instances)
         for t, (X, y) in enumerate(instances):
-            expected = oracle_grow([tuple(r) for r in X], [int(v) for v in y])
+            expected = oracle_grow([tuple(r) for r in X], [int(v) for v in y], 0, max_depth, min_samples_split)
             assert tree_as_tuple(trees, t) == expected, f"trial {trial}, tree {t}"
 
 

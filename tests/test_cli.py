@@ -235,7 +235,20 @@ def _generator(doc):
     return doc["data_source"]["generator"]
 
 
-# name -> (in-place edit of the config document, JSON path the error must name)
+def _repeat_key(key):
+    """An edit returning the document's text with ``key`` given twice, first
+    as 7: json.loads alone would keep the last value and accept it."""
+    return lambda doc: json.dumps(doc).replace(f'"{key}": ', f'"{key}": 7, "{key}": ', 1)
+
+
+def _write_edited(path, mutate, doc):
+    """Write ``doc`` after an in-place edit, or the text an edit returns."""
+    text = mutate(doc)
+    path.write_text(text if isinstance(text, str) else json.dumps(doc))  # json.dumps writes NaN and Infinity tokens
+
+
+# name -> (in-place edit of the config document or one returning its text,
+# JSON path the error must name)
 CONFIG_MUTATIONS = {
     "forest_params_array": (lambda doc: doc.update(forest_params=[1]), "forest_params"),
     "short_range": (
@@ -263,16 +276,15 @@ CONFIG_MUTATIONS = {
     "generator_seed_past_64_bits": (lambda doc: _generator(doc).update(seed=2**64), "data_source.generator"),
     "forest_seed_past_64_bits": (lambda doc: doc["forest_params"].update(seed=2**64 + 7), "forest_params"),
     "signal_past_the_float_range": (lambda doc: _generator(doc).update(signal_strength=1e308), "data_source.generator"),
+    "repeated_forest_key": (_repeat_key("n_trees"), '"n_trees"'),
 }
 
 
 @pytest.mark.parametrize("mutation", sorted(CONFIG_MUTATIONS))
 def test_compare_config_rejects_malformed_value(mutation, small_config_file, tmp_path, capsys):
     mutate, json_path = CONFIG_MUTATIONS[mutation]
-    doc = json.loads(small_config_file.read_text())
-    mutate(doc)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    _write_edited(path, mutate, json.loads(small_config_file.read_text()))
     code, stdout, stderr = run_cli(capsys, "compare", "--config", str(path))
     assert code == 2
     assert stdout == ""
@@ -461,7 +473,7 @@ def _add_trailing_leaf(doc):
         doc["trees"][column].append(value)
 
 
-# name -> (model kind, in-place edit of its JSON document)
+# name -> (model kind, in-place edit of its JSON document or one returning its text)
 MODEL_MUTATIONS = {
     "feature_99": ("forest", lambda doc: _first_split(doc, 99)),
     "feature_minus_1": ("forest", lambda doc: _first_split(doc, -1)),  # a leaf where a split is needed
@@ -507,16 +519,15 @@ MODEL_MUTATIONS = {
     "three_importances": ("forest", lambda doc: doc.update(importances=[1 / 3] * 3)),
     "version_1_forest": ("forest", lambda doc: doc.update(format_version=1)),
     "version_1_logistic": ("logistic", lambda doc: doc.update(format_version=1)),
+    "repeated_forest_key": ("forest", _repeat_key("n_trees")),
 }
 
 
 @pytest.mark.parametrize("mutation", sorted(MODEL_MUTATIONS))
 def test_score_rejects_malformed_model(mutation, model_documents, small_csv, tmp_path, capsys):
     kind, mutate = MODEL_MUTATIONS[mutation]
-    doc = copy.deepcopy(model_documents[kind])
-    mutate(doc)
     model_path = tmp_path / "model.json"
-    model_path.write_text(json.dumps(doc))  # json.dumps writes NaN and Infinity tokens
+    _write_edited(model_path, mutate, copy.deepcopy(model_documents[kind]))
     code, _, stderr = run_cli(
         capsys, "score", "--model", str(model_path), "--data", str(small_csv), "--out", str(tmp_path / "s.csv")
     )

@@ -343,7 +343,7 @@ def test_training_memory_of_a_forest_whose_trees_all_grow_at_once():
     # the 100 default trees of a 1,000-row book grow in one call, up to 11
     # of them at a time, so the rows of every open node they hold add up,
     # and a step scores open nodes of many trees: steps of 2**15 elements,
-    # which took up to 244 nodes, peaked at 4.43 MiB
+    # which took up to 244 nodes, peaked at 4.35 MiB
     book = generate(GeneratorConfig(n_samples=1000, seed=42))
     train_forest(book, ForestParams(n_trees=1, tree_params=TreeParams(max_depth=1)))  # one-time allocations
     gc.collect()  # garbage of earlier tests is not freed inside the traced fit
