@@ -214,12 +214,14 @@ class TreeParams:
 # The growth memory budget of the module docstring: (row, candidate
 # feature) elements per step, which also paces the trees' starts. Small
 # steps pay mostly fixed numpy cost: the default 100-tree fit on 1,000
-# rows took 390, 197, 107 and 58 steps at 2**12 to 2**15 elements, with
-# medians of 124, 96, 82 and 73 ms (15 alternating repeats, 2-core
-# x86-64). Big steps hold many nodes, each with its own child rows: up to
-# 40, 69, 124 and 244, and traced peaks of 1.75, 1.71, 2.50 and 4.35 MiB,
-# past its training-memory test's 3.875 MiB at 2**15.
-_STEP_BUDGET = 2**13
+# rows took 390, 197, 107, 58 and 35 steps at 2**12 to 2**16 elements,
+# with medians of 124, 90, 74, 65 and 60 ms (15 alternating repeats,
+# 2-core x86-64). Big steps hold many nodes, each with its own child
+# rows: up to 40, 69, 124, 244 and 439, and traced peaks of 1.71, 1.69,
+# 1.69, 1.91 and 3.34 MiB, against its training-memory test's 3.875 MiB.
+# 2**16 stays untried through the benchmark, which also bounds the
+# process's peak memory.
+_STEP_BUDGET = 2**15
 # the most rows a job may hold: the largest n with n^3 / 4 (the bound of
 # a split's T) below 2**63
 _MAX_ROWS = 3_329_021
@@ -270,45 +272,76 @@ def _best_splits(X, y, ranks, n_ranks, rows, sizes, counts_1, features) -> tuple
     threshold) order, so the first maximal S of a node is both the lowest
     threshold within a feature and the lowest feature across features. A
     split node's children are its winning segment's rows in that sort,
-    left of the boundary, then right.
+    left of the boundary, then right. Past the sort, the search holds the
+    row array and at most one other array over the elements, and a few
+    over the boundaries, each built in place and dropped after its last
+    use.
     """
     m, k = features.shape
+    seg_size, seg_1 = np.repeat(sizes, k), np.repeat(counts_1, k)
+    seg_start = np.cumsum(seg_size) - seg_size
     # the key of row rows[r] on its node's j-th candidate packs segment
     # node * k + j, the rank and r in bit fields, high to low. Keys are
     # distinct, so sorting them gives the stable order; one takes
     # _key_bits(m * k, n_ranks, len(rows)) bits, at most 63 in grow_trees
     rank_shift = (len(rows) - 1).bit_length()
     segment_shift = rank_shift + (n_ranks - 1).bit_length()
-    rank_at = np.repeat(features * len(X), sizes, axis=0).T + rows  # where _dense_ranks holds each rank
-    segment = np.repeat(np.arange(0, m * k, k) << segment_shift, sizes) + (np.arange(k) << segment_shift)[:, None]
-    key = np.sort((segment | (ranks.take(rank_at) << rank_shift) | np.arange(len(rows))).ravel())
+    rank_at = np.repeat(features.T * len(X), sizes, axis=1)  # where _dense_ranks holds each rank
+    rank_at += rows
+    key = ranks.take(rank_at)
+    del rank_at
+    key <<= rank_shift
+    key += np.repeat(np.arange(0, m * k, k) << segment_shift, sizes) | np.arange(len(rows))  # node, place
+    key += (np.arange(k) << segment_shift)[:, None]  # candidate
+    key = key.ravel()
+    key.sort()
     row = rows.take(key & ((1 << rank_shift) - 1))
-    left_1 = np.concatenate(([0], np.cumsum(y.take(row))))
-    seg_size = np.repeat(sizes, k)
-    seg_start = np.cumsum(seg_size) - seg_size
-    place, segment = key >> rank_shift, key >> segment_shift  # place: segment and rank
-    b = np.flatnonzero((place[:-1] < place[1:]) & (segment[:-1] == segment[1:]))
-    seg = segment.take(b)
-    node, start = seg // k, seg_start.take(seg)
-    n_node = sizes.take(node)
-    n_left = b + 1 - start
-    n_right = n_node - n_left
-    c1_left = left_1.take(b + 1) - left_1.take(start)
-    c0_left = n_left - c1_left
-    c1_right = counts_1.take(node) - c1_left
-    c0_right = n_right - c1_right
-    T = (c0_left * c0_left + c1_left * c1_left) * n_right + (c0_right * c0_right + c1_right * c1_right) * n_left
-    D = n_left * n_right
+    key >>= rank_shift  # segment and rank
+    boundary = key[:-1] < key[1:]
+    boundary[seg_start[1:] - 1] = False  # a segment's last element
+    b = np.flatnonzero(boundary)
+    del boundary
+    seg = key.take(b)
+    seg >>= segment_shift - rank_shift
+    del key
+    c1_left = y.take(row)  # a running class-1 count within each segment
+    c1_left[seg_start[1:]] -= seg_1[:-1]
+    np.cumsum(c1_left, out=c1_left)
+    c1_left = c1_left.take(b)
+    n_left = b - seg_start.take(seg)
+    n_left += 1
+    del b
+    # T and D of the module docstring, in place on two more buffers
+    n_right, c1_right = seg_size.take(seg), seg_1.take(seg)
+    n_right -= n_left
+    c1_right -= c1_left
+    T = n_left - c1_left  # c0_left, then (c0_left^2 + c1_left^2) * n_right
+    T *= T
+    sq = c1_left * c1_left
+    T += sq
+    T *= n_right
+    np.subtract(n_right, c1_right, out=sq)  # c0_right, then (c0_right^2 + c1_right^2) * n_left
+    sq *= sq
+    c1_right *= c1_right
+    sq += c1_right
+    sq *= n_left
+    T += sq
+    del sq, c1_right
+    D = n_right
+    D *= n_left
     S = T / D
-    first = np.ones(len(node), dtype=bool)  # a node's first boundary
-    first[1:] = node[1:] != node[:-1]
-    starts, group = np.flatnonzero(first), np.cumsum(first) - 1
-    hit = np.flatnonzero(S == np.maximum.reduceat(S, starts)[group])
-    win = hit[np.searchsorted(group.take(hit), np.arange(len(starts)))]  # each node's first hit
-    n, n_1 = n_node.take(win), counts_1.take(node.take(win))
+    edges = np.searchsorted(seg, np.arange(0, (m + 1) * k, k))  # each node's first boundary, and the end
+    count = np.diff(edges)
+    lo = edges[:-1][count > 0]
+    best = np.maximum.reduceat(S, lo)
+    hit = np.flatnonzero(S == np.repeat(best, count[count > 0]))
+    win = hit[np.searchsorted(hit, lo)]  # each node's first hit
+    node = seg.take(win) // k
+    n, n_1 = sizes.take(node), counts_1.take(node)
     # exact, in Python ints: S = T / D beats the parent's (n_0^2 + n_1^2) / n
     win = win[T.take(win).astype(object) * n > ((n - n_1) ** 2 + n_1 * n_1).astype(object) * D.take(win)]
-    at, seg = b.take(win), seg.take(win)
+    seg, n_left = seg.take(win), n_left.take(win)
+    at = seg_start.take(seg) + n_left - 1  # the boundary's place in the sort
     feature = features.ravel().take(seg)
     lo = X[row.take(at), feature]  # the values either side of the boundary
     hi = X[row.take(at + 1), feature]
@@ -318,7 +351,7 @@ def _best_splits(X, y, ranks, n_ranks, rows, sizes, counts_1, features) -> tuple
         threshold = np.where(mid == hi, lo, mid)
     won = np.bincount(seg, minlength=m * k) > 0  # the winning segments, one per split node
     children = row[np.repeat(won, seg_size)]
-    return node.take(win), feature, threshold, S.take(win), c1_left.take(win), n_left.take(win), children
+    return seg // k, feature, threshold, S.take(win), c1_left.take(win), n_left, children
 
 
 def best_split(
@@ -381,6 +414,8 @@ def grow_trees(
     n, d = X.shape
     if n == 0:
         raise ParameterError("cannot grow a tree on zero rows")
+    if d == 0:
+        raise ParameterError("cannot grow a tree on zero feature columns")
     if not np.isin(y, (0, 1)).all():
         raise ParameterError("labels may contain only 0 and 1")
     if not np.isfinite(X).all():  # a midpoint next to -inf would be -inf

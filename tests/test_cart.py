@@ -738,6 +738,13 @@ def test_grow_rejects_nan_features():
         grow([[1.0], [np.nan], [3.0]], [0, 1, 1])
 
 
+@pytest.mark.parametrize("features_per_split", [None, 1])
+def test_grow_rejects_a_matrix_with_no_columns(features_per_split):
+    # k resolves to 0 (or past the width) and no candidate exists
+    with pytest.raises(ParameterError, match="zero feature columns"):
+        grow(np.zeros((5, 0)), [0, 1, 0, 1, 1], features_per_split=features_per_split)
+
+
 def test_grow_rejects_infinite_features():
     # the midpoint between -inf and its neighbour is -inf, no valid
     # threshold; growth stops before any tree is grown

@@ -256,7 +256,7 @@ def zero_signal_book():
     return generate(GeneratorConfig(n_samples=400, seed=5, signal_strength=0.0))
 
 
-@pytest.mark.parametrize("budget", ["default", "one element", "one root node", "2^30"])
+@pytest.mark.parametrize("budget", ["default", "one element", "one root node", "2^13", "2^30"])
 @pytest.mark.parametrize("case", [*LOCKSTEP_CASES, "zero signal, deep"])
 def test_lockstep_forest_equals_its_trees_grown_alone(strong_split, zero_signal_book, monkeypatch, case, budget):
     # every tree of one lockstep growth equals the tree grown on its own,
@@ -271,6 +271,8 @@ def test_lockstep_forest_equals_its_trees_grown_alone(strong_split, zero_signal_
         monkeypatch.setattr(cart, "_STEP_BUDGET", 1)
     elif budget == "one root node":
         monkeypatch.setattr(cart, "_STEP_BUDGET", len(train) * k)
+    elif budget == "2^13":
+        monkeypatch.setattr(cart, "_STEP_BUDGET", 2**13)
     elif budget == "2^30":
         monkeypatch.setattr(cart, "_STEP_BUDGET", 2**30)
     forest = train_forest(train, params)
@@ -298,7 +300,7 @@ def test_growth_searches_each_level_of_a_forest_at_once(zero_signal_book, monkey
 def test_trees_start_while_the_open_nodes_cannot_fill_a_step(default_split, monkeypatch, book):
     # a tree starts only while the queued rows, each scored on k features,
     # fall short of one step's elements, so ceil(budget / (k * n)) roots
-    # start before the first search: 6 of the 100 default trees on the
+    # start before the first search: 24 of the 100 default trees on the
     # 700 training rows, and all 100 on a 40-row book
     train = default_split[0] if book == "default split" else generate(GeneratorConfig(n_samples=40))
     params = ForestParams()
@@ -339,11 +341,32 @@ def test_training_memory_does_not_grow_with_the_tree_count():
     assert many - few <= 2 * 2**20, (few, many)
 
 
+def test_split_search_memory_per_element():
+    # a one-tree fit to depth 1 is one root search: 20,000 rows on k = 2
+    # candidates, 40,000 (row, candidate) elements, on continuous features
+    # where almost every element is a boundary. With the fit's feature
+    # ranks it peaks at 76 bytes per element; a search that holds about 22
+    # whole-step arrays at once takes 163, past the bound
+    book = generate(GeneratorConfig(n_samples=20_000, seed=4))
+    params = ForestParams(n_trees=1, tree_params=TreeParams(max_depth=1))
+    train_forest(book, params)  # one-time allocations
+    gc.collect()
+    tracemalloc.start()
+    try:
+        train_forest(book, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (2 * 20_000) <= 120, peak
+
+
 def test_training_memory_of_a_forest_whose_trees_all_grow_at_once():
-    # the 100 default trees of a 1,000-row book grow in one call, up to 11
+    # the 100 default trees of a 1,000-row book grow in one call, up to 36
     # of them at a time, so the rows of every open node they hold add up,
-    # and a step scores open nodes of many trees: steps of 2**15 elements,
-    # which took up to 244 nodes, peaked at 4.35 MiB
+    # and a step scores open nodes of many trees: steps of 2**15 elements
+    # take up to 244 nodes and peaked at 1.91 MiB, and steps of 2**16, up
+    # to 439 nodes, at 3.34 MiB. The split search that held about 22
+    # whole-step arrays at once peaked at 4.35 MiB in steps of 2**15
     book = generate(GeneratorConfig(n_samples=1000, seed=42))
     train_forest(book, ForestParams(n_trees=1, tree_params=TreeParams(max_depth=1)))  # one-time allocations
     gc.collect()  # garbage of earlier tests is not freed inside the traced fit

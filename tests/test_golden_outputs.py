@@ -31,12 +31,47 @@ CONFIG = """{
 }
 """
 
+# the README's default config with every seed 42, as the benchmark's
+# compare_default workload writes it at seed 42: the 100-tree forest on
+# 700 training rows grows through many multi-node steps
+DEFAULT_CONFIG = """{
+  "data_source": {
+    "generator": {
+      "base_default_rate": 0.2,
+      "n_samples": 1000,
+      "seed": 42,
+      "signal_strength": 1.0
+    }
+  },
+  "forest_params": {
+    "bootstrap": true,
+    "n_trees": 100,
+    "seed": 42,
+    "tree_params": {
+      "features_per_split": null,
+      "max_depth": null,
+      "min_samples_split": 2
+    }
+  },
+  "logit_hyper": {
+    "l2_lambda": 0.001,
+    "learning_rate": 0.1,
+    "max_iterations": 5000,
+    "tolerance": 1e-08
+  },
+  "split_seed": 42,
+  "test_fraction": 0.3
+}
+"""
+CONFIGS = {"cfg.json": CONFIG, "default_cfg.json": DEFAULT_CONFIG}
+
 # (name of the stdout capture, argv); files written by a command are
 # hashed under their own names
 COMMANDS = (
     ("generate_train.out", ("generate", "--n", "400", "--seed", "42", "--out", "train.csv")),
     ("generate_book.out", ("generate", "--n", "500", "--seed", "9", "--signal", "1.5", "--out", "book.csv")),
     ("compare_config.out", ("compare", "--config", "cfg.json", "--json", "report.json")),
+    ("compare_default.out", ("compare", "--config", "default_cfg.json", "--json", "default_report.json")),
     ("compare_data.out", ("compare", "--data", "train.csv", "--trees", "15", "--seed", "3")),
     ("train_forest.out", ("train", "--model", "forest", "--data", "train.csv", "--out", "forest.json")),
     ("train_logistic.out", ("train", "--model", "logistic", "--data", "train.csv", "--out", "logit.json")),
@@ -54,6 +89,8 @@ GOLDEN_SHA256 = {
     "book.csv": "2ea45811cdb99740e5a64a5d94a7602a01e53db32d2216799ba5b03578b70691",
     "compare_config.out": "2e58f178057749f231fe72295769a4d18ae42da244d57315a8ddddc9c0c719e4",
     "compare_data.out": "bbdf9ab7b47d905d61c4a2d7ed8e99c200f7773fc2b678a1485596c546648002",
+    "compare_default.out": "5f33ba69c54615491297f57fe5a7a8ca7eba957b5ddf385179106ca1fc6abcea",
+    "default_report.json": "a8fc4ca0751b39cbf7548d193276093050f497a8cf5d693db488f253fc7afa0b",
     "forest.json": "babb897067960b1284cd3a980ccabd51d6c739ca6db586510a6c6cccf8623123",
     "generate_book.out": "848e30f5398bee6203b80a011c353c53aaf25b9619dfcdfbd3f470922271e0ca",
     "generate_train.out": "420e521396554261fe371d80d609395e6683abee2928edf9eab29bb1eadddafd",
@@ -80,7 +117,8 @@ GOLDEN_SHA256 = {
 @pytest.fixture(scope="module")
 def output_hashes(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("golden")
-    (workdir / "cfg.json").write_text(CONFIG, encoding="utf-8")
+    for name, text in CONFIGS.items():
+        (workdir / name).write_text(text, encoding="utf-8")
     captured = {}
     previous = os.getcwd()
     os.chdir(workdir)
@@ -94,7 +132,7 @@ def output_hashes(tmp_path_factory):
     finally:
         os.chdir(previous)
     for path in Path(workdir).iterdir():
-        if path.name != "cfg.json":
+        if path.name not in CONFIGS:
             captured[path.name] = path.read_bytes()
     return {name: hashlib.sha256(data).hexdigest() for name, data in captured.items()}
 
