@@ -32,8 +32,8 @@ three bit fields, high to low: the segment (node, candidate feature), the
 element's rank on that feature and its row's place in the step, so
 shifts and masks read each back and distinct keys sort in the stable
 order. For m nodes on k candidates over R rows a key takes
-bits(m k - 1) + bits(n_ranks - 1) + bits(R - 1) bits, and ``grow_trees``
-refuses a job that could make a step need more than 63. One private
+bits(m k - 1) + bits(n_ranks - 1) + bits(R - 1) bits, and the search
+refuses a step whose keys would need more than 63. One private
 budget bounds its memory: a step holds at most ``_STEP_BUDGET`` (row,
 candidate feature) elements, or one node, and a tree starts only while
 the queued rows on k candidates each come to fewer, so while the queue
@@ -48,13 +48,13 @@ one-tree case and ``best_split`` the one-node case of its search.
 
 A node's random draws come from its key, a 64-bit integer hashed by
 counter (``seeding.counter_hashes``, h(key, i) for counter i). A tree's
-root key is the one value growth draws from its job's rng,
-``rng.integers(2**64, dtype=np.uint64)``, when the tree starts. A split's
-children get the keys h(key, 0) (left) and h(key, 1) (right), and a
-node's subset is the k features f with the smallest h(key, 2 + f), ties
-to the lower f, sorted ascending. So a node's subset is a pure function
-of its key, whatever order the nodes grow in, and a step draws the
-subsets of all its nodes with one hash call and one stable argsort.
+root key is the one its job names, an integer in [0, 2**64), so growth
+holds no random generator. A split's children get the keys h(key, 0)
+(left) and h(key, 1) (right), and a node's subset is the k features f
+with the smallest h(key, 2 + f), ties to the lower f, sorted ascending.
+So a tree is a pure function of its rows and its root key, whatever
+order the nodes grow in, and a step draws the subsets of all its nodes
+with one hash call and one stable argsort.
 
 A forest is one node table, ``Trees``: the read-only node arrays of
 every tree in level order, tree after tree, each tree depth by depth and
@@ -232,12 +232,6 @@ _MAX_ROWS = 3_329_021
 _COMPACT_EVERY = 4
 
 
-def _key_bits(segments: int, n_ranks: int, n_rows: int) -> int:
-    """The bits of a split-search key (``_best_splits``) in a step of
-    ``segments`` (node, candidate) pairs and ``n_rows`` rows."""
-    return sum((v - 1).bit_length() for v in (segments, n_ranks, n_rows))
-
-
 def _dense_ranks(X: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense ranks of each column of ``X``, column after column (the rank
     of ``X[i, f]`` is at ``f * len(X) + i``), and one more than the
@@ -282,10 +276,11 @@ def _best_splits(X, y, ranks, n_ranks, rows, sizes, counts_1, features) -> tuple
     seg_start = np.cumsum(seg_size) - seg_size
     # the key of row rows[r] on its node's j-th candidate packs segment
     # node * k + j, the rank and r in bit fields, high to low. Keys are
-    # distinct, so sorting them gives the stable order; one takes
-    # _key_bits(m * k, n_ranks, len(rows)) bits, at most 63 in grow_trees
+    # distinct, so sorting them gives the stable order. int64 holds 63 bits
     rank_shift = (len(rows) - 1).bit_length()
     segment_shift = rank_shift + (n_ranks - 1).bit_length()
+    if segment_shift + (m * k - 1).bit_length() > 63:
+        raise ParameterError(f"{m * k} segments, {n_ranks} ranks and {len(rows)} rows need split keys past 63 bits")
     rank_at = np.repeat(features.T * len(X), sizes, axis=1)  # where _dense_ranks holds each rank
     rank_at += rows
     key = ranks.take(rank_at)
@@ -365,13 +360,15 @@ def best_split(
     midpoints between consecutive distinct sorted values of each feature.
     Unused in the package; perfbench's tracer wraps it by name.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
+    X, y = np.asarray(X, dtype=float), np.asarray(y)
     n = len(y)
     if n == 0 or len(candidate_features) == 0:
         raise ParameterError("best_split needs rows and at least one candidate feature")
+    if not np.isin(y, (0, 1)).all():  # before the cast, which would truncate 0.5 to 0
+        raise ParameterError("labels may contain only 0 and 1")
     if not np.isfinite(X).all():
         raise ParameterError("feature values may not be NaN or infinite")
+    y = y.astype(np.int64, copy=False)
     features = np.array(sorted(int(f) for f in candidate_features))
     ranks, n_ranks = _dense_ranks(X)
     found = _best_splits(X, y, ranks, n_ranks, np.arange(n), np.array([n]), np.array([y.sum()]), features[None])
@@ -384,12 +381,12 @@ def best_split(
 def grow_trees(
     X: np.ndarray,
     y: np.ndarray,
-    jobs: Iterable[tuple[np.ndarray, np.random.Generator]],
+    jobs: Iterable[tuple[np.ndarray, int]],
     params: TreeParams,
 ) -> Trees:
     """Grow one tree per job into one table, in job order. A job is (rows,
-    rng): the tree grown on ``X[rows]``, ``y[rows]`` from the root key it
-    draws from ``rng`` when it starts, its rows integers in [0, len(X)).
+    key): the tree grown on ``X[rows]``, ``y[rows]`` from the root key
+    ``key``, an integer in [0, 2**64), its rows integers in [0, len(X)).
 
     Per node: stop with a leaf if the node is pure, smaller than
     min_samples_split, or at the depth limit; otherwise draw the node's
@@ -407,8 +404,7 @@ def grow_trees(
     the children. The kept nodes and splits are applied once, at the end,
     and one stable sort on the tree column gives the table.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
+    X, y = np.asarray(X, dtype=float), np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise ParameterError(f"feature matrix {X.shape} does not match {len(y)} labels")
     n, d = X.shape
@@ -416,11 +412,11 @@ def grow_trees(
         raise ParameterError("cannot grow a tree on zero rows")
     if d == 0:
         raise ParameterError("cannot grow a tree on zero feature columns")
-    if not np.isin(y, (0, 1)).all():
+    if not np.isin(y, (0, 1)).all():  # before the cast, which would truncate 0.5 to 0
         raise ParameterError("labels may contain only 0 and 1")
     if not np.isfinite(X).all():  # a midpoint next to -inf would be -inf
         raise ParameterError("feature values may not be NaN or infinite")
-    k = params.resolve_features_per_split(d)
+    y, k = y.astype(np.int64, copy=False), params.resolve_features_per_split(d)
     ranks, n_ranks = _dense_ranks(X)
 
     # one array per batch: the made nodes' (tree, size, class-1 count) in
@@ -448,23 +444,17 @@ def grow_trees(
             if job is None:
                 more = False
                 break
-            j, (rows, rng) = job
+            j, (rows, key) = job
             rows = np.asarray(rows)
             if rows.size > _MAX_ROWS:
                 raise ParameterError(f"job {j}: {rows.size} rows exceed the {_MAX_ROWS} a tree may hold")
-            # a step of one node holds k segments and at most this job's
-            # rows; one of several holds at most _STEP_BUDGET elements and
-            # the rows queued now and this job's, as only a start adds rows
-            rows_held = queued + rows.size
-            segments, step_rows = max(k, min(k * rows_held, _STEP_BUDGET)), max(rows.size, min(rows_held, _STEP_BUDGET))
-            bits = _key_bits(segments, n_ranks, step_rows)
-            if bits > 63:
-                raise ParameterError(f"job {j}: its split search needs {bits}-bit keys, past int64's 63")
             if rows.size == 0:
                 raise ParameterError(f"job {j}: cannot grow a tree on zero rows")
             if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
                 raise ParameterError(f"job {j}: rows must be integers in [0, {n})")
-            rows, key = rows.astype(np.intp, copy=False), rng.integers(2**64, size=1, dtype=np.uint64)
+            if type(key) is bool or not isinstance(key, (int, np.integer)) or not 0 <= key < 2**64:
+                raise ParameterError(f"job {j}: its root key must be an integer in [0, 2**64), got {key!r}")
+            rows, key = rows.astype(np.intp, copy=False), np.array([key], dtype=np.uint64)
             make(np.full(1, j), np.zeros(1, np.intp), np.full(1, rows.size), y.take(rows).sum(keepdims=True), key, rows)
         if not queued:  # every job taken and every tree done
             break
@@ -502,9 +492,10 @@ def grow_tree_arrays(
     params: TreeParams,
     rng: np.random.Generator,
 ) -> Trees:
-    """Grow a tree on a feature matrix and 0/1 label array: the one-tree
-    case of ``grow_trees``. Unused in the package; perfbench wraps it."""
-    return grow_trees(X, y, [(np.arange(len(X)), rng)], params)
+    """Grow a tree on a feature matrix and 0/1 label array from a root key
+    drawn from ``rng``: the one-tree case of ``grow_trees``. Unused in the
+    package; perfbench wraps it."""
+    return grow_trees(X, y, [(np.arange(len(X)), rng.integers(2**64, dtype=np.uint64))], params)
 
 
 def leaf_values(trees: Trees, X: np.ndarray) -> np.ndarray:

@@ -2,15 +2,17 @@
 
 Each tree draws all of its randomness from its own substream, seeded by
 mixing the master seed with the tree index: its bootstrap rows, then its
-root key, from which growth hashes every node's feature subset. A tree
-is therefore a pure function of (training data, params, tree index):
-trees can be trained in any order or concurrently and the model comes
-out identical, and growing a forest by more trees never changes the
-trees already trained. ``train_forest`` grows all trees with one
-``cart.grow_trees`` call, breadth first, and draws each tree's bootstrap
-only when that tree starts, which waits while the open nodes can fill a
-step, so its memory does not grow with the tree count; a one-job
-``grow_trees`` call on ``_tree_job`` of an index grows that tree alone.
+root key, from which growth hashes every node's feature subset. The two
+make the tree's growth job, plain (rows, key) data (``_tree_job``), and
+growth draws nothing more. A tree is therefore a pure function of
+(training data, params, tree index): trees can be trained in any order
+or concurrently and the model comes out identical, and growing a forest
+by more trees never changes the trees already trained. ``train_forest``
+grows all trees with one ``cart.grow_trees`` call, breadth first, and
+draws each tree's job only when that tree starts, which waits while the
+open nodes can fill a step, so its memory does not grow with the tree
+count; a one-job ``grow_trees`` call on ``_tree_job`` of an index grows
+that tree alone.
 
 A model holds its trees in one ``cart.Trees`` node table, in level
 order, which growth builds and importances, scoring and the model file
@@ -86,11 +88,12 @@ def bootstrap_indices(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def _tree_job(n: int, params: ForestParams, tree_index: int) -> tuple[np.ndarray, np.random.Generator]:
-    """Tree ``tree_index``'s training rows, drawn first from its substream
-    when bootstrapping, and the substream growth draws its root key from."""
+def _tree_job(n: int, params: ForestParams, tree_index: int) -> tuple[np.ndarray, int]:
+    """Tree ``tree_index``'s growth job: its training rows, drawn first from
+    its substream when bootstrapping, and its root key, drawn next."""
     rng = substream(params.seed, tree_index)
-    return (bootstrap_indices(n, rng) if params.bootstrap else np.arange(n)), rng
+    rows = bootstrap_indices(n, rng) if params.bootstrap else np.arange(n)
+    return rows, int(rng.integers(2**64, dtype=np.uint64))
 
 
 def train_forest(train: Dataset, params: ForestParams) -> ForestModel:

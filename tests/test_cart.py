@@ -298,7 +298,7 @@ def test_growth_limits_past_int64():
     bootstraps = rng.integers(0, 80, size=(3, 80))
 
     def grown(**limits):
-        return grow_trees(X, y, [(rows, substream(64, t)) for t, rows in enumerate(bootstraps)], TreeParams(**limits))
+        return grow_trees(X, y, [(rows, t) for t, rows in enumerate(bootstraps)], TreeParams(**limits))
 
     deep, unlimited = grown(max_depth=10**20), grown()
     assert unlimited.depth > 2
@@ -321,11 +321,28 @@ def test_grow_validates_inputs():
         grow_tree_arrays(np.zeros((3, 2)), np.array([0, 1, 2]), TreeParams(), rng)
     with pytest.raises(ParameterError):
         grow_tree_arrays(np.zeros((3, 2)), np.array([0, 1]), TreeParams(), rng)
+    # labels are checked before the int64 cast, which would read 0.5, 0.9
+    # and -0.5 as class 0
+    X = np.arange(12.0).reshape(6, 2)
+    for y in ([0, 0.5, 0, 1, 1, 0.9], [0, -0.5, 0, 1, 1, 1]):
+        with pytest.raises(ParameterError, match="^labels may contain only 0 and 1$"):
+            grow_trees(X, np.array(y), [(np.arange(6), 0)], TreeParams())
+        with pytest.raises(ParameterError, match="^labels may contain only 0 and 1$"):
+            best_split(X, np.array(y), [0])
     with pytest.raises(ParameterError, match="^grow_trees needs at least one job$"):
         grow_trees(np.zeros((3, 2)), np.array([0, 1, 0]), [], TreeParams())
-    jobs = [(np.arange(3), rng), (np.arange(0), substream(0, 1))]
+    jobs = [(np.arange(3), 0), (np.arange(0), 1)]
     with pytest.raises(ParameterError, match="^job 1: cannot grow a tree on zero rows$"):
         grow_trees(np.zeros((3, 2)), np.array([0, 1, 0]), jobs, TreeParams())
+
+
+@pytest.mark.parametrize("key", [None, -1, 2**64, 1.5, True])
+def test_grow_rejects_a_root_key_outside_the_64_bit_integers(key):
+    X, y = np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 1, 1, 0])
+    jobs = [(np.arange(6), 2**64 - 1), (np.arange(6), key)]
+    message = rf"^job 1: its root key must be an integer in \[0, 2\*\*64\), got {re.escape(repr(key))}$"
+    with pytest.raises(ParameterError, match=message):
+        grow_trees(X, y, jobs, TreeParams())
 
 
 @pytest.mark.parametrize(
@@ -338,7 +355,7 @@ def test_grow_validates_inputs():
 )
 def test_grow_rejects_job_rows_outside_the_matrix(rows):
     X, y = np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 1, 1, 0])
-    jobs = [(np.arange(6), substream(0, 0)), (np.array(rows), substream(0, 1))]
+    jobs = [(np.arange(6), 0), (np.array(rows), 1)]
     with pytest.raises(ParameterError, match=r"^job 1: rows must be integers in \[0, 6\)$"):
         grow_trees(X, y, jobs, TreeParams())
 
@@ -352,45 +369,46 @@ def test_grow_rejects_a_job_past_the_int64_bound(monkeypatch):
     # zero-stride views allocate nothing; row -1 shows the count is checked
     # before any row is read
     for fill in (0, -1):
-        jobs = [(np.arange(6), substream(0, 0)), (np.broadcast_to(np.intp(fill), (n + 1,)), substream(0, 1))]
+        jobs = [(np.arange(6), 0), (np.broadcast_to(np.intp(fill), (n + 1,)), 1)]
         with pytest.raises(ParameterError, match=rf"^job 1: {n + 1} rows exceed the {n} a tree may hold$"):
             grow_trees(X, y, jobs, TreeParams())
     # at the bound itself a job grows
     monkeypatch.setattr(cart, "_MAX_ROWS", 6)
-    assert len(grow_trees(X, y, [(np.arange(6), substream(0, 0))], TreeParams())) == 1
+    assert len(grow_trees(X, y, [(np.arange(6), 0)], TreeParams())) == 1
     with pytest.raises(ParameterError, match="^job 0: 7 rows exceed the 6 a tree may hold$"):
-        grow_trees(X, y, [(np.arange(7) % 6, substream(0, 0))], TreeParams())
+        grow_trees(X, y, [(np.arange(7) % 6, 0)], TreeParams())
 
 
-def test_grow_rejects_a_job_past_the_sort_key_bound(monkeypatch):
-    # a step's sort key packs (segment, rank, row) bit fields in int64: a
-    # step of several nodes takes the step budget's bits of segment and 3
-    # of rank on this 6-value column, so a job with rows enough for the
-    # remaining bits and one more needs 64
-    monkeypatch.setattr(cart, "_MAX_ROWS", 2**62)
-    X, y = np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 1, 1, 0])
-    row_bits = 64 - 3 - (cart._STEP_BUDGET - 1).bit_length()
-    # float rows: past a failed guard the dtype check refuses them at once
-    jobs = [(np.arange(6), substream(0, 0)), (np.broadcast_to(-1.0, (2**row_bits,)), substream(0, 1))]
-    with pytest.raises(ParameterError, match="^job 1: its split search needs 64-bit keys, past int64's 63$"):
-        grow_trees(X, y, jobs, TreeParams())
-
-
-def test_the_search_keys_fields_keep_their_order_at_63_bits():
-    # a rank field widened until the key takes all 63 bits finds the
-    # splits the narrow one finds
+def two_node_step():
+    """A split search's arguments: two nodes of 20 and 40 rows of a 40 x 3
+    matrix, on two candidates each, so 4 segments over 60 rows, and the
+    rank count that fills the sort key's 63 bits with their 2 and 6."""
     rng = np.random.default_rng(63)
     X, y = np.round(rng.normal(size=(40, 3)), 1), rng.integers(0, 2, size=40)
     ranks, n_ranks = cart._dense_ranks(X)
     node_rows = [rng.integers(0, 40, size=20), np.arange(40)]
     rows, sizes = np.concatenate(node_rows), np.array([20, 40])
     counts_1, features = np.array([y[r].sum() for r in node_rows]), np.array([[0, 2], [1, 2]])
-    wide = 2 ** (63 - cart._key_bits(4, 1, 60))
-    assert cart._key_bits(4, wide, 60) == 63
-    narrow = cart._best_splits(X, y, ranks, n_ranks, rows, sizes, counts_1, features)
-    widened = cart._best_splits(X, y, ranks, wide, rows, sizes, counts_1, features)
+    widest = 2 ** (63 - (4 - 1).bit_length() - (len(rows) - 1).bit_length())
+    return (X, y, ranks, n_ranks, rows, sizes, counts_1, features), widest
+
+
+def test_the_search_keys_fields_keep_their_order_at_63_bits():
+    # a rank field widened until the key takes all 63 bits finds the
+    # splits the narrow one finds
+    args, wide = two_node_step()
+    assert (4 - 1).bit_length() + (wide - 1).bit_length() + (60 - 1).bit_length() == 63
+    narrow = cart._best_splits(*args)
+    widened = cart._best_splits(*args[:3], wide, *args[4:])
     assert narrow[0].tolist() == [0, 1] and len(narrow[-1]) == 60  # both nodes split
     assert all(np.array_equal(a, b) for a, b in zip(narrow, widened))
+
+
+def test_the_search_refuses_keys_past_63_bits():
+    # one more rank bit would push the segment field past int64's sign bit
+    args, wide = two_node_step()
+    with pytest.raises(ParameterError, match="^4 segments, .* ranks and 60 rows need split keys past 63 bits$"):
+        cart._best_splits(*args[:3], 2 * wide, *args[4:])
 
 
 def test_a_table_needs_at_least_one_tree():
@@ -490,7 +508,7 @@ def test_growth_does_not_depend_on_the_order_of_a_jobs_rows():
         params = TreeParams(features_per_split=int(rng.integers(1, d + 1)), max_depth=[None, 3][trial % 2])
 
         def grown(order):
-            return grow_trees(X, y, [(order(r), substream(trial, t)) for t, r in enumerate(rows)], params)
+            return grow_trees(X, y, [(order(r), 4 * trial + t) for t, r in enumerate(rows)], params)
 
         table = grown(lambda r: r)
         shuffle = np.random.default_rng(trial)
@@ -579,18 +597,6 @@ def test_subsets_of_two_of_six_features_are_uniform():
     assert sum((count - 1000) ** 2 / 1000 for count in cells.values()) <= 36.12
 
 
-def test_subset_of_all_features_draws_nothing():
-    # with k = d every subset holds all features, and a tree's rng gives
-    # its root key alone
-    data = np.random.default_rng(4)
-    X, y = data.normal(size=(40, 4)), data.integers(0, 2, size=40)
-    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
-    trees = grow_trees(X, y, [(np.arange(40), rng)], TreeParams(features_per_split=4))
-    assert (trees.feature >= 0).sum() > 1
-    reference.integers(2**64, dtype=np.uint64)
-    assert rng.bit_generator.state == reference.bit_generator.state
-
-
 # oracle loop
 
 
@@ -619,9 +625,9 @@ def test_random_subset_growth_matches_bruteforce_oracle():
         if trial % 2 == 1:
             X = np.round(X, 1)  # force duplicate values and threshold ties
         y = rng.integers(0, 2, size=n).astype(np.int64)
-        node = grow_tree_arrays(X, y, TreeParams(features_per_split=2), substream(1, trial))
-        rows, labels = [tuple(r) for r in X], [int(v) for v in y]
         key = int(substream(1, trial).integers(2**64, dtype=np.uint64))
+        node = grow_trees(X, y, [(np.arange(n), key)], TreeParams(features_per_split=2))
+        rows, labels = [tuple(r) for r in X], [int(v) for v in y]
         expected = oracle_grow(rows, labels, key=key, k=2)
         assert tree_as_tuple(node) == expected, f"trial {trial}"
         differ += expected != oracle_grow(rows, labels)
@@ -644,7 +650,7 @@ def test_lockstep_trees_match_bruteforce_oracle(max_depth, min_samples_split):
                 X = np.round(X, 1)  # force duplicate values and threshold ties
             instances.append((X, rng.integers(0, 2, size=n).astype(np.int64)))
         starts = np.cumsum([0] + [len(y) for _, y in instances])
-        jobs = [(np.arange(a, b), substream(trial, t)) for t, (a, b) in enumerate(zip(starts, starts[1:]))]
+        jobs = [(np.arange(a, b), t) for t, (a, b) in enumerate(zip(starts, starts[1:]))]
         X = np.concatenate([X for X, _ in instances])
         y = np.concatenate([y for _, y in instances])
         params = TreeParams(max_depth=max_depth, min_samples_split=min_samples_split, features_per_split=4)
@@ -669,11 +675,11 @@ def test_lockstep_trees_whose_roots_stop_at_once_keep_their_places(monkeypatch, 
     zeros, ones = np.flatnonzero(y[:60] == 0), np.flatnonzero(y[:60] == 1)
     rows = [zeros, np.arange(60), ones[:1], np.arange(60, 64), ones, np.arange(30), zeros[::2], np.arange(60, 64)]
     params = TreeParams(features_per_split=2)
-    trees = grow_trees(X, y, [(r, substream(9, t)) for t, r in enumerate(rows)], params)
+    trees = grow_trees(X, y, [(r, t) for t, r in enumerate(rows)], params)
     assert len(trees) == len(rows)
     assert [int(trees.feature[r]) >= 0 for r in trees.roots] == [False, True, False, False, False, True, False, False]
     for t, r in enumerate(rows):
-        assert tree_as_tuple(trees, t) == tree_as_tuple(grow_trees(X, y, [(r, substream(9, t))], params)), t
+        assert tree_as_tuple(trees, t) == tree_as_tuple(grow_trees(X, y, [(r, t)], params)), t
 
 
 # values at the edges of the float64 range: the largest, subnormals and
@@ -707,7 +713,7 @@ def test_growth_routes_every_row_to_the_leaf_that_tallies_it(case):
     # x <= threshold. Every threshold is finite, and with every feature a
     # candidate the tree is the oracle's.
     X, y, k, jobs = case
-    job_rows = [(np.array(rows), substream(0, t)) for t, rows in enumerate(jobs)]
+    job_rows = [(np.array(rows), t) for t, rows in enumerate(jobs)]
     trees = grow_trees(np.array(X), np.array(y), job_rows, TreeParams(features_per_split=k))
     assert np.isfinite(trees.threshold[trees.feature >= 0]).all()
     feature, threshold, child, count_0, count_1 = (
@@ -755,7 +761,7 @@ def test_grow_rejects_infinite_features():
         grow(X, y)
     assert "\n" not in str(info.value)
     with pytest.raises(ParameterError, match="infinite"):
-        grow_trees(X, y, [(np.arange(300), substream(0, 0))], TreeParams())
+        grow_trees(X, y, [(np.arange(300), 0)], TreeParams())
 
 # prediction semantics
 

@@ -158,6 +158,19 @@ def test_bootstrap_single_row():
     assert bootstrap_indices(1, substream(0, 0)).tolist() == [0]
 
 
+def test_a_tree_job_draws_its_bootstrap_then_its_root_key(monkeypatch):
+    # a tree's substream gives exactly its bootstrap, when it bootstraps,
+    # and then its root key; growth draws nothing
+    drawn = []
+    monkeypatch.setattr("smerisk.forest.substream", lambda *args: drawn.append(substream(*args)) or drawn[-1])
+    for bootstrap in (True, False):
+        rows, key = _tree_job(40, ForestParams(seed=3, bootstrap=bootstrap), 7)
+        reference = substream(3, 7)
+        assert np.array_equal(rows, bootstrap_indices(40, reference) if bootstrap else np.arange(40))
+        assert type(key) is int and key == reference.integers(2**64, dtype=np.uint64)
+        assert drawn[-1].bit_generator.state == reference.bit_generator.state
+
+
 def test_bootstrap_unique_fraction():
     fractions = [
         len(np.unique(bootstrap_indices(1000, substream(5, t)))) / 1000.0
@@ -533,7 +546,7 @@ def test_importances_take_the_width_of_the_book_the_table_grew_on():
     # random 50 x 8 book whose trees split on its last column
     rng = np.random.default_rng(8)
     X, y = rng.normal(size=(50, 8)), rng.integers(0, 2, size=50)
-    trees = grow_trees(X, y, [(rng.integers(0, 50, size=50), substream(8, t)) for t in range(10)], TreeParams())
+    trees = grow_trees(X, y, [(rng.integers(0, 50, size=50), t) for t in range(10)], TreeParams())
     assert (trees.feature == 7).any()
     importances = tree_importances(trees, 8)
     assert importances.shape == (10, 8)
