@@ -72,14 +72,14 @@ is built, so no builder hands it a pointer to get wrong. Growth keeps
 each node it makes, as a leaf with its tree, and each split by place,
 the order nodes are made in, in batches applied once at the end. As the
 queue is first in, first out, each tree's places come in level order,
-and one stable sort on the tree column gives the table. Growth rejects
-non-finite features up front, so it builds only valid tables.
-``tree_importances`` sweeps ``levels`` up for each split's subtree
-counts and down for each node's pre-order place, and adds each tree's
-splits in reverse pre-order: children before parents, in one fixed
-summing order. Its gini expressions run on int64, which numpy divides as
-Python divides ints while every tree's rows n have n^2 < 2**53, and past
-that on ints.
+and one stable sort on the tree column gives the table. Growth and
+``best_split`` share one input check, which rejects non-finite features,
+so growth builds only valid tables. ``tree_importances`` sweeps
+``levels`` up for each split's subtree counts and down for each node's
+pre-order place, and adds each tree's splits in reverse pre-order:
+children before parents, in one fixed summing order. Its gini
+expressions run on int64, which numpy divides as Python divides ints
+while every tree's rows n have n^2 < 2**53, and past that on ints.
 
 A model file stores the table as four columns in table order
 (``trees_to_json``): ``feature`` of every node, ``threshold`` of every
@@ -243,6 +243,23 @@ def _dense_ranks(X: np.ndarray) -> tuple[np.ndarray, int]:
     return ranks.ravel(), int(ranks.max(initial=0)) + 1
 
 
+def _growth_inputs(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The one input check of ``grow_trees`` and ``best_split``; returns the
+    float matrix, int64 labels and dense ranks of inputs that pass it."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y)
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise ParameterError(f"feature matrix {X.shape} does not match labels {y.shape}")
+    if X.shape[0] == 0:
+        raise ParameterError("cannot grow a tree on zero rows")
+    if X.shape[1] == 0:
+        raise ParameterError("cannot grow a tree on zero feature columns")
+    if not np.isin(y, (0, 1)).all():  # before the cast, which would truncate 0.5 to 0
+        raise ParameterError("labels may contain only 0 and 1")
+    if not np.isfinite(X).all():  # a midpoint next to -inf would be -inf
+        raise ParameterError("feature values may not be NaN or infinite")
+    return (X, y.astype(np.int64, copy=False), *_dense_ranks(X))
+
+
 def _key_draws(keys: np.ndarray, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each node's child keys, as a uint64 row (left, right) of an (m, 2)
     matrix, and its k candidate features, as one sorted row of a matrix,
@@ -355,22 +372,16 @@ def best_split(
     """Exhaustive search for the impurity-minimizing (feature, threshold):
     the one-node case of the search ``grow_trees`` runs per step.
 
-    Returns (feature_index, threshold, weighted_child_impurity), or None if
-    no candidate strictly beats the parent impurity. Candidates are the
-    midpoints between consecutive distinct sorted values of each feature.
-    Unused in the package; perfbench's tracer wraps it by name.
+    ``X`` and ``y`` as for ``grow_trees``, and one or more candidate
+    features in [0, d). Returns (feature_index, threshold, weighted child
+    impurity), or None if none strictly beats the parent impurity. Unused
+    in the package; perfbench's tracer wraps it by name.
     """
-    X, y = np.asarray(X, dtype=float), np.asarray(y)
-    n = len(y)
-    if n == 0 or len(candidate_features) == 0:
-        raise ParameterError("best_split needs rows and at least one candidate feature")
-    if not np.isin(y, (0, 1)).all():  # before the cast, which would truncate 0.5 to 0
-        raise ParameterError("labels may contain only 0 and 1")
-    if not np.isfinite(X).all():
-        raise ParameterError("feature values may not be NaN or infinite")
-    y = y.astype(np.int64, copy=False)
+    X, y, ranks, n_ranks = _growth_inputs(X, y)
+    n, d = X.shape
     features = np.array(sorted(int(f) for f in candidate_features))
-    ranks, n_ranks = _dense_ranks(X)
+    if len(features) == 0 or features[0] < 0 or features[-1] >= d:
+        raise ParameterError(f"best_split needs one or more candidate features in [0, {d}), got {features.tolist()}")
     found = _best_splits(X, y, ranks, n_ranks, np.arange(n), np.array([n]), np.array([y.sum()]), features[None])
     if len(found[0]) == 0:
         return None
@@ -384,9 +395,11 @@ def grow_trees(
     jobs: Iterable[tuple[np.ndarray, int]],
     params: TreeParams,
 ) -> Trees:
-    """Grow one tree per job into one table, in job order. A job is (rows,
-    key): the tree grown on ``X[rows]``, ``y[rows]`` from the root key
-    ``key``, an integer in [0, 2**64), its rows integers in [0, len(X)).
+    """Grow one tree per job into one table, in job order, from a finite
+    2-D matrix ``X`` of one or more rows and columns and one 0/1 label per
+    row in ``y``. A job is (rows, key): the tree grown on ``X[rows]``,
+    ``y[rows]`` from the root key ``key``, an integer in [0, 2**64), its
+    rows integers in [0, len(X)).
 
     Per node: stop with a leaf if the node is pure, smaller than
     min_samples_split, or at the depth limit; otherwise draw the node's
@@ -397,27 +410,16 @@ def grow_trees(
     made in batches, a root when its job starts and a step's children all
     at once: one mask applies the stop rules, the batch is kept as leaves
     at the next places and its splittable nodes join the queue. Each pass
-    of the loop starts a tree for each job taken from ``jobs`` while the
-    queue cannot fill a step, then takes as many of the queue's first
-    nodes as the step budget admits, draws their subsets with one
-    ``_key_draws``, scores them in one search, keeps the splits and makes
-    the children. The kept nodes and splits are applied once, at the end,
-    and one stable sort on the tree column gives the table.
+    of the loop starts a tree per job, in a ``for`` over ``jobs`` run only
+    while the queue cannot fill a step and left once it can, then takes as
+    many of the queue's first nodes as the step budget admits, draws their
+    subsets with one ``_key_draws``, scores them in one search, keeps the
+    splits and makes the children. The kept nodes and splits are applied
+    once, at the end, and one stable sort on the tree column gives the table.
     """
-    X, y = np.asarray(X, dtype=float), np.asarray(y)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ParameterError(f"feature matrix {X.shape} does not match {len(y)} labels")
+    X, y, ranks, n_ranks = _growth_inputs(X, y)
     n, d = X.shape
-    if n == 0:
-        raise ParameterError("cannot grow a tree on zero rows")
-    if d == 0:
-        raise ParameterError("cannot grow a tree on zero feature columns")
-    if not np.isin(y, (0, 1)).all():  # before the cast, which would truncate 0.5 to 0
-        raise ParameterError("labels may contain only 0 and 1")
-    if not np.isfinite(X).all():  # a midpoint next to -inf would be -inf
-        raise ParameterError("feature values may not be NaN or infinite")
-    y, k = y.astype(np.int64, copy=False), params.resolve_features_per_split(d)
-    ranks, n_ranks = _dense_ranks(X)
+    k = params.resolve_features_per_split(d)
 
     # one array per batch: the made nodes' (tree, size, class-1 count) in
     # 32-bit ints (_MAX_ROWS), the splits' (place, feature, threshold viewed
@@ -437,25 +439,23 @@ def grow_trees(
         waiting.append((*(column[opens] for column in (place, tree, depth, size, c1, key)), rows))
         n_made, queued = n_made + len(size), queued + len(rows)
 
-    jobs, more = enumerate(jobs), True
-    while more or queued:
-        while more and queued * k < _STEP_BUDGET:
-            job = next(jobs, None)
-            if job is None:
-                more = False
-                break
-            j, (rows, key) = job
-            rows = np.asarray(rows)
-            if rows.size > _MAX_ROWS:
-                raise ParameterError(f"job {j}: {rows.size} rows exceed the {_MAX_ROWS} a tree may hold")
-            if rows.size == 0:
-                raise ParameterError(f"job {j}: cannot grow a tree on zero rows")
-            if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
-                raise ParameterError(f"job {j}: rows must be integers in [0, {n})")
-            if type(key) is bool or not isinstance(key, (int, np.integer)) or not 0 <= key < 2**64:
-                raise ParameterError(f"job {j}: its root key must be an integer in [0, 2**64), got {key!r}")
-            rows, key = rows.astype(np.intp, copy=False), np.array([key], dtype=np.uint64)
-            make(np.full(1, j), np.zeros(1, np.intp), np.full(1, rows.size), y.take(rows).sum(keepdims=True), key, rows)
+    jobs = enumerate(jobs)
+    while True:
+        if queued * k < _STEP_BUDGET:  # the queue cannot fill a step: start trees until it can
+            for j, (rows, key) in jobs:
+                rows = np.asarray(rows)
+                if rows.size > _MAX_ROWS:
+                    raise ParameterError(f"job {j}: {rows.size} rows exceed the {_MAX_ROWS} a tree may hold")
+                if rows.size == 0:
+                    raise ParameterError(f"job {j}: cannot grow a tree on zero rows")
+                if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
+                    raise ParameterError(f"job {j}: rows must be integers in [0, {n})")
+                if type(key) is bool or not isinstance(key, (int, np.integer)) or not 0 <= key < 2**64:
+                    raise ParameterError(f"job {j}: its root key must be an integer in [0, 2**64), got {key!r}")
+                rows, key = rows.astype(np.intp, copy=False), np.array([key], dtype=np.uint64)
+                make(np.full(1, j), np.zeros(1, int), np.full(1, rows.size), y.take(rows).sum(keepdims=True), key, rows)
+                if queued * k >= _STEP_BUDGET:
+                    break
         if not queued:  # every job taken and every tree done
             break
         if len(queue[-1]) * k <= _STEP_BUDGET:  # the queue alone cannot fill a step

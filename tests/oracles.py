@@ -15,8 +15,11 @@ those tuples one row at a time in plain Python, sharing nothing with the
 package's flat (row, tree) walk. The metrics
 oracle likewise works in rational arithmetic end to end. Finite
 differences for the gradient live in the logit tests themselves.
+``node_columns_sha256`` is no oracle: it digests a whole table, so a
+test can pin a large fit that no oracle can grow.
 """
 
+import hashlib
 import math
 from collections import deque
 from fractions import Fraction
@@ -124,6 +127,15 @@ def tree_as_tuple(trees, t=0):
         else:
             done[i] = ("node", feature[i], threshold[i], done[child[i]], done[child[i] + 1])
     return done[0]
+
+
+def node_columns_sha256(trees):
+    """The sha256 of a table's ``feature``, ``threshold``, ``count_0`` and
+    ``count_1`` columns, in that order, each as its ``tobytes()``."""
+    digest = hashlib.sha256()
+    for column in (trees.feature, trees.threshold, trees.count_0, trees.count_1):
+        digest.update(column.tobytes())
+    return digest.hexdigest()
 
 
 def trees_as_tuples(trees):

@@ -329,6 +329,18 @@ def test_grow_validates_inputs():
             grow_trees(X, np.array(y), [(np.arange(6), 0)], TreeParams())
         with pytest.raises(ParameterError, match="^labels may contain only 0 and 1$"):
             best_split(X, np.array(y), [0])
+    # one label per row: ``take`` would read a label matrix flattened
+    labels = np.array([0, 1, 0, 1, 1, 0])
+    with pytest.raises(ParameterError, match=r"^feature matrix \(6, 2\) does not match labels \(6, 2\)$"):
+        grow_trees(X, np.stack([labels, 1 - labels], axis=1), [(np.arange(6), 0)], TreeParams())
+    with pytest.raises(ParameterError, match=r"^feature matrix \(6, 2\) does not match labels \(5,\)$"):
+        best_split(X, labels[:5], [0])
+    # candidates in [0, d): -1 would split on a feature that does not
+    # exist, and 7 would index past the matrix
+    for candidates in ([-1], [7], []):
+        message = rf"^best_split needs one or more candidate features in \[0, 2\), got {re.escape(str(candidates))}$"
+        with pytest.raises(ParameterError, match=message):
+            best_split(X, labels, candidates)
     with pytest.raises(ParameterError, match="^grow_trees needs at least one job$"):
         grow_trees(np.zeros((3, 2)), np.array([0, 1, 0]), [], TreeParams())
     jobs = [(np.arange(3), 0), (np.arange(0), 1)]

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     leaf,
+    node_columns_sha256,
     oracle_soft_vote,
     span,
     split,
@@ -307,6 +308,50 @@ def test_growth_searches_each_level_of_a_forest_at_once(zero_signal_book, monkey
     monkeypatch.setattr(cart, "_best_splits", counted)
     forest = train_forest(zero_signal_book, ForestParams(n_trees=8, seed=8))
     assert len(calls) <= forest.trees.depth + 1, (len(calls), forest.trees.depth)
+
+
+# fits pinned by the sha256 of their node columns and their count of
+# split searches, one per step, recorded with Python 3.11 and numpy 2.4 on
+# x86-64. The last two queue more rows than one step holds, so roots
+# start between steps and nodes made meanwhile wait to join the queue. A
+# tree is a pure function of its job, so a change to when trees start
+# moves the count, not the hash
+PINNED_FITS = {
+    "default split, 100 trees": (None, 100, "5890886519a759efaea0a88654a6133f821df88747b3cf1719fee10712ea3b91", 37),
+    "zero signal, 20 trees": (
+        GeneratorConfig(n_samples=1000, seed=5, signal_strength=0.0),
+        20,
+        "a2354700de7cf97f9ca2a4429009f57839747eeacc286bb8a3bf4fadd47700d8",
+        28,
+    ),
+    "n=2e4, 10 trees": (
+        GeneratorConfig(n_samples=20_000, seed=4),
+        10,
+        "bcbcea5530808bf8d38200bbfaa3422a100a94b06b28e3af0413376d01e359f9",
+        183,
+    ),
+    "n=1e5, 2 trees": (
+        GeneratorConfig(n_samples=100_000, seed=42),
+        2,
+        "71e14a1ba9f31a48855bd46de6a7ae9fc7a8d18225be31c27af0e9eae984e750",
+        209,
+    ),
+}
+
+
+@pytest.mark.parametrize("fit", PINNED_FITS)
+def test_pinned_fits_keep_their_node_columns_and_step_count(default_split, monkeypatch, fit):
+    config, n_trees, sha256, searches = PINNED_FITS[fit]
+    train = default_split[0] if config is None else generate(config)
+    calls, search = [], cart._best_splits
+
+    def counted(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(cart, "_best_splits", counted)
+    forest = train_forest(train, ForestParams(n_trees=n_trees))
+    assert (node_columns_sha256(forest.trees), len(calls)) == (sha256, searches)
 
 
 @pytest.mark.parametrize("book", ["default split", "40 rows"])
