@@ -373,15 +373,17 @@ def best_split(
     the one-node case of the search ``grow_trees`` runs per step.
 
     ``X`` and ``y`` as for ``grow_trees``, and one or more candidate
-    features in [0, d). Returns (feature_index, threshold, weighted child
-    impurity), or None if none strictly beats the parent impurity. Unused
-    in the package; perfbench's tracer wraps it by name.
+    features, integers (not bools) in [0, d). Returns (feature_index,
+    threshold, weighted child impurity), or None if none strictly beats
+    the parent impurity. Unused in the package; perfbench's tracer wraps
+    it by name.
     """
     X, y, ranks, n_ranks = _growth_inputs(X, y)
     n, d = X.shape
-    features = np.array(sorted(int(f) for f in candidate_features))
-    if len(features) == 0 or features[0] < 0 or features[-1] >= d:
-        raise ParameterError(f"best_split needs one or more candidate features in [0, {d}), got {features.tolist()}")
+    features = [f.item() if isinstance(f, np.generic) else f for f in candidate_features]
+    if not features or not all(type(f) is int and 0 <= f < d for f in features):  # no float, str or bool
+        raise ParameterError(f"best_split needs one or more candidate features in [0, {d}), got {features}")
+    features = np.array(sorted(features))
     found = _best_splits(X, y, ranks, n_ranks, np.arange(n), np.array([n]), np.array([y.sum()]), features[None])
     if len(found[0]) == 0:
         return None

@@ -15,9 +15,10 @@ the best linear model and the generator's own probabilities.
 The intercept b0 is calibrated once, when the config is built, by a
 safeguarded Newton iteration on a large fixed-seed probe sample, inside a
 bracket the probe's own scores prove to hold the root, so the probe's
-default rate is base_default_rate however strong the signal is. A signal
-so strong that its scaled scores reach half the float range, where
-b0 + signal_strength * g could overflow, is rejected.
+default rate is base_default_rate however strong the signal is. The probe
+is drawn a column at a time into its risk score and is never held as a
+feature matrix. A signal so strong that its scaled scores reach half the
+float range, where b0 + signal_strength * g could overflow, is rejected.
 
 Randomness: every column draws from its own substream derived from the
 master seed (streams 0-4 for the continuous features in canonical order,
@@ -28,6 +29,7 @@ All uniform draws are half-open, [low, high).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -106,8 +108,9 @@ class GeneratorConfig:
         object.__setattr__(self, "b0", _calibrate_intercept(self))
 
 
-def _risk_score(c: SignalCoefficients, X: np.ndarray) -> np.ndarray:
-    """The unscaled signal g(x) of each row of the (n, 6) feature matrix.
+def _risk_score(c: SignalCoefficients, column: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The unscaled signal g(x) of each row, from ``column(k)``, the k-th
+    feature column in canonical order.
 
     Each continuous linear term is centered on its default range midpoint
     and scaled by the half-width. The commodity interaction and the two
@@ -115,31 +118,47 @@ def _risk_score(c: SignalCoefficients, X: np.ndarray) -> np.ndarray:
     coefficient when debt/equity > 2.0, and the covenant breach adds its
     coefficient only when debt/equity > 2.0 and cash-flow variability >
     0.35 hold together. The intercept calibration absorbs their means.
+    The terms are added in that order into one array, and each column is
+    asked for once and dropped after its last use, so a caller that draws
+    columns on demand never holds the feature matrix.
     """
-    revenue_growth, cash_flow_variability, debt_equity_ratio, profit_margin, commodity_price_dependency, sector = X.T
-    return (
-        c.debt_equity_ratio * (debt_equity_ratio - 1.6) / 1.4
-        + c.cash_flow_variability * (cash_flow_variability - 0.3) / 0.2
-        + c.revenue_growth * revenue_growth / 0.2
-        + c.profit_margin * (profit_margin - 0.15) / 0.1
-        + c.commodity_sector * commodity_price_dependency * sector
-        + c.high_leverage_step * (debt_equity_ratio > 2.0)
-        + c.covenant_breach * ((debt_equity_ratio > 2.0) & (cash_flow_variability > 0.35))
-    )
+    debt_equity_ratio = column(2)
+    g = c.debt_equity_ratio * (debt_equity_ratio - 1.6) / 1.4
+    high_leverage = debt_equity_ratio > 2.0
+    del debt_equity_ratio
+    cash_flow_variability = column(1)
+    g += c.cash_flow_variability * (cash_flow_variability - 0.3) / 0.2
+    breach = high_leverage & (cash_flow_variability > 0.35)
+    del cash_flow_variability
+    g += c.revenue_growth * column(0) / 0.2
+    g += c.profit_margin * (column(3) - 0.15) / 0.1
+    g += c.commodity_sector * column(4) * column(5)
+    g += c.high_leverage_step * high_leverage
+    g += c.covenant_breach * breach
+    return g
 
 
-def _draw_features(config: GeneratorConfig, n: int, master_seed: int, order: str = "C") -> np.ndarray:
-    """The (n, 6) feature matrix in numpy memory ``order``: the ranges'
-    columns in field order, then the sector."""
-    X = np.empty((n, len(FEATURE_COLUMNS)), order=order)
-    for k, f in enumerate(fields(FeatureRanges)):
-        X[:, k] = substream(master_seed, k).uniform(*getattr(config.ranges, f.name), n)
-    X[:, 5] = substream(master_seed, 5).integers(0, 2, n)
+def _draw_column(ranges: FeatureRanges, master_seed: int, k: int, n: int) -> np.ndarray:
+    """Feature column k of n rows: the ranges' k-th field for k < 5, the
+    sector for k = 5."""
+    if k == 5:
+        return substream(master_seed, 5).integers(0, 2, n)
+    return substream(master_seed, k).uniform(*getattr(ranges, fields(FeatureRanges)[k].name), n)
+
+
+def _draw_features(config: GeneratorConfig, n: int, master_seed: int) -> np.ndarray:
+    """The (n, 6) feature matrix: the ranges' columns in field order, then
+    the sector."""
+    X = np.empty((n, len(FEATURE_COLUMNS)))
+    for k in range(len(FEATURE_COLUMNS)):
+        X[:, k] = _draw_column(config.ranges, master_seed, k, n)
     return X
 
 
 def _calibrate_intercept(config: GeneratorConfig) -> float:
-    """b0 with mean(sigmoid(b0 + s*g)) = base_default_rate on the probe.
+    """b0 with mean(sigmoid(b0 + s*g)) = base_default_rate on the probe,
+    whose risk score g is summed from columns drawn one at a time; the
+    probe is never held as a matrix.
 
     Newton on f(b0) = mean(sigmoid(b0 + s*g)) - r, with f' = mean(p(1 - p))
     taken from the same sigmoid evaluation. The root lies in
@@ -156,8 +175,7 @@ def _calibrate_intercept(config: GeneratorConfig) -> float:
     logit = math.log(r / (1.0 - r))
     if config.signal_strength == 0:
         return logit
-    # column-major, so the risk score reads each column contiguously
-    g = _risk_score(config.coefficients, _draw_features(config, _PROBE_SIZE, _PROBE_SEED, order="F"))
+    g = _risk_score(config.coefficients, lambda k: _draw_column(config.ranges, _PROBE_SEED, k, _PROBE_SIZE))
     if math.isinf(2.0 * config.signal_strength * max(float(g.max()), -float(g.min()))):
         raise ParameterError(f"signal_strength {config.signal_strength!r} is so large the risk score overflows")
     g *= config.signal_strength  # in place: the probe holds one score array
@@ -194,7 +212,7 @@ def latent_default_probability(X: np.ndarray, config: GeneratorConfig) -> np.nda
         raise ParameterError(f"feature matrix must have shape (n, {len(FEATURE_COLUMNS)}), got {X.shape}")
     if config.signal_strength == 0:
         return np.full(len(X), config.base_default_rate)
-    g = _risk_score(config.coefficients, X)
+    g = _risk_score(config.coefficients, X.T.__getitem__)
     return sigmoid(config.b0 + config.signal_strength * g)
 
 

@@ -335,9 +335,10 @@ def test_grow_validates_inputs():
         grow_trees(X, np.stack([labels, 1 - labels], axis=1), [(np.arange(6), 0)], TreeParams())
     with pytest.raises(ParameterError, match=r"^feature matrix \(6, 2\) does not match labels \(5,\)$"):
         best_split(X, labels[:5], [0])
-    # candidates in [0, d): -1 would split on a feature that does not
-    # exist, and 7 would index past the matrix
-    for candidates in ([-1], [7], []):
+    # candidates are integers in [0, d): -1 would split on a feature that
+    # does not exist, 7 would index past the matrix, and int() would read
+    # 0.9 as feature 0, "1" and True as feature 1
+    for candidates in ([-1], [7], [], [0.9], ["1"], [True], [None]):
         message = rf"^best_split needs one or more candidate features in \[0, 2\), got {re.escape(str(candidates))}$"
         with pytest.raises(ParameterError, match=message):
             best_split(X, labels, candidates)

@@ -2,7 +2,9 @@
 invariants, the latent probability formula, calibration, and the
 prefix-stability and reproducibility guarantees."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,14 +162,15 @@ def test_latent_probabilities_beat_best_linear_model():
 def _probe_rate(cfg, b0):
     """The default rate intercept ``b0`` gives on the calibration probe."""
     features = synthgen._draw_features(cfg, synthgen._PROBE_SIZE, synthgen._PROBE_SEED)
-    return float(np.mean(sigmoid(b0 + cfg.signal_strength * synthgen._risk_score(cfg.coefficients, features))))
+    g = synthgen._risk_score(cfg.coefficients, features.T.__getitem__)
+    return float(np.mean(sigmoid(b0 + cfg.signal_strength * g)))
 
 
 def _bisection_intercept(cfg):
     """The reference b0: bisection to width 1e-12 on the calibration probe,
     from a bracket doubled until it holds the root."""
     features = synthgen._draw_features(cfg, synthgen._PROBE_SIZE, synthgen._PROBE_SEED)
-    g = cfg.signal_strength * synthgen._risk_score(cfg.coefficients, features)
+    g = cfg.signal_strength * synthgen._risk_score(cfg.coefficients, features.T.__getitem__)
     lo, hi = -1.0, 1.0
     while not float(np.mean(sigmoid(lo + g))) < cfg.base_default_rate <= float(np.mean(sigmoid(hi + g))):
         lo, hi = 2 * lo, 2 * hi
@@ -199,9 +202,48 @@ def test_calibration_matches_bisection_oracle(kwargs):
         assert abs(cfg.b0 - b0_ref) <= 1e-11
         # the labels the reference intercept would draw, drawn by hand
         data = generate(cfg)
-        g = cfg.signal_strength * synthgen._risk_score(cfg.coefficients, data.feature_matrix())
+        g = cfg.signal_strength * synthgen._risk_score(cfg.coefficients, data.feature_matrix().T.__getitem__)
         u = substream(cfg.seed, 6).random(n)
         assert np.array_equal(data.labels(), (u < sigmoid(b0_ref + g)).astype(np.int64))
+
+
+@pytest.mark.parametrize(
+    ("kwargs", "b0_hex"),
+    [
+        ({}, "-0x1.a1f106ec76776p+1"),
+        ({"base_default_rate": 0.01, "signal_strength": 5.0}, "-0x1.34239a47b2540p+5"),
+        ({"base_default_rate": 0.99, "signal_strength": 0.1}, "0x1.2095645c2eeb4p+2"),
+        ({"seed": 9, "signal_strength": 1.5}, "-0x1.08eaa36f1d368p+2"),
+        ({"signal_strength": 20.0}, "-0x1.5b3499bb41710p+5"),
+        ({"signal_strength": 50.0}, "-0x1.b15e61838255ap+6"),
+        # debt/equity pinned above the step, so both threshold terms read
+        # a constant column
+        ({"ranges": FeatureRanges(debt_equity_ratio=(2.5, 2.5))}, "-0x1.9b3bcb6569324p+2"),
+        # the covenant breach as the only channel
+        ({"coefficients": SignalCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0)}, "-0x1.1af5ccd7bd47ep+1"),
+    ],
+)
+def test_calibrated_intercept_is_pinned_bit_for_bit(kwargs, b0_hex):
+    # recorded when the probe was drawn as one (100,000, 6) matrix and
+    # scored in one expression; the column-at-a-time probe must add the
+    # same terms in the same order
+    assert GeneratorConfig(**kwargs).b0.hex() == b0_hex
+
+
+def test_calibration_never_holds_the_probe_as_a_matrix():
+    # the bound is about six probe-length float64 arrays, just under the
+    # probe matrix alone (4.58 MiB). Summed a column at a time, the
+    # calibration peaks at 3.91 MiB; with the whole matrix and the risk
+    # score's temporaries it peaked at 6.27 MiB
+    GeneratorConfig()  # one-time allocations
+    gc.collect()
+    tracemalloc.start()
+    try:
+        GeneratorConfig()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20, peak
 
 
 @pytest.mark.parametrize("signal", [20.0, 100.0, 1e300])
